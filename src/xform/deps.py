@@ -5,13 +5,27 @@ Two routes, matching how much the program lets us see:
 * exact: when every bound, guard, and subscript in the analyzed region is a
   pure function of loop variables and non-opaque params, and the region's
   instance count fits the enumeration cap, walk the whole iteration space
-  abstractly (no memory needed) and collect the precise set of conflicting
-  instance pairs.
+  abstractly (no memory needed) and build the region's conflict graph.
 
 * conservative: otherwise fall back to ZIV and strong-SIV subscript tests per
   dimension; anything those cannot analyze is assumed dependent with unknown
   (`*`) distance entries.  Accesses to declared may-alias pairs are kept in a
   separate rtc-eligible bucket rather than folded into the static set.
+
+The exact conflict graph (`DependenceSet.pairs`) is linear in the number of
+accesses: per address, walked in execution order, each write is joined to
+the reads since the previous write (anti), each of those reads to the write
+before it (flow), and consecutive writes to each other (output).  Every
+conflicting pair is joined by a chain of these edges, so a schedule that runs
+each instance once keeps all conflicting pairs in order exactly when it keeps
+the edges in order.  The distance vectors (`DependenceSet.deps`) are
+summarized on first use from all conflicting pairs (`full_pairs`), so
+`--deps` and the conservative rules read the same data however the set was
+built.  Instance keys and accessed addresses do not change under a
+transformation, so once a candidate has kept every edge in order, `reorder`
+carries the graph over to it without building it again.  Pairs of declared
+may-alias arrays stay bipartite (every access of one against every access of
+the other), capped at 4M pairs.
 
 Distance vectors are in logical iterations (trip counts), source before sink,
 so they are lexicographically non-negative for the original program.
@@ -23,11 +37,12 @@ interpreter and compares touched addresses pairwise over the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import interp
 from .lang import (
     ArrayRead, Assign, BinOp, Block, Call, Expr, ForLoop, IfStmt, IntLit,
-    Program, Stmt, VarRef, WhileLoop, simplify, subst,
+    Program, Stmt, VarRef, WhileLoop, _FOLD, idiv, imod, simplify, subst,
 )
 
 
@@ -71,22 +86,37 @@ class Instance:
     logical: tuple[int, ...]
     reads: frozenset
     writes: frozenset
-    arrays_read: frozenset
-    arrays_written: frozenset
+    key: tuple                       # (stmt, orig): the same in every schedule
 
-    def key(self):
-        return (self.stmt, self.orig)
+
+class Enumeration(list):
+    """Instances in execution order; `steps` counts the loop iterations walked."""
+    steps = 0
+
+
+def _step_budget(max_instances: int) -> int:
+    """Loop iterations an enumeration capped at `max_instances` may walk."""
+    return 100 * max_instances + 10000
 
 
 @dataclass
 class DependenceSet:
-    deps: list[Dependence]
     exact: bool
     loops: tuple[str, ...]
     instances: list[Instance] | None = None
-    pairs: list[tuple[int, int, str]] = field(default_factory=list)
+    pairs: list[tuple[int, int, str]] = field(default_factory=list)  # linear edges
     alias_pairs: list[tuple[int, int, str, tuple[str, str]]] = field(default_factory=list)
     reason: str = ""
+
+    @cached_property
+    def full_pairs(self) -> list[tuple[int, int, str]]:
+        """Every conflicting static pair, sorted (exact sets only)."""
+        return _all_pairs(self.instances)
+
+    @cached_property
+    def deps(self) -> list[Dependence]:
+        """Distance vectors; conservative sets assign them at construction."""
+        return _summarize(self.instances, self.full_pairs, self.alias_pairs)
 
     def pretty(self) -> str:
         mode = "exact" if self.exact else "conservative"
@@ -142,7 +172,6 @@ def _eval_static(e: Expr, env: dict[str, int], opaque: set[str]) -> int:
         b = _eval_static(e.args[1], env, opaque)
         return min(a, b) if e.func == "min" else max(a, b)
     if isinstance(e, BinOp):
-        from .lang import _FOLD, idiv, imod
         a = _eval_static(e.lhs, env, opaque)
         b = _eval_static(e.rhs, env, opaque)
         if e.op in ("/", "%"):
@@ -164,18 +193,19 @@ def _flat_index(program: Program, array: str, idx: tuple[int, ...]) -> int:
 
 
 def enumerate_instances(program: Program, scope: list[Stmt],
-                        max_instances: int = 4096) -> list[Instance]:
+                        max_instances: int = 4096) -> Enumeration:
     """Walk the region's full iteration space without touching memory.
 
     Raises DepsError on while-loops, _Unanalyzable when anything depends on
-    memory or opaque params, _CapExceeded past the instance cap.
+    memory or opaque params, _CapExceeded past the instance cap or past
+    `_step_budget(max_instances)` loop iterations.
     """
     opaque = program.opaque_params()
     env = program.param_values(include_opaque=False)
-    out: list[Instance] = []
+    out = Enumeration()
     stack: list[tuple[str, int, int]] = []
     steps = [0]
-    step_budget = 100 * max_instances + 10000
+    budget = _step_budget(max_instances)
 
     def addr_of(array, index):
         vals = tuple(_eval_static(i, env, opaque) for i in index)
@@ -204,16 +234,12 @@ def enumerate_instances(program: Program, scope: list[Stmt],
                     acc.append(waddr)
                 if len(out) >= max_instances:
                     raise _CapExceeded()
-                reads = frozenset(acc)
-                writes = frozenset((waddr,))
+                orig = tuple((n, _eval_static(e, env, opaque)) for n, e in s.orig_coords)
                 out.append(Instance(
-                    len(out), s.stmt_id,
-                    tuple((n, _eval_static(e, env, opaque)) for n, e in s.orig_coords),
+                    len(out), s.stmt_id, orig,
                     tuple(n for n, _, _ in stack),
                     tuple(t for _, _, t in stack),
-                    reads, writes,
-                    frozenset(a for a, _ in reads),
-                    frozenset(a for a, _ in writes)))
+                    frozenset(acc), frozenset((waddr,)), (s.stmt_id, orig)))
             elif isinstance(s, ForLoop):
                 lb = _eval_static(s.lower, env, opaque)
                 ub = _eval_static(s.upper, env, opaque)
@@ -221,7 +247,7 @@ def enumerate_instances(program: Program, scope: list[Stmt],
                 trip = 0
                 for v in range(lb, ub, s.step) if ub > lb else []:
                     steps[0] += 1
-                    if steps[0] > step_budget:
+                    if steps[0] > budget:
                         raise _CapExceeded()
                     env[s.var] = v
                     stack.append((s.name, v, trip))
@@ -243,11 +269,12 @@ def enumerate_instances(program: Program, scope: list[Stmt],
                 walk(s.body)
 
     walk(scope)
+    out.steps = steps[0]
     return out
 
 
 def positions_by_key(instances: list[Instance]) -> dict:
-    return {inst.key(): inst.pos for inst in instances}
+    return {inst.key: inst.pos for inst in instances}
 
 
 def _scope_loops(scope: list[Stmt]) -> tuple[str, ...]:
@@ -289,33 +316,66 @@ def _summarize(instances: list[Instance], pairs, alias_pairs) -> list[Dependence
             for (s, k, kd, lp, dp, al) in seen]
 
 
-def _exact_pairs(program: Program, instances: list[Instance]):
-    """Conflicting instance pairs: static (same storage) and may-alias ones."""
+def _accesses_by_address(instances: list[Instance]) -> dict:
+    """Per address, its accesses (pos, is_write) in execution order; an
+    instance reads an address before it writes it."""
     buckets: dict = {}
     for inst in instances:
+        for addr in inst.reads:
+            buckets.setdefault(addr, []).append((inst.pos, False))
         for addr in inst.writes:
             buckets.setdefault(addr, []).append((inst.pos, True))
-        for addr in inst.reads - inst.writes:
-            buckets.setdefault(addr, []).append((inst.pos, False))
-        for addr in inst.reads & inst.writes:
-            buckets.setdefault(addr, []).append((inst.pos, False))
+    return buckets
+
+
+def _all_pairs(instances: list[Instance]) -> list[tuple[int, int, str]]:
+    """Every pair of instances that touch one address, at least one writing."""
     pairs = set()
-    for addr, accesses in buckets.items():
-        accesses.sort()
-        writes = [(p, w) for p, w in accesses if w]
-        if not writes:
+    for accesses in _accesses_by_address(instances).values():
+        if not any(w for _, w in accesses):
             continue
         for (p1, w1) in accesses:
             for (p2, w2) in accesses:
                 if p1 < p2 and (w1 or w2):
                     pairs.add((p1, p2, _pair_kind(w1, w2)))
+    return sorted(pairs)
+
+
+def _linear_pairs(instances: list[Instance]) -> list[tuple[int, int, str]]:
+    """The write-separated adjacent pairs: a chain of them joins every pair
+    `_all_pairs` lists, and there are at most two per access."""
+    pairs = []
+    for accesses in _accesses_by_address(instances).values():
+        last_write = None
+        reads: list[int] = []  # since last_write
+        for pos, is_write in accesses:
+            if is_write:
+                pairs.extend((r, pos, "anti") for r in reads if r != pos)
+                if last_write is not None:
+                    pairs.append((last_write, pos, "output"))
+                last_write, reads = pos, []
+            else:
+                if last_write is not None:
+                    pairs.append((last_write, pos, "flow"))
+                reads.append(pos)
+    return pairs
+
+
+def _alias_pairs(program: Program, instances: list[Instance]):
+    """Every may-alias pair: each access to one declared array against each
+    access to the other, at least one writing."""
+    def touches(array):  # (pos, writes it) of each instance accessing `array`
+        out = []
+        for inst in instances:
+            written = any(arr == array for arr, _ in inst.writes)
+            if written or any(arr == array for arr, _ in inst.reads):
+                out.append((inst.pos, written))
+        return out
+
     alias_pairs = set()
     for al in program.aliases:
         a, b = al.first, al.second
-        touch_a = [(i.pos, a in i.arrays_written) for i in instances
-                   if a in i.arrays_read or a in i.arrays_written]
-        touch_b = [(i.pos, b in i.arrays_written) for i in instances
-                   if b in i.arrays_read or b in i.arrays_written]
+        touch_a, touch_b = touches(a), touches(b)
         if len(touch_a) * len(touch_b) > 4_000_000:
             raise _CapExceeded()
         for (pa, wa) in touch_a:
@@ -327,7 +387,30 @@ def _exact_pairs(program: Program, instances: list[Instance]):
                 i, j = (pa, pb) if pa < pb else (pb, pa)
                 wi, wj = (wa, wb) if pa < pb else (wb, wa)
                 alias_pairs.add((i, j, _pair_kind(wi, wj), (a, b)))
-    return sorted(pairs), sorted(alias_pairs)
+    return sorted(alias_pairs)
+
+
+def _exact_set(program: Program, instances: list[Instance], stmts: list[Stmt]) -> DependenceSet:
+    return DependenceSet(True, _scope_loops(stmts), instances, _linear_pairs(instances),
+                         _alias_pairs(program, instances))
+
+
+def reorder(depset: DependenceSet, instances: Enumeration, stmts: list[Stmt],
+            max_enum: int) -> DependenceSet | None:
+    """`depset`'s graph over another schedule of the same region, which runs
+    each instance once and keeps every edge in order (an exact always-valid
+    candidate).  Every address then sees its writes, and the reads between
+    two writes, in the same order, so the key-level edges are unchanged.
+    None when enumerating `stmts` afresh under `max_enum` would hit a cap,
+    so that the next step keeps the route it would take from scratch."""
+    if len(instances) > max_enum or instances.steps > _step_budget(max_enum):
+        return None
+    pos = positions_by_key(instances)
+    new = [pos[inst.key] for inst in depset.instances]
+    return DependenceSet(True, _scope_loops(stmts), instances,
+                         [(new[i], new[j], kind) for i, j, kind in depset.pairs],
+                         sorted((new[i], new[j], kind, pair)
+                                for i, j, kind, pair in depset.alias_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +690,9 @@ def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -
                 emit(r1, r2, names, dist, pair)
                 emit(r2, r1, names, dist, pair)
 
-    deps = [Dependence(s, k, kd, lp, dp, al) for (s, k, kd, lp, dp, al) in seen]
-    return DependenceSet(deps, exact=False, loops=_scope_loops(scope), reason=reason)
+    ds = DependenceSet(exact=False, loops=_scope_loops(scope), reason=reason)
+    ds.deps = [Dependence(s, k, kd, lp, dp, al) for (s, k, kd, lp, dp, al) in seen]
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +704,7 @@ def compute_dependences(program: Program, scope, max_enum: int = 4096) -> Depend
     conservative superset.  `scope` is a loop node or a statement list."""
     stmts = scope if isinstance(scope, list) else [scope]
     try:
-        instances = enumerate_instances(program, stmts, max_enum)
-        pairs, alias_pairs = _exact_pairs(program, instances)
-        deps = _summarize(instances, pairs, alias_pairs)
-        return DependenceSet(deps, exact=True, loops=_scope_loops(stmts),
-                             instances=instances, pairs=pairs, alias_pairs=alias_pairs)
+        return _exact_set(program, enumerate_instances(program, stmts, max_enum), stmts)
     except _CapExceeded:
         return conservative_dependences(program, stmts, "enumeration cap exceeded")
     except _Unanalyzable as e:
@@ -645,15 +725,9 @@ def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> Depend
         raise DepsError(f"region exceeds the oracle cap of {cap} instances")
     instances = []
     for k, r in enumerate(trace):
-        reads = frozenset(r.reads)
-        writes = frozenset(r.writes)
-        instances.append(Instance(
-            k, r.stmt, r.ivec, r.cur_loops, r.cur_logical, reads, writes,
-            frozenset(a for a, _ in reads), frozenset(a for a, _ in writes)))
-    pairs, alias_pairs = _exact_pairs(program, instances)
-    deps = _summarize(instances, pairs, alias_pairs)
-    return DependenceSet(deps, exact=True, loops=_scope_loops(stmts),
-                         instances=instances, pairs=pairs, alias_pairs=alias_pairs)
+        instances.append(Instance(k, r.stmt, r.ivec, r.cur_loops, r.cur_logical,
+                                  frozenset(r.reads), frozenset(r.writes), (r.stmt, r.ivec)))
+    return _exact_set(program, instances, stmts)
 
 
 def _all_stmts(s: Stmt):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deps import Dependence, DependenceSet
+from .deps import Dependence, DependenceSet, Instance, positions_by_key
 from .lang import Call, Expr, BinOp, IfStmt, Stmt, VarRef
 
 ALWAYS_VALID = "always_valid"
@@ -105,38 +105,69 @@ def warning_text(directive, loop_name: str, verdict_text: str, hard: bool = Fals
 # Schedule checks
 
 
-def judge_exact(depset: DependenceSet, cand_positions: dict) -> Verdict:
-    """Check every conflicting instance pair against the candidate's
-    execution order; only may-alias violations are rtc-recoverable."""
+def judge_exact(depset: DependenceSet, cand_instances: list[Instance]) -> Verdict:
+    """Check the candidate's enumerated instances against the region's
+    conflict graph; only may-alias violations are rtc-recoverable.
+
+    The candidate must run each instance of the region exactly once and keep
+    every edge of `depset.pairs` in order.  Those edges are the linear
+    write-separated adjacent pairs, and they are kept in order exactly when
+    every conflicting pair is.  A failed check is repeated on all conflicting
+    pairs (`depset.full_pairs`), so the witness is the first violated pair in
+    execution order whichever edges found the violation.
+    """
+    positions = positions_by_key(cand_instances)
+    verdict = _judge_order(depset, depset.pairs, cand_instances, positions)
+    if verdict.kind != ALWAYS_VALID:
+        verdict = _judge_order(depset, depset.full_pairs, cand_instances, positions)
+    return verdict
+
+
+def _judge_order(depset: DependenceSet, pairs, cand_instances: list[Instance],
+                 positions: dict) -> Verdict:
     instances = depset.instances
-    witness = None
-    for (i, j, kind) in depset.pairs:
+    for (i, j, kind) in pairs:
         a, b = instances[i], instances[j]
-        pa = cand_positions.get(a.key())
-        pb = cand_positions.get(b.key())
+        pa = positions.get(a.key)
+        pb = positions.get(b.key)
         if pa is None or pb is None:
             return Verdict(INVALID, f"instance of {a.stmt if pa is None else b.stmt} "
                                     "disappears from the schedule")
         if pa > pb:
-            witness = _pair_to_dep(instances, i, j, kind)
-            break
-    if witness is not None:
-        return Verdict(INVALID, witness=witness)
+            return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
+    mismatch = _schedule_mismatch(instances, cand_instances, positions)
+    if mismatch:
+        return Verdict(INVALID, mismatch)
     rtc: dict[tuple[str, str], None] = {}
     for (i, j, kind, pair) in depset.alias_pairs:
-        a, b = instances[i], instances[j]
-        pa = cand_positions.get(a.key())
-        pb = cand_positions.get(b.key())
-        if pa is None or pb is None or pa > pb:
+        if positions[instances[i].key] > positions[instances[j].key]:
             rtc[pair] = None
     if rtc:
         return Verdict(VALID_WITH_RTC, rtc_pairs=tuple(sorted(rtc)))
     return Verdict(ALWAYS_VALID)
 
 
+def _schedule_mismatch(instances: list[Instance], cand_instances: list[Instance],
+                       positions: dict) -> str:
+    """Why the candidate does not run each instance exactly once, or ''."""
+    for inst in instances:
+        if inst.key not in positions:
+            return f"instance of {inst.stmt} disappears from the schedule"
+    if len(positions) != len(instances):
+        keys = {inst.key for inst in instances}
+        extra = next(c for c in cand_instances if c.key not in keys)
+        return f"instance of {extra.stmt} is not in the original schedule"
+    for c in cand_instances:
+        if positions[c.key] != c.pos:
+            return f"instance of {c.stmt} runs more than once"
+    return ""
+
+
 def judge_parallel_exact(depset: DependenceSet, loop_name: str) -> Verdict:
     """A marked loop may run its iterations in any order: no conflicting pair
-    may differ in that loop's trip count."""
+    may differ in that loop's trip count.  This is checked on all pairs, not
+    on the linear edges: being carried is not transitive, so a chain of
+    edges none of which is carried can join two instances that are."""
     instances = depset.instances
 
     def carried(i, j):
@@ -149,7 +180,7 @@ def judge_parallel_exact(depset: DependenceSet, loop_name: str) -> Verdict:
             return False
         return a.logical[ka] != b.logical[kb]
 
-    for (i, j, kind) in depset.pairs:
+    for (i, j, kind) in depset.full_pairs:
         if carried(i, j):
             return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
     rtc = {}

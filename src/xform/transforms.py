@@ -9,6 +9,8 @@ Order-preserving rewrites (strip-mine, unroll, peel, collapse) are always
 valid.  Everything else is checked against the dependence analysis: in exact
 mode every conflicting instance pair must keep its execution order in the
 candidate tree; in conservative mode per-kind distance-vector rules apply.
+The exact conflict graph is built once per region and carried from step to
+step for as long as each step is exact and always valid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import deps as depmod
 from . import legality
 from .deps import (
     DepsError, _CapExceeded, _Unanalyzable, _eval_static, enumerate_instances,
-    positions_by_key,
 )
 from .ir import PlannedDirective, PlannedPipeline, default_ids
 from .lang import (
@@ -685,8 +686,19 @@ class PipelineResult:
 
 def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
              info: ApplyInfo | None, impossible_reason: str = "",
-             max_enum: int = 4096) -> Verdict:
-    """Classify one planned directive against the current tree."""
+             max_enum: int = 4096, *, graphs: dict) -> Verdict:
+    """Classify one planned directive against the current tree.
+
+    `graphs` carries exact conflict graphs from one step of a pipeline to the
+    next, keyed by top-level span (start, stop).  On entry it may hold the
+    graph of a region of `program`; classify empties it.  After an exact
+    always-valid verdict it stores the candidate's graph under the
+    candidate's span, unless the candidate is too large for `max_enum` to
+    analyze exactly from scratch.  An always-valid step is applied in every
+    safety mode.
+    """
+    carried = graphs.copy()
+    graphs.clear()
     if candidate is None:
         return Verdict(IMPOSSIBLE, impossible_reason)
     d = pd.directive
@@ -709,23 +721,33 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
     if d.kind == "distribute" and len(set(info.meta["part_of"].values())) <= 1:
         return Verdict(legality.ALWAYS_VALID)
 
-    scope = program.body[info.span_start:info.span_start + info.span_old]
-    try:
-        depset = depmod.compute_dependences(program, scope, max_enum)
-    except DepsError as e:
-        return Verdict(IMPOSSIBLE, str(e))
+    stop = info.span_start + info.span_old
+    depset = carried.get((info.span_start, stop))
+    if depset is None:
+        try:
+            depset = depmod.compute_dependences(program, program.body[info.span_start:stop],
+                                                max_enum)
+        except DepsError as e:
+            return Verdict(IMPOSSIBLE, str(e))
 
     if depset.exact:
         if d.kind == "parallel":
             return legality.judge_parallel_exact(depset, info.meta["level"])
-        cscope = candidate.body[info.span_start:info.span_start + info.span_new]
+        cstop = info.span_start + info.span_new
+        cscope = candidate.body[info.span_start:cstop]
         try:
             cinsts = enumerate_instances(candidate, cscope, max_enum * 2)
-            return legality.judge_exact(depset, positions_by_key(cinsts))
         except DepsError as e:
             return Verdict(IMPOSSIBLE, str(e))
         except (_Unanalyzable, _CapExceeded):
             pass  # fall through to the conservative judgement
+        else:
+            verdict = legality.judge_exact(depset, cinsts)
+            if verdict.kind == legality.ALWAYS_VALID:
+                graph = depmod.reorder(depset, cinsts, cscope, max_enum)
+                if graph is not None:
+                    graphs[(info.span_start, cstop)] = graph
+            return verdict
 
     if d.kind in ("reverse", "stripe_mine", "parallel"):
         return legality.judge_level_conservative(depset, info.meta["level"])
@@ -764,6 +786,7 @@ def apply_pipeline(program: Program, plan: PlannedPipeline,
     rtc_conds: dict[int, dict] = {}
     kept_ids: dict[str, Directive] = {}
     reports: list[DirectiveReport] = []
+    graphs: dict = {}  # exact conflict graph of the current program, see classify
 
     for pd in plan.steps:
         d = pd.directive
@@ -786,7 +809,8 @@ def apply_pipeline(program: Program, plan: PlannedPipeline,
             except TransformError as e:
                 impossible_reason = str(e)
 
-        verdict = classify(cur, pd, candidate, info, impossible_reason, max_enum)
+        verdict = classify(cur, pd, candidate, info, impossible_reason, max_enum,
+                           graphs=graphs)
         action = legality.resolve(verdict, mode, req)
         warning = ""
         if action.kind in (KEEP_ORIGINAL, HARD_ERROR):

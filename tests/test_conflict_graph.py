@@ -1,0 +1,296 @@
+"""The linear conflict graph: write-separated adjacent pairs decide order
+preservation exactly as all conflicting pairs do, the verdict text is the one
+all pairs give, and a pipeline that carries the graph from step to step
+reports exactly what classifying every step from scratch reports."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xform import deps, emit_program, plan_pipeline, transforms
+from xform.deps import brute_force_dependences, compute_dependences, enumerate_instances
+from xform.legality import _judge_order, judge_exact
+from xform.lang import strip_pragmas
+from xform.transforms import TransformError, apply_pipeline, build_candidate, classify
+
+from conftest import corpus_names, load_corpus, parse_named, run_pipeline
+
+HEADER = "array A[16,16] init random;\narray B[16,16] init random;\n"
+
+DIRECTIVES = [
+    "#pragma xform loop(i) reverse",
+    "#pragma xform loop(j) reverse",
+    "#pragma xform loop(i,j) interchange permutation(j,i)",
+    "#pragma xform loop(i,j) tile sizes(2,2)",
+    "#pragma xform loop(i,j) tile sizes(3,2) peel(rectangular)",
+    "#pragma xform loop(i) stripemine count(2)",
+    "#pragma xform loop(j) stripemine count(2)",
+    "#pragma xform loop(i) unrollingandjam factor(2)",
+    "#pragma xform loop(j) distribute",
+]
+
+
+@st.composite
+def subscripts(draw):
+    def one(var):
+        form = draw(st.sampled_from(["var", "const"]))
+        if form == "const":
+            return str(draw(st.integers(min_value=0, max_value=2)))
+        return f"{var}+{draw(st.integers(min_value=0, max_value=2))}"
+    return f"{one('i')}, {one('j')}"
+
+
+@st.composite
+def nests(draw):
+    """2-deep nests of 1-3 statements; constant subscripts make addresses
+    that many instances read and write, in any mix."""
+    n1 = draw(st.integers(min_value=2, max_value=6))
+    n2 = draw(st.integers(min_value=2, max_value=6))
+    stmts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        dst = draw(st.sampled_from(["A", "B"]))
+        src = draw(st.sampled_from(["A", "B"]))
+        op = draw(st.sampled_from(["=", "+="]))
+        stmts.append(f"{dst}[{draw(subscripts())}] {op} {src}[{draw(subscripts())}] + i;")
+    directive = draw(st.sampled_from(DIRECTIVES))
+    alias = draw(st.sampled_from(["", "maybe_alias(A, B);\n"]))
+    return (HEADER + alias + directive + "\n"
+            f"for (i = 0; i < {n1}; i += 1)\n"
+            f"  for (j = 0; j < {n2}; j += 1) {{ {' '.join(stmts)} }}\n")
+
+
+def _reaches(edges, n):
+    succ = [[] for _ in range(n)]
+    for i, j, _ in edges:
+        succ[i].append(j)
+    out = []
+    for s in range(n):
+        seen, todo = set(), [s]
+        while todo:
+            for t in succ[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        out.append(seen)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(nests())
+def test_linear_edges_decide_like_all_pairs(src):
+    p = parse_named(src)
+    cur = strip_pragmas(p)
+    depset = compute_dependences(cur, cur.body)
+    assert depset.exact
+    # at most two edges per access, and a chain of edges joins every pair
+    accesses = sum(len(i.reads) + len(i.writes) for i in depset.instances)
+    assert len(depset.pairs) <= 2 * accesses
+    reach = _reaches(depset.pairs, len(depset.instances))
+    assert all(j in reach[i] for i, j, _ in depset.full_pairs)
+
+    try:
+        cand, _ = build_candidate(cur, plan_pipeline(p).steps[0])
+    except TransformError:
+        return
+    cinsts = enumerate_instances(cand, cand.body)
+    positions = deps.positions_by_key(cinsts)
+    linear = _judge_order(depset, depset.pairs, cinsts, positions)
+    full = _judge_order(depset, depset.full_pairs, cinsts, positions)
+    assert linear.kind == full.kind, src
+    assert judge_exact(depset, cinsts).describe() == full.describe(), src
+    if full.kind == "always_valid":
+        # the carried graph is the candidate's own
+        carried = deps.reorder(depset, cinsts, cand.body, 4096)
+        fresh = compute_dependences(cand, cand.body)
+        assert _keyed(carried) == _keyed(fresh), src
+        assert carried.alias_pairs == fresh.alias_pairs, src
+        assert carried.deps == fresh.deps, src
+
+
+def _keyed(ds):
+    return {(ds.instances[i].key, ds.instances[j].key, k) for i, j, k in ds.pairs}
+
+
+# hand cases ----------------------------------------------------------------
+
+W_R_R_W = HEADER + """for (i = 0; i < 4; i += 1)
+  if (i % 3 == 0) A[0,0] = i; else B[i,0] = A[0,0];
+"""
+
+W_R_W_R = HEADER + """for (i = 0; i < 4; i += 1)
+  if (i % 2 == 0) A[0,0] = i; else B[i,0] = A[0,0];
+"""
+
+
+def _region(src):
+    p = parse_named(src)
+    return compute_dependences(p, p.body[0])
+
+
+def _schedule(instances, order):
+    """The region's instances run in another order (or some dropped/twice)."""
+    return [dataclasses.replace(instances[k], pos=n) for n, k in enumerate(order)]
+
+
+def test_swapping_reads_between_two_writes_is_valid():
+    ds = _region(W_R_R_W)
+    assert judge_exact(ds, _schedule(ds.instances, [0, 2, 1, 3])).kind == "always_valid"
+
+
+def test_read_moved_past_the_next_write_keeps_the_old_witness():
+    ds = _region(W_R_R_W)
+    cand = _schedule(ds.instances, [0, 2, 3, 1])
+    verdict = judge_exact(ds, cand)
+    assert verdict.describe() == "invalid: dependence anti s3->s2 (2) would be violated"
+    full = _judge_order(ds, ds.full_pairs, cand, deps.positions_by_key(cand))
+    assert verdict.describe() == full.describe()
+
+
+def test_witness_is_the_first_violated_pair_of_all_pairs():
+    ds = _region(W_R_W_R)
+    cand = _schedule(ds.instances, [3, 0, 1, 2])
+    linear = _judge_order(ds, ds.pairs, cand, deps.positions_by_key(cand))
+    assert linear.describe() == "invalid: dependence flow s2->s3 (1) would be violated"
+    assert judge_exact(ds, cand).describe() == \
+        "invalid: dependence flow s2->s3 (3) would be violated"
+
+
+CONFLICT_FREE = HEADER + "for (i = 0; i < 3; i += 1) B[i,0] = 1;\n"
+
+
+def test_every_instance_must_run_exactly_once():
+    ds = _region(CONFLICT_FREE)
+    assert ds.pairs == [] and ds.full_pairs == []
+    insts = ds.instances
+    assert judge_exact(ds, _schedule(insts, [2, 1, 0])).kind == "always_valid"
+    assert judge_exact(ds, _schedule(insts, [0, 2])).describe() == \
+        "invalid: instance of s1 disappears from the schedule"
+    assert judge_exact(ds, _schedule(insts, [0, 1, 1, 2])).describe() == \
+        "invalid: instance of s1 runs more than once"
+    longer = _region(CONFLICT_FREE.replace("i < 3", "i < 4")).instances
+    extra = _schedule(insts + longer[3:], [0, 1, 2, 3])
+    assert judge_exact(ds, extra).describe() == \
+        "invalid: instance of s1 is not in the original schedule"
+
+
+def test_parallel_witness_comes_from_all_pairs():
+    # the first carried edge is a flow; the first carried pair is an anti
+    _, res = run_pipeline(load_corpus("22_parallel_reduction.loop"))
+    assert res.reports[0].verdict.describe() == \
+        "invalid: dependence anti s1->s1 (1) would be violated"
+
+
+def test_instance_keys_are_stored_by_both_enumerations():
+    p = parse_named(W_R_W_R)
+    exact = compute_dependences(p, p.body[0])
+    oracle = brute_force_dependences(p, p.body[0])
+    assert [i.key for i in exact.instances] == [(i.stmt, i.orig) for i in exact.instances]
+    assert [i.key for i in oracle.instances] == [i.key for i in exact.instances]
+
+
+# carrying the graph across a pipeline -------------------------------------
+
+DGEMM16 = load_corpus("05_dgemm.loop")
+
+PIPELINES = {
+    # default mode applies the invalid interchange; the reverse of the new
+    # inner loop after it is judged on a fresh graph of the interchanged nest
+    "invalid_then_judged": """array A[8,8] init random;
+
+#pragma xform loop(i) reverse
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 1; i < 8; i += 1)
+  for (j = 0; j < 7; j += 1)
+    A[i,j] = A[i-1,j+1] + 1;
+""",
+    # at --max-enum 100 the nest fits the exact route (6 instances, 15,100
+    # loop steps) and the tiled nest does not (25,100 steps), so the reverse
+    # is judged conservatively from scratch, and must be with a carried graph
+    "step_cap": """array A[256,160] init random;
+
+#pragma xform loop(i2) reverse
+#pragma xform loop(i,j) tile sizes(1,3) floor_ids(i1,j1) tile_ids(i2,j2)
+for (i = 0; i < 100; i += 1)
+  for (j = 0; j < 150; j += 1)
+    if (i + j < 3) A[i+j, 0] = A[i+j, 0] + 1;
+""",
+}
+
+
+def _outcome(p, monkeypatch, carried: bool, **kw):
+    with monkeypatch.context() as m:
+        if not carried:
+            real = transforms.classify
+            m.setattr(transforms, "classify",
+                      lambda *a, graphs, **k: real(*a, graphs={}, **k))
+        res = apply_pipeline(p, plan_pipeline(p), **kw)
+    reports = [(r.verdict.kind, r.verdict.describe(), r.action.kind, r.action.rtc_pairs,
+                r.warning) for r in res.reports]
+    return reports, res.error, emit_program(res.program, annotate=True)
+
+
+@pytest.mark.parametrize("name", corpus_names() + sorted(PIPELINES))
+def test_carried_graph_reports_match_from_scratch(name, monkeypatch):
+    p = parse_named(PIPELINES[name] if name in PIPELINES else load_corpus(name))
+    for mode in ("default", "fallback", "force"):
+        for max_enum in (1, 64, 100, 4096):
+            kw = dict(safety_override=mode, max_enum=max_enum)
+            assert _outcome(p, monkeypatch, True, **kw) == \
+                _outcome(p, monkeypatch, False, **kw), (name, mode, max_enum)
+
+
+def test_invalid_step_drops_the_graph():
+    p = parse_named(PIPELINES["invalid_then_judged"])
+    cur = strip_pragmas(p)
+    first, _ = plan_pipeline(p).steps
+    cand, info = build_candidate(cur, first)
+    graphs = {(0, 1): compute_dependences(cur, cur.body)}
+    assert classify(cur, first, cand, info, graphs=graphs).kind == "invalid"
+    assert graphs == {}
+    res = apply_pipeline(p, plan_pipeline(p))
+    assert [r.verdict.kind for r in res.reports] == ["invalid", "always_valid"]
+
+
+def test_candidate_over_the_step_cap_is_not_carried():
+    p = parse_named(PIPELINES["step_cap"])
+    res = apply_pipeline(p, plan_pipeline(p), max_enum=100)
+    assert [r.verdict.kind for r in res.reports] == ["always_valid", "invalid"]
+    assert res.reports[1].verdict.witness.distance == (None,) * 4
+
+
+def test_valid_step_carries_the_candidates_graph():
+    p = parse_named(DGEMM16)
+    cur = strip_pragmas(p)
+    pd = plan_pipeline(p).steps[0]
+    cand, info = build_candidate(cur, pd)
+    graphs: dict = {}
+    assert classify(cur, pd, cand, info, graphs=graphs).kind == "always_valid"
+    span = (info.span_start, info.span_start + info.span_new)
+    assert list(graphs) == [span]
+    carried = graphs[span]
+    fresh = compute_dependences(cand, cand.body[span[0]:span[1]])
+    assert carried.instances == fresh.instances
+    assert _keyed(carried) == _keyed(fresh)
+    assert carried.deps == fresh.deps
+
+
+def test_dgemm_pipeline_builds_one_graph(monkeypatch):
+    calls = {"compute": 0, "enumerate": 0}
+    compute, enumerate_ = deps.compute_dependences, deps.enumerate_instances
+
+    def counted_compute(*a, **k):
+        calls["compute"] += 1
+        return compute(*a, **k)
+
+    def counted_enumerate(*a, **k):
+        calls["enumerate"] += 1
+        return enumerate_(*a, **k)
+
+    monkeypatch.setattr(deps, "compute_dependences", counted_compute)
+    monkeypatch.setattr(deps, "enumerate_instances", counted_enumerate)
+    monkeypatch.setattr(transforms, "enumerate_instances", counted_enumerate)
+    p = parse_named(DGEMM16)
+    res = apply_pipeline(p, plan_pipeline(p))
+    assert [r.verdict.kind for r in res.reports] == ["always_valid"] * 4
+    assert calls == {"compute": 1, "enumerate": 5}
