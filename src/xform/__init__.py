@@ -5,7 +5,7 @@ apply -> emit, with a reference interpreter as the semantic oracle.
 """
 
 from .frontend import ParseError, parse_directive, parse_program
-from .ir import PlanError, build_loop_tree, dump_tree, name_loops, plan_pipeline
+from .ir import PlanError, dump_tree, name_loops, plan_pipeline
 from .deps import brute_force_dependences, compute_dependences
 from .legality import resolve
 from .transforms import apply_pipeline, build_candidate
@@ -15,7 +15,7 @@ from .emit import emit_program
 __all__ = [
     "ParseError", "PlanError",
     "parse_program", "parse_directive",
-    "name_loops", "build_loop_tree", "plan_pipeline", "dump_tree",
+    "name_loops", "plan_pipeline", "dump_tree",
     "compute_dependences", "brute_force_dependences",
     "resolve", "apply_pipeline", "build_candidate",
     "run", "equivalent", "order_preserved", "parallel_consistent",

@@ -57,12 +57,32 @@ def _print_deps(program: Program, max_enum: int):
                 print(f"  (unanalyzable: {e})")
 
 
+def _write(path: str, text: str) -> bool:
+    """Write `text` to `path`, or report why not and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        return _run(args)
+    except RecursionError:
+        # the parser and the tree walkers recurse once per nesting level
+        print("error: program nests too deeply to process", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
+    try:
         with open(args.input, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {args.input}: {e}", file=sys.stderr)
         return 1
 
@@ -96,17 +116,16 @@ def main(argv=None) -> int:
         text_out = emit.emit_program(final, annotate=args.annotate)
         if args.emit == "-":
             sys.stdout.write(text_out)
-        else:
-            with open(args.emit, "w", encoding="utf-8") as f:
-                f.write(text_out)
+        elif not _write(args.emit, text_out):
+            return 1
     if args.trace is not None:
         try:
             _, trace = interp.run(final, seed=args.seed)
         except interp.RunFault as e:
             print(f"error: trace run failed: {e}", file=sys.stderr)
             return 1
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write(interp.trace_csv(trace))
+        if not _write(args.trace, interp.trace_csv(trace)):
+            return 1
     if args.verify > 0:
         original = strip_pragmas(program)
         try:

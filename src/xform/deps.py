@@ -41,8 +41,9 @@ from functools import cached_property
 
 from . import interp
 from .lang import (
-    ArrayRead, Assign, BinOp, Block, Call, Expr, ForLoop, IfStmt, IntLit,
-    Program, Stmt, VarRef, WhileLoop, _FOLD, idiv, imod, simplify, subst,
+    ArrayRead, Assign, BinOp, Block, Call, Expr, ForLoop, IfStmt, IntLit, Program,
+    Stmt, VarRef, WhileLoop, _FOLD, array_reads, child_bodies, idiv, imod,
+    iter_loops, iter_stmts, simplify, subst,
 )
 
 
@@ -147,6 +148,16 @@ def lex_nonneg(distance: tuple[object, ...]) -> bool:
         if d < 0:
             return False
     return True
+
+
+def common_loops(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The loops two accesses share: the common prefix of their loop names."""
+    k = 0
+    for na, nb in zip(a, b):
+        if na != nb:
+            break
+        k += 1
+    return a[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +289,6 @@ def positions_by_key(instances: list[Instance]) -> dict:
 
 
 def _scope_loops(scope: list[Stmt]) -> tuple[str, ...]:
-    from .lang import iter_loops
     return tuple(l.name for l in iter_loops(scope) if isinstance(l, ForLoop))
 
 
@@ -293,27 +303,16 @@ def _summarize(instances: list[Instance], pairs, alias_pairs) -> list[Dependence
     for entry in pairs:
         i, j, kind = entry
         a, b = instances[i], instances[j]
-        common = []
-        for (na, nb) in zip(a.loops, b.loops):
-            if na != nb:
-                break
-            common.append(na)
-        k = len(common)
-        dist = tuple(b.logical[x] - a.logical[x] for x in range(k))
+        common = common_loops(a.loops, b.loops)
+        dist = tuple(b.logical[x] - a.logical[x] for x in range(len(common)))
         if a.stmt == b.stmt and all(d == 0 for d in dist):
             continue  # degenerate same-instance pairing
-        seen.setdefault((a.stmt, b.stmt, kind, tuple(common), dist, None), None)
+        seen.setdefault((a.stmt, b.stmt, kind, common, dist, None), None)
     for (i, j, kind, pair) in alias_pairs:
         a, b = instances[i], instances[j]
-        common = []
-        for (na, nb) in zip(a.loops, b.loops):
-            if na != nb:
-                break
-            common.append(na)
-        dist = tuple(None for _ in common)
-        seen.setdefault((a.stmt, b.stmt, kind, tuple(common), dist, pair), None)
-    return [Dependence(s, k, kd, lp, dp, al)
-            for (s, k, kd, lp, dp, al) in seen]
+        common = common_loops(a.loops, b.loops)
+        seen.setdefault((a.stmt, b.stmt, kind, common, (None,) * len(common), pair), None)
+    return [Dependence(*key) for key in seen]
 
 
 def _accesses_by_address(instances: list[Instance]) -> dict:
@@ -449,58 +448,28 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
 
     def walk(stmts, loops: tuple):
         for s in stmts:
+            if isinstance(s, WhileLoop):
+                raise DepsError("while-loop in analyzed region")
+            pos = counter[0]  # textual preorder position
+            counter[0] += 1
             if isinstance(s, Assign):
-                pos = counter[0]
-                counter[0] += 1
                 names = tuple(l.name for l in loops)
                 lvars = tuple(l.var for l in loops)
                 steps = tuple(l.step for l in loops)
                 trips = tuple(trips_of(l) for l in loops)
-                for i in s.index:
-                    for r in _expr_reads(i):
-                        refs.append(_Ref(s.stmt_id, pos, r.array,
-                                         tuple(resolve(x) for x in r.index),
-                                         False, names, lvars, steps, trips))
-                for r in _expr_reads(s.value):
-                    refs.append(_Ref(s.stmt_id, pos, r.array,
-                                     tuple(resolve(x) for x in r.index),
-                                     False, names, lvars, steps, trips))
+                accesses = [(r.array, r.index, False)
+                            for e in (*s.index, s.value) for r in array_reads(e)]
                 if s.op == "+=":
-                    refs.append(_Ref(s.stmt_id, pos, s.array,
-                                     tuple(resolve(x) for x in s.index),
-                                     False, names, lvars, steps, trips))
-                refs.append(_Ref(s.stmt_id, pos, s.array,
-                                 tuple(resolve(x) for x in s.index),
-                                 True, names, lvars, steps, trips))
-            elif isinstance(s, ForLoop):
-                counter[0] += 1
-                walk(s.body, loops + (s,))
-            elif isinstance(s, WhileLoop):
-                raise DepsError("while-loop in analyzed region")
-            elif isinstance(s, IfStmt):
-                counter[0] += 1
-                walk(s.then_body, loops)
-                if s.else_body is not None:
-                    walk(s.else_body, loops)
-            elif isinstance(s, Block):
-                counter[0] += 1
-                walk(s.body, loops)
+                    accesses.append((s.array, s.index, False))
+                accesses.append((s.array, s.index, True))
+                for array, index, write in accesses:
+                    refs.append(_Ref(s.stmt_id, pos, array, tuple(resolve(x) for x in index),
+                                     write, names, lvars, steps, trips))
+            for body in child_bodies(s):
+                walk(body, loops + (s,) if isinstance(s, ForLoop) else loops)
 
     walk(scope, ())
     return refs
-
-
-def _expr_reads(e: Expr):
-    if isinstance(e, ArrayRead):
-        yield e
-        for i in e.index:
-            yield from _expr_reads(i)
-    elif isinstance(e, BinOp):
-        yield from _expr_reads(e.lhs)
-        yield from _expr_reads(e.rhs)
-    elif isinstance(e, Call) and e.func != "disjoint":
-        for a in e.args:
-            yield from _expr_reads(a)
 
 
 def _linearize(e: Expr, loop_vars: set[str]):
@@ -542,15 +511,13 @@ def _linearize(e: Expr, loop_vars: set[str]):
 def _conservative_pair(r1: _Ref, r2: _Ref):
     """Analyze one reference pair; returns None if proven independent, else a
     distance constraint {var: int} with an `unknown_vars` set."""
-    common: list[tuple[str, str, str, int, object]] = []  # (name, var1, var2, step, trips)
-    for k, (n1, n2) in enumerate(zip(r1.loops, r2.loops)):
-        if n1 != n2:
-            break
-        common.append((n1, r1.loop_vars[k], r2.loop_vars[k], r1.steps[k], r1.trips[k]))
-    common_names = [c[0] for c in common]
-    var_pos = {}
-    for k, c in enumerate(common):
-        var_pos[c[1]] = k
+    common_names = common_loops(r1.loops, r2.loops)
+    # (name, var1, var2, step, trips)
+    common = [(n, r1.loop_vars[k], r2.loop_vars[k], r1.steps[k], r1.trips[k])
+              for k, n in enumerate(common_names)]
+    # the common-loop level of each variable, in either reference
+    var_pos = ({c[1]: k for k, c in enumerate(common)},
+               {c[2]: k for k, c in enumerate(common)})
     constraints: dict[int, int] = {}
     unknown = False
     for f1, f2 in zip(r1.index, r2.index):
@@ -565,27 +532,11 @@ def _conservative_pair(r1: _Ref, r2: _Ref):
         diff_rest = simplify(BinOp("-", rest1, rest2))
         # collect net coefficients per common-loop position (vars may differ
         # textually between the two refs but denote the same loop level)
-        net: dict[int, tuple[int, int]] = {}
-        ok = True
-        for v, c in c1.items():
-            if v not in var_pos:
-                ok = False
-                break
-            a, b = net.get(var_pos[v], (0, 0))
-            net[var_pos[v]] = (a + c, b)
-        if ok:
-            for v, c in c2.items():
-                k = None
-                for kk, cm in enumerate(common):
-                    if cm[2] == v:
-                        k = kk
-                        break
-                if k is None:
-                    ok = False
-                    break
-                a, b = net.get(k, (0, 0))
-                net[k] = (a, b + c)
-        if not ok:
+        net: dict[int | None, list[int]] = {}
+        for side, coeffs in enumerate((c1, c2)):
+            for v, c in coeffs.items():
+                net.setdefault(var_pos[side].get(v), [0, 0])[side] += c
+        if None in net:  # a variable of no common loop
             unknown = True
             continue
         involved = [k for k, (a, b) in net.items() if a != 0 or b != 0]
@@ -629,23 +580,14 @@ def _conservative_pair(r1: _Ref, r2: _Ref):
     return common_names, distance, unknown
 
 
-def _possibly_lex_nonneg(distance) -> bool:
-    for d in distance:
-        if d is None or d > 0:
-            return True
-        if d < 0:
-            return False
-    return True
-
-
 def _neg(distance):
     return tuple(None if d is None else -d for d in distance)
 
 
 def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -> DependenceSet:
     refs = _collect_refs(program, scope)
-    alias_decl = {(a.first, a.second) for a in program.aliases}
-    alias_decl |= {(b, a) for a, b in alias_decl}
+    declared = {(a.first, a.second) for a in program.aliases}
+    alias_decl = declared | {(b, a) for a, b in declared}
     seen = {}
 
     def emit(src: _Ref, snk: _Ref, names, dist, alias):
@@ -654,7 +596,6 @@ def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -
         kind = _pair_kind(src.write, snk.write)
         seen.setdefault((src.stmt, snk.stmt, kind, tuple(names), dist, alias), None)
 
-    declared = {(a.first, a.second) for a in program.aliases}
     for i1, r1 in enumerate(refs):
         for r2 in refs[i1:]:
             same = r1.array == r2.array
@@ -671,27 +612,23 @@ def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -
                 if unknown:
                     dist = tuple(None for _ in dist)
                 # orient source-before-sink
-                if _possibly_lex_nonneg(dist):
+                if lex_nonneg(dist):
                     if all(d == 0 for d in dist):
                         src, snk = (r1, r2) if r1.pos <= r2.pos else (r2, r1)
                         emit(src, snk, names, dist, None)
                     else:
                         emit(r1, r2, names, dist, None)
-                if any(d is None or d != 0 for d in dist) and _possibly_lex_nonneg(_neg(dist)):
+                if any(d is None or d != 0 for d in dist) and lex_nonneg(_neg(dist)):
                     emit(r2, r1, names, _neg(dist), None)
             else:
-                names = []
-                for (n1, n2) in zip(r1.loops, r2.loops):
-                    if n1 != n2:
-                        break
-                    names.append(n1)
-                dist = tuple(None for _ in names)
+                names = common_loops(r1.loops, r2.loops)
+                dist = (None,) * len(names)
                 pair = (r1.array, r2.array) if (r1.array, r2.array) in declared else (r2.array, r1.array)
                 emit(r1, r2, names, dist, pair)
                 emit(r2, r1, names, dist, pair)
 
     ds = DependenceSet(exact=False, loops=_scope_loops(scope), reason=reason)
-    ds.deps = [Dependence(s, k, kd, lp, dp, al) for (s, k, kd, lp, dp, al) in seen]
+    ds.deps = [Dependence(*key) for key in seen]
     return ds
 
 
@@ -715,10 +652,9 @@ def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> Depend
     """Oracle: run the interpreter over the region and compare every pair of
     trace records.  Exact by construction; capped at `cap` instances."""
     stmts = scope if isinstance(scope, list) else [scope]
-    for s in stmts:
-        for inner in _all_stmts(s):
-            if isinstance(inner, WhileLoop):
-                raise DepsError("while-loop in analyzed region")
+    for inner in iter_stmts(stmts):
+        if isinstance(inner, WhileLoop):
+            raise DepsError("while-loop in analyzed region")
     sub = Program(program.arrays, program.aliases, program.params, stmts)
     _, trace = interp.run(sub, seed=0, record_trace=True, step_budget=10 * cap + 1000)
     if len(trace) > cap:
@@ -728,11 +664,6 @@ def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> Depend
         instances.append(Instance(k, r.stmt, r.ivec, r.cur_loops, r.cur_logical,
                                   frozenset(r.reads), frozenset(r.writes), (r.stmt, r.ivec)))
     return _exact_set(program, instances, stmts)
-
-
-def _all_stmts(s: Stmt):
-    from .lang import iter_stmts
-    yield from iter_stmts([s])
 
 
 def dep_signature(ds: DependenceSet) -> frozenset:

@@ -9,7 +9,7 @@ bytes.  A loop carrying the parallel mark is printed with a
 
 from __future__ import annotations
 
-from .frontend import CLAUSE_ORDER, KIND_SURFACE
+from .kinds import KINDS
 from .lang import (
     ArrayRead, Assign, BinOp, Block, Call, Directive, Expr, ForLoop, IfStmt,
     IntLit, Program, Stmt, VarRef, WhileLoop,
@@ -40,8 +40,9 @@ def directive_str(d: Directive) -> str:
     parts = ["#pragma xform"]
     if d.targets:
         parts.append(f"loop({','.join(d.targets)})")
-    parts.append(KIND_SURFACE[d.kind])
-    for cname in CLAUSE_ORDER[d.kind]:
+    kind = KINDS[d.kind]
+    parts.append(kind.surface)
+    for cname in kind.clauses:
         if cname not in d.clauses:
             continue
         v = d.clauses[cname]

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import re
 
+from .kinds import BY_SURFACE
 from .lang import (
     AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Block, Call, Directive,
     Expr, ForLoop, IfStmt, IntLit, ParamDecl, Program, VarRef, WhileLoop,
-    array_reads,
+    array_reads, child_bodies,
 )
 
 
@@ -47,49 +48,6 @@ class ParseError(Exception):
             return f"{self.msg} (line {self.line}, col {self.col})"
         return self.msg
 
-
-# ---------------------------------------------------------------------------
-# Directive catalog
-
-# surface spelling -> canonical kind
-SURFACE_KINDS = {
-    "tile": "tile",
-    "stripmine": "strip_mine",
-    "stripemine": "stripe_mine",
-    "unroll": "unroll",
-    "unrollingandjam": "unroll_and_jam",
-    "interchange": "interchange",
-    "peel": "peel",
-    "collapse": "collapse",
-    "distribute": "distribute",
-    "fuse": "fuse",
-    "reverse": "reverse",
-    "parallel": "parallel",
-}
-KIND_SURFACE = {v: k for k, v in SURFACE_KINDS.items()}
-
-# clause value shapes: "ints", "int", "ids", "id", "flag", "keyword:a|b", "groups"
-CLAUSE_SCHEMAS: dict[str, dict[str, str]] = {
-    "tile": {"sizes": "ints", "floor_ids": "ids", "tile_ids": "ids",
-             "peel": "keyword:rectangular|none"},
-    "strip_mine": {"size": "int", "floor_id": "id", "tile_id": "id"},
-    "stripe_mine": {"count": "int", "outer_id": "id", "inner_id": "id"},
-    "unroll": {"factor": "int", "full": "flag"},
-    "unroll_and_jam": {"factor": "int"},
-    "interchange": {"permutation": "ids"},
-    "peel": {"first": "int", "last": "int", "multiple": "int",
-             "prologue_id": "id", "main_id": "id", "epilogue_id": "id"},
-    "collapse": {"collapsed_id": "id", "levels": "int"},
-    "distribute": {"parts": "groups", "ids": "ids"},
-    "fuse": {"fused_id": "id"},
-    "reverse": {},
-    "parallel": {},
-}
-
-# canonical clause print order, for the emitter
-CLAUSE_ORDER: dict[str, list[str]] = {
-    kind: list(schema) for kind, schema in CLAUSE_SCHEMAS.items()
-}
 
 MODIFIERS = ("fallback", "force", "required")
 
@@ -270,10 +228,8 @@ class _Parser:
         pragmas: list[Directive] = []
         while self.at("PRAGMA"):
             pragmas.append(self.parse_pragma_line())
-        if pragmas:
-            t = self.peek()
-            if not (t.kind == "KW" and t.text in ("for", "while")):
-                raise ParseError("pragma must be followed by a loop", t.line, t.col)
+        if pragmas and not (self.at("KW", "for") or self.at("KW", "while")):
+            self.fail("pragma must be followed by a loop")
         t = self.peek()
         if t.kind == "KW" and t.text == "for":
             loop = self.parse_for()
@@ -304,8 +260,7 @@ class _Parser:
         if v2.text != var:
             raise ParseError(f"non-canonical for-loop: condition must test '{var}'", v2.line, v2.col)
         if not self.at("<"):
-            t = self.peek()
-            raise ParseError("non-canonical for-loop: only '<' bounds are accepted", t.line, t.col)
+            self.fail("non-canonical for-loop: only '<' bounds are accepted")
         self.next()
         upper = self.parse_expr()
         self.expect(";")
@@ -313,8 +268,7 @@ class _Parser:
         if v3.text != var:
             raise ParseError(f"non-canonical for-loop: increment must update '{var}'", v3.line, v3.col)
         if not self.at("+="):
-            t = self.peek()
-            raise ParseError("non-canonical for-loop: increment must be '+= <positive int>'", t.line, t.col)
+            self.fail("non-canonical for-loop: increment must be '+= <positive int>'")
         self.next()
         st = self.expect("INT", "positive integer step")
         step = int(st.text)
@@ -476,10 +430,10 @@ class _Parser:
             self.expect(")")
             targets = tuple(names)
         kt = self.expect("ID", "transformation name")
-        if kt.text not in SURFACE_KINDS:
+        kind = BY_SURFACE.get(kt.text)
+        if kind is None:
             raise ParseError(f"unknown transformation {kt.text!r}", kt.line, kt.col)
-        kind = SURFACE_KINDS[kt.text]
-        schema = CLAUSE_SCHEMAS[kind]
+        schema = kind.clauses
         clauses: dict[str, object] = {}
         safety = "default"
         safety_explicit = False
@@ -504,10 +458,12 @@ class _Parser:
                 raise ParseError(f"duplicate clause {cname!r}", ct.line, ct.col)
             clauses[cname] = self.parse_clause_value(cname, schema[cname], ct)
         self.expect("EOL")
-        d = Directive(kind, targets, clauses, safety, safety_explicit, required,
+        msg = kind.validate(clauses, targets)
+        if msg:
+            raise ParseError(msg, kt.line, kt.col)
+        d = Directive(kind.name, targets, clauses, safety, safety_explicit, required,
                       start.line, self.directive_counter)
         self.directive_counter += 1
-        self.validate_directive(d, kt)
         return d
 
     def parse_clause_value(self, cname: str, shape: str, ct: Token):
@@ -523,26 +479,19 @@ class _Parser:
                 raise ParseError(f"clause {cname!r} expects one of {', '.join(allowed)}", kw.line, kw.col)
             self.expect(")")
             return kw.text
-        if shape in ("int", "ints"):
-            vals = [self.parse_clause_int()]
+        if shape in ("int", "ints", "id", "ids"):
+            ints = shape in ("int", "ints")
+            item = self.parse_clause_int if ints else lambda: self.expect("ID", "identifier").text
+            vals = [item()]
             while self.accept(","):
-                vals.append(self.parse_clause_int())
+                vals.append(item())
             self.expect(")")
-            if shape == "int":
-                if len(vals) != 1:
-                    raise ParseError(f"clause {cname!r} takes one integer", ct.line, ct.col)
-                return vals[0]
-            return tuple(vals)
-        if shape in ("id", "ids"):
-            vals = [self.expect("ID", "identifier").text]
-            while self.accept(","):
-                vals.append(self.expect("ID", "identifier").text)
-            self.expect(")")
-            if shape == "id":
-                if len(vals) != 1:
-                    raise ParseError(f"clause {cname!r} takes one identifier", ct.line, ct.col)
-                return vals[0]
-            return tuple(vals)
+            if shape in ("ints", "ids"):
+                return tuple(vals)
+            if len(vals) != 1:
+                what = "integer" if ints else "identifier"
+                raise ParseError(f"clause {cname!r} takes one {what}", ct.line, ct.col)
+            return vals[0]
         if shape == "groups":
             groups = [[self.expect("ID", "statement id").text]]
             while True:
@@ -560,70 +509,6 @@ class _Parser:
         neg = self.accept("-") is not None
         t = self.expect("INT", "integer")
         return -int(t.text) if neg else int(t.text)
-
-    def validate_directive(self, d: Directive, kt: Token):
-        def bad(msg):
-            raise ParseError(msg, kt.line, kt.col)
-
-        c = d.clauses
-        if d.kind == "tile":
-            if "sizes" not in c:
-                bad("tile requires a sizes(...) clause")
-            if any(s < 1 for s in c["sizes"]):
-                bad("tile sizes must be >= 1")
-            k = len(c["sizes"])
-            for idc in ("floor_ids", "tile_ids"):
-                if idc in c and len(c[idc]) != k:
-                    bad(f"{idc} must name {k} loops")
-            if d.targets and len(d.targets) != k:
-                bad("tile target count must match sizes(...)")
-        elif d.kind == "strip_mine":
-            if "size" not in c:
-                bad("stripmine requires size(n)")
-            if c["size"] < 1:
-                bad("stripmine size must be >= 1")
-        elif d.kind == "stripe_mine":
-            if "count" not in c:
-                bad("stripemine requires count(n)")
-            if c["count"] < 1:
-                bad("stripemine count must be >= 1")
-        elif d.kind == "unroll":
-            if ("factor" in c) == ("full" in c):
-                bad("unroll requires exactly one of factor(n) or full")
-            if "factor" in c and c["factor"] < 2:
-                bad("unroll factor must be >= 2")
-        elif d.kind == "unroll_and_jam":
-            if "factor" not in c:
-                bad("unrollingandjam requires factor(n)")
-            if c["factor"] < 2:
-                bad("unrollingandjam factor must be >= 2")
-        elif d.kind == "interchange":
-            if "permutation" not in c:
-                bad("interchange requires permutation(...)")
-            perm = c["permutation"]
-            if len(set(perm)) != len(perm):
-                bad("permutation names must be distinct")
-            if d.targets and not set(d.targets) <= set(perm):
-                bad("interchange targets must appear in the permutation")
-        elif d.kind == "peel":
-            specs = [k for k in ("first", "last", "multiple") if k in c]
-            if len(specs) != 1:
-                bad("peel requires exactly one of first(k), last(k), multiple(n)")
-            if specs[0] in ("first", "last") and c[specs[0]] < 0:
-                bad(f"peel {specs[0]} count must be >= 0")
-            if specs[0] == "multiple" and c["multiple"] < 1:
-                bad("peel multiple must be >= 1")
-        elif d.kind == "collapse":
-            if "levels" in c and c["levels"] < 1:
-                bad("collapse levels must be >= 1")
-            if not d.targets and "levels" not in c:
-                bad("collapse without loop(...) targets requires levels(n)")
-        elif d.kind in ("distribute", "fuse", "reverse", "parallel"):
-            pass
-        if len(d.targets) > 1 and d.kind in ("strip_mine", "stripe_mine", "unroll",
-                                             "unroll_and_jam", "peel", "distribute",
-                                             "reverse", "parallel"):
-            bad(f"{KIND_SURFACE[d.kind]} targets a single loop")
 
     # semantic validation ----------------------------------------------------
 
@@ -645,13 +530,16 @@ class _Parser:
             if al.first == al.second:
                 raise ParseError("maybe_alias requires two distinct arrays", al.line, 1)
 
+        def check_ref(array: str, index: tuple, line: int):
+            if array not in arrays:
+                raise ParseError(f"undeclared array {array!r}", line, 1)
+            if len(index) != len(arrays[array].dims):
+                raise ParseError(
+                    f"array {array!r} has {len(arrays[array].dims)} dimensions", line, 1)
+
         def check_expr(e: Expr, scope: set[str], line: int):
             for r in array_reads(e):
-                if r.array not in arrays:
-                    raise ParseError(f"undeclared array {r.array!r}", line, 1)
-                if len(r.index) != len(arrays[r.array].dims):
-                    raise ParseError(
-                        f"array {r.array!r} has {len(arrays[r.array].dims)} dimensions", line, 1)
+                check_ref(r.array, r.index, line)
             for v in sorted(_scalar_refs(e)):
                 if v not in scope and v not in params:
                     raise ParseError(f"undeclared identifier {v!r}", line, 1)
@@ -663,32 +551,22 @@ class _Parser:
 
         def walk(stmts, scope: set[str]):
             for s in stmts:
+                inner = scope
                 if isinstance(s, Assign):
-                    if s.array not in arrays:
-                        raise ParseError(f"undeclared array {s.array!r}", s.line, 1)
-                    if len(s.index) != len(arrays[s.array].dims):
-                        raise ParseError(
-                            f"array {s.array!r} has {len(arrays[s.array].dims)} dimensions", s.line, 1)
-                    for i in s.index:
-                        check_expr(i, scope, s.line)
-                    check_expr(s.value, scope, s.line)
+                    check_ref(s.array, s.index, s.line)
+                    for e in (*s.index, s.value):
+                        check_expr(e, scope, s.line)
                 elif isinstance(s, ForLoop):
                     if s.var in scope or s.var in params or s.var in arrays:
                         raise ParseError(
                             f"loop variable {s.var!r} shadows an enclosing declaration", s.line, 1)
                     check_expr(s.lower, scope, s.line)
                     check_expr(s.upper, scope, s.line)
-                    walk(s.body, scope | {s.var})
-                elif isinstance(s, WhileLoop):
+                    inner = scope | {s.var}
+                elif isinstance(s, (WhileLoop, IfStmt)):
                     check_expr(s.cond, scope, s.line)
-                    walk(s.body, scope)
-                elif isinstance(s, IfStmt):
-                    check_expr(s.cond, scope, s.line)
-                    walk(s.then_body, scope)
-                    if s.else_body is not None:
-                        walk(s.else_body, scope)
-                elif isinstance(s, Block):
-                    walk(s.body, scope)
+                for body in child_bodies(s):
+                    walk(body, inner)
 
         walk(prog.body, set())
 

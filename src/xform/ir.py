@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import emit
+from .kinds import BAND, KINDS, NEST, SIBLINGS, perfect_nest
 from .lang import (
-    Assign, Block, Directive, ForLoop, IfStmt, Program, Stmt, VarRef, WhileLoop,
+    Assign, Directive, ForLoop, Program, Stmt, VarRef, WhileLoop, child_bodies,
     iter_loops,
 )
 
@@ -45,28 +46,19 @@ def name_loops(p: Program) -> Program:
 
     def walk(stmts: list[Stmt], coords: tuple[tuple[str, VarRef], ...]):
         for s in stmts:
+            inner = coords
             if isinstance(s, ForLoop):
                 s.name = unique(s.var)
-                walk(s.body, coords + ((s.name, VarRef(s.var)),))
+                inner = coords + ((s.name, VarRef(s.var)),)
             elif isinstance(s, WhileLoop):
                 s.name = unique("while")
-                walk(s.body, coords)
-            elif isinstance(s, IfStmt):
-                walk(s.then_body, coords)
-                if s.else_body is not None:
-                    walk(s.else_body, coords)
-            elif isinstance(s, Block):
-                walk(s.body, coords)
             elif isinstance(s, Assign):
                 s.orig_coords = coords
+            for body in child_bodies(s):
+                walk(body, inner)
 
     walk(p.body, ())
     return p
-
-
-def build_loop_tree(p: Program) -> Program:
-    """Spec-facing alias: the named program *is* the loop tree."""
-    return name_loops(p)
 
 
 def dump_tree(p: Program) -> str:
@@ -80,16 +72,11 @@ def dump_tree(p: Program) -> str:
                 lines.append("  " * depth +
                              f"{s.name} [{emit.expr_str(s.lower)},{emit.expr_str(s.upper)}) "
                              f"step={s.step} {s.origin}{par}")
-                walk(s.body, depth + 1)
             elif isinstance(s, WhileLoop):
                 lines.append("  " * depth + f"{s.name} while {s.origin}")
-                walk(s.body, depth + 1)
-            elif isinstance(s, IfStmt):
-                walk(s.then_body, depth)
-                if s.else_body is not None:
-                    walk(s.else_body, depth)
-            elif isinstance(s, Block):
-                walk(s.body, depth)
+            inner = depth + 1 if isinstance(s, (ForLoop, WhileLoop)) else depth
+            for body in child_bodies(s):
+                walk(body, inner)
 
     walk(p.body, 0)
     return "\n".join(lines)
@@ -113,108 +100,27 @@ class PlannedPipeline:
     steps: list[PlannedDirective] = field(default_factory=list)
 
 
-def default_ids(kind: str, clauses: dict, targets: tuple[str, ...]) -> dict[str, object]:
-    """Resolve id-clauses to concrete names, filling in predictable defaults.
-
-    Defaults derive from the consumed loop's name: `_f`/`_t` for strip and
-    tile levels, `_o`/`_i` for stripes, `_p`/`_e` for peels, `_c` for
-    collapse, `_fused` for fusion.  Distribute only gets names when an
-    `ids` clause is written; its defaults are made up at apply time.
-    """
-    t0 = targets[0] if targets else ""
-    out: dict[str, object] = {}
-    if kind == "tile":
-        k = len(clauses["sizes"])
-        out["floor_ids"] = tuple(clauses.get("floor_ids", tuple(f"{t}_f" for t in targets[:k])))
-        out["tile_ids"] = tuple(clauses.get("tile_ids", tuple(f"{t}_t" for t in targets[:k])))
-    elif kind == "strip_mine":
-        out["floor_id"] = clauses.get("floor_id", f"{t0}_f")
-        out["tile_id"] = clauses.get("tile_id", f"{t0}_t")
-    elif kind == "stripe_mine":
-        out["outer_id"] = clauses.get("outer_id", f"{t0}_o")
-        out["inner_id"] = clauses.get("inner_id", f"{t0}_i")
-    elif kind == "peel":
-        out["prologue_id"] = clauses.get("prologue_id", f"{t0}_p")
-        out["main_id"] = clauses.get("main_id", t0)
-        out["epilogue_id"] = clauses.get("epilogue_id", f"{t0}_e")
-    elif kind == "collapse":
-        out["collapsed_id"] = clauses.get("collapsed_id", f"{t0}_c")
-    elif kind == "fuse":
-        out["fused_id"] = clauses.get("fused_id", f"{t0}_fused")
-    elif kind == "distribute":
-        out["ids"] = tuple(clauses.get("ids", ()))
-    return out
-
-
-def plan_effects(d: Directive, targets: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(consumed names, introduced names) of one directive, for planning."""
-    ids = default_ids(d.kind, d.clauses, targets)
-    if d.kind == "tile":
-        return targets, ids["floor_ids"] + ids["tile_ids"]
-    if d.kind == "strip_mine":
-        return targets, (ids["floor_id"], ids["tile_id"])
-    if d.kind == "stripe_mine":
-        return targets, (ids["outer_id"], ids["inner_id"])
-    if d.kind == "unroll":
-        if "full" in d.clauses:
-            return targets, ()
-        return targets, targets  # the remaining strip loop keeps the name
-    if d.kind == "unroll_and_jam":
-        return targets, targets
-    if d.kind == "interchange":
-        return (), ()
-    if d.kind == "peel":
-        if d.clauses.get("first") == 0:
-            return (), ()
-        if "first" in d.clauses:
-            return targets, (ids["prologue_id"], ids["main_id"])
-        return targets, (ids["main_id"], ids["epilogue_id"])
-    if d.kind == "collapse":
-        return targets, (ids["collapsed_id"],)
-    if d.kind == "distribute":
-        return targets, ids["ids"]
-    if d.kind == "fuse":
-        return targets, (ids["fused_id"],)
-    if d.kind == "reverse":
-        return targets, targets
-    if d.kind == "parallel":
-        return (), ()
-    raise AssertionError(d.kind)
-
-
-def _descend_perfect(loop: ForLoop, depth: int, d: Directive) -> tuple[str, ...]:
-    """Names of `depth` perfectly nested loops starting at `loop`."""
-    names = [loop.name]
-    cur = loop
-    while len(names) < depth:
-        if len(cur.body) == 1 and isinstance(cur.body[0], ForLoop):
-            cur = cur.body[0]
-            names.append(cur.name)
-        else:
-            raise PlanError(
-                f"{d.kind} needs {depth} perfectly nested loops below '{loop.name}'", d.line)
-    return tuple(names)
-
-
 def resolve_targets(d: Directive, attached, p: Program) -> tuple[str, ...]:
     """Expand empty targets to "the following loop" (and nest, when k > 1)."""
-    if d.kind == "interchange":
-        # the permutation names the whole band; loop(...) is just an anchor
-        return tuple(d.clauses["permutation"])
+    kind = KINDS[d.kind]
+    if kind.shape == BAND:
+        # the clauses name the whole band; loop(...) is just an anchor
+        return kind.band(d.clauses)
     if d.targets:
         return d.targets
     if attached is None:
         raise PlanError(f"{d.kind} directive has no following loop", d.line)
-    if d.kind == "tile":
+    if kind.shape == SIBLINGS:
+        raise PlanError(f"{d.kind} requires explicit loop(...) targets", d.line)
+    if kind.shape == NEST:
         if not isinstance(attached, ForLoop):
-            raise PlanError("tile requires canonical for-loops", d.line)
-        return _descend_perfect(attached, len(d.clauses["sizes"]), d)
-    if d.kind == "collapse":
-        if not isinstance(attached, ForLoop):
-            raise PlanError("collapse requires canonical for-loops", d.line)
-        return _descend_perfect(attached, d.clauses["levels"], d)
-    if d.kind == "fuse":
-        raise PlanError("fuse requires explicit loop(...) targets", d.line)
+            raise PlanError(f"{d.kind} requires canonical for-loops", d.line)
+        depth = kind.band(d.clauses)
+        names = tuple(l.name for l in perfect_nest(attached, depth))
+        if len(names) < depth:
+            raise PlanError(f"{d.kind} needs {depth} perfectly nested loops "
+                            f"below '{attached.name}'", d.line)
+        return names
     return (attached.name,)
 
 
@@ -238,8 +144,11 @@ def plan_pipeline(p: Program) -> PlannedPipeline:
                             f"loop '{t}' was already replaced by "
                             f"{consumed[t].kind} (line {consumed[t].line})", d.line)
                     raise PlanError(f"unknown loop '{t}' in {d.kind} directive", d.line)
-            cons, intro = plan_effects(d, targets)
-            for name in intro:
+            cons, intro = KINDS[d.kind].effects(d.clauses, targets)
+            for k, name in enumerate(intro):
+                if name in intro[:k]:
+                    raise PlanError(
+                        f"generated loop name '{name}' is introduced twice", d.line)
                 if name in live and name not in cons:
                     raise PlanError(
                         f"generated loop name '{name}' collides with an existing loop", d.line)

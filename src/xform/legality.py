@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deps import Dependence, DependenceSet, Instance, positions_by_key
+from .deps import Dependence, DependenceSet, Instance, common_loops, positions_by_key
 from .lang import Call, Expr, BinOp, IfStmt, Stmt, VarRef
 
 ALWAYS_VALID = "always_valid"
@@ -86,10 +86,8 @@ _MATRIX = {
 def resolve(verdict: Verdict, mode: str, required: bool) -> Action:
     """Map verdict x safety mode (x required) to the action to take."""
     kind = _MATRIX[(verdict.kind, mode)]
-    if kind == KEEP_ORIGINAL and required:
-        return Action(HARD_ERROR, (), verdict.describe())
     if kind == KEEP_ORIGINAL:
-        return Action(KEEP_ORIGINAL, (), verdict.describe())
+        return Action(HARD_ERROR if required else KEEP_ORIGINAL, (), verdict.describe())
     if kind == TRANSFORM_WITH_RTC:
         return Action(TRANSFORM_WITH_RTC, verdict.rtc_pairs)
     return Action(TRANSFORM)
@@ -138,13 +136,8 @@ def _judge_order(depset: DependenceSet, pairs, cand_instances: list[Instance],
     mismatch = _schedule_mismatch(instances, cand_instances, positions)
     if mismatch:
         return Verdict(INVALID, mismatch)
-    rtc: dict[tuple[str, str], None] = {}
-    for (i, j, kind, pair) in depset.alias_pairs:
-        if positions[instances[i].key] > positions[instances[j].key]:
-            rtc[pair] = None
-    if rtc:
-        return Verdict(VALID_WITH_RTC, rtc_pairs=tuple(sorted(rtc)))
-    return Verdict(ALWAYS_VALID)
+    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs
+                        if positions[instances[i].key] > positions[instances[j].key])
 
 
 def _schedule_mismatch(instances: list[Instance], cand_instances: list[Instance],
@@ -183,25 +176,23 @@ def judge_parallel_exact(depset: DependenceSet, loop_name: str) -> Verdict:
     for (i, j, kind) in depset.full_pairs:
         if carried(i, j):
             return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
-    rtc = {}
-    for (i, j, kind, pair) in depset.alias_pairs:
-        if carried(i, j):
-            rtc[pair] = None
+    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs if carried(i, j))
+
+
+def _rtc_verdict(pairs) -> Verdict:
+    """Valid with a check of the may-alias `pairs` that would be violated,
+    or always valid when there are none."""
+    rtc = tuple(sorted(set(pairs)))
     if rtc:
-        return Verdict(VALID_WITH_RTC, rtc_pairs=tuple(sorted(rtc)))
+        return Verdict(VALID_WITH_RTC, rtc_pairs=rtc)
     return Verdict(ALWAYS_VALID)
 
 
 def _pair_to_dep(instances, i, j, kind) -> Dependence:
     a, b = instances[i], instances[j]
-    common = []
-    for (na, nb) in zip(a.loops, b.loops):
-        if na != nb:
-            break
-        common.append(na)
-    k = len(common)
-    return Dependence(a.stmt, b.stmt, kind, tuple(common),
-                      tuple(b.logical[x] - a.logical[x] for x in range(k)))
+    common = common_loops(a.loops, b.loops)
+    return Dependence(a.stmt, b.stmt, kind, common,
+                      tuple(b.logical[x] - a.logical[x] for x in range(len(common))))
 
 
 # conservative checks operate on summarized distance vectors ----------------
@@ -237,57 +228,44 @@ def _violates_at_level(dep: Dependence, loop_name: str) -> bool:
     return False  # loop not among the common loops: instances coincide there
 
 
+def _judge_deps(depset: DependenceSet, violates) -> Verdict:
+    """Invalid at the first violated dependence on definitely-shared storage;
+    otherwise valid with a check of every violated may-alias pair."""
+    rtc = []
+    for dep in depset.deps:
+        if violates(dep):
+            if dep.alias is None:
+                return Verdict(INVALID, witness=dep)
+            rtc.append(dep.alias)
+    return _rtc_verdict(rtc)
+
+
 def judge_level_conservative(depset: DependenceSet, loop_name: str) -> Verdict:
     """Conservative verdict for order-changing single-level transforms
     (reverse, stripe-mine, parallel): no dependence may be carried here."""
-    witness = None
-    rtc = {}
-    for dep in depset.deps:
-        if _violates_at_level(dep, loop_name):
-            if dep.alias is not None:
-                rtc[dep.alias] = None
-            else:
-                witness = dep
-                break
-    if witness is not None:
-        return Verdict(INVALID, witness=witness)
-    if rtc:
-        return Verdict(VALID_WITH_RTC, rtc_pairs=tuple(sorted(rtc)))
-    return Verdict(ALWAYS_VALID)
+    return _judge_deps(depset, lambda dep: _violates_at_level(dep, loop_name))
 
 
 def judge_permutation_conservative(depset: DependenceSet, new_order: list[str]) -> Verdict:
     """Interchange: permuted distance vectors must stay lexicographically
     non-negative; unknown entries are assumed hostile."""
-    witness = None
-    rtc = {}
     band = set(new_order)
-    for dep in depset.deps:
+
+    def violates(dep):
         if _prefix_definitely_carried_outside(dep, band):
-            continue
-        comp = dict(zip(dep.loops, dep.distance))
+            return False
         if not band <= set(dep.loops):
             # statements not nested under the whole band keep their order
-            continue
-        permuted = [comp[l] for l in _permute_loops(dep.loops, new_order)]
-        violated = False
-        for d in permuted:
-            if d is None or d < 0:
-                violated = True
-                break
-            if d > 0:
-                break
-        if violated:
-            if dep.alias is not None:
-                rtc[dep.alias] = None
-            else:
-                witness = dep
-                break
-    if witness is not None:
-        return Verdict(INVALID, witness=witness)
-    if rtc:
-        return Verdict(VALID_WITH_RTC, rtc_pairs=tuple(sorted(rtc)))
-    return Verdict(ALWAYS_VALID)
+            return False
+        comp = dict(zip(dep.loops, dep.distance))
+        for l in _permute_loops(dep.loops, new_order):
+            if comp[l] is None or comp[l] < 0:
+                return True
+            if comp[l] > 0:
+                return False
+        return False
+
+    return _judge_deps(depset, violates)
 
 
 def _permute_loops(loops: tuple[str, ...], new_order: list[str]) -> list[str]:
@@ -301,48 +279,29 @@ def _permute_loops(loops: tuple[str, ...], new_order: list[str]) -> list[str]:
 def judge_band_nonneg_conservative(depset: DependenceSet, band: list[str]) -> Verdict:
     """Tiling a band is safe when every dependence not carried outside has
     fixed non-negative components across the whole band."""
-    witness = None
-    rtc = {}
     bandset = set(band)
-    for dep in depset.deps:
+
+    def violates(dep):
         if _prefix_definitely_carried_outside(dep, bandset):
-            continue
+            return False
         comp = dict(zip(dep.loops, dep.distance))
-        bad = any(comp.get(l, 0) is None or comp.get(l, 0) < 0 for l in band)
-        if bad:
-            if dep.alias is not None:
-                rtc[dep.alias] = None
-            else:
-                witness = dep
-                break
-    if witness is not None:
-        return Verdict(INVALID, witness=witness)
-    if rtc:
-        return Verdict(VALID_WITH_RTC, rtc_pairs=tuple(sorted(rtc)))
-    return Verdict(ALWAYS_VALID)
+        return any(comp.get(l, 0) is None or comp.get(l, 0) < 0 for l in band)
+
+    return _judge_deps(depset, violates)
 
 
 def judge_parts_conservative(depset: DependenceSet, part_of: dict[str, int]) -> Verdict:
     """Distribution: no dependence may point from a later part to an earlier
     one (the earlier part's loop will have run to completion first)."""
-    witness = None
-    rtc = {}
-    for dep in depset.deps:
-        ps = part_of.get(dep.src)
-        pk = part_of.get(dep.snk)
-        if ps is None or pk is None:
-            continue
-        if ps > pk:
-            if dep.alias is not None:
-                rtc[dep.alias] = None
-            else:
-                witness = dep
-                break
-    if witness is not None:
-        return Verdict(INVALID, witness=witness)
-    if rtc:
-        return Verdict(VALID_WITH_RTC, rtc_pairs=tuple(sorted(rtc)))
-    return Verdict(ALWAYS_VALID)
+    return _judge_deps(depset, lambda dep: (dep.src in part_of and dep.snk in part_of
+                                            and part_of[dep.src] > part_of[dep.snk]))
+
+
+def judge_fused_conservative(depset: DependenceSet, loop_of: dict[str, int]) -> Verdict:
+    """Fusion: no dependence may join statements of two of the fused loops
+    (their distance across the fused loop is not known)."""
+    return _judge_deps(depset, lambda dep: (dep.src in loop_of and dep.snk in loop_of
+                                            and loop_of[dep.src] != loop_of[dep.snk]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import CORPUS_DIR
 
 XFORM = [sys.executable, "-m", "xform"]
@@ -111,3 +113,35 @@ def test_max_enum_forces_conservative_path():
     # still prove the stencil loop dependence-free
     r = run_cli(corpus("19_reverse_free.loop"), "--max-enum", "1", "--verify", "5")
     assert r.returncode == 0, r.stderr
+
+
+def _nested_parens(path):
+    path.write_text("array A[4] init zero;\nA[0] = " + "(" * 3000 + "1" + ")" * 3000 + ";\n")
+    return (str(path),)
+
+
+def _nested_fors(path):
+    loops = "".join(f"for (i{k} = 0; i{k} < 1; i{k} += 1)\n" for k in range(330))
+    path.write_text("array A[4] init zero;\n" + loops + "A[0] = 1;\n")
+    return (str(path),)
+
+
+def _non_utf8(path):
+    path.write_bytes(b"array A[4] init zero;\n// caf\xe9\n")
+    return (str(path),)
+
+
+def _unwritable(flag):
+    def args(path):
+        path.write_text("array A[4] init zero;\nfor (i = 0; i < 4; i += 1) A[i] = i;\n")
+        return (str(path), flag, str(path.parent / "missing" / "out"))
+    return args
+
+
+@pytest.mark.parametrize("make_args", [
+    _non_utf8, _unwritable("--emit"), _unwritable("--trace"), _nested_parens, _nested_fors,
+], ids=["non-utf8", "emit-path", "trace-path", "parens", "for-loops"])
+def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, make_args):
+    r = run_cli(*make_args(tmp_path / "in.loop"))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr

@@ -213,3 +213,8 @@ def test_comments_are_skipped():
     p = parse_program("// a comment\narray A[4] init zero; // trailing\n"
                       "for (i = 0; i < 4; i += 1) A[i] = i; // body\n")
     assert len(p.body) == 1
+
+
+def test_collapse_target_count_must_match_levels():
+    with pytest.raises(ParseError, match=r"collapse target count must match levels\(...\)"):
+        parse_directive("#pragma xform loop(i,j) collapse levels(3)")

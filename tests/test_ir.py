@@ -163,3 +163,15 @@ def test_name_uniqueness_holds_after_every_pipeline_step():
     res = apply_pipeline(p, plan_pipeline(p))
     names = [l.name for l in iter_loops(res.program.body)]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("pragma, name", [
+    ("tile sizes(4) floor_ids(a) tile_ids(a)", "a"),
+    ("stripmine size(4) floor_id(a) tile_id(a)", "a"),
+    ("stripmine size(4) floor_id(i_t)", "i_t"),  # the default tile_id
+])
+def test_plan_rejects_generated_name_introduced_twice(pragma, name):
+    p = parse_named(f"array A[8] init zero;\n#pragma xform {pragma}\n"
+                    "for (i = 0; i < 8; i += 1) A[i] = i;\n")
+    with pytest.raises(PlanError, match=f"generated loop name '{name}' is introduced twice"):
+        plan_pipeline(p)

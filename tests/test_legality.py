@@ -306,3 +306,25 @@ def test_conservative_rtc_on_alias_pairs():
     r = res.reports[0]
     assert r.verdict.kind == VALID_WITH_RTC
     assert r.verdict.rtc_pairs == (("A", "B"),)
+
+
+@pytest.mark.parametrize("max_enum", [1, 4096])
+def test_fuse_past_alias_pair_still_sees_definite_dependence(max_enum):
+    # the (A,B) may-alias dependence comes first; the flow dependence on C
+    # that fusion breaks must still make the verdict invalid on both routes
+    p, res = run_pipeline("""
+array A[16] init random;
+array B[16] init random;
+array C[17] init random;
+maybe_alias(A, B);
+
+#pragma xform loop(i,j) fuse fallback
+for (i = 0; i < 16; i += 1)
+  C[i] = A[i] + 1;
+for (j = 0; j < 16; j += 1)
+  B[j] = C[j + 1];
+""", max_enum=max_enum)
+    r = res.reports[0]
+    assert r.verdict.describe() == "invalid: dependence flow s1->s3 () would be violated"
+    assert r.action.kind == KEEP_ORIGINAL
+    assert equivalent(strip_pragmas(p), res.program, trials=5, seed=3)
