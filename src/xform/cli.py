@@ -9,6 +9,7 @@ mode legally permits, but tooling needs to see).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import deps as depmod
@@ -71,10 +72,18 @@ def _write(path: str, text: str) -> bool:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
     except RecursionError:
         # the parser and the tree walkers recurse once per nesting level
         print("error: program nests too deeply to process", file=sys.stderr)
+        return 1
+    except BrokenPipeError as e:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,8 @@ Two routes, matching how much the program lets us see:
 * exact: when every bound, guard, and subscript in the analyzed region is a
   pure function of loop variables and non-opaque params, and the region's
   instance count fits the enumeration cap, walk the whole iteration space
-  abstractly (no memory needed) and build the region's conflict graph.
+  abstractly and build the region's conflict graph.  `lang.evaluate` runs
+  with no memory there; its `EvalError` message becomes the `reason`.
 
 * conservative: otherwise fall back to ZIV and strong-SIV subscript tests per
   dimension; anything those cannot analyze is assumed dependent with unknown
@@ -31,7 +32,8 @@ Distance vectors are in logical iterations (trip counts), source before sink,
 so they are lexicographically non-negative for the original program.
 
 `brute_force_dependences` is the independent oracle: it runs the real
-interpreter and compares touched addresses pairwise over the trace.
+interpreter and compares touched addresses pairwise over the trace; the
+enumerator walks statements itself to stay independent of it.
 """
 
 from __future__ import annotations
@@ -41,18 +43,14 @@ from functools import cached_property
 
 from . import interp
 from .lang import (
-    ArrayRead, Assign, BinOp, Block, Call, Expr, ForLoop, IfStmt, IntLit, Program,
-    Stmt, VarRef, WhileLoop, _FOLD, array_reads, child_bodies, idiv, imod,
-    iter_loops, iter_stmts, simplify, subst,
+    Assign, BinOp, Block, EvalError, Expr, ForLoop, IfStmt, IntLit, Program, Stmt,
+    VarRef, WhileLoop, array_reads, child_bodies, evaluate, flat_index, iter_loops,
+    iter_stmts, simplify, subst,
 )
 
 
 class DepsError(Exception):
     """Analysis cannot proceed at all (e.g. a while-loop in the region)."""
-
-
-class _Unanalyzable(Exception):
-    pass
 
 
 class _CapExceeded(Exception):
@@ -164,96 +162,48 @@ def common_loops(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
 # Abstract enumeration (memory-free)
 
 
-def _eval_static(e: Expr, env: dict[str, int], opaque: set[str]) -> int:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, VarRef):
-        if e.name in opaque:
-            raise _Unanalyzable(f"opaque param {e.name!r}")
-        try:
-            return env[e.name]
-        except KeyError:
-            raise _Unanalyzable(f"unbound {e.name!r}") from None
-    if isinstance(e, ArrayRead):
-        raise _Unanalyzable("memory-dependent expression")
-    if isinstance(e, Call):
-        if e.func == "disjoint":
-            raise _Unanalyzable("alias-binding-dependent expression")
-        a = _eval_static(e.args[0], env, opaque)
-        b = _eval_static(e.args[1], env, opaque)
-        return min(a, b) if e.func == "min" else max(a, b)
-    if isinstance(e, BinOp):
-        a = _eval_static(e.lhs, env, opaque)
-        b = _eval_static(e.rhs, env, opaque)
-        if e.op in ("/", "%"):
-            if b == 0:
-                raise _Unanalyzable("division by zero in analyzed expression")
-            return idiv(a, b) if e.op == "/" else imod(a, b)
-        return _FOLD[e.op](a, b)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _flat_index(program: Program, array: str, idx: tuple[int, ...]) -> int:
-    dims = program.array(array).dims
-    flat = 0
-    for d, i in zip(dims, idx):
-        if not 0 <= i < d:
-            raise _Unanalyzable(f"index {i} out of bounds for {array}")
-        flat = flat * d + i
-    return flat
+def _reads(s: Assign) -> list:
+    """The array reads in an assignment's subscripts and value."""
+    return [r for e in (*s.index, s.value) for r in array_reads(e)]
 
 
 def enumerate_instances(program: Program, scope: list[Stmt],
                         max_instances: int = 4096) -> Enumeration:
     """Walk the region's full iteration space without touching memory.
 
-    Raises DepsError on while-loops, _Unanalyzable when anything depends on
-    memory or opaque params, _CapExceeded past the instance cap or past
-    `_step_budget(max_instances)` loop iterations.
+    Raises DepsError on while-loops, EvalError when anything depends on
+    memory or opaque params (or has no int64 value), _CapExceeded past the
+    instance cap or past `_step_budget(max_instances)` loop iterations.
     """
-    opaque = program.opaque_params()
     env = program.param_values(include_opaque=False)
+    dims = {a.name: a.dims for a in program.arrays}
+    reads = {id(s): _reads(s) for s in iter_stmts(scope) if isinstance(s, Assign)}
     out = Enumeration()
     stack: list[tuple[str, int, int]] = []
     steps = [0]
     budget = _step_budget(max_instances)
 
     def addr_of(array, index):
-        vals = tuple(_eval_static(i, env, opaque) for i in index)
-        return (array, _flat_index(program, array, vals))
-
-    def reads_of(e: Expr, acc: list):
-        if isinstance(e, ArrayRead):
-            acc.append(addr_of(e.array, e.index))
-            return
-        if isinstance(e, BinOp):
-            reads_of(e.lhs, acc)
-            reads_of(e.rhs, acc)
-        elif isinstance(e, Call) and e.func != "disjoint":
-            for a in e.args:
-                reads_of(a, acc)
+        return (array, flat_index(array, dims[array], [evaluate(i, env) for i in index]))
 
     def walk(stmts: list[Stmt]):
         for s in stmts:
             if isinstance(s, Assign):
-                acc: list = []
-                for i in s.index:
-                    reads_of(i, acc)
-                reads_of(s.value, acc)
+                acc = [addr_of(r.array, r.index) for r in reads[id(s)]]
                 waddr = addr_of(s.array, s.index)
                 if s.op == "+=":
                     acc.append(waddr)
                 if len(out) >= max_instances:
                     raise _CapExceeded()
-                orig = tuple((n, _eval_static(e, env, opaque)) for n, e in s.orig_coords)
+                orig = tuple((n, evaluate(e, env)) for n, e in s.orig_coords)
                 out.append(Instance(
                     len(out), s.stmt_id, orig,
                     tuple(n for n, _, _ in stack),
                     tuple(t for _, _, t in stack),
                     frozenset(acc), frozenset((waddr,)), (s.stmt_id, orig)))
             elif isinstance(s, ForLoop):
-                lb = _eval_static(s.lower, env, opaque)
-                ub = _eval_static(s.upper, env, opaque)
+                lb = evaluate(s.lower, env)
+                ub = evaluate(s.upper, env)
                 saved = env.get(s.var)
                 trip = 0
                 for v in range(lb, ub, s.step) if ub > lb else []:
@@ -272,7 +222,7 @@ def enumerate_instances(program: Program, scope: list[Stmt],
             elif isinstance(s, WhileLoop):
                 raise DepsError("while-loop in analyzed region")
             elif isinstance(s, IfStmt):
-                if _eval_static(s.cond, env, opaque) != 0:
+                if evaluate(s.cond, env) != 0:
                     walk(s.then_body)
                 elif s.else_body is not None:
                     walk(s.else_body)
@@ -432,7 +382,6 @@ class _Ref:
 def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
     refs: list[_Ref] = []
     params = program.param_values(include_opaque=False)
-    opaque = program.opaque_params()
     counter = [0]
 
     def resolve(e: Expr) -> Expr:
@@ -440,9 +389,9 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
 
     def trips_of(loop: ForLoop) -> object:
         try:
-            lb = _eval_static(loop.lower, dict(params), opaque)
-            ub = _eval_static(loop.upper, dict(params), opaque)
-        except _Unanalyzable:
+            lb = evaluate(loop.lower, params)
+            ub = evaluate(loop.upper, params)
+        except EvalError:
             return None
         return max(0, -(-(ub - lb) // loop.step))
 
@@ -457,8 +406,7 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
                 lvars = tuple(l.var for l in loops)
                 steps = tuple(l.step for l in loops)
                 trips = tuple(trips_of(l) for l in loops)
-                accesses = [(r.array, r.index, False)
-                            for e in (*s.index, s.value) for r in array_reads(e)]
+                accesses = [(r.array, r.index, False) for r in _reads(s)]
                 if s.op == "+=":
                     accesses.append((s.array, s.index, False))
                 accesses.append((s.array, s.index, True))
@@ -644,7 +592,7 @@ def compute_dependences(program: Program, scope, max_enum: int = 4096) -> Depend
         return _exact_set(program, enumerate_instances(program, stmts, max_enum), stmts)
     except _CapExceeded:
         return conservative_dependences(program, stmts, "enumeration cap exceeded")
-    except _Unanalyzable as e:
+    except EvalError as e:
         return conservative_dependences(program, stmts, str(e))
 
 

@@ -31,8 +31,8 @@ import re
 from .kinds import BY_SURFACE
 from .lang import (
     AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Block, Call, Directive,
-    Expr, ForLoop, IfStmt, IntLit, ParamDecl, Program, VarRef, WhileLoop,
-    array_reads, child_bodies,
+    INT64_MAX, INT64_MIN, Expr, ForLoop, IfStmt, IntLit, ParamDecl, Program,
+    VarRef, WhileLoop, array_reads, child_bodies, free_vars, subexprs,
 )
 
 
@@ -202,9 +202,7 @@ class _Parser:
         elif t.text == "param":
             name = self.expect("ID", "param name").text
             self.expect("=")
-            neg = self.accept("-") is not None
-            v = int(self.expect("INT", "integer").text)
-            value = -v if neg else v
+            value = self.parse_int()
             opaque = self.accept("ID", "opaque") is not None
             self.expect(";")
             prog.params.append(ParamDecl(name, value, opaque, t.line))
@@ -218,8 +216,8 @@ class _Parser:
             prog.aliases.append(AliasDecl(a, b, t.line))
 
     def parse_dim(self) -> int:
-        t = self.expect("INT", "positive integer dimension")
-        v = int(t.text)
+        t = self.peek()
+        v = self.parse_int("positive integer dimension", signed=False)
         if v <= 0:
             raise ParseError("array dimensions must be positive", t.line, t.col)
         return v
@@ -270,8 +268,8 @@ class _Parser:
         if not self.at("+="):
             self.fail("non-canonical for-loop: increment must be '+= <positive int>'")
         self.next()
-        st = self.expect("INT", "positive integer step")
-        step = int(st.text)
+        st = self.peek()
+        step = self.parse_int("positive integer step", signed=False)
         if step < 1:
             raise ParseError("non-canonical for-loop: step must be positive", st.line, st.col)
         self.expect(")")
@@ -376,17 +374,16 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         if self.at("-"):
-            t = self.next()
-            if self.at("INT"):
-                return IntLit(-int(self.next().text))
+            if self.toks[self.pos + 1].kind == "INT":
+                return IntLit(self.parse_int())
+            self.next()
             return BinOp("-", IntLit(0), self.parse_unary())
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
         t = self.peek()
         if t.kind == "INT":
-            self.next()
-            return IntLit(int(t.text))
+            return IntLit(self.parse_int())
         if t.kind == "(":
             self.next()
             e = self.parse_expr()
@@ -481,7 +478,7 @@ class _Parser:
             return kw.text
         if shape in ("int", "ints", "id", "ids"):
             ints = shape in ("int", "ints")
-            item = self.parse_clause_int if ints else lambda: self.expect("ID", "identifier").text
+            item = self.parse_int if ints else lambda: self.expect("ID", "identifier").text
             vals = [item()]
             while self.accept(","):
                 vals.append(item())
@@ -505,10 +502,15 @@ class _Parser:
             return tuple(tuple(g) for g in groups)
         raise AssertionError(shape)
 
-    def parse_clause_int(self) -> int:
-        neg = self.accept("-") is not None
-        t = self.expect("INT", "integer")
-        return -int(t.text) if neg else int(t.text)
+    def parse_int(self, what: str = "integer", signed: bool = True) -> int:
+        """An integer literal, with a leading '-' when `signed`; it must lie
+        in int64."""
+        neg = signed and self.accept("-") is not None
+        t = self.expect("INT", what)
+        v = -int(t.text) if neg else int(t.text)
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise ParseError(f"integer literal {v} is outside int64", t.line, t.col)
+        return v
 
     # semantic validation ----------------------------------------------------
 
@@ -540,12 +542,12 @@ class _Parser:
         def check_expr(e: Expr, scope: set[str], line: int):
             for r in array_reads(e):
                 check_ref(r.array, r.index, line)
-            for v in sorted(_scalar_refs(e)):
+            for v in sorted(free_vars(e)):
                 if v not in scope and v not in params:
                     raise ParseError(f"undeclared identifier {v!r}", line, 1)
-            for call in _calls(e):
-                if call.func == "disjoint":
-                    for a in call.args:
+            for x in subexprs(e):
+                if isinstance(x, Call) and x.func == "disjoint":
+                    for a in x.args:
                         if not isinstance(a, VarRef) or a.name not in arrays:
                             raise ParseError("disjoint() arguments must be declared arrays", line, 1)
 
@@ -569,36 +571,6 @@ class _Parser:
                     walk(body, inner)
 
         walk(prog.body, set())
-
-
-def _scalar_refs(e: Expr):
-    """Variable references appearing outside array-name position."""
-    if isinstance(e, VarRef):
-        yield e.name
-    elif isinstance(e, BinOp):
-        yield from _scalar_refs(e.lhs)
-        yield from _scalar_refs(e.rhs)
-    elif isinstance(e, ArrayRead):
-        for i in e.index:
-            yield from _scalar_refs(i)
-    elif isinstance(e, Call):
-        if e.func == "disjoint":
-            return  # array-name arguments
-        for a in e.args:
-            yield from _scalar_refs(a)
-
-
-def _calls(e: Expr):
-    if isinstance(e, Call):
-        yield e
-        for a in e.args:
-            yield from _calls(a)
-    elif isinstance(e, BinOp):
-        yield from _calls(e.lhs)
-        yield from _calls(e.rhs)
-    elif isinstance(e, ArrayRead):
-        for i in e.index:
-            yield from _calls(i)
 
 
 def parse_program(text: str) -> Program:

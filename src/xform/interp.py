@@ -2,8 +2,10 @@
 semantic-equivalence / order / parallel-consistency oracles.
 
 All arithmetic is int64 with faults on overflow and division by zero, so
-program equivalence is exact — no tolerance questions.  Random array
-initialization draws from [-100, 100] with a recorded seed.
+program equivalence is exact — no tolerance questions.  `lang.evaluate`
+values expressions; an `EvalError` becomes a `RunFault` naming the line of
+the statement whose expression faulted.  Random array initialization draws
+from [-100, 100] with a recorded seed.
 
 Arrays declared `maybe_alias` can be run under different bindings: fully
 separate storage, or overlapping storage at a given element offset.  The
@@ -14,11 +16,11 @@ transformation guards test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lang import (
-    INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Block, Call, Expr, ForLoop,
-    IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, idiv, imod,
+    Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, evaluate,
+    flat_index, int64,
 )
 
 
@@ -101,23 +103,6 @@ class Memory:
                 for i in range(total):
                     self.segments[s][b + i] = 0
 
-    def flatten(self, array: str, idx: tuple[int, ...], line: int = 0) -> int:
-        _, _, dims, _ = self.views[array]
-        flat = 0
-        for d, i in zip(dims, idx):
-            if not 0 <= i < d:
-                raise RunFault(f"index {i} out of bounds for {array}[{d}] (line {line})")
-            flat = flat * d + i
-        return flat
-
-    def read(self, array: str, flat: int) -> int:
-        s, b, _, _ = self.views[array]
-        return self.segments[s][b + flat]
-
-    def write(self, array: str, flat: int, value: int):
-        s, b, _, _ = self.views[array]
-        self.segments[s][b + flat] = value
-
     def disjoint(self, a: str, b: str) -> bool:
         sa, ba, _, ta = self.views[a]
         sb, bb, _, tb = self.views[b]
@@ -133,146 +118,109 @@ class Memory:
         return {a.name: self.array_values(a.name) for a in self.program.arrays}
 
 
-def _chk(v: int, line: int = 0) -> int:
-    if not INT64_MIN <= v <= INT64_MAX:
-        raise RunFault(f"int64 overflow (line {line})")
-    return v
+class _Run(Memory):
+    """One execution: the memory through which `evaluate` reads arrays
+    (recording them while an assignment is traced) and answers `disjoint`."""
 
+    def __init__(self, program: Program, binding: dict | None, seed: int,
+                 trace: Trace | None, budget: int, perturb: dict[str, object]):
+        super().__init__(program, binding, seed)
+        self.env = program.param_values()
+        self.trace = trace
+        self.budget = budget
+        self.perturb = perturb
+        self.loop_stack: list[tuple[str, int, int]] = []  # (name, value, trip)
+        self.reads: list | None = None  # the traced assignment's reads so far
 
-@dataclass
-class _Run:
-    program: Program
-    mem: Memory
-    env: dict[str, int]
-    trace: Trace | None
-    budget: int
-    perturb: dict[str, object] = field(default_factory=dict)
-    loop_stack: list[tuple[str, int, int]] = field(default_factory=list)  # (name, value, trip)
-
-    def tick(self, line: int = 0):
+    def tick(self, line: int):
         self.budget -= 1
         if self.budget < 0:
             raise RunFault(f"step budget exceeded (line {line})")
 
-    def eval(self, e: Expr, reads: list | None = None, line: int = 0) -> int:
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, VarRef):
-            try:
-                return self.env[e.name]
-            except KeyError:
-                raise RunFault(f"unbound variable {e.name!r} (line {line})") from None
-        if isinstance(e, ArrayRead):
-            idx = tuple(self.eval(i, reads, line) for i in e.index)
-            flat = self.mem.flatten(e.array, idx, line)
-            if reads is not None:
-                reads.append((e.array, flat))
-            return self.mem.read(e.array, flat)
-        if isinstance(e, Call):
-            if e.func == "disjoint":
-                return int(self.mem.disjoint(e.args[0].name, e.args[1].name))
-            a = self.eval(e.args[0], reads, line)
-            b = self.eval(e.args[1], reads, line)
-            return min(a, b) if e.func == "min" else max(a, b)
-        if isinstance(e, BinOp):
-            a = self.eval(e.lhs, reads, line)
-            b = self.eval(e.rhs, reads, line)
-            op = e.op
-            if op == "+":
-                return _chk(a + b, line)
-            if op == "-":
-                return _chk(a - b, line)
-            if op == "*":
-                return _chk(a * b, line)
-            if op in ("/", "%"):
-                if b == 0:
-                    raise RunFault(f"division by zero (line {line})")
-                return idiv(a, b) if op == "/" else imod(a, b)
-            if op == "&&":
-                return int(a != 0 and b != 0)
-            if op == "<":
-                return int(a < b)
-            if op == "<=":
-                return int(a <= b)
-            if op == ">":
-                return int(a > b)
-            if op == ">=":
-                return int(a >= b)
-            if op == "==":
-                return int(a == b)
-            if op == "!=":
-                return int(a != b)
-        raise TypeError(f"not an expression: {e!r}")
+    def load(self, array: str, idx) -> int:
+        seg, base, dims, _ = self.views[array]
+        flat = flat_index(array, dims, idx)
+        if self.reads is not None:
+            self.reads.append((array, flat))
+        return self.segments[seg][base + flat]
 
     def exec_body(self, stmts: list[Stmt]):
         for s in stmts:
             self.exec_stmt(s)
 
     def exec_stmt(self, s: Stmt):
-        self.tick(getattr(s, "line", 0))
-        if isinstance(s, Assign):
-            reads: list = []
-            idx = tuple(self.eval(i, reads, s.line) for i in s.index)
-            flat = self.mem.flatten(s.array, idx, s.line)
-            val = self.eval(s.value, reads, s.line)
-            if s.op == "+=":
-                reads.append((s.array, flat))
-                val = _chk(self.mem.read(s.array, flat) + val, s.line)
-            if self.trace is not None:
-                ivec = tuple((n, self.eval(e, None, s.line)) for n, e in s.orig_coords)
-                self.trace.append(TraceRecord(
-                    s.stmt_id, ivec,
-                    tuple(sorted(set(reads))), ((s.array, flat),),
-                    tuple(n for n, _, _ in self.loop_stack),
-                    tuple(v for _, v, _ in self.loop_stack),
-                    tuple(t for _, _, t in self.loop_stack)))
-            self.mem.write(s.array, flat, val)
-        elif isinstance(s, ForLoop):
-            lb = self.eval(s.lower, None, s.line)
-            ub = self.eval(s.upper, None, s.line)
-            values = list(range(lb, ub, s.step)) if ub > lb else []
-            order = list(enumerate(values))
-            mode = self.perturb.get(s.name)
-            if mode == "reverse":
-                order = order[::-1]
-            elif isinstance(mode, random.Random):
-                mode.shuffle(order)
-            saved = self.env.get(s.var)
-            for trip, v in order:
-                self.tick(s.line)
-                self.env[s.var] = v
-                self.loop_stack.append((s.name, v, trip))
+        """Execute `s`; a fault in one of its own expressions becomes a
+        RunFault carrying its line (a nested statement reports its own)."""
+        self.tick(s.line)
+        env = self.env
+        try:
+            if isinstance(s, Assign):
+                if self.trace is not None:
+                    self.reads = []
+                seg, base, dims, _ = self.views[s.array]
+                flat = flat_index(s.array, dims, [evaluate(i, env, self) for i in s.index])
+                val = evaluate(s.value, env, self)
+                cells = self.segments[seg]
+                if s.op == "+=":
+                    val = int64(cells[base + flat] + val)
+                if self.trace is not None:
+                    reads = set(self.reads)
+                    self.reads = None
+                    if s.op == "+=":
+                        reads.add((s.array, flat))
+                    ivec = tuple((n, evaluate(e, env)) for n, e in s.orig_coords)
+                    self.trace.append(TraceRecord(
+                        s.stmt_id, ivec, tuple(sorted(reads)), ((s.array, flat),),
+                        tuple(n for n, _, _ in self.loop_stack),
+                        tuple(v for _, v, _ in self.loop_stack),
+                        tuple(t for _, _, t in self.loop_stack)))
+                cells[base + flat] = val
+            elif isinstance(s, ForLoop):
+                lb = evaluate(s.lower, env, self)
+                ub = evaluate(s.upper, env, self)
+                values = list(range(lb, ub, s.step)) if ub > lb else []
+                order = list(enumerate(values))
+                mode = self.perturb.get(s.name)
+                if mode == "reverse":
+                    order = order[::-1]
+                elif isinstance(mode, random.Random):
+                    mode.shuffle(order)
+                saved = env.get(s.var)
+                for trip, v in order:
+                    self.tick(s.line)
+                    env[s.var] = v
+                    self.loop_stack.append((s.name, v, trip))
+                    self.exec_body(s.body)
+                    self.loop_stack.pop()
+                if saved is None:
+                    env.pop(s.var, None)
+                else:
+                    env[s.var] = saved
+            elif isinstance(s, WhileLoop):
+                while evaluate(s.cond, env, self) != 0:
+                    self.tick(s.line)
+                    self.exec_body(s.body)
+            elif isinstance(s, IfStmt):
+                if evaluate(s.cond, env, self) != 0:
+                    self.exec_body(s.then_body)
+                elif s.else_body is not None:
+                    self.exec_body(s.else_body)
+            elif isinstance(s, Block):
                 self.exec_body(s.body)
-                self.loop_stack.pop()
-            if saved is None:
-                self.env.pop(s.var, None)
             else:
-                self.env[s.var] = saved
-        elif isinstance(s, WhileLoop):
-            while self.eval(s.cond, None, s.line) != 0:
-                self.tick(s.line)
-                self.exec_body(s.body)
-        elif isinstance(s, IfStmt):
-            if self.eval(s.cond, None, s.line) != 0:
-                self.exec_body(s.then_body)
-            elif s.else_body is not None:
-                self.exec_body(s.else_body)
-        elif isinstance(s, Block):
-            self.exec_body(s.body)
-        else:
-            raise TypeError(f"not a statement: {s!r}")
+                raise TypeError(f"not a statement: {s!r}")
+        except EvalError as e:
+            raise RunFault(f"{e} (line {s.line})") from None
 
 
 def run(program: Program, seed: int = 0, alias_binding: dict | None = None,
         record_trace: bool = True, step_budget: int = 10**7,
         perturb: dict | None = None) -> tuple[Memory, Trace]:
     """Execute a program deterministically; returns final memory and trace."""
-    mem = Memory(program, alias_binding, seed)
-    env = program.param_values()
-    r = _Run(program, mem, env, [] if record_trace else None, step_budget,
+    r = _Run(program, alias_binding, seed, [] if record_trace else None, step_budget,
              perturb or {})
     r.exec_body(program.body)
-    return mem, (r.trace if r.trace is not None else [])
+    return r, (r.trace if r.trace is not None else [])
 
 
 def alias_bindings(program: Program, offsets=(0,)) -> list[dict]:

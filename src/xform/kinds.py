@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import legality
-from .deps import DependenceSet, _Unanalyzable, _eval_static
+from .deps import DependenceSet
 from .lang import (
-    Assign, BinOp, Call, Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef,
-    WhileLoop, clone_body, clone_stmt, containing_list, find_loop, free_vars,
-    iter_stmts, simplify, subst_body,
+    Assign, BinOp, Call, EvalError, Expr, ForLoop, IfStmt, IntLit, Program, Stmt,
+    VarRef, WhileLoop, clone_body, clone_stmt, containing_list, evaluate, find_loop,
+    free_vars, iter_stmts, simplify, subst_body,
 )
 from .legality import Verdict
 
@@ -52,9 +52,8 @@ class TransformResult:
 
 def _eval_const(program: Program, e: Expr):
     try:
-        return _eval_static(e, program.param_values(include_opaque=False),
-                            program.opaque_params())
-    except _Unanalyzable:
+        return evaluate(e, program.param_values(include_opaque=False))
+    except EvalError:
         return None
 
 
@@ -209,9 +208,9 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
             else:
                 fnm = floor_ids[d] if main_region else _fresh(floor_ids[d] + suffix, taken)
                 tnm = tile_ids[d] if main_region else _fresh(tile_ids[d] + suffix, taken)
-                # the outermost floor loop keeps a parallel mark unless peeled
+                # the outermost floor loop of each region keeps a parallel mark
                 floors.append((fnm, lowers[d], splits[d], blocks[d],
-                               d == 0 and chain[0].parallel and peel != "rectangular"))
+                               d == 0 and chain[0].parallel))
                 up: Expr = BinOp("+", VarRef(fnm), IntLit(blocks[d]))
                 if not full[d]:
                     up = Call("min", (up, uppers[d]))

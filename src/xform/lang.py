@@ -8,10 +8,16 @@ was originally nested in, an expression that recovers that loop's iteration
 value from the *current* variables.  Transformations rewrite those expressions
 along with the code, which is what lets the interpreter report traces in
 original-loop coordinates no matter how mangled the tree is.
+
+`evaluate` is the one place an expression gets its int64 value, and
+`subexprs` the one expression walker.  The interpreter passes itself as the
+memory that answers reads and `disjoint`; the dependence enumerator passes
+none, and `simplify` folds constants only through `evaluate`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -55,8 +61,15 @@ class Call:
 Expr = IntLit | VarRef | ArrayRead | BinOp | Call
 
 
+class EvalError(Exception):
+    """An expression has no int64 value: an overflow, a zero divisor, an
+    unbound variable, an index out of bounds, or a read with no memory."""
+
+
 def idiv(a: int, b: int) -> int:
     """Integer division truncating toward zero (C semantics)."""
+    if b == 0:
+        raise EvalError("division by zero")
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
 
@@ -65,18 +78,96 @@ def imod(a: int, b: int) -> int:
     return a - idiv(a, b) * b
 
 
-_FOLD = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "&&": lambda a, b: int(a != 0 and b != 0),
+def int64(v: int) -> int:
+    """`v`, or EvalError when it does not fit in int64."""
+    if INT64_MIN <= v <= INT64_MAX:
+        return v
+    raise EvalError("int64 overflow")
+
+
+# The binary operators and the min/max builtins.  `evaluate` passes each
+# binary operator's result through `int64`, so `+ - * /` fault on overflow;
+# `/ %` fault on a zero divisor.
+OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": idiv,
+    "%": imod,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "&&": lambda a, b: 1 if a != 0 and b != 0 else 0,
+    "min": min,
+    "max": max,
 }
+
+
+def evaluate(e: Expr, env: dict[str, int], mem=None) -> int:
+    """The int64 value of `e` under `env`, or EvalError.
+
+    `mem.load(array, idx)` answers array reads and `mem.disjoint(a, b)` the
+    `disjoint` builtin; without a `mem` both raise EvalError.
+    """
+    t = type(e)
+    if t is VarRef:
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}") from None
+    if t is BinOp:
+        v = OPS[e.op](evaluate(e.lhs, env, mem), evaluate(e.rhs, env, mem))
+        return v if INT64_MIN <= v <= INT64_MAX else int64(v)
+    if t is IntLit:
+        return e.value
+    if t is ArrayRead:
+        if mem is None:
+            raise EvalError("memory-dependent expression")
+        return mem.load(e.array, [evaluate(i, env, mem) for i in e.index])
+    if t is Call:
+        if e.func == "disjoint":
+            if mem is None:
+                raise EvalError("alias-binding-dependent expression")
+            return int(mem.disjoint(e.args[0].name, e.args[1].name))
+        return OPS[e.func](evaluate(e.args[0], env, mem), evaluate(e.args[1], env, mem))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def flat_index(array: str, dims: tuple[int, ...], idx) -> int:
+    """Row-major element number of `array[idx]`, or EvalError out of bounds."""
+    flat = 0
+    for d, i in zip(dims, idx):
+        if not 0 <= i < d:
+            raise EvalError(f"index {i} out of bounds for {array}[{d}]")
+        flat = flat * d + i
+    return flat
+
+
+def subexprs(e: Expr):
+    """`e` and every expression inside it, in preorder.  The arguments of
+    `disjoint` name arrays and are not expressions, so they are skipped."""
+    yield e
+    if isinstance(e, BinOp):
+        yield from subexprs(e.lhs)
+        yield from subexprs(e.rhs)
+    elif isinstance(e, ArrayRead):
+        for i in e.index:
+            yield from subexprs(i)
+    elif isinstance(e, Call) and e.func != "disjoint":
+        for a in e.args:
+            yield from subexprs(a)
+
+
+def free_vars(e: Expr) -> set[str]:
+    return {x.name for x in subexprs(e) if isinstance(x, VarRef)}
+
+
+def array_reads(e: Expr):
+    """Every ArrayRead node in an expression, including nested ones."""
+    return [x for x in subexprs(e) if isinstance(x, ArrayRead)]
 
 
 def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
@@ -96,11 +187,20 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _fold(e: BinOp) -> IntLit | None:
+    """`e`, whose operands are literals, as a literal; None when it has no
+    int64 value (a fault must stay visible to the interpreter)."""
+    try:
+        return IntLit(evaluate(e, {}))
+    except EvalError:
+        return None
+
+
 def simplify(e: Expr) -> Expr:
     """Light constant folding and algebraic cleanup.
 
-    Division and modulo are only folded when the divisor is a nonzero
-    literal; a potential fault must stay visible to the interpreter.
+    Constants are folded only by `evaluate`, so an operation that would
+    overflow or divide by zero is left in the tree.
     """
     if isinstance(e, (IntLit, VarRef)):
         return e
@@ -110,8 +210,7 @@ def simplify(e: Expr) -> Expr:
         args = tuple(simplify(a) for a in e.args)
         if e.func in ("min", "max"):
             if all(isinstance(a, IntLit) for a in args):
-                vals = [a.value for a in args]
-                return IntLit(min(vals) if e.func == "min" else max(vals))
+                return IntLit(evaluate(Call(e.func, args), {}))
             if len(args) == 2 and args[0] == args[1]:
                 return args[0]
         return Call(e.func, args)
@@ -119,22 +218,9 @@ def simplify(e: Expr) -> Expr:
         l, r = simplify(e.lhs), simplify(e.rhs)
         op = e.op
         if isinstance(l, IntLit) and isinstance(r, IntLit):
-            if op in _FOLD:
-                return IntLit(_FOLD[op](l.value, r.value))
-            if op in ("/", "%") and r.value != 0:
-                return IntLit(idiv(l.value, r.value) if op == "/" else imod(l.value, r.value))
-        if op == "+":
-            if isinstance(r, IntLit):
-                if r.value == 0:
-                    return l
-                if r.value < 0:
-                    return simplify(BinOp("-", l, IntLit(-r.value)))
-                # fold ((x + c1) + c2) chains
-                if isinstance(l, BinOp) and l.op in ("+", "-") and isinstance(l.rhs, IntLit):
-                    c1 = l.rhs.value if l.op == "+" else -l.rhs.value
-                    return simplify(BinOp("+", l.lhs, IntLit(c1 + r.value)))
-            if isinstance(l, IntLit) and l.value == 0:
-                return r
+            folded = _fold(BinOp(op, l, r))
+            if folded is not None:
+                return folded
         if op == "-":
             if l == r:
                 return IntLit(0)
@@ -143,14 +229,20 @@ def simplify(e: Expr) -> Expr:
                     return l.rhs
                 if l.rhs == r:
                     return l.lhs
-            if isinstance(r, IntLit):
-                if r.value == 0:
-                    return l
-                if r.value < 0:
-                    return simplify(BinOp("+", l, IntLit(-r.value)))
-                if isinstance(l, BinOp) and l.op in ("+", "-") and isinstance(l.rhs, IntLit):
-                    c1 = l.rhs.value if l.op == "+" else -l.rhs.value
-                    return simplify(BinOp("+", l.lhs, IntLit(c1 - r.value)))
+        if op in ("+", "-") and isinstance(r, IntLit):
+            if r.value == 0:
+                return l
+            if r.value < 0:  # x + -c -> x - c, x - -c -> x + c
+                flipped = _fold(BinOp("-", IntLit(0), r))
+                if flipped is not None:
+                    return simplify(BinOp("-" if op == "+" else "+", l, flipped))
+            elif isinstance(l, BinOp) and l.op in ("+", "-") and isinstance(l.rhs, IntLit):
+                # ((x +- c1) +- c2) -> x + c
+                c = _fold(BinOp(op, BinOp(l.op, IntLit(0), l.rhs), r))
+                if c is not None:
+                    return simplify(BinOp("+", l.lhs, c))
+        if op == "+" and isinstance(l, IntLit) and l.value == 0:
+            return r
         if op == "/" and isinstance(r, IntLit) and r.value == 1:
             return l
         if op == "%" and isinstance(r, IntLit) and r.value == 1:
@@ -164,40 +256,6 @@ def simplify(e: Expr) -> Expr:
                         return b
         return BinOp(op, l, r)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def free_vars(e: Expr) -> set[str]:
-    if isinstance(e, VarRef):
-        return {e.name}
-    if isinstance(e, IntLit):
-        return set()
-    if isinstance(e, ArrayRead):
-        out: set[str] = set()
-        for i in e.index:
-            out |= free_vars(i)
-        return out
-    if isinstance(e, BinOp):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def array_reads(e: Expr):
-    """Yield every ArrayRead node in an expression, including nested ones."""
-    if isinstance(e, ArrayRead):
-        yield e
-        for i in e.index:
-            yield from array_reads(i)
-    elif isinstance(e, BinOp):
-        yield from array_reads(e.lhs)
-        yield from array_reads(e.rhs)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from array_reads(a)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 from . import deps as depmod
 from . import legality
-from .deps import DepsError, _CapExceeded, _Unanalyzable, enumerate_instances
+from .deps import DepsError, _CapExceeded, enumerate_instances
 from .ir import PlannedDirective, PlannedPipeline
 from .kinds import KINDS, SIBLINGS, TransformError, _const_trips  # noqa: F401 (re-exported)
 from .lang import (
-    Directive, Program, Stmt, clone_program, clone_stmt, containing_list,
+    Directive, EvalError, Program, Stmt, clone_program, clone_stmt, containing_list,
     find_loop, iter_loops, iter_stmts, strip_pragmas,
 )
 from .legality import (
@@ -149,7 +149,7 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
             cinsts = enumerate_instances(candidate, cscope, max_enum * 2)
         except DepsError as e:
             return Verdict(IMPOSSIBLE, str(e))
-        except (_Unanalyzable, _CapExceeded):
+        except (EvalError, _CapExceeded):
             pass  # fall through to the conservative judgement
         else:
             verdict = legality.judge_exact(depset, cinsts)

@@ -145,3 +145,17 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, make_args):
     r = run_cli(*make_args(tmp_path / "in.loop"))
     assert r.returncode == 1
     assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr
+
+
+@pytest.mark.parametrize("flags", [("--dump-tree",), ("--emit", "-"), ("--deps",)])
+def test_closed_stdout_is_an_error_line_not_a_traceback(flags):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        r = subprocess.run(XFORM + [corpus("05_dgemm.loop"), *flags],
+                           stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr, r.stderr
+    assert r.stderr.startswith("error: cannot write stdout:"), r.stderr

@@ -218,3 +218,21 @@ def test_comments_are_skipped():
 def test_collapse_target_count_must_match_levels():
     with pytest.raises(ParseError, match=r"collapse target count must match levels\(...\)"):
         parse_directive("#pragma xform loop(i,j) collapse levels(3)")
+
+
+@pytest.mark.parametrize("src", [
+    "param N = 99999999999999999999;\n",
+    "param N = -9223372036854775809;\n",
+    "array A[1] init zero;\nA[0] = 99999999999999999999;\n",
+    "array A[1] init zero;\nA[0] = 0 - 9223372036854775808;\n",
+])
+def test_integer_literal_outside_int64_is_rejected(src):
+    with pytest.raises(ParseError, match="outside int64"):
+        parse_program(src)
+
+
+def test_int64_min_literal_parses():
+    p = parse_program("param N = -9223372036854775808;\narray A[1] init zero;\n"
+                      "A[0] = -9223372036854775808;\n")
+    assert p.params[0].value == -2**63
+    assert p.body[0].value == IntLit(-2**63)

@@ -53,6 +53,33 @@ def test_arithmetic_faults():
         run(p2)
 
 
+
+def test_division_overflow_faults():
+    p = parse_named("array A[1] init zero;\n"
+                    "A[0] = (0 - 9223372036854775807 - 1) / (0 - 1);\n")
+    with pytest.raises(RunFault, match=r"int64 overflow \(line 2\)"):
+        run(p)
+
+
+@pytest.mark.parametrize("src, message", [
+    ("array A[2] init zero;\nA[0] = 9223372036854775807;\nA[0] += 1;\n",
+     "int64 overflow (line 3)"),
+    ("array A[4] init zero;\nparam Z = 0;\nfor (i = 0; i < 4 / Z; i += 1)\n  A[i] = i;\n",
+     "division by zero (line 3)"),
+    ("array A[3] init zero;\nfor (i = 0; i < 3; i += 1)\n  A[i] = A[i + 1];\n",
+     "index 3 out of bounds for A[3] (line 3)"),
+    ("array A[4] init random;\nfor (i = 0; i < 4; i += 1)\n"
+     "  if (A[i] / (i - 2) > 0)\n    A[i] = 1;\n",
+     "division by zero (line 3)"),
+    # the condition faults once the body has run: the while-loop's line
+    ("array A[2] init zero;\nA[0] = 1;\nwhile (10 / A[0] > 5)\n  A[0] = A[0] - 1;\n",
+     "division by zero (line 3)"),
+])
+def test_fault_names_the_faulting_statement_line(src, message):
+    with pytest.raises(RunFault) as info:
+        run(parse_named(src))
+    assert str(info.value) == message
+
 def test_out_of_bounds_faults():
     p = parse_named("array A[3] init zero;\nfor (i = 0; i < 4; i += 1) A[i] = 0;\n")
     with pytest.raises(RunFault, match="out of bounds"):

@@ -479,6 +479,24 @@ def test_parallel_after_tile_on_floor_loop():
     assert parallel_consistent(out, "i1", trials=4, seed=1)
 
 
+
+def test_parallel_after_rectangular_peeled_tile_on_floor_loops():
+    p, res = run_pipeline("""
+array A[10,10] init random;
+
+#pragma xform tile sizes(3,4) peel(rectangular)
+#pragma xform parallel
+for (i = 0; i < 10; i += 1)
+  for (j = 0; j < 10; j += 1)
+    A[i,j] = A[i,j] * 2 + j;
+""")
+    out = applied(res)
+    marked = [l.name for l in iter_loops(out.body) if l.parallel]
+    assert marked == ["i_f", "i_f_p2"]
+    from xform import parallel_consistent
+    for name in marked:
+        assert parallel_consistent(out, name, trials=4, seed=1)
+
 def test_parallel_inconsistent_on_sequential_chain():
     from xform import parallel_consistent
     p = parse_named("array A[9] init random;\n"
