@@ -1,7 +1,7 @@
 """Pragma-driven source-to-source loop transformation engine.
 
 Pipeline: parse -> name loops -> plan directives -> check legality ->
-apply -> emit, with a reference interpreter as the semantic oracle.
+apply -> emit, with an exact int64 interpreter as the semantic oracle.
 """
 
 from .frontend import ParseError, parse_directive, parse_program
@@ -9,7 +9,7 @@ from .ir import PlanError, dump_tree, name_loops, plan_pipeline
 from .deps import brute_force_dependences, compute_dependences
 from .legality import resolve
 from .transforms import apply_pipeline, build_candidate
-from .interp import equivalent, order_preserved, parallel_consistent, run
+from .interp import equivalent, order_preserved, run
 from .emit import emit_program
 
 __all__ = [
@@ -18,6 +18,6 @@ __all__ = [
     "name_loops", "plan_pipeline", "dump_tree",
     "compute_dependences", "brute_force_dependences",
     "resolve", "apply_pipeline", "build_candidate",
-    "run", "equivalent", "order_preserved", "parallel_consistent",
+    "run", "equivalent", "order_preserved",
     "emit_program",
 ]

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (warnings allowed), 1 parse or hard error (a `required`
 directive could not be applied), 2 verification mismatch (the transformed
-program's observable memory diverged from the original's — which default
+program's final memory or fault diverged from the original's — which default
 mode legally permits, but tooling needs to see).
 """
 
@@ -146,7 +146,8 @@ def _run(args) -> int:
         if not report:
             print(f"verification mismatch: {report.detail}", file=sys.stderr)
             return 2
-        print(f"verified: {report.trials} trials, memory identical", file=sys.stderr)
+        faulted = f"; {report.faulted} faulted identically" if report.faulted else ""
+        print(f"verified: {report.trials} trials, memory identical{faulted}", file=sys.stderr)
     return 0
 
 

@@ -10,9 +10,10 @@ along with the code, which is what lets the interpreter report traces in
 original-loop coordinates no matter how mangled the tree is.
 
 `evaluate` is the one place an expression gets its int64 value, and
-`subexprs` the one expression walker.  The interpreter passes itself as the
-memory that answers reads and `disjoint`; the dependence enumerator passes
-none, and `simplify` folds constants only through `evaluate`.
+`subexprs` the one expression walker.  The dependence enumerator evaluates
+with no memory, `simplify` folds constants only through `evaluate`, and the
+interpreter's lowering (`xform.lower`) generates code that keeps its checks
+and its order of evaluation.
 """
 
 from __future__ import annotations

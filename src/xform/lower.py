@@ -1,0 +1,264 @@
+"""Lowering: a `Program` turned once into Python source and compiled, so
+that a run executes generated code instead of walking the tree (after Feeley
+& Lapalme, "Using closures for code generation", 1987).
+
+The generated code keeps every check of `lang.evaluate`, in its order of
+evaluation: `+ - * /` results are checked against int64, zero divisors fault
+in `lang.idiv`/`lang.imod`, subscripts are checked one dimension at a time
+with `flat_index`'s message, and every statement and loop iteration takes one
+step of the budget.  A fault is an `EvalError` raised on a generated line,
+which `Lowered.__call__` maps back to the program statement's line.  A traced
+lowering appends the tree walker's `TraceRecord`s.
+
+Expressions become three-address code, one checked operation per line.  A
+parameter becomes its value, a loop variable a local named `v_<name>`, and an
+array `c_<name>` (cells) and `b_<name>` (base offset), so no program name can
+shadow a generated name or a builtin.  Bodies more than `MAX_DEPTH` levels
+deep go into a separate generated function of the live names that returns the
+budget: CPython compiles at most 20 nested blocks and 100 indentation levels.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .lang import (
+    INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, ForLoop,
+    IfStmt, IntLit, Program, VarRef, WhileLoop, idiv, imod, int64,
+)
+
+MAX_DEPTH = 12
+FILENAME = "<lowered program>"
+
+
+class RunFault(Exception):
+    """Raised for arithmetic faults, out-of-bounds accesses, budget blowups."""
+
+
+class BudgetExceeded(RunFault):
+    """A run out of step budget: a limit of the run, not a behaviour of the program."""
+
+
+@dataclass
+class TraceRecord:
+    stmt: str
+    ivec: tuple[tuple[str, int], ...]   # original-loop coordinates (name, value)
+    reads: tuple[tuple[str, int], ...]
+    writes: tuple[tuple[str, int], ...]
+    cur_loops: tuple[str, ...] = ()     # enclosing for-loops in the executed tree
+    cur_ivec: tuple[int, ...] = ()      # their variable values
+    cur_logical: tuple[int, ...] = ()   # their trip counters
+
+    def key(self):
+        return (self.stmt, self.ivec)
+
+
+_GLOBALS = {"EvalError": EvalError, "BudgetExceeded": BudgetExceeded,
+            "TraceRecord": TraceRecord, "idiv": idiv, "imod": imod}
+_FORMS = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
+          "/": "idiv({0}, {1})", "%": "imod({0}, {1})",
+          "&&": "1 if {0} != 0 and {1} != 0 else 0",
+          "min": "{0} if {0} <= {1} else {1}", "max": "{0} if {0} >= {1} else {1}",
+          **{op: f"1 if {{0}} {op} {{1}} else 0" for op in ("<", "<=", ">", ">=", "==", "!=")}}
+_CHECKED = f"if not {INT64_MIN} <= {{0}} <= {INT64_MAX}: raise EvalError('int64 overflow')"
+
+
+@dataclass
+class Lowered:
+    """A program's compiled form; call it with a `Memory`, a step budget and
+    a trace list (None when untraced)."""
+    program: Program
+    traced: bool
+    fn: object
+    lines: list[int]   # program line of each generated line
+
+    def __call__(self, mem, budget: int, trace: list | None):
+        try:
+            self.fn(mem, budget, trace)
+        except EvalError as e:
+            tb, line = e.__traceback__, 0
+            while tb is not None:  # the innermost generated frame faulted
+                if tb.tb_frame.f_code.co_filename == FILENAME:
+                    line = self.lines[tb.tb_lineno - 1]
+                tb = tb.tb_next
+            raise RunFault(f"{e} (line {line})") from None
+
+
+def lower(program: Program, traced: bool) -> Lowered:
+    """Generate and compile `program`'s run function."""
+    rows = [row for code in _Gen(program, traced).funcs for row in code]
+    namespace = dict(_GLOBALS)
+    source = "\n".join("    " * depth + text for depth, text, _ in rows)
+    exec(compile(source, FILENAME, "exec"), namespace)
+    return Lowered(program, traced, namespace["f0"], [line for _, _, line in rows])
+
+
+class _Gen:
+    def __init__(self, program: Program, traced: bool):
+        self.traced = traced
+        self.dims = {a.name: a.dims for a in program.arrays}
+        aliased = {n for al in program.aliases for n in (al.first, al.second)}
+        self.base = {a: f"b_{a} + " if a in aliased else "" for a in self.dims}
+        self.arrays = [f"{c}_{a}" for a in self.dims for c in "cb"]
+        self.funcs: list = []
+        self.reads: list | None = None  # the lowered assignment's (array, flat) reads
+        scope = {p.name: p.value for p in program.params}
+        self.function("f0", ["mem", "bud", "trace"])
+        for a in self.dims:
+            self.emit(f"c_{a}, b_{a} = mem.segments[mem.views[{a!r}][0]], mem.views[{a!r}][1]")
+        self.body(program.body, scope, [])
+        self.emit("return bud")
+
+    def function(self, name: str, params: list[str]):
+        self.code = [(0, f"def {name}({', '.join(params)}):", 0)]
+        self.depth, self.line, self.tmp = 1, 0, 0
+        self.funcs.append(self.code)
+
+    def emit(self, text: str):
+        self.code.append((self.depth, text, self.line))
+
+    # -- expressions: each returns an int literal or the name holding the value
+
+    def expr(self, e, scope: dict):
+        t = type(e)
+        if t is IntLit:
+            return e.value
+        if t is VarRef:
+            return scope[e.name] if e.name in scope else self.fault(f"unbound variable {e.name!r}")
+        if t is ArrayRead:
+            flat = self.subscript(e.array, e.index, scope)
+            if self.reads is not None:
+                self.reads.append(f"({e.array!r}, {flat})")
+            return self.let(f"c_{e.array}[{self.base[e.array]}{flat}]")
+        if t is Call and e.func == "disjoint":
+            return self.let(f"1 if mem.disjoint({e.args[0].name!r}, {e.args[1].name!r}) else 0")
+        if t is not BinOp and t is not Call:
+            raise TypeError(f"not an expression: {e!r}")
+        op, args = (e.op, (e.lhs, e.rhs)) if t is BinOp else (e.func, e.args)
+        a, b = self.expr(args[0], scope), self.expr(args[1], scope)
+        if type(a) is int and type(b) is int:
+            try:  # both operands known: fold unless it faults
+                return int64(OPS[op](a, b))
+            except EvalError:
+                pass
+        r = self.let(_FORMS[op].format(a, b))
+        if op in ("+", "-", "*", "/"):
+            self.emit(_CHECKED.format(r))
+        return r
+
+    def let(self, value: str) -> str:
+        self.tmp += 1
+        self.emit(f"t{self.tmp} = {value}")
+        return f"t{self.tmp}"
+
+    def fault(self, message: str) -> int:
+        self.emit(f"raise EvalError({message!r})")
+        return 0
+
+    def subscript(self, array: str, index, scope: dict):
+        """The checked row-major element number of `array[index]`, held in
+        a temporary when traced (the trace records it)."""
+        dims = self.dims[array]
+        idx = [self.expr(i, scope) for i in index]
+        for d, x in zip(dims, idx):
+            if type(x) is not int:
+                self.emit(f"if not 0 <= {x} < {d}: "
+                          f"raise EvalError(f'index {{{x}}} out of bounds for {array}[{d}]')")
+            elif not 0 <= x < d:
+                self.fault(f"index {x} out of bounds for {array}[{d}]")
+        const, terms, stride = 0, [], 1
+        for d, x in reversed(list(zip(dims, idx))):
+            if type(x) is int:
+                const += x * stride
+            else:
+                terms.insert(0, x if stride == 1 else f"{x} * {stride}")
+            stride *= d
+        if not terms:
+            return const
+        flat = " + ".join(terms + [str(const)] * (const != 0))
+        return self.let(flat) if self.traced and not flat.isidentifier() else flat
+
+    # -- statements
+
+    def tick(self):
+        self.emit("bud -= 1")
+        self.emit(f"if bud < 0: raise BudgetExceeded('step budget exceeded (line {self.line})')")
+
+    def body(self, stmts: list, scope: dict, loops: list):
+        for s in stmts:
+            self.line, self.tmp = s.line, 0
+            self.tick()
+            getattr(self, type(s).__name__)(s, scope, loops)
+
+    def block(self, stmts: list, scope: dict, loops: list, head=None):
+        """A body one level deeper, after `head`; past MAX_DEPTH, a new function."""
+        self.depth += 1
+        line = self.line
+        if head is not None:
+            head()
+        if self.depth <= MAX_DEPTH:
+            self.body(stmts, scope, loops)
+            self.emit("pass")
+        else:
+            live = ["mem", "bud", "trace", *self.arrays,
+                    *(v for _, v, _ in loops), *(k for _, _, k in loops if k)]
+            name = f"f{len(self.funcs)}"
+            self.emit(f"bud = {name}({', '.join(live)})")
+            saved = self.code, self.depth
+            self.function(name, live)
+            self.body(stmts, scope, loops)
+            self.emit("return bud")
+            self.code, self.depth = saved
+        self.depth -= 1
+        self.line = line
+
+    def Assign(self, s: Assign, scope: dict, loops: list):
+        self.reads = [] if self.traced else None
+        flat = self.subscript(s.array, s.index, scope)
+        value = self.expr(s.value, scope)
+        cell = f"c_{s.array}[{self.base[s.array]}{flat}]"
+        if s.op == "+=":
+            value = self.let(f"{cell} + {value}")
+            self.emit(_CHECKED.format(value))
+        if self.traced:
+            reads, self.reads = self.reads, None
+            if s.op == "+=":
+                reads.append(f"({s.array!r}, {flat})")
+            reads = f"tuple(sorted({{{', '.join(reads)}}}))" if reads else "()"
+            ivec = _tuple(f"({n!r}, {self.expr(e, scope)})" for n, e in s.orig_coords)
+            self.emit(f"trace.append(TraceRecord({s.stmt_id!r}, {ivec}, {reads}, "
+                      f"(({s.array!r}, {flat}),), {_tuple(repr(n) for n, _, _ in loops)}, "
+                      f"{_tuple(v for _, v, _ in loops)}, {_tuple(k for _, _, k in loops)}))")
+        self.emit(f"{cell} = {value}")
+
+    def ForLoop(self, s: ForLoop, scope: dict, loops: list):
+        lo, hi = self.expr(s.lower, scope), self.expr(s.upper, scope)
+        var = f"v_{s.var}"
+        if var in scope.values():  # an enclosing loop of the same name
+            var = f"v{len(loops)}_{s.var}"
+        trips = f"range({lo}, {hi}, {s.step})"
+        trip = f"k{len(loops)}" if self.traced else ""
+        self.emit(f"for {trip}, {var} in enumerate({trips}):" if trip else f"for {var} in {trips}:")
+        self.block(s.body, {**scope, s.var: var}, loops + [(s.name, var, trip)], self.tick)
+
+    def WhileLoop(self, s: WhileLoop, scope: dict, loops: list):
+        def head():
+            self.emit(f"if {self.expr(s.cond, scope)} == 0: break")
+            self.tick()
+        self.emit("while True:")
+        self.block(s.body, scope, loops, head)
+
+    def IfStmt(self, s: IfStmt, scope: dict, loops: list):
+        self.emit(f"if {self.expr(s.cond, scope)} != 0:")
+        self.block(s.then_body, scope, loops)
+        if s.else_body is not None:
+            self.emit("else:")
+            self.block(s.else_body, scope, loops)
+
+    def Block(self, s: Block, scope: dict, loops: list):
+        self.body(s.body, scope, loops)
+
+
+def _tuple(items) -> str:
+    items = list(items)
+    return f"({', '.join(items)}{',' * (len(items) == 1)})"

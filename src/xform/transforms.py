@@ -68,6 +68,9 @@ def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, Ap
         nodes.append(n)
     loops = kind.loops(cand, nodes, pd.targets)
     res = kind.build(cand, loops, kind.with_ids(d.clauses, pd.targets), d.uid, taken)
+    for s in iter_stmts(res.replacement):  # generated statements: the directive's line
+        if s.line == 0:
+            s.line = d.line
 
     # the replacement takes the place of the outermost target loop, or of
     # all the sibling loops

@@ -159,3 +159,74 @@ def test_closed_stdout_is_an_error_line_not_a_traceback(flags):
     assert r.returncode == 1
     assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr, r.stderr
     assert r.stderr.startswith("error: cannot write stdout:"), r.stderr
+
+
+@pytest.mark.parametrize("depth", [19, 20, 21, 100, 300])
+def test_deeply_nested_loops_verify(tmp_path, depth):
+    loops = "".join(f"for (i{k} = 0; i{k} < 1; i{k} += 1)\n" for k in range(depth))
+    path = tmp_path / "in.loop"
+    path.write_text("array A[4] init zero;\n" + loops + "A[0] = 1;\n")
+    r = run_cli(str(path), "--verify", "2")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "verified: 2 trials, memory identical\n"
+
+
+def test_deeply_nested_ifs_verify(tmp_path):
+    ifs = "".join(f"if ({k} < i + 100)\n" for k in range(100))
+    path = tmp_path / "in.loop"
+    path.write_text("array A[4] init zero;\n#pragma xform reverse\n"
+                    "for (i = 0; i < 4; i += 1)\n" + ifs + "A[i] = i;\n")
+    r = run_cli(str(path), "--verify", "2", "--trace", str(tmp_path / "t.csv"))
+    assert r.returncode == 0, r.stderr
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 4
+
+
+def test_loop_variables_named_like_generated_code_verify(tmp_path):
+    path = tmp_path / "in.loop"
+    path.write_text("array A[2,2,2] init random;\n"
+                    "#pragma xform tile sizes(2)\n"
+                    "for (range = 0; range < 2; range += 1)\n"
+                    "  for (min = 0; min < 2; min += 1)\n"
+                    "    for (bud = 0; bud < 2; bud += 1)\n"
+                    "      for (t1 = 0; t1 < 2; t1 += 1)\n"
+                    "        A[range, bud, t1] += range * bud + t1;\n")
+    r = run_cli(str(path), "--verify", "2", "--trace", str(tmp_path / "t.csv"))
+    assert r.returncode == 0, r.stderr
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 16
+
+
+def test_fault_on_both_sides_is_a_match(tmp_path):
+    path = tmp_path / "in.loop"
+    path.write_text("array A[4] init random;\n#pragma xform reverse\n"
+                    "for (i = 0; i < 4; i += 1)\n  A[i] = A[i] / (A[i] - A[i]);\n")
+    r = run_cli(str(path), "--verify", "3")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "verified: 3 trials, memory identical; 3 faulted identically\n"
+
+
+@pytest.mark.parametrize("src, fault", [
+    # the generated floor loop computes i_f + 4 past INT64_MAX
+    ("array A[8] init zero;\n#pragma xform tile sizes(4)\n"
+     "for (i = 9223372036854775800; i < 9223372036854775806; i += 1)\n"
+     "  A[i - 9223372036854775800] = 1;\n", "'int64 overflow (line 2)'"),
+    # the reflected subscript adds the two bounds near 2^62
+    ("array A[8] init zero;\n#pragma xform reverse\n"
+     "for (i = 4611686018427387904; i < 4611686018427387910; i += 1)\n"
+     "  A[i - 4611686018427387904] = i - 4611686018427387904;\n",
+     "'int64 overflow (line 4)'"),
+])
+def test_fault_only_in_the_output_is_a_mismatch(tmp_path, src, fault):
+    path = tmp_path / "in.loop"
+    path.write_text(src)
+    r = run_cli(str(path), "--safety", "fallback", "--verify", "3")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("verification mismatch: trial 0 (seed "), r.stderr
+    assert r.stderr.endswith(f"binding distinct): no fault vs fault {fault}\n"), r.stderr
+
+
+def test_running_out_of_steps_is_an_error_not_a_mismatch(tmp_path):
+    path = tmp_path / "in.loop"
+    path.write_text("array A[1] init zero;\nwhile (1)\n  A[0] = 0;\n")
+    r = run_cli(str(path), "--verify", "1")
+    assert r.returncode == 1
+    assert r.stderr == "error: verification run failed: step budget exceeded (line 3)\n"

@@ -2,10 +2,11 @@
 
 import pytest
 
-from xform import equivalent, order_preserved, parallel_consistent, run
+from xform import equivalent, order_preserved, run
 from xform.interp import Memory, RunFault, alias_bindings, trace_csv
 
 from conftest import parse_named, run_pipeline
+from reference_interp import parallel_consistent
 
 
 def test_simple_loop_memory_and_trace():

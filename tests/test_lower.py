@@ -1,0 +1,230 @@
+"""The lowered interpreter against the tree-walking reference: the same final
+memory, the same trace records and the same fault text on every program."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xform import apply_pipeline, interp, plan_pipeline
+from xform.interp import RunFault, alias_bindings
+from xform.lang import (
+    INT64_MAX, INT64_MIN, Assign, BinOp, ForLoop, IntLit, Program, VarRef, strip_pragmas,
+)
+from xform.ir import name_loops
+from xform.lower import MAX_DEPTH
+
+import reference_interp
+from conftest import corpus_names, load_corpus, parse_named
+from test_properties import nest_programs
+
+def outcome(run, program, **kw):
+    """(snapshot, trace) of a run, or its fault text."""
+    try:
+        mem, trace = run(program, **kw)
+    except RunFault as e:
+        return str(e)
+    return mem.snapshot(), trace
+
+
+def assert_same_runs(program: Program, budgets=(10**7,), seed=3, offsets=(0,)):
+    """Both interpreters under every alias binding, traced and untraced."""
+    for binding in alias_bindings(program, offsets):
+        for traced in (False, True):
+            for budget in budgets:
+                kw = dict(seed=seed, alias_binding=binding, record_trace=traced,
+                          step_budget=budget)
+                want = outcome(reference_interp.run, program, **kw)
+                got = outcome(interp.run, program, **kw)
+                assert got == want, (binding, traced, budget)
+
+
+# ---------------------------------------------------------------------------
+# Random programs: statements of every kind, every operator, literals near
+# both int64 ends, subscripts that may leave the bounds, `disjoint` guards
+
+LITERALS = (0, 0, 1, 2, 3, -1, -5, INT64_MAX, INT64_MIN, INT64_MAX - 2, INT64_MIN + 1, 2**62)
+OPERATORS = ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&")
+HEADER = ("param N = 2;\narray A[6] init random;\narray B[3,4] init random;\n"
+          "array C[5] init zero;\nmaybe_alias(A, C);\n")
+
+
+def literal(v: int) -> str:
+    return str(v) if v >= 0 else f"({v})"
+
+
+@st.composite
+def exprs(draw, scope, depth=2):
+    kind = draw(st.sampled_from(("lit", "var", "read", "bin", "bin", "call", "disjoint")
+                                if depth > 0 else ("lit", "var")))
+    if kind == "lit":
+        return literal(draw(st.sampled_from(LITERALS)))
+    if kind == "var":
+        return draw(st.sampled_from(scope + ["N"]))
+    if kind == "read":
+        if draw(st.booleans()):
+            return f"A[{draw(subscripts(scope, depth - 1, 6))}]"
+        return (f"B[{draw(subscripts(scope, depth - 1, 3))}, "
+                f"{draw(subscripts(scope, depth - 1, 4))}]")
+    if kind == "call":
+        return (f"{draw(st.sampled_from(('min', 'max')))}({draw(exprs(scope, depth - 1))}, "
+                f"{draw(exprs(scope, depth - 1))})")
+    if kind == "disjoint":
+        return "disjoint(A, C)"
+    return (f"({draw(exprs(scope, depth - 1))} {draw(st.sampled_from(OPERATORS))} "
+            f"{draw(exprs(scope, depth - 1))})")
+
+
+@st.composite
+def subscripts(draw, scope, depth, size):
+    """Mostly clamped into the bounds, sometimes not."""
+    small = draw(st.integers(min_value=-1, max_value=3))
+    if scope and draw(st.integers(0, 3)) > 0:
+        e = draw(st.sampled_from(scope)) + (f" + {small}" if small else "")
+    elif draw(st.booleans()):
+        e = str(abs(small))
+    else:
+        e = draw(exprs(scope, depth))
+    return f"min(max({e}, 0), {size - 1})" if draw(st.integers(0, 4)) else e
+
+
+@st.composite
+def statements(draw, scope, depth):
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(("assign", "assign", "for", "if", "while", "block")
+                                    if depth > 0 else ("assign",)))
+        if kind == "assign":
+            if draw(st.booleans()):
+                array, size = draw(st.sampled_from((("A", 6), ("C", 5))))
+                target = f"{array}[{draw(subscripts(scope, 1, size))}]"
+            else:
+                target = f"B[{draw(subscripts(scope, 1, 3))}, {draw(subscripts(scope, 1, 4))}]"
+            op = draw(st.sampled_from(("=", "+=")))
+            out.append(f"{target} {op} {draw(exprs(scope))};")
+        elif kind == "for":
+            var = f"v{len(scope)}"
+            lower = draw(st.sampled_from(["0", "1", literal(INT64_MAX - 4), literal(INT64_MIN)]
+                                         + scope))
+            count = draw(st.integers(min_value=0, max_value=4))
+            step = draw(st.sampled_from((1, 1, 2)))
+            body = draw(statements(scope + [var], depth - 1))
+            out.append(f"for ({var} = {lower}; {var} < {lower} + {count}; {var} += {step}) "
+                       f"{{ {body} }}")
+        elif kind == "if":
+            cond = draw(exprs(scope))
+            then = draw(statements(scope, depth - 1))
+            other = f" else {{ {draw(statements(scope, depth - 1))} }}" if draw(st.booleans()) else ""
+            out.append(f"if ({cond}) {{ {then} }}{other}")
+        elif kind == "while":
+            body = draw(statements(scope, depth - 1))
+            cond = draw(st.sampled_from((f"C[4] < {draw(st.integers(0, 4))}",
+                                         draw(exprs(scope, 1)))))
+            out.append(f"while ({cond}) {{ C[4] += 1; {body} }}")
+        else:
+            out.append(f"{{ {draw(statements(scope, depth - 1))} }}")
+    return "\n".join(out)
+
+
+@st.composite
+def programs(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(nest_programs())
+    return HEADER + draw(statements([], 3)) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(programs(), st.sampled_from((3, 17, 60, 400, 5000, 5000)), st.integers(0, 5))
+def test_lowered_runs_match_the_reference(src, budget, seed):
+    assert_same_runs(parse_named(src), budgets=(budget,), seed=seed, offsets=(0, 2))
+
+
+# ---------------------------------------------------------------------------
+# Deterministic: the corpus and the dgemm pipeline, before and after
+
+
+def originals_and_results():
+    sources = [(name, load_corpus(name)) for name in corpus_names()]
+    dgemm = load_corpus("05_dgemm.loop")  # M = 16
+    sources += [(f"dgemm{m}", dgemm.replace("16", str(m))) for m in (8, 17, 32)]
+    for name, src in sources:
+        p = parse_named(src)
+        yield name, "original", strip_pragmas(p)
+        for mode in ("default", "fallback", "force"):
+            res = apply_pipeline(p, plan_pipeline(p), safety_override=mode)
+            if res.error is None:
+                yield name, mode, res.program
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=f"{name}-{mode}")
+                                     for name, mode, p in originals_and_results()])
+def test_corpus_and_dgemm_runs_match_the_reference(program):
+    assert_same_runs(program, seed=5)
+
+
+# ---------------------------------------------------------------------------
+# What a naive lowering gets wrong
+
+
+def test_unbound_and_shadowed_names_match_the_reference():
+    # built directly: the parser rejects both shapes
+    i, n = VarRef("i"), VarRef("N")
+    inner = ForLoop("i", IntLit(0), IntLit(2), 1, [Assign("A", (i,), "+=", n)], line=3)
+    outer = ForLoop("i", IntLit(1), IntLit(3), 1, [inner, Assign("A", (i,), "+=", IntLit(5))],
+                    line=2)
+    after = Assign("A", (IntLit(0),), "=", BinOp("+", n, i), line=6)
+    p = parse_named("param N = 7;\narray A[4] init random;\n")
+    p.body = [outer]
+    p = name_loops(p)
+    assert_same_runs(p)  # the outer i again after the inner loop
+    p.body.append(after)
+    assert_same_runs(p)
+    with pytest.raises(RunFault, match=r"^unbound variable 'i' \(line 6\)$"):
+        interp.run(p)
+
+
+def test_a_shadowed_loop_above_the_depth_limit_matches_the_reference():
+    # the second loop reuses the first one's name; the split below it must
+    # still see the first one's value, which the trace records
+    body = [Assign("A", (VarRef("i0"),), "+=", IntLit(1), line=MAX_DEPTH + 5)]
+    for k in reversed(range(MAX_DEPTH + 3)):
+        body = [ForLoop("i0" if k < 2 else f"i{k}", IntLit(0), IntLit(2 if k < 2 else 1), 1,
+                        body, line=2 + k)]
+    p = parse_named("array A[4] init random;\n")
+    p.body = body
+    assert_same_runs(name_loops(p))
+
+
+@pytest.mark.parametrize("last", [9223372036854775806, 9223372036854775807])  # last faults
+@pytest.mark.parametrize("depth", [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 2 * MAX_DEPTH + 3])
+def test_bodies_past_the_depth_limit_match_the_reference(depth, last):
+    loops = "".join(f"for (i{k} = 0; i{k} < {1 + k % 2}; i{k} += 1)\n" for k in range(depth))
+    p = parse_named("array A[4] init random;\n" + loops
+                    + f"  if (i1 < 1) A[i{depth - 1}] += i0 + 1; else A[3] = {last} + i1;\n")
+    assert_same_runs(p, budgets=(10**7, 2 * depth + 5))
+    if last == 9223372036854775807:
+        with pytest.raises(RunFault, match=rf"^int64 overflow \(line {depth + 2}\)$"):
+            interp.run(p)
+
+
+def test_equivalent_lowers_each_program_once_and_runs_every_trial(monkeypatch):
+    src = ("array A[4] init random;\narray B[4] init random;\nmaybe_alias(A, B);\n"
+           "for (i = 0; i < 4; i += 1)\n  A[i] = B[i] + 1;\n")
+    p1, p2 = parse_named(src), parse_named(src)
+    assert len(alias_bindings(p1)) == 2
+    lowered, runs = [], Counter()
+    real_lower, real_run = interp.lower, interp.run
+
+    def counting_lower(program, traced):
+        lowered.append(program)
+        return real_lower(program, traced)
+
+    def counting_run(program, *args, **kw):
+        runs[id(program)] += 1
+        return real_run(program, *args, **kw)
+
+    monkeypatch.setattr(interp, "lower", counting_lower)
+    monkeypatch.setattr(interp, "run", counting_run)
+    assert interp.equivalent(p1, p2, trials=20)
+    assert len(lowered) == 2 and lowered[0] is p1 and lowered[1] is p2
+    assert sorted(runs.values()) == [20 * 2, 20 * 2]  # 2 x 20 x 2 = 80 runs

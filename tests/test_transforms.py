@@ -461,7 +461,7 @@ def test_reverse_carried_dependence_invalid():
 
 
 def test_parallel_independent_and_reduction():
-    from xform import parallel_consistent
+    from reference_interp import parallel_consistent
     p, res = run_pipeline(open("tests/corpus/21_parallel_indep.loop").read())
     out = applied(res)
     marked = next(l for l in iter_loops(out.body) if l.parallel)
@@ -475,7 +475,7 @@ def test_parallel_after_tile_on_floor_loop():
     out = applied(res)
     marked = [l.name for l in iter_loops(out.body) if l.parallel]
     assert marked == ["i1"]
-    from xform import parallel_consistent
+    from reference_interp import parallel_consistent
     assert parallel_consistent(out, "i1", trials=4, seed=1)
 
 
@@ -493,12 +493,12 @@ for (i = 0; i < 10; i += 1)
     out = applied(res)
     marked = [l.name for l in iter_loops(out.body) if l.parallel]
     assert marked == ["i_f", "i_f_p2"]
-    from xform import parallel_consistent
+    from reference_interp import parallel_consistent
     for name in marked:
         assert parallel_consistent(out, name, trials=4, seed=1)
 
 def test_parallel_inconsistent_on_sequential_chain():
-    from xform import parallel_consistent
+    from reference_interp import parallel_consistent
     p = parse_named("array A[9] init random;\n"
                     "for (i = 1; i < 9; i += 1) A[i] = A[i-1] + 1;\n")
     p.body[0].parallel = True
