@@ -6,7 +6,7 @@ apply -> emit, with an exact int64 interpreter as the semantic oracle.
 
 from .frontend import ParseError, parse_directive, parse_program
 from .ir import PlanError, dump_tree, name_loops, plan_pipeline
-from .deps import brute_force_dependences, compute_dependences
+from .deps import compute_dependences
 from .legality import resolve
 from .transforms import apply_pipeline, build_candidate
 from .interp import equivalent, order_preserved, run
@@ -16,7 +16,7 @@ __all__ = [
     "ParseError", "PlanError",
     "parse_program", "parse_directive",
     "name_loops", "plan_pipeline", "dump_tree",
-    "compute_dependences", "brute_force_dependences",
+    "compute_dependences",
     "resolve", "apply_pipeline", "build_candidate",
     "run", "equivalent", "order_preserved",
     "emit_program",

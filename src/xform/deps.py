@@ -4,9 +4,10 @@ Two routes, matching how much the program lets us see:
 
 * exact: when every bound, guard, and subscript in the analyzed region is a
   pure function of loop variables and non-opaque params, and the region's
-  instance count fits the enumeration cap, walk the whole iteration space
-  abstractly and build the region's conflict graph.  `lang.evaluate` runs
-  with no memory there; its `EvalError` message becomes the `reason`.
+  instance count fits the enumeration cap, run the whole iteration space
+  abstractly and build the region's conflict graph.  The enumerator
+  translates the region once into nested closures that keep every check of
+  `lang.evaluate` with no memory; its `EvalError` message becomes the `reason`.
 
 * conservative: otherwise fall back to ZIV and strong-SIV subscript tests per
   dimension; anything those cannot analyze is assumed dependent with unknown
@@ -31,9 +32,9 @@ the other), capped at 4M pairs.
 Distance vectors are in logical iterations (trip counts), source before sink,
 so they are lexicographically non-negative for the original program.
 
-`brute_force_dependences` is the independent oracle: it runs the real
-interpreter and compares touched addresses pairwise over the trace; the
-enumerator walks statements itself to stay independent of it.
+The oracles the tests check this module against are in `tests/reference_deps.py`:
+the tree walker the enumerator replaced, and a brute-force analysis over the
+interpreter's trace.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import interp
 from .lang import (
-    Assign, BinOp, Block, EvalError, Expr, ForLoop, IfStmt, IntLit, Program, Stmt,
-    VarRef, WhileLoop, array_reads, child_bodies, evaluate, flat_index, iter_loops,
-    iter_stmts, simplify, subst,
+    INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
+    ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
+    evaluate, flat_index, gc_paused, int64, iter_loops, simplify, subst,
 )
 
 
@@ -89,8 +89,10 @@ class Instance:
 
 
 class Enumeration(list):
-    """Instances in execution order; `steps` counts the loop iterations walked."""
+    """Instances in execution order; `steps` counts the loop iterations walked,
+    and `positions` keeps `positions_by_key`'s map once it is built."""
     steps = 0
+    positions = None
 
 
 def _step_budget(max_instances: int) -> int:
@@ -122,19 +124,6 @@ class DependenceSet:
         if not self.deps:
             return f"(no dependences) {mode}"
         return "\n".join(f"{d.pretty()} {mode}" for d in self.deps)
-
-
-def covers(general: Dependence, specific: Dependence) -> bool:
-    """Does a (possibly wildcarded) dependence subsume an exact one?"""
-    if (general.src, general.snk, general.kind) != (specific.src, specific.snk, specific.kind):
-        return False
-    if general.loops != specific.loops:
-        return False
-    return all(g is None or g == s for g, s in zip(general.distance, specific.distance))
-
-
-def is_superset(general: "DependenceSet", specific: "DependenceSet") -> bool:
-    return all(any(covers(g, s) for g in general.deps) for s in specific.deps)
 
 
 def lex_nonneg(distance: tuple[object, ...]) -> bool:
@@ -169,73 +158,182 @@ def _reads(s: Assign) -> list:
 
 def enumerate_instances(program: Program, scope: list[Stmt],
                         max_instances: int = 4096) -> Enumeration:
-    """Walk the region's full iteration space without touching memory.
+    """Run the region's full iteration space without touching memory.
 
-    Raises DepsError on while-loops, EvalError when anything depends on
-    memory or opaque params (or has no int64 value), _CapExceeded past the
-    instance cap or past `_step_budget(max_instances)` loop iterations.
+    Raises DepsError on a while-loop it reaches, EvalError when anything
+    depends on memory or opaque params (or has no int64 value), _CapExceeded
+    past the instance cap or past `_step_budget(max_instances)` loop
+    iterations.  Nothing built here is cyclic, so the cyclic GC is paused.
     """
-    env = program.param_values(include_opaque=False)
-    dims = {a.name: a.dims for a in program.arrays}
-    reads = {id(s): _reads(s) for s in iter_stmts(scope) if isinstance(s, Assign)}
-    out = Enumeration()
-    stack: list[tuple[str, int, int]] = []
-    steps = [0]
-    budget = _step_budget(max_instances)
+    with gc_paused():
+        return _Closures(program, max_instances).run(scope)
 
-    def addr_of(array, index):
-        return (array, flat_index(array, dims[array], [evaluate(i, env) for i in index]))
 
-    def walk(stmts: list[Stmt]):
+class _Closures:
+    """A region translated once into nested closures, then run (after Feeley
+    & Lapalme, "Using closures for code generation", 1987).
+
+    The loop at nesting depth d keeps its variable in `vals[d]` and its trip
+    counter in `trips[d]`; a non-opaque param is a constant.  Each check of
+    `lang.evaluate` runs, in its order, only when the closures run.
+    """
+
+    def __init__(self, program: Program, max_instances: int):
+        self.params = program.param_values(include_opaque=False)
+        self.dims = {a.name: a.dims for a in program.arrays}
+        self.cap, self.budget = max_instances, _step_budget(max_instances)
+        self.vals: list[int] = []
+        self.trips: list[int] = []
+        self.steps = [0]
+        self.out = Enumeration()
+
+    def run(self, scope: list[Stmt]) -> Enumeration:
+        self.body(scope, {}, ())()
+        self.out.steps = self.steps[0]
+        return self.out
+
+    def body(self, stmts: list[Stmt], scope: dict, loops: tuple):
+        fns = []  # a loop, not a comprehension: one frame less per nesting level
         for s in stmts:
-            if isinstance(s, Assign):
-                acc = [addr_of(r.array, r.index) for r in reads[id(s)]]
-                waddr = addr_of(s.array, s.index)
-                if s.op == "+=":
-                    acc.append(waddr)
-                if len(out) >= max_instances:
-                    raise _CapExceeded()
-                orig = tuple((n, evaluate(e, env)) for n, e in s.orig_coords)
-                out.append(Instance(
-                    len(out), s.stmt_id, orig,
-                    tuple(n for n, _, _ in stack),
-                    tuple(t for _, _, t in stack),
-                    frozenset(acc), frozenset((waddr,)), (s.stmt_id, orig)))
-            elif isinstance(s, ForLoop):
-                lb = evaluate(s.lower, env)
-                ub = evaluate(s.upper, env)
-                saved = env.get(s.var)
-                trip = 0
-                for v in range(lb, ub, s.step) if ub > lb else []:
-                    steps[0] += 1
-                    if steps[0] > budget:
-                        raise _CapExceeded()
-                    env[s.var] = v
-                    stack.append((s.name, v, trip))
-                    walk(s.body)
-                    stack.pop()
-                    trip += 1
-                if saved is None:
-                    env.pop(s.var, None)
-                else:
-                    env[s.var] = saved
-            elif isinstance(s, WhileLoop):
-                raise DepsError("while-loop in analyzed region")
-            elif isinstance(s, IfStmt):
-                if evaluate(s.cond, env) != 0:
-                    walk(s.then_body)
-                elif s.else_body is not None:
-                    walk(s.else_body)
-            elif isinstance(s, Block):
-                walk(s.body)
+            fns.append(getattr(self, type(s).__name__)(s, scope, loops))
+        if len(fns) == 1:
+            return fns[0]
 
-    walk(scope)
-    out.steps = steps[0]
-    return out
+        def seq():
+            for f in fns:
+                f()
+        return seq
+
+    def expr(self, e: Expr, scope: dict):
+        """`e` as (source, slot, closure): its value is `source[slot]` when it
+        is a constant (a 1-tuple) or a loop variable, else the closure's."""
+        t = type(e)
+        if t is IntLit:
+            return (e.value,), 0, None
+        if t is VarRef:
+            if e.name in scope:
+                return self.vals, scope[e.name], None
+            if e.name in self.params:
+                return (self.params[e.name],), 0, None
+            return _fault(f"unbound variable {e.name!r}")
+        if t is ArrayRead:
+            return _fault("memory-dependent expression")
+        if t is Call and e.func == "disjoint":
+            return _fault("alias-binding-dependent expression")
+        op, (l, r) = (e.op, (e.lhs, e.rhs)) if t is BinOp else (e.func, e.args)
+        (sa, ka, fa), (sb, kb, fb), f = self.expr(l, scope), self.expr(r, scope), OPS[op]
+        if type(sa) is type(sb) is tuple:
+            try:  # both operands constant: fold unless it faults
+                return (int64(f(sa[0], sb[0])),), 0, None
+            except EvalError:
+                pass
+        if op not in ("+", "-", "*", "/"):
+            return None, 0, lambda: f(sa[ka] if fa is None else fa(),
+                                      sb[kb] if fb is None else fb())
+
+        def checked():
+            v = f(sa[ka] if fa is None else fa(), sb[kb] if fb is None else fb())
+            return v if INT64_MIN <= v <= INT64_MAX else int64(v)
+        return None, 0, checked
+
+    def access(self, array: str, index, scope: dict):
+        """A closure giving `(array, flat element number)`: every subscript
+        is valued before `flat_index`'s checks, one dimension at a time."""
+        dims = self.dims[array]
+        leaves = [self.expr(i, scope) for i in index]
+        # 2-D addresses are unrolled: all of dgemm's, and dgemm-exact's
+        # transform pass takes 1.4x as long through flat_index.
+        if len(dims) == len(leaves) == 2:
+            ((s0, k0, f0), (s1, k1, f1)), (d0, d1) = leaves, dims
+
+            def address():
+                x0 = s0[k0] if f0 is None else f0()
+                x1 = s1[k1] if f1 is None else f1()
+                if 0 <= x0 < d0 and 0 <= x1 < d1:
+                    return (array, x0 * d1 + x1)
+                return (array, flat_index(array, dims, (x0, x1)))
+            return address
+        return lambda: (array, flat_index(array, dims, [s[k] if f is None else f()
+                                                        for s, k, f in leaves]))
+
+    # -- statements: each becomes a closure of no arguments
+
+    def Assign(self, s: Assign, scope: dict, loops: tuple):
+        addrs = [self.access(r.array, r.index, scope) for r in (*_reads(s), s)]
+        coords = [(n, *self.expr(e, scope)) for n, e in s.orig_coords]
+        reads_target, sid, depth = s.op == "+=", s.stmt_id, len(loops)
+        out, cap, trips = self.out, self.cap, self.trips
+
+        def assign():
+            acc = []  # the reads, then the write
+            for f in addrs:
+                acc.append(f())
+            waddr = acc[-1] if reads_target else acc.pop()
+            if len(out) >= cap:
+                raise _CapExceeded()
+            orig = []
+            for n, src, k, f in coords:
+                orig.append((n, src[k] if f is None else f()))
+            orig = tuple(orig)
+            out.append(Instance(len(out), sid, orig, loops, tuple(trips[:depth]),
+                                frozenset(acc), frozenset((waddr,)), (sid, orig)))
+        return assign
+
+    def ForLoop(self, s: ForLoop, scope: dict, loops: tuple):
+        lo, hi = _closure(*self.expr(s.lower, scope)), _closure(*self.expr(s.upper, scope))
+        depth, step, budget, steps = len(loops), s.step, self.budget, self.steps
+        if depth == len(self.vals):
+            self.vals.append(0)
+            self.trips.append(0)
+        vals, trips = self.vals, self.trips
+        body = self.body(s.body, {**scope, s.var: depth}, loops + (s.name,))
+
+        def loop():
+            lb, ub = lo(), hi()
+            for trip, v in enumerate(range(lb, ub, step) if ub > lb else ()):
+                steps[0] += 1
+                if steps[0] > budget:
+                    raise _CapExceeded()
+                vals[depth], trips[depth] = v, trip
+                body()
+        return loop
+
+    def WhileLoop(self, s: WhileLoop, scope: dict, loops: tuple):
+        def reached():
+            raise DepsError("while-loop in analyzed region")
+        return reached
+
+    def IfStmt(self, s: IfStmt, scope: dict, loops: tuple):
+        cond = _closure(*self.expr(s.cond, scope))
+        then = self.body(s.then_body, scope, loops)
+        other = self.body(s.else_body or [], scope, loops)
+        return lambda: (then if cond() != 0 else other)()
+
+    def Block(self, s: Block, scope: dict, loops: tuple):
+        return self.body(s.body, scope, loops)
+
+
+def _closure(src, k, f):
+    """A compiled expression as a closure of no arguments."""
+    return (lambda: src[k]) if f is None else f
+
+
+def _fault(message: str):
+    def fault():
+        raise EvalError(message)
+    return None, 0, fault
 
 
 def positions_by_key(instances: list[Instance]) -> dict:
-    return {inst.key: inst.pos for inst in instances}
+    """Each instance's key mapped to its position.  An Enumeration is complete
+    once built, so it keeps the map: the exact judge and `reorder` of one
+    candidate build it once."""
+    pos = getattr(instances, "positions", None)
+    if pos is None:
+        pos = {inst.key: inst.pos for inst in instances}
+        if isinstance(instances, Enumeration):
+            instances.positions = pos
+    return pos
 
 
 def _scope_loops(scope: list[Stmt]) -> tuple[str, ...]:
@@ -594,25 +692,3 @@ def compute_dependences(program: Program, scope, max_enum: int = 4096) -> Depend
         return conservative_dependences(program, stmts, "enumeration cap exceeded")
     except EvalError as e:
         return conservative_dependences(program, stmts, str(e))
-
-
-def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> DependenceSet:
-    """Oracle: run the interpreter over the region and compare every pair of
-    trace records.  Exact by construction; capped at `cap` instances."""
-    stmts = scope if isinstance(scope, list) else [scope]
-    for inner in iter_stmts(stmts):
-        if isinstance(inner, WhileLoop):
-            raise DepsError("while-loop in analyzed region")
-    sub = Program(program.arrays, program.aliases, program.params, stmts)
-    _, trace = interp.run(sub, seed=0, record_trace=True, step_budget=10 * cap + 1000)
-    if len(trace) > cap:
-        raise DepsError(f"region exceeds the oracle cap of {cap} instances")
-    instances = []
-    for k, r in enumerate(trace):
-        instances.append(Instance(k, r.stmt, r.ivec, r.cur_loops, r.cur_logical,
-                                  frozenset(r.reads), frozenset(r.writes), (r.stmt, r.ivec)))
-    return _exact_set(program, instances, stmts)
-
-
-def dep_signature(ds: DependenceSet) -> frozenset:
-    return frozenset((d.src, d.snk, d.kind, d.loops, d.distance, d.alias) for d in ds.deps)

@@ -391,7 +391,7 @@ class _Parser:
             return e
         if t.kind == "ID":
             self.next()
-            if t.text in ("min", "max", "disjoint"):
+            if t.text in ("min", "max", "disjoint") and self.at("("):
                 self.expect("(")
                 args = [self.parse_expr()]
                 while self.accept(","):

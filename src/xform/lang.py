@@ -10,15 +10,17 @@ along with the code, which is what lets the interpreter report traces in
 original-loop coordinates no matter how mangled the tree is.
 
 `evaluate` is the one place an expression gets its int64 value, and
-`subexprs` the one expression walker.  The dependence enumerator evaluates
-with no memory, `simplify` folds constants only through `evaluate`, and the
-interpreter's lowering (`xform.lower`) generates code that keeps its checks
-and its order of evaluation.
+`subexprs` the one expression walker.  `simplify` folds constants only
+through `evaluate`; the dependence enumerator's closures (`xform.deps`) and
+the interpreter's lowering (`xform.lower`) keep its checks and its order of
+evaluation.
 """
 
 from __future__ import annotations
 
+import gc
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -145,6 +147,19 @@ def flat_index(array: str, dims: tuple[int, ...], idx) -> int:
             raise EvalError(f"index {i} out of bounds for {array}[{d}]")
         flat = flat * d + i
     return flat
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector, restoring its previous state on
+    exit: for code that builds many objects and no reference cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def subexprs(e: Expr):

@@ -124,35 +124,33 @@ def judge_exact(depset: DependenceSet, cand_instances: list[Instance]) -> Verdic
 def _judge_order(depset: DependenceSet, pairs, cand_instances: list[Instance],
                  positions: dict) -> Verdict:
     instances = depset.instances
+    new = [positions.get(inst.key) for inst in instances]  # candidate position, or None
     for (i, j, kind) in pairs:
-        a, b = instances[i], instances[j]
-        pa = positions.get(a.key)
-        pb = positions.get(b.key)
+        pa, pb = new[i], new[j]
         if pa is None or pb is None:
-            return Verdict(INVALID, f"instance of {a.stmt if pa is None else b.stmt} "
+            return Verdict(INVALID, f"instance of {instances[i if pa is None else j].stmt} "
                                     "disappears from the schedule")
         if pa > pb:
             return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
-    mismatch = _schedule_mismatch(instances, cand_instances, positions)
+    mismatch = _schedule_mismatch(instances, cand_instances, positions, new)
     if mismatch:
         return Verdict(INVALID, mismatch)
-    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs
-                        if positions[instances[i].key] > positions[instances[j].key])
+    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs if new[i] > new[j])
 
 
 def _schedule_mismatch(instances: list[Instance], cand_instances: list[Instance],
-                       positions: dict) -> str:
+                       positions: dict, new: list) -> str:
     """Why the candidate does not run each instance exactly once, or ''."""
-    for inst in instances:
-        if inst.key not in positions:
-            return f"instance of {inst.stmt} disappears from the schedule"
+    if None in new:
+        return f"instance of {instances[new.index(None)].stmt} disappears from the schedule"
     if len(positions) != len(instances):
         keys = {inst.key for inst in instances}
         extra = next(c for c in cand_instances if c.key not in keys)
         return f"instance of {extra.stmt} is not in the original schedule"
-    for c in cand_instances:
-        if positions[c.key] != c.pos:
-            return f"instance of {c.stmt} runs more than once"
+    if len(cand_instances) != len(positions):  # some key repeats
+        for c in cand_instances:
+            if positions[c.key] != c.pos:
+                return f"instance of {c.stmt} runs more than once"
     return ""
 
 

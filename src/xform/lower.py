@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, ForLoop,
-    IfStmt, IntLit, Program, VarRef, WhileLoop, idiv, imod, int64,
+    IfStmt, IntLit, Program, VarRef, WhileLoop, gc_paused, idiv, imod, int64,
 )
 
 MAX_DEPTH = 12
@@ -74,7 +74,11 @@ class Lowered:
 
     def __call__(self, mem, budget: int, trace: list | None):
         try:
-            self.fn(mem, budget, trace)
+            if trace is None:
+                self.fn(mem, budget, trace)
+            else:
+                with gc_paused():  # a trace is many objects, and none is cyclic
+                    self.fn(mem, budget, trace)
         except EvalError as e:
             tb, line = e.__traceback__, 0
             while tb is not None:  # the innermost generated frame faulted

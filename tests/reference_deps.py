@@ -1,0 +1,126 @@
+"""The dependence oracles the tests check `xform.deps` against.
+
+`reference_enumerate_instances` is the tree walker that `deps`'s closure
+compiler replaced: it walks the region's statements and values every
+expression with `lang.evaluate` over a dict environment.  It is the
+differential reference for `deps.enumerate_instances`, which must give the
+same `Enumeration` (`steps` included) or raise the same exception with the
+same message.
+
+`brute_force_dependences` is independent of both: it runs the real
+interpreter over the region and compares touched addresses pairwise over the
+trace.  `is_superset`, `covers` and `dep_signature` compare dependence sets.
+"""
+
+from __future__ import annotations
+
+from xform import interp
+from xform.deps import (
+    Dependence, DependenceSet, DepsError, Enumeration, Instance, _CapExceeded, _exact_set,
+    _reads, _step_budget,
+)
+from xform.lang import (
+    Assign, Block, ForLoop, IfStmt, Program, Stmt, WhileLoop, evaluate, flat_index, iter_stmts,
+)
+
+
+def reference_enumerate_instances(program: Program, scope: list[Stmt],
+                                  max_instances: int = 4096) -> Enumeration:
+    """Walk the region's full iteration space without touching memory.
+
+    Raises DepsError on while-loops, EvalError when anything depends on
+    memory or opaque params (or has no int64 value), _CapExceeded past the
+    instance cap or past `_step_budget(max_instances)` loop iterations.
+    """
+    env = program.param_values(include_opaque=False)
+    dims = {a.name: a.dims for a in program.arrays}
+    reads = {id(s): _reads(s) for s in iter_stmts(scope) if isinstance(s, Assign)}
+    out = Enumeration()
+    stack: list[tuple[str, int, int]] = []
+    steps = [0]
+    budget = _step_budget(max_instances)
+
+    def addr_of(array, index):
+        return (array, flat_index(array, dims[array], [evaluate(i, env) for i in index]))
+
+    def walk(stmts: list[Stmt]):
+        for s in stmts:
+            if isinstance(s, Assign):
+                acc = [addr_of(r.array, r.index) for r in reads[id(s)]]
+                waddr = addr_of(s.array, s.index)
+                if s.op == "+=":
+                    acc.append(waddr)
+                if len(out) >= max_instances:
+                    raise _CapExceeded()
+                orig = tuple((n, evaluate(e, env)) for n, e in s.orig_coords)
+                out.append(Instance(
+                    len(out), s.stmt_id, orig,
+                    tuple(n for n, _, _ in stack),
+                    tuple(t for _, _, t in stack),
+                    frozenset(acc), frozenset((waddr,)), (s.stmt_id, orig)))
+            elif isinstance(s, ForLoop):
+                lb = evaluate(s.lower, env)
+                ub = evaluate(s.upper, env)
+                saved = env.get(s.var)
+                trip = 0
+                for v in range(lb, ub, s.step) if ub > lb else []:
+                    steps[0] += 1
+                    if steps[0] > budget:
+                        raise _CapExceeded()
+                    env[s.var] = v
+                    stack.append((s.name, v, trip))
+                    walk(s.body)
+                    stack.pop()
+                    trip += 1
+                if saved is None:
+                    env.pop(s.var, None)
+                else:
+                    env[s.var] = saved
+            elif isinstance(s, WhileLoop):
+                raise DepsError("while-loop in analyzed region")
+            elif isinstance(s, IfStmt):
+                if evaluate(s.cond, env) != 0:
+                    walk(s.then_body)
+                elif s.else_body is not None:
+                    walk(s.else_body)
+            elif isinstance(s, Block):
+                walk(s.body)
+
+    walk(scope)
+    out.steps = steps[0]
+    return out
+
+
+def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> DependenceSet:
+    """Oracle: run the interpreter over the region and compare every pair of
+    trace records.  Exact by construction; capped at `cap` instances."""
+    stmts = scope if isinstance(scope, list) else [scope]
+    for inner in iter_stmts(stmts):
+        if isinstance(inner, WhileLoop):
+            raise DepsError("while-loop in analyzed region")
+    sub = Program(program.arrays, program.aliases, program.params, stmts)
+    _, trace = interp.run(sub, seed=0, record_trace=True, step_budget=10 * cap + 1000)
+    if len(trace) > cap:
+        raise DepsError(f"region exceeds the oracle cap of {cap} instances")
+    instances = []
+    for k, r in enumerate(trace):
+        instances.append(Instance(k, r.stmt, r.ivec, r.cur_loops, r.cur_logical,
+                                  frozenset(r.reads), frozenset(r.writes), (r.stmt, r.ivec)))
+    return _exact_set(program, instances, stmts)
+
+
+def covers(general: Dependence, specific: Dependence) -> bool:
+    """Does a (possibly wildcarded) dependence subsume an exact one?"""
+    if (general.src, general.snk, general.kind) != (specific.src, specific.snk, specific.kind):
+        return False
+    if general.loops != specific.loops:
+        return False
+    return all(g is None or g == s for g, s in zip(general.distance, specific.distance))
+
+
+def is_superset(general: DependenceSet, specific: DependenceSet) -> bool:
+    return all(any(covers(g, s) for g in general.deps) for s in specific.deps)
+
+
+def dep_signature(ds: DependenceSet) -> frozenset:
+    return frozenset((d.src, d.snk, d.kind, d.loops, d.distance, d.alias) for d in ds.deps)

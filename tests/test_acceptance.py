@@ -12,10 +12,10 @@ import sys
 import time
 
 from xform import (
-    apply_pipeline, brute_force_dependences, compute_dependences, emit_program,
+    apply_pipeline, compute_dependences, emit_program,
     equivalent, order_preserved, parse_program, plan_pipeline, run,
 )
-from xform.deps import DepsError, dep_signature, is_superset
+from xform.deps import DepsError
 from xform.interp import instance_multiset
 from xform.lang import (
     Directive, ForLoop, WhileLoop, alpha_normalize, iter_loops, strip_pragmas,
@@ -30,6 +30,7 @@ from conftest import (
     CORPUS_DIR, corpus_names, first_top_for, load_corpus, parse_named,
     run_pipeline, with_directive,
 )
+from reference_deps import brute_force_dependences, dep_signature, is_superset
 
 
 def _ok(n, text):

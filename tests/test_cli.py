@@ -230,3 +230,34 @@ def test_running_out_of_steps_is_an_error_not_a_mismatch(tmp_path):
     r = run_cli(str(path), "--verify", "1")
     assert r.returncode == 1
     assert r.stderr == "error: verification run failed: step budget exceeded (line 3)\n"
+
+
+@pytest.mark.parametrize("depth", [100, 300])
+def test_reverse_over_a_deep_nest_enumerates_exactly(tmp_path, depth):
+    """Every loop runs once, so the exact route enumerates all `depth` levels."""
+    loops = "".join(f"for (i{k} = 0; i{k} < 1; i{k} += 1)\n" for k in range(depth))
+    path = tmp_path / "in.loop"
+    path.write_text("array A[4] init zero;\n#pragma xform reverse\n" + loops + "A[i0] = i0;\n")
+    r = run_cli(str(path), "--deps", "--emit", "-")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    nest = "".join(f"{'  ' * k}for (i{k} = 0; i{k} < 1; i{k} += 1) {{\n" for k in range(depth))
+    close = "".join(f"{'  ' * k}}}\n" for k in reversed(range(depth)))
+    assert r.stdout == ("nest 'i0' (line 3):\n  (no dependences) exact\n"
+                        "array A[4] init zero;\n\n" + nest
+                        + "  " * depth + "A[0 - i0] = 0 - i0;\n" + close)
+
+
+def test_min_max_and_disjoint_are_loop_variables_unless_called(tmp_path):
+    path = tmp_path / "in.loop"
+    path.write_text("array A[4,4] init random;\narray B[4] init zero;\n"
+                    "#pragma xform reverse\n"
+                    "for (min = 0; min < 4; min += 1)\n"
+                    "  for (max = 0; max < 2; max += 1)\n"
+                    "    for (disjoint = 0; disjoint < 2; disjoint += 1)\n"
+                    "      A[min, max + disjoint] = min(min, max) + max(A[min, 0], disjoint);\n")
+    r = run_cli(str(path), "--verify", "2", "--emit", "-")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "verified: 2 trials, memory identical\n"
+    assert "A[3 - min, max + disjoint] = min(3 - min, max) + max(A[3 - min, 0], disjoint);" \
+        in r.stdout, r.stdout

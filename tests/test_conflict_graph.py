@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xform import deps, emit_program, plan_pipeline, transforms
-from xform.deps import brute_force_dependences, compute_dependences, enumerate_instances
+from xform.deps import compute_dependences, enumerate_instances
 from xform.legality import _judge_order, judge_exact
 from xform.lang import strip_pragmas
 from xform.transforms import TransformError, apply_pipeline, build_candidate, classify
 
+from reference_deps import brute_force_dependences
 from conftest import corpus_names, load_corpus, parse_named, run_pipeline
 
 HEADER = "array A[16,16] init random;\narray B[16,16] init random;\n"

@@ -4,10 +4,11 @@ soundness and lexicographic-order properties over random programs."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xform import brute_force_dependences, compute_dependences, parse_program
-from xform.deps import DepsError, dep_signature, is_superset, lex_nonneg
+from xform import compute_dependences, parse_program
+from xform.deps import DepsError, lex_nonneg
 from xform.ir import name_loops
 
+from reference_deps import brute_force_dependences, dep_signature, is_superset
 from conftest import parse_named
 
 
