@@ -129,11 +129,11 @@ def _run(args) -> int:
             return 1
     if args.trace is not None:
         try:
-            _, trace = interp.run(final, seed=args.seed)
+            _, rows = interp.run(final, seed=args.seed, record_trace="csv")
         except interp.RunFault as e:
             print(f"error: trace run failed: {e}", file=sys.stderr)
             return 1
-        if not _write(args.trace, interp.trace_csv(trace)):
+        if not _write(args.trace, "\n".join([interp.CSV_HEADER, *rows]) + "\n"):
             return 1
     if args.verify > 0:
         original = strip_pragmas(program)

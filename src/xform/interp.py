@@ -5,7 +5,11 @@ All arithmetic is int64 with faults on overflow and division by zero, so
 program equivalence is exact — no tolerance questions.  `run` executes a
 program's lowered form (`xform.lower`): generated Python that keeps
 `lang.evaluate`'s checks and order of evaluation, and raises a `RunFault`
-naming the line of the statement whose expression faulted.  Random array
+naming the line of the statement whose expression faulted.  A run records
+its trace in one of the lowering's three modes (`record_trace`): none
+(`False`), one `TraceRecord` per statement instance (`True`, for the order
+oracles), or one finished CSV row per instance (`"csv"`, for `--trace`; the
+header is `CSV_HEADER`).  Random array
 initialization draws from [-100, 100] with a recorded seed.  The tree
 walker that the lowering replaced is the differential reference in
 `tests/reference_interp.py`.
@@ -22,9 +26,9 @@ import random
 from dataclasses import dataclass
 
 from .lang import Program
-from .lower import BudgetExceeded, Lowered, RunFault, TraceRecord, lower  # noqa: F401
+from .lower import CSV_HEADER, BudgetExceeded, Lowered, RunFault, TraceRecord, lower  # noqa: F401
 
-Trace = list  # list[TraceRecord]
+Trace = list  # list[TraceRecord], or list[str] of CSV rows
 
 
 class Memory:
@@ -97,8 +101,9 @@ class Memory:
 
 
 def run(program: Program | Lowered, seed: int = 0, alias_binding: dict | None = None,
-        record_trace: bool = True, step_budget: int = 10**7) -> tuple[Memory, Trace]:
-    """Execute a program or its lowering; returns final memory and trace."""
+        record_trace: bool | str = True, step_budget: int = 10**7) -> tuple[Memory, Trace]:
+    """Execute a program or its lowering; returns final memory and trace
+    (empty when `record_trace` is False)."""
     if not (isinstance(program, Lowered) and program.traced == record_trace):
         program = lower(getattr(program, "program", program), record_trace)
     mem = Memory(program.program, alias_binding, seed)
@@ -194,13 +199,3 @@ def instance_multiset(t: Trace):
         out[r.key()] = out.get(r.key(), 0) + 1
     return out
 
-
-def trace_csv(trace: Trace) -> str:
-    """CSV rendering: stmt,iter_vec,reads,writes."""
-    lines = ["stmt,iter_vec,reads,writes"]
-    for r in trace:
-        ivec = ";".join(f"{n}={v}" for n, v in r.ivec)
-        reads = " ".join(f"{a}[{i}]" for a, i in r.reads)
-        writes = " ".join(f"{a}[{i}]" for a, i in r.writes)
-        lines.append(f"{r.stmt},{ivec},{reads},{writes}")
-    return "\n".join(lines) + "\n"

@@ -190,11 +190,14 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
             rema.append(True)
         full.append(True)
 
+    # a region is partial in a subset of the dimensions with a remainder
+    masks = [0]
+    for d in range(k):
+        if rema[d]:
+            masks += [m | 1 << d for m in masks]
     regions: list[Stmt] = []
-    for mask in range(1 << k):
+    for mask in sorted(masks):
         partial = [bool(mask >> d & 1) for d in range(k)]
-        if any(partial[d] and not rema[d] for d in range(k)):
-            continue
         main_region = mask == 0
         suffix = f"_p{mask}"
         floors: list[tuple] = []  # (var, lower, upper, step, parallel)

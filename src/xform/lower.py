@@ -7,8 +7,13 @@ evaluation: `+ - * /` results are checked against int64, zero divisors fault
 in `lang.idiv`/`lang.imod`, subscripts are checked one dimension at a time
 with `flat_index`'s message, and every statement and loop iteration takes one
 step of the budget.  A fault is an `EvalError` raised on a generated line,
-which `Lowered.__call__` maps back to the program statement's line.  A traced
-lowering appends the tree walker's `TraceRecord`s.
+which `Lowered.__call__` maps back to the program statement's line.
+
+A lowering has one of three trace modes, which differ only in what an
+assignment appends to the trace list before it stores its value: nothing
+(`False`), the tree walker's `TraceRecord` (`True`, the only mode that keeps
+the loops' trip counters), or one finished CSV row (`"csv"`, see
+`CSV_HEADER`), an f-string of the values that the record would hold.
 
 Expressions become three-address code, one checked operation per line.  A
 parameter becomes its value, a loop variable a local named `v_<name>`, and an
@@ -39,6 +44,9 @@ class BudgetExceeded(RunFault):
     """A run out of step budget: a limit of the run, not a behaviour of the program."""
 
 
+CSV_HEADER = "stmt,iter_vec,reads,writes"
+
+
 @dataclass
 class TraceRecord:
     stmt: str
@@ -53,8 +61,13 @@ class TraceRecord:
         return (self.stmt, self.ivec)
 
 
+def cells(array: str, flats) -> str:
+    """The csv `reads` entry of an array read at several elements."""
+    return " ".join([f"{array}[{x}]" for x in sorted(set(flats))])
+
+
 _GLOBALS = {"EvalError": EvalError, "BudgetExceeded": BudgetExceeded,
-            "TraceRecord": TraceRecord, "idiv": idiv, "imod": imod}
+            "TraceRecord": TraceRecord, "cells": cells, "idiv": idiv, "imod": imod}
 _FORMS = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
           "/": "idiv({0}, {1})", "%": "imod({0}, {1})",
           "&&": "1 if {0} != 0 and {1} != 0 else 0",
@@ -68,7 +81,7 @@ class Lowered:
     """A program's compiled form; call it with a `Memory`, a step budget and
     a trace list (None when untraced)."""
     program: Program
-    traced: bool
+    traced: bool | str  # False, True (records) or "csv"
     fn: object
     lines: list[int]   # program line of each generated line
 
@@ -88,8 +101,8 @@ class Lowered:
             raise RunFault(f"{e} (line {line})") from None
 
 
-def lower(program: Program, traced: bool) -> Lowered:
-    """Generate and compile `program`'s run function."""
+def lower(program: Program, traced: bool | str) -> Lowered:
+    """Generate and compile `program`'s run function in a trace mode."""
     rows = [row for code in _Gen(program, traced).funcs for row in code]
     namespace = dict(_GLOBALS)
     source = "\n".join("    " * depth + text for depth, text, _ in rows)
@@ -98,14 +111,14 @@ def lower(program: Program, traced: bool) -> Lowered:
 
 
 class _Gen:
-    def __init__(self, program: Program, traced: bool):
-        self.traced = traced
+    def __init__(self, program: Program, traced: bool | str):
+        self.traced, self.csv = traced, traced == "csv"
         self.dims = {a.name: a.dims for a in program.arrays}
         aliased = {n for al in program.aliases for n in (al.first, al.second)}
         self.base = {a: f"b_{a} + " if a in aliased else "" for a in self.dims}
         self.arrays = [f"{c}_{a}" for a in self.dims for c in "cb"]
         self.funcs: list = []
-        self.reads: list | None = None  # the lowered assignment's (array, flat) reads
+        self.reads: list | None = None  # the traced assignment's (array, flat) reads
         scope = {p.name: p.value for p in program.params}
         self.function("f0", ["mem", "bud", "trace"])
         for a in self.dims:
@@ -132,7 +145,7 @@ class _Gen:
         if t is ArrayRead:
             flat = self.subscript(e.array, e.index, scope)
             if self.reads is not None:
-                self.reads.append(f"({e.array!r}, {flat})")
+                self.reads.append((e.array, flat))
             return self.let(f"c_{e.array}[{self.base[e.array]}{flat}]")
         if t is Call and e.func == "disjoint":
             return self.let(f"1 if mem.disjoint({e.args[0].name!r}, {e.args[1].name!r}) else 0")
@@ -227,13 +240,28 @@ class _Gen:
         if self.traced:
             reads, self.reads = self.reads, None
             if s.op == "+=":
-                reads.append(f"({s.array!r}, {flat})")
-            reads = f"tuple(sorted({{{', '.join(reads)}}}))" if reads else "()"
-            ivec = _tuple(f"({n!r}, {self.expr(e, scope)})" for n, e in s.orig_coords)
-            self.emit(f"trace.append(TraceRecord({s.stmt_id!r}, {ivec}, {reads}, "
-                      f"(({s.array!r}, {flat}),), {_tuple(repr(n) for n, _, _ in loops)}, "
-                      f"{_tuple(v for _, v, _ in loops)}, {_tuple(k for _, _, k in loops)}))")
+                reads.append((s.array, flat))
+            ivec = [(n, self.expr(e, scope)) for n, e in s.orig_coords]
+            self.emit(f"trace.append({self.row(s, ivec, reads, flat, loops)})")
         self.emit(f"{cell} = {value}")
+
+    def row(self, s: Assign, ivec: list, reads: list, flat, loops: list) -> str:
+        """The source of the trace entry, from values and the names holding them."""
+        if not self.csv:
+            pairs = ", ".join(f"({a!r}, {x})" for a, x in reads)
+            reads = f"tuple(sorted({{{pairs}}}))" if reads else "()"
+            ivec = _tuple(f"({n!r}, {v})" for n, v in ivec)
+            return (f"TraceRecord({s.stmt_id!r}, {ivec}, {reads}, (({s.array!r}, {flat}),), "
+                    f"{_tuple(repr(n) for n, _, _ in loops)}, {_tuple(v for _, v, _ in loops)}, "
+                    f"{_tuple(k for _, _, k in loops)})")
+        by_array: dict[str, dict] = {}
+        for a, x in reads:  # one name holds one value within a statement
+            by_array.setdefault(a, {})[x] = None
+        entries = [f"{a}[{{{next(iter(xs))}}}]" if len(xs) == 1  # else sorted at run time
+                   else f"{{cells({a!r}, ({', '.join(map(str, xs))}))}}"
+                   for a, xs in sorted(by_array.items())]
+        coords = ";".join(f"{n}={{{v}}}" for n, v in ivec)
+        return f'f"{s.stmt_id},{coords},{" ".join(entries)},{s.array}[{{{flat}}}]"'
 
     def ForLoop(self, s: ForLoop, scope: dict, loops: list):
         lo, hi = self.expr(s.lower, scope), self.expr(s.upper, scope)
@@ -241,7 +269,7 @@ class _Gen:
         if var in scope.values():  # an enclosing loop of the same name
             var = f"v{len(loops)}_{s.var}"
         trips = f"range({lo}, {hi}, {s.step})"
-        trip = f"k{len(loops)}" if self.traced else ""
+        trip = f"k{len(loops)}" if self.traced and not self.csv else ""
         self.emit(f"for {trip}, {var} in enumerate({trips}):" if trip else f"for {var} in {trips}:")
         self.block(s.body, {**scope, s.var: var}, loops + [(s.name, var, trip)], self.tick)
 

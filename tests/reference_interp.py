@@ -1,7 +1,8 @@
 """The tree-walking reference interpreter, kept as the differential oracle
 for `xform.lower`: it executes the statement tree directly, valuing each
 expression with `lang.evaluate`, and can run a loop's iterations reversed or
-shuffled (`parallel_consistent`)."""
+shuffled (`parallel_consistent`).  `trace_csv` is the reference formatter of
+the rows that a lowering in csv mode writes."""
 
 from __future__ import annotations
 
@@ -146,3 +147,14 @@ def parallel_consistent(program: Program, loop_name: str, trials: int = 8,
             return ConsistencyReport(False, i + 1,
                                      f"{kind} execution of loop '{loop_name}' diverged")
     return ConsistencyReport(True, len(orders) + 1)
+
+
+def trace_csv(trace: Trace) -> str:
+    """CSV rendering: stmt,iter_vec,reads,writes."""
+    lines = ["stmt,iter_vec,reads,writes"]
+    for r in trace:
+        ivec = ";".join(f"{n}={v}" for n, v in r.ivec)
+        reads = " ".join(f"{a}[{i}]" for a, i in r.reads)
+        writes = " ".join(f"{a}[{i}]" for a, i in r.writes)
+        lines.append(f"{r.stmt},{ivec},{reads},{writes}")
+    return "\n".join(lines) + "\n"

@@ -232,6 +232,25 @@ def test_running_out_of_steps_is_an_error_not_a_mismatch(tmp_path):
     assert r.stderr == "error: verification run failed: step budget exceeded (line 3)\n"
 
 
+def test_a_faulting_trace_run_is_an_error_and_writes_no_file(tmp_path):
+    path, out = tmp_path / "in.loop", tmp_path / "t.csv"
+    path.write_text("array A[4] init random;\nfor (i = 0; i < 4; i += 1)\n"
+                    "  A[i] = A[i] / (i - 2);\n")
+    r = run_cli(str(path), "--trace", str(out))
+    assert r.returncode == 1
+    assert r.stderr == "error: trace run failed: division by zero (line 3)\n"
+    assert not out.exists()
+
+
+def test_a_trace_run_out_of_steps_is_an_error(tmp_path):
+    path, out = tmp_path / "in.loop", tmp_path / "t.csv"
+    path.write_text("array A[1] init zero;\nwhile (1)\n  A[0] = 0;\n")
+    r = run_cli(str(path), "--trace", str(out))
+    assert r.returncode == 1
+    assert r.stderr == "error: trace run failed: step budget exceeded (line 3)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("depth", [100, 300])
 def test_reverse_over_a_deep_nest_enumerates_exactly(tmp_path, depth):
     """Every loop runs once, so the exact route enumerates all `depth` levels."""

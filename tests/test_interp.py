@@ -3,10 +3,10 @@
 import pytest
 
 from xform import equivalent, order_preserved, run
-from xform.interp import Memory, RunFault, alias_bindings, trace_csv
+from xform.interp import Memory, RunFault, alias_bindings
 
 from conftest import parse_named, run_pipeline
-from reference_interp import parallel_consistent
+from reference_interp import parallel_consistent, trace_csv
 
 
 def test_simple_loop_memory_and_trace():

@@ -1,5 +1,6 @@
 """The lowered interpreter against the tree-walking reference: the same final
-memory, the same trace records and the same fault text on every program."""
+memory, the same trace records, the same CSV rows and the same fault text on
+every program."""
 
 from collections import Counter
 
@@ -12,7 +13,7 @@ from xform.lang import (
     INT64_MAX, INT64_MIN, Assign, BinOp, ForLoop, IntLit, Program, VarRef, strip_pragmas,
 )
 from xform.ir import name_loops
-from xform.lower import MAX_DEPTH
+from xform.lower import MAX_DEPTH, lower
 
 import reference_interp
 from conftest import corpus_names, load_corpus, parse_named
@@ -39,6 +40,34 @@ def assert_same_runs(program: Program, budgets=(10**7,), seed=3, offsets=(0,)):
                 assert got == want, (binding, traced, budget)
 
 
+def csv_outcome(program, **kw):
+    """(snapshot, rows) of a csv-mode run, or its fault text."""
+    try:
+        mem, rows = interp.run(program, record_trace="csv", **kw)
+    except RunFault as e:
+        return str(e)
+    return mem.snapshot(), rows
+
+
+def reference_csv_outcome(program, **kw):
+    """The same from the reference's records and formatter."""
+    try:
+        mem, trace = reference_interp.run(program, **kw)
+    except RunFault as e:
+        return str(e)
+    return mem.snapshot(), reference_interp.trace_csv(trace).splitlines()[1:]
+
+
+def assert_same_rows(program: Program, budgets=(10**7,), seed=3, offsets=(0, 2)):
+    """The csv lowering against the reference formatter, under every binding."""
+    lowered = lower(program, "csv")
+    for binding in alias_bindings(program, offsets):
+        for budget in budgets:
+            kw = dict(seed=seed, alias_binding=binding, step_budget=budget)
+            assert csv_outcome(lowered, **kw) == reference_csv_outcome(program, **kw), \
+                (binding, budget)
+
+
 # ---------------------------------------------------------------------------
 # Random programs: statements of every kind, every operator, literals near
 # both int64 ends, subscripts that may leave the bounds, `disjoint` guards
@@ -55,7 +84,7 @@ def literal(v: int) -> str:
 
 @st.composite
 def exprs(draw, scope, depth=2):
-    kind = draw(st.sampled_from(("lit", "var", "read", "bin", "bin", "call", "disjoint")
+    kind = draw(st.sampled_from(("lit", "var", "read", "bin", "bin", "call", "disjoint", "twice")
                                 if depth > 0 else ("lit", "var")))
     if kind == "lit":
         return literal(draw(st.sampled_from(LITERALS)))
@@ -71,6 +100,9 @@ def exprs(draw, scope, depth=2):
                 f"{draw(exprs(scope, depth - 1))})")
     if kind == "disjoint":
         return "disjoint(A, C)"
+    if kind == "twice":  # one array read twice, at one element or at two
+        e = draw(subscripts(scope, depth - 1, 5))
+        return f"(A[{e}] + A[{e}{draw(st.sampled_from(('', ' + 1')))}])"
     return (f"({draw(exprs(scope, depth - 1))} {draw(st.sampled_from(OPERATORS))} "
             f"{draw(exprs(scope, depth - 1))})")
 
@@ -101,7 +133,10 @@ def statements(draw, scope, depth):
             else:
                 target = f"B[{draw(subscripts(scope, 1, 3))}, {draw(subscripts(scope, 1, 4))}]"
             op = draw(st.sampled_from(("=", "+=")))
-            out.append(f"{target} {op} {draw(exprs(scope))};")
+            value = draw(exprs(scope))
+            if op == "+=" and draw(st.booleans()):  # the target read as well
+                value = f"({target} - {value})"
+            out.append(f"{target} {op} {value};")
         elif kind == "for":
             var = f"v{len(scope)}"
             lower = draw(st.sampled_from(["0", "1", literal(INT64_MAX - 4), literal(INT64_MIN)]
@@ -139,14 +174,20 @@ def test_lowered_runs_match_the_reference(src, budget, seed):
     assert_same_runs(parse_named(src), budgets=(budget,), seed=seed, offsets=(0, 2))
 
 
+@settings(max_examples=300, deadline=None)
+@given(programs(), st.integers(0, 5))
+def test_csv_rows_match_the_reference_formatter(src, seed):
+    assert_same_rows(parse_named(src), budgets=(3, 60, 5000), seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic: the corpus and the dgemm pipeline, before and after
 
 
-def originals_and_results():
+def originals_and_results(sizes=(8, 17, 32)):
     sources = [(name, load_corpus(name)) for name in corpus_names()]
     dgemm = load_corpus("05_dgemm.loop")  # M = 16
-    sources += [(f"dgemm{m}", dgemm.replace("16", str(m))) for m in (8, 17, 32)]
+    sources += [(f"dgemm{m}", dgemm.replace("16", str(m))) for m in sizes]
     for name, src in sources:
         p = parse_named(src)
         yield name, "original", strip_pragmas(p)
@@ -160,6 +201,12 @@ def originals_and_results():
                                      for name, mode, p in originals_and_results()])
 def test_corpus_and_dgemm_runs_match_the_reference(program):
     assert_same_runs(program, seed=5)
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=f"{name}-{mode}")
+                                     for name, mode, p in originals_and_results((8, 17))])
+def test_corpus_and_dgemm_csv_rows_match_the_reference(program):
+    assert_same_rows(program, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +252,22 @@ def test_bodies_past_the_depth_limit_match_the_reference(depth, last):
     if last == 9223372036854775807:
         with pytest.raises(RunFault, match=rf"^int64 overflow \(line {depth + 2}\)$"):
             interp.run(p)
+
+
+@pytest.mark.parametrize("value, fault", [
+    (IntLit(1), "int64 overflow"),
+    (BinOp("/", IntLit(1), BinOp("-", VarRef("i"), VarRef("i"))), "division by zero"),
+])
+def test_original_coordinates_are_valued_after_the_value(value, fault):
+    # a transformation writes the original coordinates as expressions, which
+    # can fault; the value's own fault comes first
+    p = parse_named("array A[4] init random;\nfor (i = 1; i < 3; i += 1)\n  A[i] = 0;\n")
+    s = p.body[0].body[0]
+    s.value, s.orig_coords = value, (("i", BinOp("+", VarRef("i"), IntLit(INT64_MAX))),)
+    assert_same_runs(p)
+    assert_same_rows(p)
+    with pytest.raises(RunFault, match=rf"^{fault} \(line 3\)$"):
+        interp.run(p, record_trace="csv")
 
 
 def test_equivalent_lowers_each_program_once_and_runs_every_trial(monkeypatch):

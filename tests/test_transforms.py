@@ -4,6 +4,7 @@ instance preservation, verdicts for the rejection cases."""
 import pytest
 
 from xform import equivalent, order_preserved, run
+from xform.emit import emit_program
 from xform.interp import instance_multiset
 from xform.lang import (
     Assign, ForLoop, IfStmt, alpha_normalize, iter_loops, iter_stmts,
@@ -564,6 +565,39 @@ for (i = 0; i < 11; i += 1)
     main_i2 = next(l for l in iter_loops(out.body) if l.name == "i_t")
     assert not isinstance(main_i2.upper, Call)
     assert equivalent(strip_pragmas(p), out, trials=10, seed=2)
+
+
+def _deep_band(trips, sizes, peel=""):
+    k = len(trips)
+    ids = ",".join(f"i{d}" for d in range(k))
+    loops = "".join(f"for (i{d} = 0; i{d} < {n}; i{d} += 1)\n" for d, n in enumerate(trips))
+    return run_pipeline(f"array A[2] init zero;\n#pragma xform loop({ids}) tile "
+                        f"sizes({','.join(map(str, sizes))}){peel}\n{loops}A[0] += 1;\n")
+
+
+def test_tile_of_twenty_one_trip_loops_emits_one_nest():
+    # only the regions that are emitted are built: a band of k loops once
+    # walked all 2^k region masks, about 4 s of CPU for k = 20
+    k = 20
+    p, res = _deep_band([1] * k, [2] * k)
+    out = applied(res)
+    assert len(out.body) == 1
+    assert [l.name for l in iter_loops(out.body)] == (
+        [f"i{d}_f" for d in range(k)] + [f"i{d}_t" for d in range(k)])
+    lines = [l.strip() for l in emit_program(out).splitlines()]
+    assert lines[2] == "for (i0_f = 0; i0_f < 1; i0_f += 2) {"
+    assert lines[2 + 2 * k - 1] == "for (i19_t = i19_f; i19_t < min(i19_f + 2, 1); i19_t += 1) {"
+    assert lines[2 + 2 * k] == "A[0] += 1;"
+    assert equivalent(strip_pragmas(p), out, trials=2)
+
+
+def test_tile_rectangular_peel_of_a_deep_band_emits_only_remainder_regions():
+    # two of twenty dimensions leave a remainder: four regions, in mask order
+    p, res = _deep_band([1] * 18 + [3, 3], [1] * 18 + [2, 2], " peel(rectangular)")
+    out = applied(res)
+    assert [l.name for l in out.body] == ["i0_f", "i0_f_p262144", "i0_f_p524288",
+                                          "i0_f_p786432"]
+    assert equivalent(strip_pragmas(p), out, trials=2)
 
 
 def test_tile_non_perfect_nest_impossible():
