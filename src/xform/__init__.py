@@ -9,7 +9,7 @@ from .ir import PlanError, dump_tree, name_loops, plan_pipeline
 from .deps import compute_dependences
 from .legality import resolve
 from .transforms import apply_pipeline, build_candidate
-from .interp import equivalent, order_preserved, run
+from .interp import equivalent, run
 from .emit import emit_program
 
 __all__ = [
@@ -18,6 +18,6 @@ __all__ = [
     "name_loops", "plan_pipeline", "dump_tree",
     "compute_dependences",
     "resolve", "apply_pipeline", "build_candidate",
-    "run", "equivalent", "order_preserved",
+    "run", "equivalent",
     "emit_program",
 ]

@@ -36,7 +36,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotate", action="store_true",
                    help="annotate emitted loops with their originating directive")
     p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write the transformed program's execution trace as CSV")
+                   help="write the transformed program's execution trace as CSV "
+                        "('-' for stdout)")
     p.add_argument("--dump-tree", action="store_true",
                    help="print the named loop tree after transformation")
     p.add_argument("--deps", action="store_true",
@@ -59,7 +60,11 @@ def _print_deps(program: Program, max_enum: int):
 
 
 def _write(path: str, text: str) -> bool:
-    """Write `text` to `path`, or report why not and return False."""
+    """Write `text` to `path` ('-' for stdout), or report why not and
+    return False."""
+    if path == "-":
+        sys.stdout.write(text)
+        return True
     try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
@@ -122,14 +127,11 @@ def _run(args) -> int:
     if args.dump_tree:
         print(ir.dump_tree(final))
     if args.emit is not None:
-        text_out = emit.emit_program(final, annotate=args.annotate)
-        if args.emit == "-":
-            sys.stdout.write(text_out)
-        elif not _write(args.emit, text_out):
+        if not _write(args.emit, emit.emit_program(final, annotate=args.annotate)):
             return 1
     if args.trace is not None:
         try:
-            _, rows = interp.run(final, seed=args.seed, record_trace="csv")
+            _, rows = interp.run(final, seed=args.seed, record_trace=True)
         except interp.RunFault as e:
             print(f"error: trace run failed: {e}", file=sys.stderr)
             return 1

@@ -33,8 +33,9 @@ Distance vectors are in logical iterations (trip counts), source before sink,
 so they are lexicographically non-negative for the original program.
 
 The oracles the tests check this module against are in `tests/reference_deps.py`:
-the tree walker the enumerator replaced, and a brute-force analysis over the
-interpreter's trace.
+the tree walker the enumerator replaced, and a brute-force analysis that runs
+the reference tree-walking interpreter (`tests/reference_interp.py`) and
+compares the addresses in its trace records pairwise.
 """
 
 from __future__ import annotations

@@ -63,13 +63,12 @@ def directive_str(d: Directive) -> str:
 
 
 class _Emitter:
-    def __init__(self, annotate: bool, indent: int):
+    def __init__(self, annotate: bool):
         self.annotate = annotate
-        self.step = " " * indent
         self.lines: list[str] = []
 
     def line(self, depth: int, text: str):
-        self.lines.append(self.step * depth + text)
+        self.lines.append("  " * depth + text)
 
     def emit_body(self, stmts: list[Stmt], depth: int):
         for s in stmts:
@@ -112,9 +111,9 @@ class _Emitter:
             raise TypeError(f"not a statement: {s!r}")
 
 
-def emit_program(p: Program, annotate: bool = False, indent: int = 2) -> str:
+def emit_program(p: Program, annotate: bool = False) -> str:
     """Render a program as source text (deterministic normal form)."""
-    em = _Emitter(annotate, indent)
+    em = _Emitter(annotate)
     for a in p.arrays:
         dims = ", ".join(str(d) for d in a.dims)
         em.line(0, f"array {a.name}[{dims}] init {a.init};")

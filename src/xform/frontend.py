@@ -18,7 +18,8 @@ Expressions are int64 arithmetic (+ - * / % with C truncation), comparisons
 producing 0/1, `&&`, the builtins min/max/disjoint, array reads, loop
 variables and params.  For-loops must be canonical: strictly `<` bound with a
 positive constant `+=` step; anything else is a syntax error, not a legality
-verdict.  `//` comments run to end of line.
+verdict.  `//` comments run to end of line.  Names and integer literals are
+ASCII: any other letter or digit is an unrecognized character.
 
 Every statement receives an `s<k>` id in source preorder.  Pragma stacks are
 attached to the loop that lexically follows them, bottom-most pragma first.
@@ -64,7 +65,7 @@ _TOKEN_RE = re.compile(
       | (?P<id>[A-Za-z_]\w*)
       | (?P<op><=|>=|==|!=|\+=|&&|[-+*/%<>=(),;{}\[\]])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # the grammar's names and digits are ASCII
 )
 
 _KEYWORDS = {"for", "while", "if", "else", "array", "param", "maybe_alias"}

@@ -1,18 +1,17 @@
 """The interpreter: deterministic execution, trace recording, and the
-semantic-equivalence and order oracles.
+semantic-equivalence oracle.
 
 All arithmetic is int64 with faults on overflow and division by zero, so
 program equivalence is exact — no tolerance questions.  `run` executes a
 program's lowered form (`xform.lower`): generated Python that keeps
 `lang.evaluate`'s checks and order of evaluation, and raises a `RunFault`
-naming the line of the statement whose expression faulted.  A run records
-its trace in one of the lowering's three modes (`record_trace`): none
-(`False`), one `TraceRecord` per statement instance (`True`, for the order
-oracles), or one finished CSV row per instance (`"csv"`, for `--trace`; the
-header is `CSV_HEADER`).  Random array
-initialization draws from [-100, 100] with a recorded seed.  The tree
-walker that the lowering replaced is the differential reference in
-`tests/reference_interp.py`.
+naming the line of the statement whose expression faulted.  A traced run
+(`record_trace`) returns one finished CSV row per statement instance, the
+rows of `--trace` (the header is `CSV_HEADER`).  Random array initialization
+draws from [-100, 100] with a recorded seed.  The tree walker that the
+lowering replaced is the differential reference in
+`tests/reference_interp.py`, which also holds the order oracles over its
+per-instance trace records.
 
 Arrays declared `maybe_alias` can be run under different bindings: fully
 separate storage, or overlapping storage at a given element offset.  The
@@ -26,9 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .lang import Program
-from .lower import CSV_HEADER, BudgetExceeded, Lowered, RunFault, TraceRecord, lower  # noqa: F401
-
-Trace = list  # list[TraceRecord], or list[str] of CSV rows
+from .lower import CSV_HEADER, BudgetExceeded, Lowered, RunFault, lower  # noqa: F401
 
 
 class Memory:
@@ -101,9 +98,9 @@ class Memory:
 
 
 def run(program: Program | Lowered, seed: int = 0, alias_binding: dict | None = None,
-        record_trace: bool | str = True, step_budget: int = 10**7) -> tuple[Memory, Trace]:
-    """Execute a program or its lowering; returns final memory and trace
-    (empty when `record_trace` is False)."""
+        record_trace: bool = True, step_budget: int = 10**7) -> tuple[Memory, list[str]]:
+    """Execute a program or its lowering; returns final memory and the CSV
+    rows of its trace (none when `record_trace` is False)."""
     if not (isinstance(program, Lowered) and program.traced == record_trace):
         program = lower(getattr(program, "program", program), record_trace)
     mem = Memory(program.program, alias_binding, seed)
@@ -186,16 +183,4 @@ def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> Eq
                         _where(t, s, binding) + f"{arr.name}[{i}] = {v1[i]} vs {v2[i]}")
         faulted += both_faulted
     return EquivalenceReport(True, len(trial_seeds), faulted=faulted)
-
-
-def order_preserved(t1: Trace, t2: Trace) -> bool:
-    """True iff both traces execute the same instances in the same order."""
-    return [r.key() for r in t1] == [r.key() for r in t2]
-
-
-def instance_multiset(t: Trace):
-    out: dict = {}
-    for r in t:
-        out[r.key()] = out.get(r.key(), 0) + 1
-    return out
 

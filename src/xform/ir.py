@@ -1,4 +1,4 @@
-"""Loop-tree naming, directive pipeline planning, and name resolution.
+"""Loop-tree naming and directive pipeline planning.
 
 Loops are named after their induction variable; clashes get `#2`, `#3`, ...
 suffixes in preorder.  While-loops are opaque nodes named `while`,
@@ -100,7 +100,7 @@ class PlannedPipeline:
     steps: list[PlannedDirective] = field(default_factory=list)
 
 
-def resolve_targets(d: Directive, attached, p: Program) -> tuple[str, ...]:
+def resolve_targets(d: Directive, attached) -> tuple[str, ...]:
     """Expand empty targets to "the following loop" (and nest, when k > 1)."""
     kind = KINDS[d.kind]
     if kind.shape == BAND:
@@ -136,7 +136,7 @@ def plan_pipeline(p: Program) -> PlannedPipeline:
 
     for loop in iter_loops(p.body):
         for d in loop.pragmas:
-            targets = resolve_targets(d, loop, p)
+            targets = resolve_targets(d, loop)
             for t in targets:
                 if t not in live:
                     if t in consumed:
@@ -161,19 +161,3 @@ def plan_pipeline(p: Program) -> PlannedPipeline:
             plan.steps.append(PlannedDirective(d, targets, loop.name, cons, intro))
     return plan
 
-
-def resolve_loop_name(p: Program, name: str, consumed: dict[str, Directive] | None = None):
-    """Look up a loop by name in the current tree.
-
-    Raises PlanError with a "replaced" diagnostic when the name was consumed
-    by an earlier directive, or "unknown" when it never existed.
-    """
-    matches = [l for l in iter_loops(p.body) if l.name == name]
-    if len(matches) > 1:
-        raise PlanError(f"loop name '{name}' is ambiguous")
-    if not matches:
-        if consumed and name in consumed:
-            d = consumed[name]
-            raise PlanError(f"loop '{name}' was replaced by {d.kind} (line {d.line})")
-        raise PlanError(f"unknown loop '{name}'")
-    return matches[0]

@@ -11,9 +11,14 @@ look a directive up in `KINDS` instead of branching on its kind, so a new
 directive is added here and nowhere else.
 
 Every transformation is a replacement: it removes the loops it applies to
-and returns the rewritten subtree to splice in their place, so follow-up
-directives see the result as if it had been written in the source.
-Generated loops take their names (and variables) from the id clauses.
+and returns a `TransformResult`, the rewritten subtree to splice in their
+place and the meta its legality rules read (the band, the new loop order,
+the statement groups), so follow-up directives see the result as if it had
+been written in the source.  A builder works on the candidate, a copy of
+the input program: it may move the candidate's statements into the
+replacement, and makes each further copy by one substitution
+(`lang.subst_body`).  Generated loops take their names (and variables) from
+the id clauses.
 
 Records call the legality judges through the `legality` module at call time,
 so a judge rebound on that module (by a tracer, say) is the one that runs.
@@ -28,8 +33,8 @@ from . import legality
 from .deps import DependenceSet
 from .lang import (
     Assign, BinOp, Call, EvalError, Expr, ForLoop, IfStmt, IntLit, Program, Stmt,
-    VarRef, WhileLoop, clone_body, clone_stmt, containing_list, evaluate, find_loop,
-    free_vars, iter_stmts, simplify, subst_body,
+    VarRef, WhileLoop, containing_list, evaluate, find_loop, free_vars, iter_stmts,
+    simplify, subst_body, subst_stmt,
 )
 from .legality import Verdict
 
@@ -41,8 +46,6 @@ class TransformError(Exception):
 @dataclass
 class TransformResult:
     replacement: list[Stmt]
-    binds: dict[str, str] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
 
@@ -154,8 +157,6 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
     _require_rectangular(chain, "tile")
     k = len(chain)
     origin = _gen(kind, uid)
-    notes: list[str] = []
-    binds = {n: n for n in (*floor_ids, *tile_ids)}
 
     lowers = [l.lower for l in chain]
     uppers = [l.upper for l in chain]
@@ -222,10 +223,8 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
         nest: list[Stmt] = subst_body(inner_body, vmap)
         for (var, lo, up, st, par) in reversed(floors + points):
             nest = [_make_loop(var, lo, up, st, nest, var, origin, par)]
-        if not main_region:
-            notes.append(f"peel residue region {mask}")
         regions.extend(nest)
-    return TransformResult(regions, binds, notes, {"band": [l.name for l in chain]})
+    return TransformResult(regions, {"band": [l.name for l in chain]})
 
 
 def stripe_mine(program: Program, loop: ForLoop, count: int, outer_id: str,
@@ -246,26 +245,24 @@ def stripe_mine(program: Program, loop: ForLoop, count: int, outer_id: str,
     outer = _make_loop(outer_id, loop.lower,
                        BinOp("+", loop.lower, IntLit(stride * loop.step)),
                        loop.step, [inner], outer_id, origin, loop.parallel)
-    return TransformResult([outer], {outer_id: outer_id, inner_id: inner_id},
-                           meta={"level": loop.name})
+    return TransformResult([outer], {"level": loop.name})
 
 
-def unroll_full(program: Program, loop: ForLoop, uid: int) -> TransformResult:
+def unroll_full(program: Program, loop: ForLoop) -> TransformResult:
     trips = _const_trips(program, loop)
     if trips is None:
         raise TransformError("full unroll requires a constant trip count")
     out: list[Stmt] = []
     for k in range(trips):
         val = simplify(BinOp("+", loop.lower, IntLit(k * loop.step)))
-        out.extend(subst_body(clone_body(loop.body), {loop.var: val}))
+        out.extend(subst_body(loop.body, {loop.var: val}))
     return TransformResult(out)
 
 
 def unroll_partial(program: Program, loop: ForLoop, factor: int, uid: int) -> TransformResult:
     """Strip-mine by `factor`, then fully unroll the strip: the remaining
     loop keeps its name."""
-    return TransformResult([_jam(program, loop, [], factor, _gen("unroll", uid), uid)],
-                           {loop.name: loop.name})
+    return TransformResult([_jam(program, loop, [], factor, _gen("unroll", uid), uid)])
 
 
 def unroll_and_jam(program: Program, loop: ForLoop, factor: int, uid: int) -> TransformResult:
@@ -280,9 +277,7 @@ def unroll_and_jam(program: Program, loop: ForLoop, factor: int, uid: int) -> Tr
             raise TransformError("unroll-and-jam requires inner bounds that do "
                                  f"not depend on '{loop.name}'")
     out = _jam(program, loop, chain, factor, _gen("unroll_and_jam", uid), uid)
-    meta = {"band": [loop.name] + [l.name for l in chain],
-            "jam_order": [l.name for l in chain] + [loop.name]}
-    return TransformResult([out], {loop.name: loop.name}, meta=meta)
+    return TransformResult([out], {"jam_order": [l.name for l in chain] + [loop.name]})
 
 
 def _jam(program: Program, loop: ForLoop, chain: list[ForLoop], factor: int,
@@ -294,10 +289,10 @@ def _jam(program: Program, loop: ForLoop, chain: list[ForLoop], factor: int,
     divisible = trips is not None and trips % factor == 0
     v = loop.var
     body = (chain[-1] if chain else loop).body
-    jammed: list[Stmt] = clone_body(body)
+    jammed: list[Stmt] = subst_body(body, {})
     for k in range(1, factor):
         off = simplify(BinOp("+", VarRef(v), IntLit(k * loop.step)))
-        copy = subst_body(clone_body(body), {v: off})
+        copy = subst_body(body, {v: off})
         if divisible:
             jammed.extend(copy)
         else:
@@ -311,8 +306,7 @@ def _jam(program: Program, loop: ForLoop, chain: list[ForLoop], factor: int,
                       loop.name, origin, loop.parallel)
 
 
-def interchange(program: Program, chain: list[ForLoop], permutation: tuple[str, ...],
-                uid: int) -> TransformResult:
+def interchange(chain: list[ForLoop], permutation: tuple[str, ...], uid: int) -> TransformResult:
     """Reorder a perfect band of loops into the permutation's order."""
     by_name = {l.name: l for l in chain}
     # bounds may only use variables of loops that stay above in the new order
@@ -331,8 +325,7 @@ def interchange(program: Program, chain: list[ForLoop], permutation: tuple[str, 
         l = by_name[name]
         nest = [_make_loop(l.var, l.lower, l.upper, l.step, nest, l.name,
                            l.origin if identity else origin, l.parallel)]
-    meta = {"band": [l.name for l in chain], "order": list(permutation)}
-    return TransformResult(nest, meta=meta)
+    return TransformResult(nest, {"band": [l.name for l in chain], "order": list(permutation)})
 
 
 def peel(program: Program, loop: ForLoop, spec: tuple[str, int],
@@ -350,7 +343,7 @@ def peel(program: Program, loop: ForLoop, spec: tuple[str, int],
         if trips is not None and n <= trips:
             pro.upper = simplify(cut)
         main = _renamed(loop, main_id, cut, loop.upper, origin, loop.parallel)
-        return TransformResult([pro, main], {prologue_id: prologue_id, main_id: main_id})
+        return TransformResult([pro, main])
     trips = _const_trips(program, loop)
     if trips is None or _has_opaque(program, loop.lower, loop.upper):
         raise TransformError(f"peel {mode}({n}) needs a computable trip count")
@@ -358,11 +351,10 @@ def peel(program: Program, loop: ForLoop, spec: tuple[str, int],
     cut = simplify(BinOp("+", loop.lower, IntLit(keep * loop.step)))
     main = _renamed(loop, main_id, loop.lower, cut, origin, loop.parallel)
     epi = _renamed(loop, epilogue_id, cut, loop.upper, origin)
-    return TransformResult([main, epi], {main_id: main_id, epilogue_id: epilogue_id})
+    return TransformResult([main, epi])
 
 
-def collapse(program: Program, chain: list[ForLoop], collapsed_id: str,
-             uid: int) -> TransformResult:
+def collapse(chain: list[ForLoop], collapsed_id: str, uid: int) -> TransformResult:
     """Flatten a rectangular perfect nest into one loop over logical
     iteration numbers 0..prod(trips), row-major, delinearized in the body."""
     _require_rectangular(chain, "collapse")
@@ -385,11 +377,11 @@ def collapse(program: Program, chain: list[ForLoop], collapsed_id: str,
     body = subst_body(chain[-1].body, vmap)
     out = _make_loop(collapsed_id, IntLit(0), simplify(total), 1, body,
                      collapsed_id, _gen("collapse", uid), chain[0].parallel)
-    return TransformResult([out], {collapsed_id: collapsed_id})
+    return TransformResult([out])
 
 
-def distribute(program: Program, loop: ForLoop, groups, ids: tuple[str, ...],
-               uid: int, taken: set[str]) -> TransformResult:
+def distribute(loop: ForLoop, groups, ids: tuple[str, ...], uid: int,
+               taken: set[str]) -> TransformResult:
     """Split a loop body into one loop per statement group (same domain,
     order of groups = textual order)."""
     top_ids = [s.stmt_id for s in loop.body]
@@ -418,19 +410,17 @@ def distribute(program: Program, loop: ForLoop, groups, ids: tuple[str, ...],
     if len(groups) == 1:
         if ids:
             out = _renamed(loop, ids[0], loop.lower, loop.upper, origin, loop.parallel)
-            return TransformResult([out], {ids[0]: ids[0]}, meta={"part_of": part_of})
-        return TransformResult([loop], meta={"part_of": part_of})
+            return TransformResult([out], {"part_of": part_of})
+        return TransformResult([loop], {"part_of": part_of})
     out_loops: list[Stmt] = []
-    binds = {}
     for pi, g in enumerate(groups):
         nm = ids[pi] if ids else _fresh(f"{loop.name}_d{pi + 1}", taken)
-        binds[nm] = nm
         out_loops.append(_renamed(loop, nm, loop.lower, loop.upper, origin, loop.parallel,
-                                  [clone_stmt(stmt_of[sid]) for sid in g]))
-    return TransformResult(out_loops, binds, meta={"part_of": part_of})
+                                  [stmt_of[sid] for sid in g]))
+    return TransformResult(out_loops, {"part_of": part_of})
 
 
-def fuse(program: Program, loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
+def fuse(loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
     """Concatenate adjacent sibling loops with identical domains into one."""
     first = loops[0]
     lo, up, st = simplify(first.lower), simplify(first.upper), first.step
@@ -446,7 +436,7 @@ def fuse(program: Program, loops: list[ForLoop], fused_id: str, uid: int) -> Tra
                 loop_of[inner.stmt_id] = li
         body.extend(subst_body(l.body, {l.var: VarRef(fused_id)}))
     out = _make_loop(fused_id, lo, up, st, body, fused_id, _gen("fuse", uid))
-    return TransformResult([out], {fused_id: fused_id}, meta={"loop_of": loop_of})
+    return TransformResult([out], {"loop_of": loop_of})
 
 
 def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
@@ -461,15 +451,15 @@ def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
     body = subst_body(loop.body, {loop.var: reflect})
     out = _make_loop(loop.var, loop.lower, loop.upper, loop.step, body,
                      loop.name, _gen("reverse", uid), loop.parallel)
-    return TransformResult([out], {loop.name: loop.name}, meta={"level": loop.name})
+    return TransformResult([out], {"level": loop.name})
 
 
-def parallel_mark(program: Program, loop: ForLoop, uid: int) -> TransformResult:
+def parallel_mark(loop: ForLoop) -> TransformResult:
     """Mark a loop's iterations as safe to run in any order (no structural
     change; verified by permuted execution)."""
-    out = clone_stmt(loop)
+    out = subst_stmt(loop, {})
     out.parallel = True
-    return TransformResult([out], meta={"level": loop.name})
+    return TransformResult([out], {"level": loop.name})
 
 
 def _nest_chain(nodes: list, what: str, ordered_names: tuple[str, ...] | None = None) -> list[ForLoop]:
@@ -702,7 +692,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          conservative=_level_rule),
     Kind("unroll", "unroll", {"factor": "int", "full": "flag"},
          lambda p, loops, a, uid, taken: (
-             unroll_full(p, loops[0], uid) if "full" in a
+             unroll_full(p, loops[0]) if "full" in a
              else unroll_partial(p, loops[0], a["factor"], uid)),
          check=_check_unroll, renames=lambda c, t, a: (t, () if "full" in c else t),
          always_valid=_order_kept),
@@ -711,7 +701,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          check=_requires("unrollingandjam", "factor", 2),
          conservative=lambda ds, m: legality.judge_permutation_conservative(ds, m["jam_order"])),
     Kind("interchange", "interchange", {"permutation": "ids"},
-         lambda p, loops, a, uid, taken: interchange(p, loops, a["permutation"], uid),
+         lambda p, loops, a, uid, taken: interchange(loops, a["permutation"], uid),
          shape=BAND, band=lambda c: tuple(c["permutation"]), check=_check_interchange,
          always_valid=lambda p, t, c, m: m["band"] == m["order"],
          conservative=lambda ds, m: legality.judge_permutation_conservative(ds, m["order"])),
@@ -724,24 +714,24 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          check=_check_peel, ids={"prologue_id": "_p", "main_id": "", "epilogue_id": "_e"},
          renames=_peel_renames, always_valid=_order_kept),
     Kind("collapse", "collapse", {"collapsed_id": "id", "levels": "int"},
-         lambda p, loops, a, uid, taken: collapse(p, loops, a["collapsed_id"], uid),
+         lambda p, loops, a, uid, taken: collapse(loops, a["collapsed_id"], uid),
          shape=NEST, band=lambda c: c["levels"], check=_check_collapse,
          ids={"collapsed_id": "_c"}, always_valid=_order_kept),
     Kind("distribute", "distribute", {"parts": "groups", "ids": "ids"},
          lambda p, loops, a, uid, taken: distribute(
-             p, loops[0], a.get("parts"), a["ids"], uid, taken),
+             loops[0], a.get("parts"), a["ids"], uid, taken),
          ids={"ids": None},
          always_valid=lambda p, t, c, m: len(set(m["part_of"].values())) <= 1,
          conservative=lambda ds, m: legality.judge_parts_conservative(ds, m["part_of"])),
     Kind("fuse", "fuse", {"fused_id": "id"},
-         lambda p, loops, a, uid, taken: fuse(p, loops, a["fused_id"], uid),
+         lambda p, loops, a, uid, taken: fuse(loops, a["fused_id"], uid),
          shape=SIBLINGS, ids={"fused_id": "_fused"},
          conservative=lambda ds, m: legality.judge_fused_conservative(ds, m["loop_of"])),
     Kind("reverse", "reverse", {},
          lambda p, loops, a, uid, taken: reverse(p, loops[0], uid),
          conservative=_level_rule),
     Kind("parallel", "parallel", {},
-         lambda p, loops, a, uid, taken: parallel_mark(p, loops[0], uid),
+         lambda p, loops, a, uid, taken: parallel_mark(loops[0]),
          exact=lambda ds, m: legality.judge_parallel_exact(ds, m["level"]),
          conservative=_level_rule),
 )}

@@ -296,11 +296,6 @@ class Directive:
         return f"{self.kind}{tgt}"
 
 
-def directive_equal(a: Directive, b: Directive) -> bool:
-    return (a.kind == b.kind and a.targets == b.targets and a.clauses == b.clauses
-            and a.safety == b.safety and a.required == b.required)
-
-
 # ---------------------------------------------------------------------------
 # Statements
 
@@ -402,12 +397,6 @@ class Program:
     params: list[ParamDecl] = field(default_factory=list)
     body: list[Stmt] = field(default_factory=list)
 
-    def array(self, name: str) -> ArrayDecl:
-        for a in self.arrays:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
     def param_values(self, include_opaque: bool = True) -> dict[str, int]:
         return {p.name: p.value for p in self.params if include_opaque or not p.opaque}
 
@@ -461,30 +450,8 @@ def containing_list(stmts: list[Stmt], node: Stmt):
     return None
 
 
-def clone_stmt(s: Stmt) -> Stmt:
-    if isinstance(s, Assign):
-        return Assign(s.array, s.index, s.op, s.value, s.stmt_id, s.line, s.orig_coords)
-    if isinstance(s, ForLoop):
-        return ForLoop(s.var, s.lower, s.upper, s.step, clone_body(s.body),
-                       list(s.pragmas), s.stmt_id, s.line, s.name, s.origin, s.parallel)
-    if isinstance(s, WhileLoop):
-        return WhileLoop(s.cond, clone_body(s.body), list(s.pragmas),
-                         s.stmt_id, s.line, s.name, s.origin)
-    if isinstance(s, IfStmt):
-        return IfStmt(s.cond, clone_body(s.then_body),
-                      clone_body(s.else_body) if s.else_body is not None else None,
-                      s.stmt_id, s.line)
-    if isinstance(s, Block):
-        return Block(clone_body(s.body), s.stmt_id, s.line)
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def clone_body(stmts: list[Stmt]) -> list[Stmt]:
-    return [clone_stmt(s) for s in stmts]
-
-
 def clone_program(p: Program) -> Program:
-    return Program(list(p.arrays), list(p.aliases), list(p.params), clone_body(p.body))
+    return Program(list(p.arrays), list(p.aliases), list(p.params), subst_body(p.body, {}))
 
 
 def subst_stmt(s: Stmt, mapping: dict[str, Expr]) -> Stmt:
@@ -520,93 +487,3 @@ def strip_pragmas(p: Program) -> Program:
     for l in iter_loops(out.body):
         l.pragmas = []
     return out
-
-
-# ---------------------------------------------------------------------------
-# Structural equality (ignores ids, lines, names, origins, coords)
-
-
-def structurally_equal(a, b, compare_pragmas: bool = False) -> bool:
-    if isinstance(a, Program) and isinstance(b, Program):
-        if [(d.name, d.dims, d.init) for d in a.arrays] != [(d.name, d.dims, d.init) for d in b.arrays]:
-            return False
-        if [(d.first, d.second) for d in a.aliases] != [(d.first, d.second) for d in b.aliases]:
-            return False
-        if [(d.name, d.value, d.opaque) for d in a.params] != [(d.name, d.value, d.opaque) for d in b.params]:
-            return False
-        return _body_equal(a.body, b.body, compare_pragmas)
-    if isinstance(a, list) and isinstance(b, list):
-        return _body_equal(a, b, compare_pragmas)
-    return _stmt_equal(a, b, compare_pragmas)
-
-
-def _body_equal(a, b, cp):
-    return len(a) == len(b) and all(_stmt_equal(x, y, cp) for x, y in zip(a, b))
-
-
-def _stmt_equal(a, b, cp):
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Assign):
-        return (a.array == b.array and a.index == b.index
-                and a.op == b.op and a.value == b.value)
-    if isinstance(a, ForLoop):
-        if not (a.var == b.var and a.lower == b.lower and a.upper == b.upper
-                and a.step == b.step and a.parallel == b.parallel):
-            return False
-        if cp and not _pragmas_equal(a.pragmas, b.pragmas):
-            return False
-        return _body_equal(a.body, b.body, cp)
-    if isinstance(a, WhileLoop):
-        if a.cond != b.cond:
-            return False
-        if cp and not _pragmas_equal(a.pragmas, b.pragmas):
-            return False
-        return _body_equal(a.body, b.body, cp)
-    if isinstance(a, IfStmt):
-        if a.cond != b.cond or not _body_equal(a.then_body, b.then_body, cp):
-            return False
-        if (a.else_body is None) != (b.else_body is None):
-            return False
-        return a.else_body is None or _body_equal(a.else_body, b.else_body, cp)
-    if isinstance(a, Block):
-        return _body_equal(a.body, b.body, cp)
-    raise TypeError(f"not a statement: {a!r}")
-
-
-def _pragmas_equal(a, b):
-    return len(a) == len(b) and all(directive_equal(x, y) for x, y in zip(a, b))
-
-
-def alpha_normalize(stmts: list[Stmt]) -> list[Stmt]:
-    """Rename loop variables to v0, v1, ... in preorder.
-
-    Used to compare trees for equality up to the names a transformation chose
-    for its generated loops.
-    """
-    counter = [0]
-
-    def go(body, mapping):
-        out = []
-        for s in body:
-            if isinstance(s, ForLoop):
-                nv = f"v{counter[0]}"
-                counter[0] += 1
-                inner = dict(mapping)
-                inner[s.var] = VarRef(nv)
-                loop = ForLoop(nv, subst(s.lower, mapping), subst(s.upper, mapping),
-                               s.step, go(s.body, inner), [], s.stmt_id, s.line,
-                               "", s.origin, s.parallel)
-                out.append(loop)
-            elif isinstance(s, WhileLoop):
-                out.append(WhileLoop(subst(s.cond, mapping), go(s.body, mapping)))
-            elif isinstance(s, IfStmt):
-                out.append(IfStmt(subst(s.cond, mapping), go(s.then_body, mapping),
-                                  go(s.else_body, mapping) if s.else_body is not None else None))
-            elif isinstance(s, Block):
-                out.append(Block(go(s.body, mapping)))
-            else:
-                out.append(subst_stmt(s, mapping))
-        return out
-
-    return go(stmts, {})

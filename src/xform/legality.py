@@ -64,7 +64,6 @@ class Verdict:
 class Action:
     kind: str
     rtc_pairs: tuple[tuple[str, str], ...] = ()
-    warning: str = ""
 
 
 _MATRIX = {
@@ -87,7 +86,7 @@ def resolve(verdict: Verdict, mode: str, required: bool) -> Action:
     """Map verdict x safety mode (x required) to the action to take."""
     kind = _MATRIX[(verdict.kind, mode)]
     if kind == KEEP_ORIGINAL:
-        return Action(HARD_ERROR if required else KEEP_ORIGINAL, (), verdict.describe())
+        return Action(HARD_ERROR if required else KEEP_ORIGINAL)
     if kind == TRANSFORM_WITH_RTC:
         return Action(TRANSFORM_WITH_RTC, verdict.rtc_pairs)
     return Action(TRANSFORM)

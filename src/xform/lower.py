@@ -9,11 +9,10 @@ with `flat_index`'s message, and every statement and loop iteration takes one
 step of the budget.  A fault is an `EvalError` raised on a generated line,
 which `Lowered.__call__` maps back to the program statement's line.
 
-A lowering has one of three trace modes, which differ only in what an
-assignment appends to the trace list before it stores its value: nothing
-(`False`), the tree walker's `TraceRecord` (`True`, the only mode that keeps
-the loops' trip counters), or one finished CSV row (`"csv"`, see
-`CSV_HEADER`), an f-string of the values that the record would hold.
+A lowering is untraced, or traced: then each assignment appends one
+finished CSV row (see `CSV_HEADER`) to the trace list before it stores its
+value, an f-string of the statement id, its original-loop coordinates and
+the elements it reads and writes.
 
 Expressions become three-address code, one checked operation per line.  A
 parameter becomes its value, a loop variable a local named `v_<name>`, and an
@@ -47,27 +46,13 @@ class BudgetExceeded(RunFault):
 CSV_HEADER = "stmt,iter_vec,reads,writes"
 
 
-@dataclass
-class TraceRecord:
-    stmt: str
-    ivec: tuple[tuple[str, int], ...]   # original-loop coordinates (name, value)
-    reads: tuple[tuple[str, int], ...]
-    writes: tuple[tuple[str, int], ...]
-    cur_loops: tuple[str, ...] = ()     # enclosing for-loops in the executed tree
-    cur_ivec: tuple[int, ...] = ()      # their variable values
-    cur_logical: tuple[int, ...] = ()   # their trip counters
-
-    def key(self):
-        return (self.stmt, self.ivec)
-
-
 def cells(array: str, flats) -> str:
     """The csv `reads` entry of an array read at several elements."""
     return " ".join([f"{array}[{x}]" for x in sorted(set(flats))])
 
 
 _GLOBALS = {"EvalError": EvalError, "BudgetExceeded": BudgetExceeded,
-            "TraceRecord": TraceRecord, "cells": cells, "idiv": idiv, "imod": imod}
+            "cells": cells, "idiv": idiv, "imod": imod}
 _FORMS = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}",
           "/": "idiv({0}, {1})", "%": "imod({0}, {1})",
           "&&": "1 if {0} != 0 and {1} != 0 else 0",
@@ -81,7 +66,7 @@ class Lowered:
     """A program's compiled form; call it with a `Memory`, a step budget and
     a trace list (None when untraced)."""
     program: Program
-    traced: bool | str  # False, True (records) or "csv"
+    traced: bool
     fn: object
     lines: list[int]   # program line of each generated line
 
@@ -101,8 +86,8 @@ class Lowered:
             raise RunFault(f"{e} (line {line})") from None
 
 
-def lower(program: Program, traced: bool | str) -> Lowered:
-    """Generate and compile `program`'s run function in a trace mode."""
+def lower(program: Program, traced: bool) -> Lowered:
+    """Generate and compile `program`'s run function, traced or not."""
     rows = [row for code in _Gen(program, traced).funcs for row in code]
     namespace = dict(_GLOBALS)
     source = "\n".join("    " * depth + text for depth, text, _ in rows)
@@ -111,8 +96,8 @@ def lower(program: Program, traced: bool | str) -> Lowered:
 
 
 class _Gen:
-    def __init__(self, program: Program, traced: bool | str):
-        self.traced, self.csv = traced, traced == "csv"
+    def __init__(self, program: Program, traced: bool):
+        self.traced = traced
         self.dims = {a.name: a.dims for a in program.arrays}
         aliased = {n for al in program.aliases for n in (al.first, al.second)}
         self.base = {a: f"b_{a} + " if a in aliased else "" for a in self.dims}
@@ -217,8 +202,7 @@ class _Gen:
             self.body(stmts, scope, loops)
             self.emit("pass")
         else:
-            live = ["mem", "bud", "trace", *self.arrays,
-                    *(v for _, v, _ in loops), *(k for _, _, k in loops if k)]
+            live = ["mem", "bud", "trace", *self.arrays, *loops]
             name = f"f{len(self.funcs)}"
             self.emit(f"bud = {name}({', '.join(live)})")
             saved = self.code, self.depth
@@ -242,18 +226,11 @@ class _Gen:
             if s.op == "+=":
                 reads.append((s.array, flat))
             ivec = [(n, self.expr(e, scope)) for n, e in s.orig_coords]
-            self.emit(f"trace.append({self.row(s, ivec, reads, flat, loops)})")
+            self.emit(f"trace.append({self.row(s, ivec, reads, flat)})")
         self.emit(f"{cell} = {value}")
 
-    def row(self, s: Assign, ivec: list, reads: list, flat, loops: list) -> str:
-        """The source of the trace entry, from values and the names holding them."""
-        if not self.csv:
-            pairs = ", ".join(f"({a!r}, {x})" for a, x in reads)
-            reads = f"tuple(sorted({{{pairs}}}))" if reads else "()"
-            ivec = _tuple(f"({n!r}, {v})" for n, v in ivec)
-            return (f"TraceRecord({s.stmt_id!r}, {ivec}, {reads}, (({s.array!r}, {flat}),), "
-                    f"{_tuple(repr(n) for n, _, _ in loops)}, {_tuple(v for _, v, _ in loops)}, "
-                    f"{_tuple(k for _, _, k in loops)})")
+    def row(self, s: Assign, ivec: list, reads: list, flat) -> str:
+        """The source of the CSV row, from values and the names holding them."""
         by_array: dict[str, dict] = {}
         for a, x in reads:  # one name holds one value within a statement
             by_array.setdefault(a, {})[x] = None
@@ -268,10 +245,8 @@ class _Gen:
         var = f"v_{s.var}"
         if var in scope.values():  # an enclosing loop of the same name
             var = f"v{len(loops)}_{s.var}"
-        trips = f"range({lo}, {hi}, {s.step})"
-        trip = f"k{len(loops)}" if self.traced and not self.csv else ""
-        self.emit(f"for {trip}, {var} in enumerate({trips}):" if trip else f"for {var} in {trips}:")
-        self.block(s.body, {**scope, s.var: var}, loops + [(s.name, var, trip)], self.tick)
+        self.emit(f"for {var} in range({lo}, {hi}, {s.step}):")
+        self.block(s.body, {**scope, s.var: var}, loops + [var], self.tick)
 
     def WhileLoop(self, s: WhileLoop, scope: dict, loops: list):
         def head():
@@ -289,8 +264,3 @@ class _Gen:
 
     def Block(self, s: Block, scope: dict, loops: list):
         self.body(s.body, scope, loops)
-
-
-def _tuple(items) -> str:
-    items = list(items)
-    return f"({', '.join(items)}{',' * (len(items) == 1)})"

@@ -21,8 +21,8 @@ from .deps import DepsError, _CapExceeded, enumerate_instances
 from .ir import PlannedDirective, PlannedPipeline
 from .kinds import KINDS, SIBLINGS, TransformError, _const_trips  # noqa: F401 (re-exported)
 from .lang import (
-    Directive, EvalError, Program, Stmt, clone_program, clone_stmt, containing_list,
-    find_loop, iter_loops, iter_stmts, strip_pragmas,
+    Directive, EvalError, Program, Stmt, clone_program, containing_list, find_loop,
+    iter_loops, iter_stmts, strip_pragmas, subst_stmt,
 )
 from .legality import (
     HARD_ERROR, IMPOSSIBLE, KEEP_ORIGINAL, TRANSFORM_WITH_RTC, Action, Verdict,
@@ -39,8 +39,6 @@ class ApplyInfo:
     span_start: int
     span_old: int
     span_new: int
-    binds: dict[str, str]
-    notes: list[str]
     meta: dict
 
 
@@ -84,7 +82,7 @@ def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, Ap
         span_new = len(tops) - count + len(res.replacement)
     else:
         span_new = len(tops)
-    info = ApplyInfo(tops[0], len(tops), span_new, res.binds, res.notes, res.meta)
+    info = ApplyInfo(tops[0], len(tops), span_new, res.meta)
     return cand, info
 
 
@@ -177,7 +175,7 @@ def apply_pipeline(program: Program, plan: PlannedPipeline,
     """
     cur = strip_pragmas(program)
     tags: list[tuple[int, ...]] = [(i,) for i in range(len(cur.body))]
-    pristine: dict[int, Stmt] = {i: clone_stmt(s) for i, s in enumerate(cur.body)}
+    pristine: dict[int, Stmt] = {i: subst_stmt(s, {}) for i, s in enumerate(cur.body)}
     rtc_conds: dict[int, dict] = {}
     kept_ids: dict[str, Directive] = {}
     reports: list[DirectiveReport] = []
@@ -241,7 +239,7 @@ def apply_pipeline(program: Program, plan: PlannedPipeline,
                 pairs.update(rtc_conds.get(a, {}))
             group = cur.body[i:j]
             if pairs:
-                fallback = [clone_stmt(pristine[a]) for a in sorted(atoms)]
+                fallback = [subst_stmt(pristine[a], {}) for a in sorted(atoms)]
                 body.extend(legality.synthesize_rtc(tuple(pairs), group, fallback))
             else:
                 body.extend(group)

@@ -7,6 +7,16 @@ from xform import apply_pipeline, name_loops, parse_program, plan_pipeline
 from xform.lang import Directive, ForLoop, strip_pragmas
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def xform_importable_in_subprocesses():
+    """Tests that run `python -m xform` import it from this checkout,
+    whatever their working directory and PYTHONPATH."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 def corpus_paths():

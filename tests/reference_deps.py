@@ -7,14 +7,14 @@ differential reference for `deps.enumerate_instances`, which must give the
 same `Enumeration` (`steps` included) or raise the same exception with the
 same message.
 
-`brute_force_dependences` is independent of both: it runs the real
-interpreter over the region and compares touched addresses pairwise over the
-trace.  `is_superset`, `covers` and `dep_signature` compare dependence sets.
+`brute_force_dependences` is independent of both: it runs the reference
+tree walker (`reference_interp`) over the region and compares touched
+addresses pairwise over its trace records.  `is_superset`, `covers` and
+`dep_signature` compare dependence sets.
 """
 
 from __future__ import annotations
 
-from xform import interp
 from xform.deps import (
     Dependence, DependenceSet, DepsError, Enumeration, Instance, _CapExceeded, _exact_set,
     _reads, _step_budget,
@@ -22,6 +22,8 @@ from xform.deps import (
 from xform.lang import (
     Assign, Block, ForLoop, IfStmt, Program, Stmt, WhileLoop, evaluate, flat_index, iter_stmts,
 )
+
+import reference_interp
 
 
 def reference_enumerate_instances(program: Program, scope: list[Stmt],
@@ -92,14 +94,15 @@ def reference_enumerate_instances(program: Program, scope: list[Stmt],
 
 
 def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> DependenceSet:
-    """Oracle: run the interpreter over the region and compare every pair of
-    trace records.  Exact by construction; capped at `cap` instances."""
+    """Oracle: run the reference interpreter over the region and compare
+    every pair of trace records.  Exact by construction; capped at `cap`
+    instances."""
     stmts = scope if isinstance(scope, list) else [scope]
     for inner in iter_stmts(stmts):
         if isinstance(inner, WhileLoop):
             raise DepsError("while-loop in analyzed region")
     sub = Program(program.arrays, program.aliases, program.params, stmts)
-    _, trace = interp.run(sub, seed=0, record_trace=True, step_budget=10 * cap + 1000)
+    _, trace = reference_interp.run(sub, seed=0, step_budget=10 * cap + 1000)
     if len(trace) > cap:
         raise DepsError(f"region exceeds the oracle cap of {cap} instances")
     instances = []

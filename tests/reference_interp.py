@@ -1,19 +1,41 @@
 """The tree-walking reference interpreter, kept as the differential oracle
 for `xform.lower`: it executes the statement tree directly, valuing each
 expression with `lang.evaluate`, and can run a loop's iterations reversed or
-shuffled (`parallel_consistent`).  `trace_csv` is the reference formatter of
-the rows that a lowering in csv mode writes."""
+shuffled (`parallel_consistent`).
+
+A traced run records one `TraceRecord` per statement instance: its
+original-loop coordinates, the elements it reads and writes, and the loops
+that enclose it in the executed tree.  `order_preserved` and
+`instance_multiset` compare runs by these records, and `trace_csv` is the
+reference formatter of the rows that a traced lowering writes."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from xform.interp import Memory, RunFault, Trace, TraceRecord
+from xform.interp import Memory, RunFault
 from xform.lang import (
     Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, evaluate,
     flat_index, int64,
 )
+
+
+@dataclass
+class TraceRecord:
+    stmt: str
+    ivec: tuple[tuple[str, int], ...]   # original-loop coordinates (name, value)
+    reads: tuple[tuple[str, int], ...]
+    writes: tuple[tuple[str, int], ...]
+    cur_loops: tuple[str, ...] = ()     # enclosing for-loops in the executed tree
+    cur_ivec: tuple[int, ...] = ()      # their variable values
+    cur_logical: tuple[int, ...] = ()   # their trip counters
+
+    def key(self):
+        return (self.stmt, self.ivec)
+
+
+Trace = list[TraceRecord]
 
 
 class _Run(Memory):
@@ -158,3 +180,15 @@ def trace_csv(trace: Trace) -> str:
         writes = " ".join(f"{a}[{i}]" for a, i in r.writes)
         lines.append(f"{r.stmt},{ivec},{reads},{writes}")
     return "\n".join(lines) + "\n"
+
+
+def order_preserved(t1: Trace, t2: Trace) -> bool:
+    """True iff both traces execute the same instances in the same order."""
+    return [r.key() for r in t1] == [r.key() for r in t2]
+
+
+def instance_multiset(t: Trace):
+    out: dict = {}
+    for r in t:
+        out[r.key()] = out.get(r.key(), 0) + 1
+    return out

@@ -13,14 +13,10 @@ import time
 
 from xform import (
     apply_pipeline, compute_dependences, emit_program,
-    equivalent, order_preserved, parse_program, plan_pipeline, run,
+    equivalent, parse_program, plan_pipeline,
 )
 from xform.deps import DepsError
-from xform.interp import instance_multiset
-from xform.lang import (
-    Directive, ForLoop, WhileLoop, alpha_normalize, iter_loops, strip_pragmas,
-    structurally_equal,
-)
+from xform.lang import Directive, ForLoop, WhileLoop, iter_loops, strip_pragmas
 from xform.legality import (
     ALWAYS_VALID, HARD_ERROR, IMPOSSIBLE, INVALID, KEEP_ORIGINAL, TRANSFORM,
     TRANSFORM_WITH_RTC, VALID_WITH_RTC, Verdict, resolve,
@@ -31,6 +27,8 @@ from conftest import (
     run_pipeline, with_directive,
 )
 from reference_deps import brute_force_dependences, dep_signature, is_superset
+from reference_interp import instance_multiset, order_preserved, run
+from reference_lang import alpha_normalize, structurally_equal
 
 
 def _ok(n, text):

@@ -11,8 +11,8 @@ from conftest import CORPUS_DIR
 XFORM = [sys.executable, "-m", "xform"]
 
 
-def run_cli(*args):
-    return subprocess.run(XFORM + list(args), capture_output=True, text=True)
+def run_cli(*args, cwd=None):
+    return subprocess.run(XFORM + list(args), capture_output=True, text=True, cwd=cwd)
 
 
 def corpus(name):
@@ -100,6 +100,31 @@ def test_trace_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "stmt,iter_vec,reads,writes"
     assert [l.split(",")[1] for l in lines[1:5]] == ["i=0", "i=4", "i=8", "i=1"]
+
+
+def test_trace_to_stdout_is_the_trace_file(tmp_path):
+    args = (corpus("03_tile2d.loop"), "--seed", "3", "--trace")
+    r = run_cli(*args, "-", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert run_cli(*args, str(tmp_path / "t.csv")).returncode == 0
+    assert r.stdout == (tmp_path / "t.csv").read_text()
+    assert r.stdout.startswith("stmt,iter_vec,reads,writes\n")
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("src, char", [
+    # two names that Python's NFKC normalisation of identifiers would merge
+    ("for (xfi = 0; xfi < 2; xfi += 1)\n  for (x\ufb01 = 0; x\ufb01 < 2; x\ufb01 += 1)\n"
+     "    A[xfi * 2 + x\ufb01] = xfi + 10;\n", "\ufb01"),
+    ("A[\u0663] = 1;\n", "\u0663"),  # an Arabic-Indic digit three
+], ids=["ligature-name", "arabic-digit"])
+def test_non_ascii_names_and_digits_are_unrecognized(tmp_path, src, char):
+    path = tmp_path / "in.loop"
+    path.write_text("array A[4] init zero;\n" + src, encoding="utf-8")
+    r = run_cli(str(path), "--verify", "2", "--trace", str(tmp_path / "t.csv"))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: unrecognized character {char!r}"), r.stderr
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr, r.stderr
 
 
 def test_identical_invocations_are_deterministic():

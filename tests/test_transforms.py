@@ -3,16 +3,14 @@ instance preservation, verdicts for the rejection cases."""
 
 import pytest
 
-from xform import equivalent, order_preserved, run
+from xform import equivalent, plan_pipeline, transforms
 from xform.emit import emit_program
-from xform.interp import instance_multiset
-from xform.lang import (
-    Assign, ForLoop, IfStmt, alpha_normalize, iter_loops, iter_stmts,
-    strip_pragmas, structurally_equal,
-)
+from xform.lang import Assign, ForLoop, IfStmt, iter_loops, iter_stmts, strip_pragmas
 from xform.legality import ALWAYS_VALID, IMPOSSIBLE, INVALID
 
-from conftest import parse_named, run_pipeline, with_directive
+from conftest import corpus_names, load_corpus, parse_named, run_pipeline, with_directive
+from reference_interp import instance_multiset, order_preserved, run
+from reference_lang import alpha_normalize, structurally_equal
 
 
 def applied(res):
@@ -762,7 +760,6 @@ def test_stripe_mine_with_stride_loop():
     _, t1 = run(out)
     # 12 logical iterations in 3-element stripes with logical stride 4
     assert [r.ivec[0][1] for r in t1][:6] == [0, 8, 16, 2, 10, 18]
-    from xform.interp import instance_multiset
     _, t0 = run(strip_pragmas(p))
     assert instance_multiset(t0) == instance_multiset(t1)
 
@@ -791,6 +788,31 @@ for (i = 2; i < 9; i += 3)
     assert order_preserved(t0, t1)
     loop = out.body[0]
     assert (loop.lower.value, loop.upper.value, loop.step) == (0, 9, 1)
+
+
+@pytest.mark.parametrize("name", corpus_names() + ["dgemm8"])
+def test_a_candidate_shares_no_statement_with_its_input(monkeypatch, name):
+    # a builder may move the candidate's own statements, but neither reuses
+    # the input's (the program of record when the step is not applied) nor
+    # places one statement twice
+    src = load_corpus("05_dgemm.loop").replace("16", "8") if name == "dgemm8" \
+        else load_corpus(name)
+    p = parse_named(src)
+    real, calls = transforms.build_candidate, []
+
+    def checked(program, pd):
+        calls.append(pd)
+        cand, info = real(program, pd)
+        after = [id(s) for s in iter_stmts(cand.body)]
+        assert len(set(after)) == len(after), pd.directive.describe()
+        assert set(after).isdisjoint(id(s) for s in iter_stmts(program.body)), \
+            pd.directive.describe()
+        return cand, info
+
+    monkeypatch.setattr(transforms, "build_candidate", checked)
+    for mode in ("default", "fallback", "force"):
+        transforms.apply_pipeline(p, plan_pipeline(p), safety_override=mode)
+    assert calls
 
 
 # helpers used above -------------------------------------------------------
