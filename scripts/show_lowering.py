@@ -1,0 +1,41 @@
+#!/usr/bin/env python3
+"""Print the Python that a program is lowered to, and how many run-time
+checks the lowering emitted and how many the loop ranges proved away.
+
+    python3 scripts/show_lowering.py PATH [--traced]
+
+The program is lowered as written; its pragmas are not applied (write the
+transformed program with `xform PATH --emit OUT` and show OUT for that).
+"""
+
+import argparse
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+from xform import name_loops, parse_program
+from xform.frontend import ParseError
+from xform.lower import source
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("path", help="input program (.loop)")
+    ap.add_argument("--traced", action="store_true", help="the form that writes --trace rows")
+    args = ap.parse_args()
+    with open(args.path, encoding="utf-8") as f:
+        text = f.read()
+    try:
+        program = name_loops(parse_program(text))
+    except ParseError as e:
+        sys.exit(f"error: {e}")
+    src = source(program, args.traced)
+    print(src.text)
+    steps = ("not static: a budget step per statement and loop iteration" if src.steps is None
+             else f"{src.steps}, paid once before the run")
+    print(f"# checks: {src.checks} emitted, {src.proved} proved away; steps: {steps}")
+
+
+if __name__ == "__main__":
+    main()

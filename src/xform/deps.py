@@ -8,6 +8,11 @@ Two routes, matching how much the program lets us see:
   abstractly and build the region's conflict graph.  The enumerator
   translates the region once into nested closures that keep every check of
   `lang.evaluate` with no memory; its `EvalError` message becomes the `reason`.
+  A region is counted before it is walked: when its instance and iteration
+  counts are fixed before it runs (no `while` or `if`, every trip count known:
+  `lang.step_counts`) and pass the cap or the step budget, it goes
+  conservative at once, with the reason "enumeration cap exceeded" even
+  where the walk would have stopped at a fault first.
 
 * conservative: otherwise fall back to ZIV and strong-SIV subscript tests per
   dimension; anything those cannot analyze is assumed dependent with unknown
@@ -46,7 +51,7 @@ from functools import cached_property
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
     ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
-    evaluate, flat_index, gc_paused, int64, iter_loops, simplify, subst,
+    evaluate, flat_index, gc_paused, int64, iter_loops, simplify, step_counts, subst,
 )
 
 
@@ -685,8 +690,17 @@ def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -
 
 def compute_dependences(program: Program, scope, max_enum: int = 4096) -> DependenceSet:
     """Dependences of a region: exact by enumeration when possible, else a
-    conservative superset.  `scope` is a loop node or a statement list."""
+    conservative superset.  `scope` is a loop node or a statement list.
+
+    A region whose instance and iteration counts are fixed before it runs
+    (`lang.step_counts`) is counted first: one the walk would take past the
+    cap or the step budget goes conservative without walking."""
     stmts = scope if isinstance(scope, list) else [scope]
+    counts = step_counts(stmts, program.param_ranges(include_opaque=False))
+    # the walk stops at the first instance past the cap, the first one if the cap is below 1
+    if counts is not None and (counts[1] > max(max_enum, 0)
+                               or counts[2] > _step_budget(max_enum)):
+        return conservative_dependences(program, stmts, "enumeration cap exceeded")
     try:
         return _exact_set(program, enumerate_instances(program, stmts, max_enum), stmts)
     except _CapExceeded:

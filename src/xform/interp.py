@@ -21,6 +21,7 @@ transformation guards test.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 
@@ -82,6 +83,12 @@ class Memory:
             self.segments[s][b:b + total] = ([rng.randint(-100, 100) for _ in range(total)]
                                              if arr.init == "random" else [0] * total)
 
+    def copy(self) -> "Memory":
+        """The same binding and values, in storage of its own."""
+        new = copy.copy(self)
+        new.segments = {s: list(cells) for s, cells in self.segments.items()}
+        return new
+
     def disjoint(self, a: str, b: str) -> bool:
         sa, ba, _, ta = self.views[a]
         sb, bb, _, tb = self.views[b]
@@ -98,12 +105,15 @@ class Memory:
 
 
 def run(program: Program | Lowered, seed: int = 0, alias_binding: dict | None = None,
-        record_trace: bool = True, step_budget: int = 10**7) -> tuple[Memory, list[str]]:
+        record_trace: bool = True, step_budget: int = 10**7,
+        memory: Memory | None = None) -> tuple[Memory, list[str]]:
     """Execute a program or its lowering; returns final memory and the CSV
-    rows of its trace (none when `record_trace` is False)."""
+    rows of its trace (none when `record_trace` is False).  The run starts
+    from `memory` when given, which it changes, else from the memory that
+    `seed` and `alias_binding` draw."""
     if not (isinstance(program, Lowered) and program.traced == record_trace):
         program = lower(getattr(program, "program", program), record_trace)
-    mem = Memory(program.program, alias_binding, seed)
+    mem = memory if memory is not None else Memory(program.program, alias_binding, seed)
     trace = [] if record_trace else None
     program(mem, step_budget, trace)
     return mem, trace if trace is not None else []
@@ -135,10 +145,10 @@ class EquivalenceReport:
         return self.equivalent
 
 
-def _outcome(program: Lowered, seed: int, binding: dict):
+def _outcome(program: Lowered, memory: Memory):
     """A run's final memory or fault message; running out of budget escapes."""
     try:
-        return run(program, seed=seed, alias_binding=binding, record_trace=False)[0]
+        return run(program, record_trace=False, memory=memory)[0]
     except BudgetExceeded:
         raise
     except RunFault as e:
@@ -152,7 +162,8 @@ def _where(trial: int, seed: int, binding: dict) -> str:
 
 def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> EquivalenceReport:
     """Compare outcomes over seeded random inputs and all alias bindings: the
-    final memories, or the fault messages without their lines."""
+    final memories, or the fault messages without their lines.  The two
+    sides declare the same arrays, so each trial draws its memory once."""
     decls1 = [(a.name, a.dims, a.init) for a in p1.arrays]
     decls2 = [(a.name, a.dims, a.init) for a in p2.arrays]
     if decls1 != decls2:
@@ -165,7 +176,8 @@ def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> Eq
     for t, s in enumerate(trial_seeds):
         both_faulted = False
         for binding in bindings:
-            m1, m2 = _outcome(low1, s, binding), _outcome(low2, s, binding)
+            start = Memory(p1, binding, s)
+            m1, m2 = _outcome(low1, start.copy()), _outcome(low2, start)
             if isinstance(m1, str) or isinstance(m2, str):
                 if (isinstance(m1, str) and isinstance(m2, str)
                         and m1.rsplit(" (line ", 1)[0] == m2.rsplit(" (line ", 1)[0]):

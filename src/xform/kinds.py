@@ -32,9 +32,9 @@ from typing import Callable
 from . import legality
 from .deps import DependenceSet
 from .lang import (
-    Assign, BinOp, Call, EvalError, Expr, ForLoop, IfStmt, IntLit, Program, Stmt,
-    VarRef, WhileLoop, containing_list, evaluate, find_loop, free_vars, iter_stmts,
-    simplify, subst_body, subst_stmt,
+    Assign, BinOp, Call, Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef,
+    WhileLoop, containing_list, find_loop, free_vars, iter_stmts, loop_range, simplify,
+    subst_body, subst_stmt,
 )
 from .legality import Verdict
 
@@ -53,23 +53,9 @@ class TransformResult:
 # Shared helpers
 
 
-def _eval_const(program: Program, e: Expr):
-    try:
-        return evaluate(e, program.param_values(include_opaque=False))
-    except EvalError:
-        return None
-
-
 def _const_trips(program: Program, loop: ForLoop):
     """Trip count when it is a compile-time constant, else None."""
-    lb = _eval_const(program, loop.lower)
-    ub = _eval_const(program, loop.upper)
-    if lb is not None and ub is not None:
-        return max(0, -(-(ub - lb) // loop.step))
-    extent = simplify(BinOp("-", loop.upper, loop.lower))
-    if isinstance(extent, IntLit):
-        return max(0, -(-extent.value // loop.step))
-    return None
+    return loop_range(loop, program.param_ranges(include_opaque=False))[0]
 
 
 def _trips_expr(loop: ForLoop) -> Expr:

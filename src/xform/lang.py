@@ -149,6 +149,104 @@ def flat_index(array: str, dims: tuple[int, ...], idx) -> int:
     return flat
 
 
+# ---------------------------------------------------------------------------
+# Static ranges: what the loop bounds and params fix before a run (interval
+# analysis after Harrison, "Compiler analysis of the value ranges for
+# variables", 1977, used to drop bounds checks as in Bodík, Gupta & Sarkar,
+# "ABCD: eliminating array bounds checks on demand", 2000).  An environment
+# maps each name in scope to its interval (lo, hi), a param's being (v, v),
+# or to None when nothing is known of it.
+
+Interval = tuple[int, int]
+
+
+def op_interval(op: str, a: Interval | None, b: Interval | None) -> Interval | None:
+    """The interval of `x op y` for x in `a` and y in `b`, or None when the
+    operation may fault there, or when an operand's interval is unknown.  On
+    two points it is `evaluate`'s value; `/` and `%` of ranges are unknown."""
+    if a is None or b is None:
+        return None
+    if a[0] == a[1] and b[0] == b[1]:
+        try:
+            v = int64(OPS[op](a[0], b[0]))
+        except EvalError:
+            return None
+        return v, v
+    if op in ("+", "-", "*"):
+        if op == "+":
+            lo, hi = a[0] + b[0], a[1] + b[1]
+        elif op == "-":
+            lo, hi = a[0] - b[1], a[1] - b[0]
+        else:
+            corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+            lo, hi = min(corners), max(corners)
+        return (lo, hi) if INT64_MIN <= lo and hi <= INT64_MAX else None
+    if op in ("min", "max"):
+        f = OPS[op]
+        return f(a[0], b[0]), f(a[1], b[1])
+    return None if op in ("/", "%") else (0, 1)
+
+
+def interval(e: Expr, env: dict) -> Interval | None:
+    """Bounds on `e`'s value under `env`, or None when `e` may fault or its
+    bounds are unknown: an array read or `disjoint` anywhere in it is."""
+    t = type(e)
+    if t is IntLit:
+        return e.value, e.value
+    if t is VarRef:
+        return env.get(e.name)
+    if t is BinOp:
+        return op_interval(e.op, interval(e.lhs, env), interval(e.rhs, env))
+    if t is Call and e.func != "disjoint":
+        return op_interval(e.func, interval(e.args[0], env), interval(e.args[1], env))
+    return None
+
+
+def loop_range(loop: "ForLoop", env: dict) -> tuple[int | None, Interval | None]:
+    """`loop`'s trip count and its variable's interval under `env`, each None
+    when the bounds do not fix it.  The trip count comes from two constant
+    bounds, else from a constant extent `upper - lower` (`i < i0 + 4`)."""
+    lo, hi, step = interval(loop.lower, env), interval(loop.upper, env), loop.step
+    if lo is not None and hi is not None and lo[0] == lo[1] and hi[0] == hi[1]:
+        trips = max(0, -(-(hi[0] - lo[0]) // step))
+    else:
+        extent = simplify(BinOp("-", loop.upper, loop.lower))
+        trips = max(0, -(-extent.value // step)) if isinstance(extent, IntLit) else None
+    if lo is None or hi is None:
+        return trips, None
+    last = hi[1] - 1 if trips is None else min(hi[1] - 1, lo[1] + (trips - 1) * step)
+    return trips, (lo[0], last) if lo[0] <= last else None
+
+
+def step_counts(stmts: list["Stmt"], env: dict) -> tuple[int, int, int] | None:
+    """How many statements, assignments and loop iterations one run of
+    `stmts` executes, when no value decides it: no `while` or `if`, and every
+    trip count known (`loop_range`).  None otherwise.  A run that faults
+    stops within these counts."""
+    total = [0, 0, 0]
+
+    def walk(stmts, env, times) -> bool:
+        for s in stmts:
+            total[0] += times
+            t = type(s)
+            if t is Assign:
+                total[1] += times
+            elif t is ForLoop:
+                trips, var = loop_range(s, env)
+                if trips is None:
+                    return False
+                total[2] += times * trips
+                if not walk(s.body, {**env, s.var: var}, times * trips):
+                    return False
+            elif t is Block:
+                if not walk(s.body, env, times):
+                    return False
+            else:  # a while or an if: values decide
+                return False
+        return True
+    return tuple(total) if walk(stmts, env, 1) else None
+
+
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector, restoring its previous state on
@@ -400,6 +498,10 @@ class Program:
     def param_values(self, include_opaque: bool = True) -> dict[str, int]:
         return {p.name: p.value for p in self.params if include_opaque or not p.opaque}
 
+    def param_ranges(self, include_opaque: bool = True) -> dict[str, Interval]:
+        """The params as the environment of `interval`: each one a point."""
+        return {n: (v, v) for n, v in self.param_values(include_opaque).items()}
+
     def opaque_params(self) -> set[str]:
         return {p.name for p in self.params if p.opaque}
 
@@ -457,6 +559,8 @@ def clone_program(p: Program) -> Program:
 def subst_stmt(s: Stmt, mapping: dict[str, Expr]) -> Stmt:
     """Clone a statement with variables substituted, respecting shadowing."""
     if isinstance(s, Assign):
+        if not mapping:
+            return Assign(s.array, s.index, s.op, s.value, s.stmt_id, s.line, s.orig_coords)
         return Assign(s.array,
                       tuple(subst(i, mapping) for i in s.index),
                       s.op, subst(s.value, mapping), s.stmt_id, s.line,

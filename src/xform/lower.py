@@ -2,33 +2,49 @@
 that a run executes generated code instead of walking the tree (after Feeley
 & Lapalme, "Using closures for code generation", 1987).
 
-The generated code keeps every check of `lang.evaluate`, in its order of
-evaluation: `+ - * /` results are checked against int64, zero divisors fault
-in `lang.idiv`/`lang.imod`, subscripts are checked one dimension at a time
-with `flat_index`'s message, and every statement and loop iteration takes one
-step of the budget.  A fault is an `EvalError` raised on a generated line,
-which `Lowered.__call__` maps back to the program statement's line.
+The generated code keeps every check of `lang.evaluate` that can fire, in
+its order of evaluation: `+ - * /` results are checked against int64, zero
+divisors fault in `lang.idiv`/`lang.imod`, subscripts are checked one
+dimension at a time with `flat_index`'s message.  A fault is an `EvalError`
+raised on a generated line, which `Lowered.__call__` maps back to the
+program statement's line.
+
+Checks the loop ranges prove cannot fire are left out: the interval of each
+loop variable (`lang.loop_range`, from the loop bounds and the params, which
+are all constants here) bounds the index arithmetic over it, so a subscript
+check or a `+ - *` overflow check whose operands' intervals rule the fault
+out is not emitted.  Anything under `/`, `%`, an array read or `disjoint`
+keeps its checks, and a statement checks each unproved subscript once.
+
+Every statement and loop iteration takes one step of the budget.  A counted
+program (no `while` or `if`, every trip count known: `lang.step_counts`)
+takes a known number T of steps, so it is compiled without them; a run with
+a budget below T runs the per-step-checked form instead, which is compiled
+on its first use and faults at the same step with the same message.
 
 A lowering is untraced, or traced: then each assignment appends one
 finished CSV row (see `CSV_HEADER`) to the trace list before it stores its
 value, an f-string of the statement id, its original-loop coordinates and
 the elements it reads and writes.
 
-Expressions become three-address code, one checked operation per line.  A
+Expressions become three-address code, one operation per line.  A
 parameter becomes its value, a loop variable a local named `v_<name>`, and an
 array `c_<name>` (cells) and `b_<name>` (base offset), so no program name can
 shadow a generated name or a builtin.  Bodies more than `MAX_DEPTH` levels
 deep go into a separate generated function of the live names that returns the
 budget: CPython compiles at most 20 nested blocks and 100 indentation levels.
+`source` gives the generated text, and `scripts/show_lowering.py` prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, ForLoop,
-    IfStmt, IntLit, Program, VarRef, WhileLoop, gc_paused, idiv, imod, int64,
+    IfStmt, IntLit, Program, VarRef, WhileLoop, gc_paused, idiv, imod, int64, loop_range,
+    op_interval, step_counts,
 )
 
 MAX_DEPTH = 12
@@ -62,41 +78,81 @@ _CHECKED = f"if not {INT64_MIN} <= {{0}} <= {INT64_MAX}: raise EvalError('int64 
 
 
 @dataclass
+class Source:
+    """One form of a program's generated run function."""
+    text: str
+    lines: list[int]    # program line of each generated line
+    steps: int | None   # the static step count T, when the program has one
+    checks: int         # run-time checks emitted
+    proved: int         # run-time checks the ranges proved cannot fire
+
+
+def source(program: Program, traced: bool, ticked: bool = False) -> Source:
+    """The generated source of `program`'s run function, traced or not.  It
+    takes a step of the budget per statement and per loop iteration only when
+    `ticked`, or when the program has no static step count T."""
+    gen = _Gen(program, traced, ticked)
+    rows = [row for code in gen.funcs for row in code]
+    return Source("\n".join("    " * depth + text for depth, text, _ in rows),
+                  [line for _, _, line in rows], gen.steps, gen.checks, gen.proved)
+
+
+def _compile(src: Source) -> tuple[object, list[int]]:
+    namespace = dict(_GLOBALS)
+    exec(compile(src.text, FILENAME, "exec"), namespace)
+    return namespace["f0"], src.lines
+
+
+@dataclass
 class Lowered:
     """A program's compiled form; call it with a `Memory`, a step budget and
-    a trace list (None when untraced)."""
+    a trace list (None when untraced).
+
+    A program with a static step count T is compiled without budget steps;
+    a call with a budget below T runs the per-step-checked form instead,
+    compiled on its first use."""
     program: Program
     traced: bool
-    fn: object
-    lines: list[int]   # program line of each generated line
+    steps: int | None   # T, or None: then `fn` takes the steps itself
+    fn: object          # the generated `f0`
+    lines: list[int]    # program line of each generated line
+
+    @cached_property
+    def ticked(self) -> tuple[object, list[int]]:
+        """The `f0` that takes a budget step per statement and per loop
+        iteration and returns the budget left, with its line map."""
+        if self.steps is None:
+            return self.fn, self.lines
+        return _compile(source(self.program, self.traced, ticked=True))
 
     def __call__(self, mem, budget: int, trace: list | None):
+        if self.steps is None or budget >= self.steps:
+            fn, lines = self.fn, self.lines
+        else:
+            fn, lines = self.ticked
         try:
             if trace is None:
-                self.fn(mem, budget, trace)
+                fn(mem, budget, trace)
             else:
                 with gc_paused():  # a trace is many objects, and none is cyclic
-                    self.fn(mem, budget, trace)
+                    fn(mem, budget, trace)
         except EvalError as e:
             tb, line = e.__traceback__, 0
             while tb is not None:  # the innermost generated frame faulted
                 if tb.tb_frame.f_code.co_filename == FILENAME:
-                    line = self.lines[tb.tb_lineno - 1]
+                    line = lines[tb.tb_lineno - 1]
                 tb = tb.tb_next
             raise RunFault(f"{e} (line {line})") from None
 
 
 def lower(program: Program, traced: bool) -> Lowered:
     """Generate and compile `program`'s run function, traced or not."""
-    rows = [row for code in _Gen(program, traced).funcs for row in code]
-    namespace = dict(_GLOBALS)
-    source = "\n".join("    " * depth + text for depth, text, _ in rows)
-    exec(compile(source, FILENAME, "exec"), namespace)
-    return Lowered(program, traced, namespace["f0"], [line for _, _, line in rows])
+    src = source(program, traced)
+    return Lowered(program, traced, src.steps, *_compile(src))
 
 
 class _Gen:
-    def __init__(self, program: Program, traced: bool):
+    def __init__(self, program: Program, traced: bool, ticked: bool):
         self.traced = traced
         self.dims = {a.name: a.dims for a in program.arrays}
         aliased = {n for al in program.aliases for n in (al.first, al.second)}
@@ -104,6 +160,12 @@ class _Gen:
         self.arrays = [f"{c}_{a}" for a in self.dims for c in "cb"]
         self.funcs: list = []
         self.reads: list | None = None  # the traced assignment's (array, flat) reads
+        counts = step_counts(program.body, program.param_ranges())
+        self.steps = None if counts is None else counts[0] + counts[2]
+        self.ticks = ticked or counts is None
+        self.ranges: dict = {}  # interval of each loop variable and temporary
+        self.seen: set = set()  # the statement's subscript checks so far
+        self.checks = self.proved = 0
         scope = {p.name: p.value for p in program.params}
         self.function("f0", ["mem", "bud", "trace"])
         for a in self.dims:
@@ -143,15 +205,29 @@ class _Gen:
                 return int64(OPS[op](a, b))
             except EvalError:
                 pass
-        r = self.let(_FORMS[op].format(a, b))
+        known = op_interval(op, self.span(a), self.span(b))
+        r = self.let(_FORMS[op].format(a, b), known)
         if op in ("+", "-", "*", "/"):
-            self.emit(_CHECKED.format(r))
+            self.check(known is None, _CHECKED.format(r))
         return r
 
-    def let(self, value: str) -> str:
+    def span(self, x):
+        """The interval of an operand: a literal, or a name holding a value."""
+        return (x, x) if type(x) is int else self.ranges.get(x)
+
+    def let(self, value: str, known=None) -> str:
         self.tmp += 1
+        self.ranges[f"t{self.tmp}"] = known
         self.emit(f"t{self.tmp} = {value}")
         return f"t{self.tmp}"
+
+    def check(self, needed: bool, line: str):
+        """Emit a run-time check unless the ranges prove it cannot fire."""
+        if needed:
+            self.checks += 1
+            self.emit(line)
+        else:
+            self.proved += 1
 
     def fault(self, message: str) -> int:
         self.emit(f"raise EvalError({message!r})")
@@ -164,8 +240,12 @@ class _Gen:
         idx = [self.expr(i, scope) for i in index]
         for d, x in zip(dims, idx):
             if type(x) is not int:
-                self.emit(f"if not 0 <= {x} < {d}: "
-                          f"raise EvalError(f'index {{{x}}} out of bounds for {array}[{d}]')")
+                line = (f"if not 0 <= {x} < {d}: "
+                        f"raise EvalError(f'index {{{x}}} out of bounds for {array}[{d}]')")
+                if line not in self.seen:  # an equal check earlier in the statement passed
+                    self.seen.add(line)
+                    known = self.ranges.get(x)
+                    self.check(not (known and 0 <= known[0] and known[1] < d), line)
             elif not 0 <= x < d:
                 self.fault(f"index {x} out of bounds for {array}[{d}]")
         const, terms, stride = 0, [], 1
@@ -183,12 +263,14 @@ class _Gen:
     # -- statements
 
     def tick(self):
-        self.emit("bud -= 1")
-        self.emit(f"if bud < 0: raise BudgetExceeded('step budget exceeded (line {self.line})')")
+        if self.ticks:
+            self.emit("bud -= 1")
+            self.emit(f"if bud < 0: raise BudgetExceeded('step budget exceeded (line {self.line})')")
 
     def body(self, stmts: list, scope: dict, loops: list):
         for s in stmts:
             self.line, self.tmp = s.line, 0
+            self.seen.clear()
             self.tick()
             getattr(self, type(s).__name__)(s, scope, loops)
 
@@ -220,7 +302,7 @@ class _Gen:
         cell = f"c_{s.array}[{self.base[s.array]}{flat}]"
         if s.op == "+=":
             value = self.let(f"{cell} + {value}")
-            self.emit(_CHECKED.format(value))
+            self.check(True, _CHECKED.format(value))
         if self.traced:
             reads, self.reads = self.reads, None
             if s.op == "+=":
@@ -245,6 +327,7 @@ class _Gen:
         var = f"v_{s.var}"
         if var in scope.values():  # an enclosing loop of the same name
             var = f"v{len(loops)}_{s.var}"
+        self.ranges[var] = loop_range(s, {n: self.span(x) for n, x in scope.items()})[1]
         self.emit(f"for {var} in range({lo}, {hi}, {s.step}):")
         self.block(s.body, {**scope, s.var: var}, loops + [var], self.tick)
 

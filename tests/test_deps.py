@@ -4,12 +4,14 @@ soundness and lexicographic-order properties over random programs."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xform import compute_dependences, parse_program
-from xform.deps import DepsError, lex_nonneg
+from xform import apply_pipeline, compute_dependences, deps, parse_program, plan_pipeline, transforms
+from xform.deps import (
+    DepsError, _CapExceeded, conservative_dependences, enumerate_instances, lex_nonneg,
+)
 from xform.ir import name_loops
 
 from reference_deps import brute_force_dependences, dep_signature, is_superset
-from conftest import parse_named
+from conftest import load_corpus, parse_named
 
 
 def deps_of(src, conservative=False):
@@ -189,3 +191,45 @@ def test_original_distances_lexicographically_nonneg(src):
                brute_force_dependences(p, p.body[0])):
         for d in ds.deps:
             assert lex_nonneg(d.distance), d.pretty()
+
+
+# ---------------------------------------------------------------------------
+# A region is counted before it is walked
+
+
+@pytest.mark.parametrize("m", [17, 24, 32])
+def test_an_over_cap_dgemm_goes_conservative_without_a_walk(monkeypatch, m):
+    p = parse_named(load_corpus("05_dgemm.loop").replace("16", str(m)))
+    nest = p.body[0]
+    with pytest.raises(_CapExceeded):  # where the walk ended before counting
+        enumerate_instances(p, [nest], 4096)
+    walked = conservative_dependences(p, [nest], "enumeration cap exceeded")
+
+    def no_walk(*args):
+        raise AssertionError("an over-cap region was enumerated")
+    monkeypatch.setattr(deps, "enumerate_instances", no_walk)
+    monkeypatch.setattr(transforms, "enumerate_instances", no_walk)
+    ds = compute_dependences(p, nest)
+    assert not ds.exact and ds.reason == walked.reason
+    assert ds.pretty() == walked.pretty()
+    assert apply_pipeline(p, plan_pipeline(p), safety_override="fallback").error is None
+
+
+@pytest.mark.parametrize("src, caps", [
+    ("for (i = 0; i < 8; i += 1) A[i] = A[i] + 1;", (-1, 0, 1, 7, 8, 9)),
+    ("for (i = 0; i < 0; i += 1) A[i] = 1;", (-1, 0, 1)),
+    ("for (i = 0; i < 4; i += 1)\n  for (j = i; j < i + 3; j += 1) A[j] = A[i] + 1;",
+     (11, 12, 13)),
+    # instances within the cap, loop iterations past its step budget (10,100)
+    ("for (i = 0; i < 10101; i += 1)\n  for (j = 0; j < 0; j += 1) A[0] = 1;", (1,)),
+    ("for (i = 0; i < 10100; i += 1)\n  for (j = 0; j < 0; j += 1) A[0] = 1;", (1,)),
+    # uncounted: a guard, an opaque bound
+    ("for (i = 0; i < 8; i += 1) if (i < 2) A[i] = 1;", (1, 2, 3)),
+    ("for (i = 0; i < N; i += 1) A[i] = 1;", (1, 8)),
+])
+def test_counting_a_region_decides_as_walking_it(monkeypatch, src, caps):
+    p = parse_named("param N = 8 opaque;\narray A[8] init random;\n" + src + "\n")
+    counted = [compute_dependences(p, p.body[0], cap) for cap in caps]
+    monkeypatch.setattr(deps, "step_counts", lambda *args: None)
+    walked = [compute_dependences(p, p.body[0], cap) for cap in caps]
+    assert [(d.exact, d.pretty()) for d in counted] == [(d.exact, d.pretty()) for d in walked]

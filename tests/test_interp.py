@@ -116,6 +116,19 @@ def test_equivalence_detects_divergence():
     assert not rep and "A[" in rep.detail
 
 
+def test_equivalent_draws_one_memory_per_trial_and_binding(monkeypatch):
+    src = ("array A[4] init random;\narray B[4] init random;\nmaybe_alias(A, B);\n"
+           "for (i = 0; i < 4; i += 1)\n  A[i] = B[i] + 1;\n")
+    drawn, real = [], Memory.__init__
+
+    def counting(self, *args, **kw):
+        drawn.append(args)
+        real(self, *args, **kw)
+    monkeypatch.setattr(Memory, "__init__", counting)
+    assert equivalent(parse_named(src), parse_named(src), trials=20)
+    assert len(drawn) == 20 * 2  # trials x bindings
+
+
 def test_alias_bindings_enumeration():
     p = parse_named("array A[4] init zero;\narray B[4] init zero;\narray C[4] init zero;\n"
                     "maybe_alias(A, B);\nmaybe_alias(A, C);\n")

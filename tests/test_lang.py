@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xform.lang import (
-    INT64_MAX, INT64_MIN, ArrayRead, BinOp, Call, EvalError, IntLit, VarRef,
-    evaluate, flat_index, simplify, subexprs,
+    INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Call, EvalError, ForLoop, IntLit, VarRef,
+    evaluate, flat_index, interval, loop_range, simplify, subexprs, subst_stmt,
 )
 
 MAX, MIN = INT64_MAX, INT64_MIN
@@ -114,3 +114,52 @@ def test_simplify_keeps_the_value_and_int64_literals(e, env):
     except EvalError:
         return
     assert evaluate(s, env) == value, s
+
+
+# ---------------------------------------------------------------------------
+# Static ranges
+
+small_exprs = st.recursive(st.one_of(st.integers(-5, 5).map(IntLit),
+                                     st.sampled_from(VARS).map(VarRef)), _node, max_leaves=8)
+ranges = st.tuples(st.one_of(EDGE, st.integers(-20, 20)), st.integers(0, 12)).map(
+    lambda r: (r[0], r[0] + r[1]) if r[0] + r[1] <= MAX else (r[0] - r[1], r[0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(exprs, small_exprs), st.fixed_dictionaries({v: ranges for v in VARS}),
+       st.data())
+def test_an_interval_bounds_the_value_and_rules_out_a_fault(e, env, data):
+    known = interval(e, env)
+    if known is None:
+        return
+    for _ in range(4):
+        point = {v: data.draw(st.sampled_from(env[v]) | st.integers(*env[v])) for v in VARS}
+        assert known[0] <= evaluate(e, point) <= known[1], (e, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([VarRef("x"), IntLit(3), BinOp("*", VarRef("x"), IntLit(2))]),
+       st.integers(-3, 6), st.sampled_from(["+", "min"]), st.integers(1, 3), ranges)
+def test_a_loop_range_holds_every_iteration(lower, extent, upper_op, step, x_range):
+    # bounds over an enclosing variable x: a constant extent, or a clamp
+    upper = (BinOp("+", lower, IntLit(extent)) if upper_op == "+"
+             else Call("min", (BinOp("+", lower, IntLit(extent)), IntLit(4))))
+    loop = ForLoop("j", lower, upper, step)
+    trips, var = loop_range(loop, {"x": x_range})
+    for x in range(x_range[0], x_range[1] + 1):
+        try:
+            lb, ub = evaluate(lower, {"x": x}), evaluate(upper, {"x": x})
+        except EvalError:
+            continue
+        values = list(range(lb, ub, step))
+        assert trips is None or trips == len(values)
+        assert var is None or all(var[0] <= v <= var[1] for v in values)
+
+
+def test_an_unsubstituted_copy_shares_its_expression_tuples():
+    s = Assign("A", (VarRef("i"),), "+=", IntLit(1), "s1", 3, (("i", VarRef("i")),))
+    for mapping in ({}, {"j": IntLit(0)}):
+        c = subst_stmt(s, mapping)
+        assert c == s and c is not s
+    c = subst_stmt(s, {})
+    assert c.index is s.index and c.orig_coords is s.orig_coords

@@ -4,7 +4,7 @@ memory, the same CSV rows and the same fault text on every program."""
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from xform import apply_pipeline, interp, plan_pipeline
 from xform.interp import RunFault, alias_bindings
@@ -12,7 +12,7 @@ from xform.lang import (
     INT64_MAX, INT64_MIN, Assign, BinOp, ForLoop, IntLit, Program, VarRef, strip_pragmas,
 )
 from xform.ir import name_loops
-from xform.lower import MAX_DEPTH, lower
+from xform.lower import MAX_DEPTH, lower, source
 
 import reference_interp
 from conftest import corpus_names, load_corpus, parse_named
@@ -172,6 +172,19 @@ def test_lowered_runs_match_the_reference(src, budget, seed):
     assert_same_runs(parse_named(src), budgets=(budget,), seed=seed, offsets=(0, 2))
 
 
+@settings(max_examples=200, deadline=None)
+@given(programs(), st.data(), st.integers(0, 5))
+def test_budgets_around_the_static_step_count_match_the_reference(src, data, seed):
+    # a counted program runs without budget steps when the budget covers its
+    # T steps, and per-step-checked below that: the two meet at T
+    program = parse_named(src)
+    steps = lower(program, False).steps
+    assume(steps is not None)
+    budget = data.draw(st.integers(0, steps + 1), label="budget")
+    assert_same_runs(program, budgets=sorted({budget, max(steps - 1, 0), steps, steps + 1}),
+                     seed=seed, offsets=(0, 2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(programs(), st.integers(0, 5))
 def test_csv_rows_match_the_reference_formatter(src, seed):
@@ -288,3 +301,50 @@ def test_equivalent_lowers_each_program_once_and_runs_every_trial(monkeypatch):
     assert interp.equivalent(p1, p2, trials=20)
     assert len(lowered) == 2 and lowered[0] is p1 and lowered[1] is p2
     assert sorted(runs.values()) == [20 * 2, 20 * 2]  # 2 x 20 x 2 = 80 runs
+
+
+# ---------------------------------------------------------------------------
+# Checks the loop ranges prove away, and the step budget paid once
+
+
+def dgemm_nest(m: int):
+    return strip_pragmas(parse_named(load_corpus("05_dgemm.loop").replace("16", str(m))))
+
+
+def test_the_checked_form_returns_the_budget_minus_the_step_count():
+    p = dgemm_nest(8)
+    lowered = lower(p, False)
+    assert lowered.steps == 1 + 8 + 8 * (1 + 8) + 64 * (1 + 8) + 512
+    checked, _ = lowered.ticked
+    assert checked(interp.Memory(p), 10**9, None) == 10**9 - lowered.steps
+    assert lowered.fn is not checked
+
+
+def test_dgemm_runs_with_no_bounds_check_and_no_budget_step():
+    for traced in (False, True):
+        src = source(dgemm_nest(32), traced)
+        assert "out of bounds" not in src.text and "bud -= 1" not in src.text
+        assert src.steps == 1 + 32 + 32 * 33 + 32 * 32 * 33 + 32**3
+        assert src.proved == 6 and src.checks == 2  # the two value overflows stay
+
+
+@pytest.mark.parametrize("budget", [10**7, 17, 16])  # the fault is the 17th step
+def test_an_off_by_one_subscript_still_faults_at_the_last_iteration(budget):
+    p = parse_named("array A[8] init random;\nfor (i = 0; i < 8; i += 1)\n"
+                    "  A[i] = A[i + 1] + 1;\n")
+    assert "out of bounds" in source(p, False).text
+    assert_same_runs(p, budgets=(budget,))
+    message = r"^index 8 out of bounds for A\[8\] \(line 3\)$" if budget >= 17 \
+        else r"^step budget exceeded \(line 3\)$"
+    with pytest.raises(RunFault, match=message):
+        interp.run(p, step_budget=budget)
+
+
+def test_a_statement_checks_each_unproved_subscript_once():
+    p = parse_named("array A[6] init random;\nfor (i = 0; i < 8; i += 1)\n"
+                    "  A[i] += A[i] + A[i];\n")
+    src = source(p, False)
+    assert src.text.count("if not 0 <= v_i < 6:") == 1 and src.checks == 1 + 2
+    assert_same_runs(p)
+    with pytest.raises(RunFault, match=r"^index 6 out of bounds for A\[6\] \(line 3\)$"):
+        interp.run(p)
