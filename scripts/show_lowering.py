@@ -31,10 +31,17 @@ def main():
     except ParseError as e:
         sys.exit(f"error: {e}")
     src = source(program, args.traced)
-    print(src.text)
     steps = ("not static: a budget step per statement and loop iteration" if src.steps is None
              else f"{src.steps}, paid once before the run")
-    print(f"# checks: {src.checks} emitted, {src.proved} proved away; steps: {steps}")
+    try:
+        print(src.text)
+        print(f"# checks: {src.checks} emitted, {src.proved} proved away; steps: {steps}")
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        # the reader closed stdout early (`| head`); send what is still
+        # buffered to devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(f"error: cannot write stdout: {e}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,13 @@ summarized on first use from all conflicting pairs (`full_pairs`), so
 `--deps` and the conservative rules read the same data however the set was
 built.  Instance keys and accessed addresses do not change under a
 transformation, so once a candidate has kept every edge in order, `reorder`
-carries the graph over to it without building it again.  Pairs of declared
+carries the graph over to it without building it again: it sorts the
+instances by their times in the candidate, which the step's schedule map
+gives (`schedules`), and takes their loop names and trips from the map too.
+The candidate is never walked.  Where a walk of it would fault, the step is
+judged conservatively instead, and `walk_proved` is the test of that: the
+candidate's arithmetic must be inside int64 and free of zero divisors over
+the intervals of `lang.interval`.  Pairs of declared
 may-alias arrays stay bipartite (every access of one against every access of
 the other), capped at 4M pairs.
 
@@ -38,9 +44,10 @@ Distance vectors are in logical iterations (trip counts), source before sink,
 so they are lexicographically non-negative for the original program.
 
 The oracles the tests check this module against are in `tests/reference_deps.py`:
-the tree walker the enumerator replaced, and a brute-force analysis that runs
+the tree walker the enumerator replaced, a brute-force analysis that runs
 the reference tree-walking interpreter (`tests/reference_interp.py`) and
-compares the addresses in its trace records pairwise.
+compares the addresses in its trace records pairwise, and the judge of a
+walked candidate that the schedule maps replaced.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from functools import cached_property
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
     ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
-    evaluate, flat_index, gc_paused, int64, iter_loops, simplify, step_counts, subst,
+    evaluate, flat_index, gc_paused, int64, interval, iter_loops, loop_range, simplify,
+    step_counts, subst,
 )
 
 
@@ -95,10 +103,8 @@ class Instance:
 
 
 class Enumeration(list):
-    """Instances in execution order; `steps` counts the loop iterations walked,
-    and `positions` keeps `positions_by_key`'s map once it is built."""
+    """Instances in execution order; `steps` counts the loop iterations walked."""
     steps = 0
-    positions = None
 
 
 def _step_budget(max_instances: int) -> int:
@@ -330,16 +336,41 @@ def _fault(message: str):
     return None, 0, fault
 
 
-def positions_by_key(instances: list[Instance]) -> dict:
-    """Each instance's key mapped to its position.  An Enumeration is complete
-    once built, so it keeps the map: the exact judge and `reorder` of one
-    candidate build it once."""
-    pos = getattr(instances, "positions", None)
-    if pos is None:
-        pos = {inst.key: inst.pos for inst in instances}
-        if isinstance(instances, Enumeration):
-            instances.positions = pos
-    return pos
+def walk_proved(program: Program, stmts: list[Stmt]) -> bool:
+    """Whether `lang.interval` over `loop_range` proves that a walk of
+    `stmts` values every loop bound, condition, subscript and original
+    coordinate inside int64 and without a zero divisor.  Subscript bounds
+    and the caps are not checked, and a `while` is taken as never reached."""
+    def proved(exprs, env) -> bool:
+        return all(interval(e, env) is not None for e in exprs)
+
+    def walk(stmts, env) -> bool:
+        for s in stmts:
+            t = type(s)
+            if t is Assign:  # a read in a subscript has no interval
+                if not proved([*s.index, *(x for r in array_reads(s.value) for x in r.index),
+                               *(e for _, e in s.orig_coords)], env):
+                    return False
+            elif t is ForLoop:
+                if not proved((s.lower, s.upper), env):
+                    return False
+                var = loop_range(s, env)[1]
+                if var is not None and not walk(s.body, {**env, s.var: var}):
+                    return False  # (with known bounds, no interval: never runs)
+            elif t is IfStmt:
+                if not (proved((s.cond,), env) and walk(s.then_body, env)
+                        and walk(s.else_body or [], env)):
+                    return False
+            elif t is Block and not walk(s.body, env):
+                return False
+        return True
+    return walk(stmts, program.param_ranges(include_opaque=False))
+
+
+def fits(instances: int, steps: int, max_instances: int) -> bool:
+    """Whether a walk of `instances` instances and `steps` loop iterations
+    stays within `max_instances` and its step budget."""
+    return instances <= max(max_instances, 0) and steps <= _step_budget(max_instances)
 
 
 def _scope_loops(scope: list[Stmt]) -> tuple[str, ...]:
@@ -448,19 +479,23 @@ def _exact_set(program: Program, instances: list[Instance], stmts: list[Stmt]) -
                          _alias_pairs(program, instances))
 
 
-def reorder(depset: DependenceSet, instances: Enumeration, stmts: list[Stmt],
-            max_enum: int) -> DependenceSet | None:
-    """`depset`'s graph over another schedule of the same region, which runs
-    each instance once and keeps every edge in order (an exact always-valid
-    candidate).  Every address then sees its writes, and the reads between
-    two writes, in the same order, so the key-level edges are unchanged.
-    None when enumerating `stmts` afresh under `max_enum` would hit a cap,
-    so that the next step keeps the route it would take from scratch."""
-    if len(instances) > max_enum or instances.steps > _step_budget(max_enum):
-        return None
-    pos = positions_by_key(instances)
-    new = [pos[inst.key] for inst in depset.instances]
-    return DependenceSet(True, _scope_loops(stmts), instances,
+def reorder(depset: DependenceSet, placed: list[tuple], stmts: list[Stmt]) -> DependenceSet:
+    """`depset`'s graph over another schedule of the same region, `stmts`:
+    `placed` gives each instance's (loop names, trips, time) there, as a
+    kind's schedule does.  The schedule runs each instance once and keeps
+    every edge in order (an exact always-valid step), so every address sees
+    its writes, and the reads between two writes, in the same order, and
+    the key-level edges are unchanged.  The instances are sorted by time."""
+    old = depset.instances
+    order = sorted(range(len(placed)), key=[p[2] for p in placed].__getitem__)
+    new = [0] * len(order)
+    out = []
+    for pos, i in enumerate(order):
+        new[i] = pos
+        inst, (loops, logical, _) = old[i], placed[i]
+        out.append(Instance(pos, inst.stmt, inst.orig, loops, logical, inst.reads,
+                            inst.writes, inst.key))
+    return DependenceSet(True, _scope_loops(stmts), out,
                          [(new[i], new[j], kind) for i, j, kind in depset.pairs],
                          sorted((new[i], new[j], kind, pair)
                                 for i, j, kind, pair in depset.alias_pairs))
@@ -698,8 +733,7 @@ def compute_dependences(program: Program, scope, max_enum: int = 4096) -> Depend
     stmts = scope if isinstance(scope, list) else [scope]
     counts = step_counts(stmts, program.param_ranges(include_opaque=False))
     # the walk stops at the first instance past the cap, the first one if the cap is below 1
-    if counts is not None and (counts[1] > max(max_enum, 0)
-                               or counts[2] > _step_budget(max_enum)):
+    if counts is not None and not fits(counts[1], counts[2], max_enum):
         return conservative_dependences(program, stmts, "enumeration cap exceeded")
     try:
         return _exact_set(program, enumerate_instances(program, stmts, max_enum), stmts)

@@ -80,7 +80,7 @@ class Memory:
         rng = random.Random(seed)
         for arr in program.arrays:
             s, b, _, total = self.views[arr.name]
-            self.segments[s][b:b + total] = ([rng.randint(-100, 100) for _ in range(total)]
+            self.segments[s][b:b + total] = (_random_cells(rng, total)
                                              if arr.init == "random" else [0] * total)
 
     def copy(self) -> "Memory":
@@ -102,6 +102,20 @@ class Memory:
 
     def snapshot(self) -> dict[str, tuple[int, ...]]:
         return {a.name: self.array_values(a.name) for a in self.program.arrays}
+
+
+def _random_cells(rng: random.Random, total: int) -> list[int]:
+    """`total` values of `rng.randint(-100, 100)`, leaving `rng` in the state
+    those calls leave it in.  Each call takes the top byte of one 32-bit
+    word, drawing another while it is 201 or more; `getrandbits(32 * n)`
+    holds the next n words, the first in its lowest bits, so each round
+    draws as many words as values are still needed."""
+    cells: list[int] = []
+    while len(cells) < total:
+        need = total - len(cells)
+        top = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        cells.extend([x - 100 for x in top if x < 201])
+    return cells
 
 
 def run(program: Program | Lowered, seed: int = 0, alias_binding: dict | None = None,

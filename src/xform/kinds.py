@@ -4,17 +4,20 @@ A `Kind` holds everything the engine knows about one directive: its pragma
 spelling, its clauses in print order, the rules a well-formed pragma obeys,
 the loop names it consumes and introduces (with the defaults of its id
 clauses), what its targets are, the rewrite that builds its candidate, when
-that rewrite is valid without looking at dependences, and the distance-vector
-rule that judges it when the exact route is unavailable.  The parser, the
-emitter, the planner, `transforms.build_candidate` and `transforms.classify`
-look a directive up in `KINDS` instead of branching on its kind, so a new
-directive is added here and nowhere else.
+that rewrite is valid without looking at dependences, where an
+order-changing rewrite sends each instance (its schedule map, in
+`schedules`, which the exact judge reads instead of walking the
+candidate), and the distance-vector rule that judges it when the exact
+route is unavailable.  The parser, the emitter, the planner, `transforms.build_candidate` and
+`transforms.classify` look a directive up in `KINDS` instead of branching
+on its kind, so a new directive is added here and nowhere else.
 
 Every transformation is a replacement: it removes the loops it applies to
 and returns a `TransformResult`, the rewritten subtree to splice in their
-place and the meta its legality rules read (the band, the new loop order,
-the statement groups), so follow-up directives see the result as if it had
-been written in the source.  A builder works on the candidate, a copy of
+place and the meta its legality rules and schedule read (the band, the new
+loop order, the statement groups, the names of the loops it generated), so
+follow-up directives see the result as if it had been written in the
+source.  A builder works on the candidate, a copy of
 the input program: it may move the candidate's statements into the
 replacement, and makes each further copy by one substitution
 (`lang.subst_body`).  Generated loops take their names (and variables) from
@@ -31,6 +34,10 @@ from typing import Callable
 
 from . import legality
 from .deps import DependenceSet
+from .schedules import (
+    distribute_schedule, fuse_schedule, interchange_schedule, jam_schedule, reverse_schedule,
+    stripe_schedule, tile_schedule,
+)
 from .lang import (
     Assign, BinOp, Call, Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef,
     WhileLoop, containing_list, find_loop, free_vars, iter_stmts, loop_range, simplify,
@@ -155,26 +162,33 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
     # Without peeling the floor loop runs to the bound and there is one
     # region; rectangular peeling splits each dimension into a full part
     # (exact tiles) and a remainder, and emits one nest per region.
+    # The schedule reads where each remainder starts (`cuts`): nowhere, after
+    # a constant number of iterations, or at the split, which is then a bound
+    # of the loops outside the band.
     splits: list[Expr] = []
     rema: list[bool] = []
     full: list[bool] = []
+    cuts: list = []
     for d in range(k):
         trips = _const_trips(program, chain[d])
         if peel != "rectangular":
             splits.append(uppers[d])
             rema.append(False)
             full.append(trips is not None and trips % sizes[d] == 0)
+            cuts.append(None)
             continue
         if trips is not None:
             whole = (trips // sizes[d]) * sizes[d]
             splits.append(simplify(BinOp("+", lowers[d], IntLit(whole * steps[d]))))
             rema.append(trips - whole > 0)
+            cuts.append(whole if rema[d] else None)
         else:
             ext = BinOp("-", uppers[d], lowers[d])
             splits.append(simplify(BinOp("+", lowers[d],
                                          BinOp("*", BinOp("/", ext, IntLit(blocks[d])),
                                                IntLit(blocks[d])))))
             rema.append(True)
+            cuts.append((lowers[d], splits[d], steps[d]))
         full.append(True)
 
     # a region is partial in a subset of the dimensions with a remainder
@@ -183,6 +197,7 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
         if rema[d]:
             masks += [m | 1 << d for m in masks]
     regions: list[Stmt] = []
+    names: dict[int, tuple] = {}  # mask -> (floor loop names, point loop names)
     for mask in sorted(masks):
         partial = [bool(mask >> d & 1) for d in range(k)]
         main_region = mask == 0
@@ -206,11 +221,13 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
                     up = Call("min", (up, uppers[d]))
                 points.append((tnm, VarRef(fnm), up, steps[d], False))
                 vmap[chain[d].var] = VarRef(tnm)
+        names[mask] = (tuple(f[0] for f in floors), tuple(p[0] for p in points))
         nest: list[Stmt] = subst_body(inner_body, vmap)
         for (var, lo, up, st, par) in reversed(floors + points):
             nest = [_make_loop(var, lo, up, st, nest, var, origin, par)]
         regions.extend(nest)
-    return TransformResult(regions, {"band": [l.name for l in chain]})
+    return TransformResult(regions, {"band": [l.name for l in chain], "sizes": tuple(sizes),
+                                     "regions": names, "cuts": cuts})
 
 
 def stripe_mine(program: Program, loop: ForLoop, count: int, outer_id: str,
@@ -231,7 +248,8 @@ def stripe_mine(program: Program, loop: ForLoop, count: int, outer_id: str,
     outer = _make_loop(outer_id, loop.lower,
                        BinOp("+", loop.lower, IntLit(stride * loop.step)),
                        loop.step, [inner], outer_id, origin, loop.parallel)
-    return TransformResult([outer], {"level": loop.name})
+    return TransformResult([outer], {"level": loop.name, "ids": (outer_id, inner_id),
+                                     "stride": stride})
 
 
 def unroll_full(program: Program, loop: ForLoop) -> TransformResult:
@@ -263,7 +281,8 @@ def unroll_and_jam(program: Program, loop: ForLoop, factor: int, uid: int) -> Tr
             raise TransformError("unroll-and-jam requires inner bounds that do "
                                  f"not depend on '{loop.name}'")
     out = _jam(program, loop, chain, factor, _gen("unroll_and_jam", uid), uid)
-    return TransformResult([out], {"jam_order": [l.name for l in chain] + [loop.name]})
+    return TransformResult([out], {"jam_order": [l.name for l in chain] + [loop.name],
+                                   "factor": factor})
 
 
 def _jam(program: Program, loop: ForLoop, chain: list[ForLoop], factor: int,
@@ -385,25 +404,32 @@ def distribute(loop: ForLoop, groups, ids: tuple[str, ...], uid: int,
         raise TransformError("distribute parts must preserve statement order")
     if ids and len(ids) != len(groups):
         raise TransformError(f"distribute ids(...) must name {len(groups)} loops")
-    stmt_of = {s.stmt_id: s for s in loop.body}
+    # the groups take the body's statements in order (copies made by an
+    # unroll share a statement id)
+    parts, start = [], 0
+    for g in groups:
+        parts.append(loop.body[start:start + len(g)])
+        start += len(g)
     origin = _gen("distribute", uid)
     part_of: dict[str, int] = {}
-    for pi, g in enumerate(groups):
-        for sid in g:
-            for inner in iter_stmts([stmt_of[sid]]):
-                if isinstance(inner, Assign):
-                    part_of[inner.stmt_id] = pi
+    for pi, part in enumerate(parts):
+        for inner in iter_stmts(part):
+            if isinstance(inner, Assign):
+                if part_of.setdefault(inner.stmt_id, pi) != pi:
+                    raise TransformError(f"distribute cannot tell apart the copies of "
+                                         f"'{inner.stmt_id}' in two parts")
     if len(groups) == 1:
         if ids:
             out = _renamed(loop, ids[0], loop.lower, loop.upper, origin, loop.parallel)
             return TransformResult([out], {"part_of": part_of})
         return TransformResult([loop], {"part_of": part_of})
     out_loops: list[Stmt] = []
-    for pi, g in enumerate(groups):
+    for pi, part in enumerate(parts):
         nm = ids[pi] if ids else _fresh(f"{loop.name}_d{pi + 1}", taken)
         out_loops.append(_renamed(loop, nm, loop.lower, loop.upper, origin, loop.parallel,
-                                  [stmt_of[sid] for sid in g]))
-    return TransformResult(out_loops, {"part_of": part_of})
+                                  part))
+    return TransformResult(out_loops, {"part_of": part_of, "level": loop.name,
+                                       "names": tuple(l.name for l in out_loops)})
 
 
 def fuse(loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
@@ -422,7 +448,8 @@ def fuse(loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
                 loop_of[inner.stmt_id] = li
         body.extend(subst_body(l.body, {l.var: VarRef(fused_id)}))
     out = _make_loop(fused_id, lo, up, st, body, fused_id, _gen("fuse", uid))
-    return TransformResult([out], {"loop_of": loop_of})
+    return TransformResult([out], {"loop_of": loop_of, "names": [l.name for l in loops],
+                                   "fused_id": fused_id})
 
 
 def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
@@ -437,12 +464,14 @@ def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
     body = subst_body(loop.body, {loop.var: reflect})
     out = _make_loop(loop.var, loop.lower, loop.upper, loop.step, body,
                      loop.name, _gen("reverse", uid), loop.parallel)
-    return TransformResult([out], {"level": loop.name})
+    return TransformResult([out], {"level": loop.name, "trips": trips,
+                                   "bounds": (loop.lower, loop.upper, loop.step)})
 
 
 def parallel_mark(loop: ForLoop) -> TransformResult:
     """Mark a loop's iterations as safe to run in any order (no structural
-    change; verified by permuted execution)."""
+    change).  `--verify` runs a marked loop in source order only, so it
+    cannot catch a wrong mark (ROADMAP item 2)."""
     out = subst_stmt(loop, {})
     out.parallel = True
     return TransformResult([out], {"level": loop.name})
@@ -520,6 +549,8 @@ class Kind:
     # (program, targets, clauses, candidate meta) -> valid whatever the
     # dependences are
     always_valid: Callable[..., bool] | None = None
+    # where an order-changing rewrite sends each instance (`schedules`)
+    schedule: Callable | None = None
     # (exact dependence set, meta) -> Verdict, in place of the schedule check
     exact: Callable[[DependenceSet, dict], Verdict] | None = None
     # (dependence set, meta) -> Verdict, from the distance vectors
@@ -665,6 +696,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
              a.get("peel", "none"), uid, taken),
          shape=NEST, band=lambda c: len(c["sizes"]), check=_check_tile,
          ids={"floor_ids": "_f", "tile_ids": "_t"}, always_valid=_tile_keeps_order,
+         schedule=tile_schedule,
          conservative=lambda ds, m: legality.judge_band_nonneg_conservative(ds, m["band"])),
     Kind("strip_mine", "stripmine", {"size": "int", "floor_id": "id", "tile_id": "id"},
          lambda p, loops, a, uid, taken: strip_mine(
@@ -675,7 +707,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          lambda p, loops, a, uid, taken: stripe_mine(
              p, loops[0], a["count"], a["outer_id"], a["inner_id"], uid),
          check=_requires("stripemine", "count", 1), ids={"outer_id": "_o", "inner_id": "_i"},
-         conservative=_level_rule),
+         schedule=stripe_schedule, conservative=_level_rule),
     Kind("unroll", "unroll", {"factor": "int", "full": "flag"},
          lambda p, loops, a, uid, taken: (
              unroll_full(p, loops[0]) if "full" in a
@@ -684,12 +716,13 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          always_valid=_order_kept),
     Kind("unroll_and_jam", "unrollingandjam", {"factor": "int"},
          lambda p, loops, a, uid, taken: unroll_and_jam(p, loops[0], a["factor"], uid),
-         check=_requires("unrollingandjam", "factor", 2),
+         check=_requires("unrollingandjam", "factor", 2), schedule=jam_schedule,
          conservative=lambda ds, m: legality.judge_permutation_conservative(ds, m["jam_order"])),
     Kind("interchange", "interchange", {"permutation": "ids"},
          lambda p, loops, a, uid, taken: interchange(loops, a["permutation"], uid),
          shape=BAND, band=lambda c: tuple(c["permutation"]), check=_check_interchange,
          always_valid=lambda p, t, c, m: m["band"] == m["order"],
+         schedule=interchange_schedule,
          conservative=lambda ds, m: legality.judge_permutation_conservative(ds, m["order"])),
     Kind("peel", "peel",
          {"first": "int", "last": "int", "multiple": "int",
@@ -708,14 +741,15 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
              loops[0], a.get("parts"), a["ids"], uid, taken),
          ids={"ids": None},
          always_valid=lambda p, t, c, m: len(set(m["part_of"].values())) <= 1,
+         schedule=distribute_schedule,
          conservative=lambda ds, m: legality.judge_parts_conservative(ds, m["part_of"])),
     Kind("fuse", "fuse", {"fused_id": "id"},
          lambda p, loops, a, uid, taken: fuse(loops, a["fused_id"], uid),
-         shape=SIBLINGS, ids={"fused_id": "_fused"},
+         shape=SIBLINGS, ids={"fused_id": "_fused"}, schedule=fuse_schedule,
          conservative=lambda ds, m: legality.judge_fused_conservative(ds, m["loop_of"])),
     Kind("reverse", "reverse", {},
          lambda p, loops, a, uid, taken: reverse(p, loops[0], uid),
-         conservative=_level_rule),
+         schedule=reverse_schedule, conservative=_level_rule),
     Kind("parallel", "parallel", {},
          lambda p, loops, a, uid, taken: parallel_mark(loops[0]),
          exact=lambda ds, m: legality.judge_parallel_exact(ds, m["level"]),

@@ -163,7 +163,8 @@ Interval = tuple[int, int]
 def op_interval(op: str, a: Interval | None, b: Interval | None) -> Interval | None:
     """The interval of `x op y` for x in `a` and y in `b`, or None when the
     operation may fault there, or when an operand's interval is unknown.  On
-    two points it is `evaluate`'s value; `/` and `%` of ranges are unknown."""
+    two points it is `evaluate`'s value.  `/` and `%` are known only by a
+    constant other than 0 and -1, which can neither fault nor overflow."""
     if a is None or b is None:
         return None
     if a[0] == a[1] and b[0] == b[1]:
@@ -172,6 +173,19 @@ def op_interval(op: str, a: Interval | None, b: Interval | None) -> Interval | N
         except EvalError:
             return None
         return v, v
+    if op in ("/", "%"):
+        c = b[0]
+        if b[0] != b[1] or c in (0, -1):
+            return None
+        if op == "/":  # truncation is monotone in the dividend
+            ends = (idiv(a[0], c), idiv(a[1], c))
+            return min(ends), max(ends)
+        m = abs(c) - 1  # the remainder takes the dividend's sign
+        if a[0] >= 0:
+            return (a[0], a[1]) if a[1] <= m else (0, m)
+        if a[1] <= 0:
+            return (a[0], a[1]) if a[0] >= -m else (-m, 0)
+        return max(a[0], -m), min(a[1], m)
     if op in ("+", "-", "*"):
         if op == "+":
             lo, hi = a[0] + b[0], a[1] + b[1]
@@ -184,7 +198,7 @@ def op_interval(op: str, a: Interval | None, b: Interval | None) -> Interval | N
     if op in ("min", "max"):
         f = OPS[op]
         return f(a[0], b[0]), f(a[1], b[1])
-    return None if op in ("/", "%") else (0, 1)
+    return 0, 1
 
 
 def interval(e: Expr, env: dict) -> Interval | None:
@@ -218,11 +232,15 @@ def loop_range(loop: "ForLoop", env: dict) -> tuple[int | None, Interval | None]
     return trips, (lo[0], last) if lo[0] <= last else None
 
 
-def step_counts(stmts: list["Stmt"], env: dict) -> tuple[int, int, int] | None:
+def step_counts(stmts: list["Stmt"], env: dict,
+                bound: bool = False) -> tuple[int, int, int] | None:
     """How many statements, assignments and loop iterations one run of
     `stmts` executes, when no value decides it: no `while` or `if`, and every
     trip count known (`loop_range`).  None otherwise.  A run that faults
-    stops within these counts."""
+    stops within these counts.  With `bound`, counts that a run stays within
+    where values decide: an `if` runs both branches and a trip count not
+    known is bounded by its variable's interval; None only for a `while` or
+    a loop with no interval."""
     total = [0, 0, 0]
 
     def walk(stmts, env, times) -> bool:
@@ -233,14 +251,20 @@ def step_counts(stmts: list["Stmt"], env: dict) -> tuple[int, int, int] | None:
                 total[1] += times
             elif t is ForLoop:
                 trips, var = loop_range(s, env)
+                if trips is None and bound:
+                    if var is not None:
+                        trips = (var[1] - var[0]) // s.step + 1
+                    elif interval(s.lower, env) and interval(s.upper, env):
+                        continue  # known bounds and no interval: it never runs
                 if trips is None:
                     return False
                 total[2] += times * trips
                 if not walk(s.body, {**env, s.var: var}, times * trips):
                     return False
-            elif t is Block:
-                if not walk(s.body, env, times):
-                    return False
+            elif t is Block or (bound and t is IfStmt):
+                for body in child_bodies(s):
+                    if not walk(body, env, times):
+                        return False
             else:  # a while or an if: values decide
                 return False
         return True

@@ -21,13 +21,18 @@ action; `required` upgrades every keep-original warning to a hard error:
 
 Note the default column: by design the transformation is applied even when
 it changes semantics, and no runtime check is inserted.
+
+The exact judges read the region's conflict graph: `judge_exact` compares
+each edge's two times in the candidate, which the kind's schedule map gives
+(`schedules`), and `judge_parallel_exact` the edges' trips of the marked loop.
+The conservative judges read distance vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deps import Dependence, DependenceSet, Instance, common_loops, positions_by_key
+from .deps import Dependence, DependenceSet, common_loops
 from .lang import Call, Expr, BinOp, IfStmt, Stmt, VarRef
 
 ALWAYS_VALID = "always_valid"
@@ -102,55 +107,30 @@ def warning_text(directive, loop_name: str, verdict_text: str, hard: bool = Fals
 # Schedule checks
 
 
-def judge_exact(depset: DependenceSet, cand_instances: list[Instance]) -> Verdict:
-    """Check the candidate's enumerated instances against the region's
-    conflict graph; only may-alias violations are rtc-recoverable.
+def judge_exact(depset: DependenceSet, times: list) -> Verdict:
+    """Check a schedule of the region against its conflict graph: `times[k]`
+    is the time of instance k in the candidate (a tuple from the kind's
+    schedule, compared lexicographically).  Only may-alias violations are
+    rtc-recoverable.
 
-    The candidate must run each instance of the region exactly once and keep
-    every edge of `depset.pairs` in order.  Those edges are the linear
+    Every edge of `depset.pairs` must keep its order: those are the linear
     write-separated adjacent pairs, and they are kept in order exactly when
     every conflicting pair is.  A failed check is repeated on all conflicting
     pairs (`depset.full_pairs`), so the witness is the first violated pair in
     execution order whichever edges found the violation.
     """
-    positions = positions_by_key(cand_instances)
-    verdict = _judge_order(depset, depset.pairs, cand_instances, positions)
+    verdict = _judge_order(depset, depset.pairs, times)
     if verdict.kind != ALWAYS_VALID:
-        verdict = _judge_order(depset, depset.full_pairs, cand_instances, positions)
+        verdict = _judge_order(depset, depset.full_pairs, times)
     return verdict
 
 
-def _judge_order(depset: DependenceSet, pairs, cand_instances: list[Instance],
-                 positions: dict) -> Verdict:
-    instances = depset.instances
-    new = [positions.get(inst.key) for inst in instances]  # candidate position, or None
+def _judge_order(depset: DependenceSet, pairs, times: list) -> Verdict:
     for (i, j, kind) in pairs:
-        pa, pb = new[i], new[j]
-        if pa is None or pb is None:
-            return Verdict(INVALID, f"instance of {instances[i if pa is None else j].stmt} "
-                                    "disappears from the schedule")
-        if pa > pb:
-            return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
-    mismatch = _schedule_mismatch(instances, cand_instances, positions, new)
-    if mismatch:
-        return Verdict(INVALID, mismatch)
-    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs if new[i] > new[j])
-
-
-def _schedule_mismatch(instances: list[Instance], cand_instances: list[Instance],
-                       positions: dict, new: list) -> str:
-    """Why the candidate does not run each instance exactly once, or ''."""
-    if None in new:
-        return f"instance of {instances[new.index(None)].stmt} disappears from the schedule"
-    if len(positions) != len(instances):
-        keys = {inst.key for inst in instances}
-        extra = next(c for c in cand_instances if c.key not in keys)
-        return f"instance of {extra.stmt} is not in the original schedule"
-    if len(cand_instances) != len(positions):  # some key repeats
-        for c in cand_instances:
-            if positions[c.key] != c.pos:
-                return f"instance of {c.stmt} runs more than once"
-    return ""
+        if times[i] > times[j]:
+            return Verdict(INVALID, witness=_pair_to_dep(depset.instances, i, j, kind))
+    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs
+                        if times[i] > times[j])
 
 
 def judge_parallel_exact(depset: DependenceSet, loop_name: str) -> Verdict:

@@ -12,9 +12,11 @@ program statement's line.
 Checks the loop ranges prove cannot fire are left out: the interval of each
 loop variable (`lang.loop_range`, from the loop bounds and the params, which
 are all constants here) bounds the index arithmetic over it, so a subscript
-check or a `+ - *` overflow check whose operands' intervals rule the fault
-out is not emitted.  Anything under `/`, `%`, an array read or `disjoint`
-keeps its checks, and a statement checks each unproved subscript once.
+check or a `+ - * /` overflow check whose operands' intervals rule the fault
+out is not emitted (`/` and `%` have an interval only by a constant other
+than 0 and -1).  Anything under `/` or `%` by another divisor, an array read
+or `disjoint` keeps its checks, and a statement checks each unproved
+subscript once.
 
 Every statement and loop iteration takes one step of the budget.  A counted
 program (no `while` or `if`, every trip count known: `lang.step_counts`)

@@ -4,11 +4,15 @@ resolve the safety mode, and apply.
 The catalog of rewrites and everything else particular to one directive
 kind lives in `kinds`.  A rewrite that keeps the execution order by
 construction is always valid.  Everything else is checked against the
-dependence analysis: in exact mode every conflicting instance pair must keep
-its execution order in the candidate tree; in conservative mode the kind's
-distance-vector rule applies.  The exact conflict graph is built once per
-region and carried from step to step for as long as each step is exact and
-always valid.
+dependence analysis.  In exact mode every conflicting instance pair must
+keep its execution order in the candidate: the kind's schedule gives each
+instance of the region its time there, and the candidate itself is never
+walked.  In conservative mode the kind's distance-vector rule applies, and
+so it does for an exact region whose candidate a walk could not value
+(arithmetic that `lang.interval` cannot prove, or past the step budget) or
+whose target loop names are not unique in the region.  The exact conflict
+graph is built once per region and carried from step to step, sorted into
+each schedule, for as long as each step is exact and always valid.
 """
 
 from __future__ import annotations
@@ -17,17 +21,18 @@ from dataclasses import dataclass
 
 from . import deps as depmod
 from . import legality
-from .deps import DepsError, _CapExceeded, enumerate_instances
+from .deps import DepsError
 from .ir import PlannedDirective, PlannedPipeline
 from .kinds import KINDS, SIBLINGS, TransformError, _const_trips  # noqa: F401 (re-exported)
 from .lang import (
-    Directive, EvalError, Program, Stmt, clone_program, containing_list, find_loop,
-    iter_loops, iter_stmts, strip_pragmas, subst_stmt,
+    Directive, ForLoop, Program, Stmt, child_bodies, clone_program, containing_list,
+    find_loop, gc_paused, iter_loops, iter_stmts, step_counts, strip_pragmas, subst_stmt,
 )
 from .legality import (
     HARD_ERROR, IMPOSSIBLE, KEEP_ORIGINAL, TRANSFORM_WITH_RTC, Action, Verdict,
     warning_text,
 )
+from .schedules import placer
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +45,20 @@ class ApplyInfo:
     span_old: int
     span_new: int
     meta: dict
+    outer: list[ForLoop]  # the for-loops around the targets, outermost first
+
+
+def _enclosing_loops(stmts: list[Stmt], node: Stmt, outer: tuple = ()) -> list | None:
+    """The for-loops around `node`, outermost first; None if it is not in `stmts`."""
+    for s in stmts:
+        if s is node:
+            return list(outer)
+        inner = outer + (s,) if isinstance(s, ForLoop) else outer
+        for body in child_bodies(s):
+            found = _enclosing_loops(body, node, inner)
+            if found is not None:
+                return found
+    return None
 
 
 def _top_index(program: Program, node: Stmt) -> int:
@@ -65,6 +84,7 @@ def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, Ap
             raise TransformError(f"loop '{t}' is not available")
         nodes.append(n)
     loops = kind.loops(cand, nodes, pd.targets)
+    outer = _enclosing_loops(cand.body, loops[0])
     res = kind.build(cand, loops, kind.with_ids(d.clauses, pd.targets), d.uid, taken)
     for s in iter_stmts(res.replacement):  # generated statements: the directive's line
         if s.line == 0:
@@ -82,7 +102,7 @@ def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, Ap
         span_new = len(tops) - count + len(res.replacement)
     else:
         span_new = len(tops)
-    info = ApplyInfo(tops[0], len(tops), span_new, res.meta)
+    info = ApplyInfo(tops[0], len(tops), span_new, res.meta, outer)
     return cand, info
 
 
@@ -146,21 +166,40 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
             return kind.exact(depset, info.meta)
         cstop = info.span_start + info.span_new
         cscope = candidate.body[info.span_start:cstop]
-        try:
-            cinsts = enumerate_instances(candidate, cscope, max_enum * 2)
-        except DepsError as e:
-            return Verdict(IMPOSSIBLE, str(e))
-        except (EvalError, _CapExceeded):
-            pass  # fall through to the conservative judgement
-        else:
-            verdict = legality.judge_exact(depset, cinsts)
-            if verdict.kind == legality.ALWAYS_VALID:
-                graph = depmod.reorder(depset, cinsts, cscope, max_enum)
-                if graph is not None:
-                    graphs[(info.span_start, cstop)] = graph
+        env = candidate.param_ranges(include_opaque=False)
+        counts = step_counts(cscope, env)
+        place = exact_schedule(program, pd, candidate, info, counts, max_enum)
+        if place is not None:
+            with gc_paused():  # many tuples, no cycles
+                placed = place(depset.instances)
+                verdict = legality.judge_exact(depset, [p[2] for p in placed])
+                # carried only where the next step would analyze the candidate
+                # exactly: its instances are the region's, its steps bounded
+                bounds = counts or step_counts(cscope, env, bound=True)
+                if (verdict.kind == legality.ALWAYS_VALID and bounds
+                        and depmod.fits(len(placed), bounds[2], max_enum)):
+                    graphs[(info.span_start, cstop)] = depmod.reorder(depset, placed, cscope)
             return verdict
 
     return kind.conservative(depset, info.meta)
+
+
+def exact_schedule(program: Program, pd: PlannedDirective, candidate: Program,
+                   info: ApplyInfo, counts, max_enum: int):
+    """The kind's schedule of an exact region (`schedules.placer`), or None where
+    the step goes to the kind's conservative rule: where a walk of the
+    candidate under twice the cap would go conservative (its arithmetic
+    unproved, or its `counts` past the step budget), or where a target's
+    name is not unique in the region, so its instances cannot be told apart
+    from those of the loop's copies."""
+    start = info.span_start
+    region = [l.name for l in iter_loops(program.body[start:start + info.span_old])]
+    if not (all(region.count(t) == 1 for t in pd.targets)
+            and (counts is None or depmod.fits(0, counts[2], 2 * max_enum))
+            and depmod.walk_proved(candidate, candidate.body[start:start + info.span_new])):
+        return None
+    return placer(KINDS[pd.directive.kind].schedule, info.meta, info.outer,
+                  program.param_values(include_opaque=False))
 
 
 def apply_pipeline(program: Program, plan: PlannedPipeline,

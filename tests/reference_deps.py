@@ -11,17 +11,24 @@ same message.
 tree walker (`reference_interp`) over the region and compares touched
 addresses pairwise over its trace records.  `is_superset`, `covers` and
 `dep_signature` compare dependence sets.
+
+`judge_walked` is the exact judge as it was before the kinds stated their
+schedules: it reads each instance's place from the candidate's enumerated
+instances (`walk_candidate`), and so also sees an instance that the
+candidate drops, runs twice or adds.  It is the oracle of the schedules.
 """
 
 from __future__ import annotations
 
 from xform.deps import (
     Dependence, DependenceSet, DepsError, Enumeration, Instance, _CapExceeded, _exact_set,
-    _reads, _step_budget,
+    _reads, _step_budget, enumerate_instances,
 )
 from xform.lang import (
-    Assign, Block, ForLoop, IfStmt, Program, Stmt, WhileLoop, evaluate, flat_index, iter_stmts,
+    Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, evaluate, flat_index,
+    iter_stmts,
 )
+from xform.legality import ALWAYS_VALID, INVALID, Verdict, _pair_to_dep, _rtc_verdict
 
 import reference_interp
 
@@ -127,3 +134,57 @@ def is_superset(general: DependenceSet, specific: DependenceSet) -> bool:
 
 def dep_signature(ds: DependenceSet) -> frozenset:
     return frozenset((d.src, d.snk, d.kind, d.loops, d.distance, d.alias) for d in ds.deps)
+
+
+def walk_candidate(candidate: Program, scope: list[Stmt], max_enum: int = 4096):
+    """The candidate region's instances in execution order, walked under twice
+    the cap, or None where the walk faults or passes a cap (the step then
+    goes to the kind's conservative rule)."""
+    try:
+        return enumerate_instances(candidate, scope, 2 * max_enum)
+    except (EvalError, _CapExceeded):
+        return None
+
+
+def judge_walked(depset: DependenceSet, cand_instances: list[Instance]) -> Verdict:
+    """The candidate must run each instance of the region exactly once and
+    keep every edge of `depset.pairs` in order; a failed check is repeated on
+    `depset.full_pairs` for the witness."""
+    positions = {inst.key: inst.pos for inst in cand_instances}
+    verdict = _judge_walked(depset, depset.pairs, cand_instances, positions)
+    if verdict.kind != ALWAYS_VALID:
+        verdict = _judge_walked(depset, depset.full_pairs, cand_instances, positions)
+    return verdict
+
+
+def _judge_walked(depset: DependenceSet, pairs, cand_instances: list[Instance],
+                  positions: dict) -> Verdict:
+    instances = depset.instances
+    new = [positions.get(inst.key) for inst in instances]  # candidate position, or None
+    for (i, j, kind) in pairs:
+        pa, pb = new[i], new[j]
+        if pa is None or pb is None:
+            return Verdict(INVALID, f"instance of {instances[i if pa is None else j].stmt} "
+                                    "disappears from the schedule")
+        if pa > pb:
+            return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
+    mismatch = _schedule_mismatch(instances, cand_instances, positions, new)
+    if mismatch:
+        return Verdict(INVALID, mismatch)
+    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs if new[i] > new[j])
+
+
+def _schedule_mismatch(instances: list[Instance], cand_instances: list[Instance],
+                       positions: dict, new: list) -> str:
+    """Why the candidate does not run each instance exactly once, or ''."""
+    if None in new:
+        return f"instance of {instances[new.index(None)].stmt} disappears from the schedule"
+    if len(positions) != len(instances):
+        keys = {inst.key for inst in instances}
+        extra = next(c for c in cand_instances if c.key not in keys)
+        return f"instance of {extra.stmt} is not in the original schedule"
+    if len(cand_instances) != len(positions):  # some key repeats
+        for c in cand_instances:
+            if positions[c.key] != c.pos:
+                return f"instance of {c.stmt} runs more than once"
+    return ""

@@ -1,9 +1,12 @@
 """Interpreter semantics: determinism, traces, faults, alias bindings."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xform import equivalent, run
-from xform.interp import Memory, RunFault, alias_bindings
+from xform.interp import Memory, RunFault, _random_cells, alias_bindings
 
 from conftest import parse_named, run_pipeline
 from reference_interp import order_preserved, parallel_consistent, trace_csv
@@ -185,3 +188,20 @@ def test_trace_csv_format():
     assert run(p)[1] == lines[1:]
     assert lines[0] == "stmt,iter_vec,reads,writes"
     assert lines[1] == "s2,i=0;j=0,A[0],A[0]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 300))
+def test_random_cells_are_the_per_cell_randint_draws(seed, total):
+    drawn, per_cell = random.Random(seed), random.Random(seed)
+    assert _random_cells(drawn, total) == [per_cell.randint(-100, 100) for _ in range(total)]
+    assert drawn.getstate() == per_cell.getstate()
+
+
+def test_memory_fills_random_arrays_in_declaration_order():
+    p = parse_named("array A[3,4] init random;\narray Z[5] init zero;\n"
+                    "array B[7] init random;\nfor (i = 0; i < 1; i += 1) Z[i] = 1;\n")
+    rng = random.Random(9)
+    a = [rng.randint(-100, 100) for _ in range(12)]
+    b = [rng.randint(-100, 100) for _ in range(7)]
+    assert Memory(p, seed=9).snapshot() == {"A": tuple(a), "Z": (0,) * 5, "B": tuple(b)}

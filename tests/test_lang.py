@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from xform.lang import (
     INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Call, EvalError, ForLoop, IntLit, VarRef,
-    evaluate, flat_index, interval, loop_range, simplify, subexprs, subst_stmt,
+    evaluate, flat_index, interval, loop_range, op_interval, simplify, subexprs, subst_stmt,
 )
 
 MAX, MIN = INT64_MAX, INT64_MIN
@@ -135,6 +135,24 @@ def test_an_interval_bounds_the_value_and_rules_out_a_fault(e, env, data):
     for _ in range(4):
         point = {v: data.draw(st.sampled_from(env[v]) | st.integers(*env[v])) for v in VARS}
         assert known[0] <= evaluate(e, point) <= known[1], (e, point)
+
+
+wide = st.tuples(st.one_of(EDGE, st.integers(MIN, MAX)), st.one_of(EDGE, st.integers(MIN, MAX)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["/", "%"]), st.one_of(ranges, wide.map(sorted).map(tuple)),
+       st.one_of(st.integers(-9, 9), EDGE, st.integers(MIN, MAX)), st.data())
+def test_division_by_a_constant_has_an_interval_that_holds(op, a, c, data):
+    known = op_interval(op, a, (c, c))
+    assert known is not None or c in (0, -1), (op, a, c)
+    for x in (a[0], a[1], data.draw(st.integers(*a))):
+        try:
+            value = evaluate(BinOp(op, IntLit(x), IntLit(c)), {})
+        except EvalError:
+            assert known is None
+            continue
+        assert known is None or known[0] <= value <= known[1], (op, a, c, x)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,0 +1,155 @@
+"""The kinds' schedules against the walked candidate.
+
+Wherever a step of an exact region is judged by its kind's schedule
+(`transforms.exact_schedule`), the schedule must sort the region's instances
+into the candidate's execution order and give each the candidate's loop
+names and trips; its verdict must be the one the walked candidate gives
+(`reference_deps.judge_walked`); and the graph it carries must be the one a
+fresh analysis of the candidate builds.  Every step also checks that the
+arithmetic gate is sound: a step it lets through walks without a fault.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xform import deps, plan_pipeline, transforms
+from xform.deps import DepsError, compute_dependences
+from xform.kinds import KINDS
+from xform.lang import iter_loops, step_counts
+from xform.legality import judge_exact
+
+from conftest import corpus_names, load_corpus, parse_named
+from reference_deps import judge_walked, walk_candidate
+from test_properties import nest_programs
+
+
+def check_step(program, pd, cand, info, max_enum, graphs) -> str:
+    """Check one step's schedule against its walked candidate; returns how
+    the step is judged: by its "schedule", or why not."""
+    kind = KINDS[pd.directive.kind]
+    if kind.schedule is None or (kind.always_valid and kind.always_valid(
+            program, pd.targets, pd.directive.clauses, info.meta)):
+        return "no schedule"
+    stop = info.span_start + info.span_old
+    depset = graphs.get((info.span_start, stop))
+    if depset is None:
+        try:
+            depset = compute_dependences(program, program.body[info.span_start:stop], max_enum)
+        except DepsError:
+            return "no analysis"
+    if not depset.exact:
+        return "conservative region"
+    cscope = cand.body[info.span_start:info.span_start + info.span_new]
+    counts = step_counts(cscope, cand.param_ranges(include_opaque=False))
+    place = transforms.exact_schedule(program, pd, cand, info, counts, max_enum)
+    walked = walk_candidate(cand, cscope, max_enum)
+    if place is None:
+        region = [l.name for l in iter_loops(program.body[info.span_start:stop])]
+        if walked is None:
+            return "unscheduled"
+        if any(region.count(t) > 1 for t in pd.targets):
+            return "ambiguous"  # copies of a target loop share its name
+        return "unscheduled, walkable"
+    assert walked is not None, "the gate let through a candidate whose walk faults"
+
+    placed = place(depset.instances)
+    order = sorted(range(len(placed)), key=lambda k: placed[k][2])
+    assert [(depset.instances[k].key, placed[k][0], placed[k][1]) for k in order] == \
+        [(c.key, c.loops, c.logical) for c in walked]
+    verdict = judge_exact(depset, [p[2] for p in placed])
+    assert verdict == judge_walked(depset, walked)
+    if verdict.kind == "always_valid" and deps.fits(len(walked), walked.steps, max_enum):
+        carried = deps.reorder(depset, placed, cscope)
+        fresh = compute_dependences(cand, cscope, max_enum)
+        assert fresh.exact
+        assert carried.instances == fresh.instances
+        assert sorted(carried.pairs) == sorted(fresh.pairs)
+        assert carried.alias_pairs == fresh.alias_pairs
+    return "schedule"
+
+
+def checked_pipeline(src: str, monkeypatch, **kw) -> list[str]:
+    """Apply a program's pipeline, checking every step; returns the steps'
+    statuses."""
+    seen = []
+    real = transforms.classify
+
+    def classify(program, pd, cand, info, reason="", max_enum=4096, *, graphs):
+        if cand is not None:
+            seen.append(check_step(program, pd, cand, info, max_enum, graphs))
+        return real(program, pd, cand, info, reason, max_enum, graphs=graphs)
+
+    p = parse_named(src)
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "classify", classify)
+        transforms.apply_pipeline(p, plan_pipeline(p), **kw)
+    return seen
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_schedules_match_the_walked_candidates(name, monkeypatch):
+    for mode in ("default", "fallback", "force"):
+        seen = checked_pipeline(load_corpus(name), monkeypatch, safety_override=mode)
+        assert "unscheduled, walkable" not in seen, (name, mode)
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_dgemm_schedules_match_the_walked_candidates(m, monkeypatch):
+    src = load_corpus("05_dgemm.loop").replace("16", str(m))
+    seen = checked_pipeline(src, monkeypatch, safety_override="fallback")
+    assert seen == ["schedule"] * 4
+
+
+# stacked pipelines on generated nests ---------------------------------------
+
+
+def _one(draw, live: list[str]):
+    """One directive on the live loop names: (pragma text, consumed, introduced)."""
+    x = draw(st.sampled_from(live))
+    kind = draw(st.sampled_from(["reverse", "stripemine", "stripmine", "unroll",
+                                 "unrollingandjam", "tile", "interchange", "distribute"]))
+    if kind in ("tile", "interchange") and len(live) > 1:
+        y = draw(st.sampled_from([n for n in live if n != x]))
+        if kind == "interchange":
+            return f"loop({x},{y}) interchange permutation({y},{x})", (), ()
+        peel = draw(st.sampled_from(["", " peel(rectangular)"]))
+        a, b = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        return (f"loop({x},{y}) tile sizes({a},{b}){peel}", (x, y),
+                (f"{x}_f", f"{y}_f", f"{x}_t", f"{y}_t"))
+    if kind == "stripemine":
+        return f"loop({x}) stripemine count(2)", (x,), (f"{x}_o", f"{x}_i")
+    if kind == "stripmine":
+        return f"loop({x}) stripmine size(2)", (x,), (f"{x}_f", f"{x}_t")
+    if kind == "unroll":
+        return f"loop({x}) unroll factor(2)", (), ()
+    if kind == "unrollingandjam":
+        return f"loop({x}) unrollingandjam factor({draw(st.integers(2, 3))})", (), ()
+    if kind == "distribute":
+        return f"loop({x}) distribute", (x,), ()
+    return f"loop({x}) reverse", (), ()
+
+
+@st.composite
+def stacked_programs(draw):
+    """A `test_properties` nest under 1-3 stacked directives, each naming
+    loops the source or an earlier directive introduced."""
+    src = draw(nest_programs())
+    live = ["i", "j"] if "for (j" in src else ["i"]
+    pragmas = []
+    for _ in range(draw(st.integers(1, 3))):
+        text, consumed, introduced = _one(draw, live)
+        pragmas.append(f"#pragma xform {text}")
+        live = [n for n in live if n not in consumed] + list(introduced)
+        if not live:
+            break
+    head, loop = src.rsplit("\n", 2)[0], src.rsplit("\n", 2)[1]
+    return head + "\n" + "\n".join(reversed(pragmas)) + "\n" + loop + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_programs(), st.sampled_from(["default", "fallback"]),
+       st.sampled_from([4096, 24]))
+def test_stacked_schedules_match_the_walked_candidates(src, mode, max_enum):
+    with pytest.MonkeyPatch.context() as m:
+        seen = checked_pipeline(src, m, safety_override=mode, max_enum=max_enum)
+    assert "unscheduled, walkable" not in seen, src

@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts under scripts/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,28 @@ def test_show_lowering_prints_the_source_and_its_check_counts():
     assert "trace.append(" in r.stdout and "bud -= 1" in r.stdout
     assert r.stdout.rstrip().endswith("steps: not static: a budget step per statement "
                                       "and loop iteration")
+
+
+def test_show_lowering_into_a_closed_pipe_prints_no_traceback():
+    path = os.path.join(CORPUS, "05_dgemm.loop")
+    p = subprocess.Popen([sys.executable, os.path.join(SCRIPTS, "show_lowering.py"), path],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    p.stdout.close()  # the reader is gone before the script writes
+    err = p.stderr.read()
+    p.stderr.close()
+    assert p.wait() == 1
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_cli_digest_of_a_subset_matches_itself(tmp_path):
+    digests = []
+    for name in ("a.jsonl", "b.jsonl"):
+        r = run_script("cli_digest.py", "--only", "fuse", "--out", str(tmp_path / name))
+        assert r.returncode == 0, r.stderr
+        digests.append(str(tmp_path / name))
+    with open(digests[0], encoding="utf-8") as f:
+        lines = [json.loads(line) for line in f]
+    assert len(lines) == 16 and all(d["exit"] == 0 for d in lines)
+    assert sum(d["trace"] is not None for d in lines) == 8
+    r = run_script("cli_digest.py", "--compare", *digests)
+    assert r.returncode == 0 and r.stdout == "0 of 16 commands differ\n", r.stdout
