@@ -24,7 +24,8 @@ them is the same from run to run:
   under `fallback`;
 * `EDGES`, programs at the edges of the analyses (faults, int64 limits,
   step budgets, deep nests, the exact schedules of every order-changing
-  directive) under the corpus' four settings, in those two forms and
+  directive and the gates before them, directives the builders refuse)
+  under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
 `--only SUBSTRING` keeps the commands whose program name contains it.
@@ -231,6 +232,50 @@ for (i = 0; i < 12; i += 1) {
   A[i] = B[i] + 1;
   B[i] = A[i] * 2;
 }
+""",
+    # the two gates of an exact schedule: a target whose name the region
+    # repeats, and a candidate past the step budget of --max-enum 1
+    "gate_unique_names": """array A[8,8] init random;
+
+#pragma xform loop(j) reverse
+#pragma xform loop(i) unroll factor(2)
+for (i = 0; i < 8; i += 1)
+  for (j = 0; j < 8; j += 1)
+    A[i,j] = A[i,j] + 1;
+""",
+    "gate_step_budget": """array A[2] init random;
+
+#pragma xform loop(i,j) tile sizes(2,2)
+for (i = 0; i < 100; i += 1)
+  for (j = 0; j < 100; j += 1)
+    for (k = 0; k < 0; k += 1)
+      A[0] = 1;
+""",
+    # directives the builders refuse: a target named twice, too many body
+    # copies, a generated constant outside int64
+    "rejected_repeated_name": """array A[8] init random;
+
+#pragma xform loop(i,i) fuse
+for (i = 0; i < 8; i += 1)
+  A[i] = i;
+""",
+    "rejected_unroll_1025": """array A[8] init random;
+
+#pragma xform unroll factor(1025)
+for (i = 0; i < 8; i += 1)
+  A[i] = A[i] + i;
+""",
+    "rejected_tile_int64": """array A[8] init random;
+
+#pragma xform tile sizes(9223372036854775807)
+for (i = 0; i < 8; i += 2)
+  A[i] = A[i] + i;
+""",
+    "rejected_peel_int64": """array A[8] init random;
+
+#pragma xform peel first(9223372036854775807)
+for (i = 0; i < 8; i += 2)
+  A[i] = A[i] + i;
 """,
 }
 

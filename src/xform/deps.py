@@ -6,13 +6,14 @@ Two routes, matching how much the program lets us see:
   pure function of loop variables and non-opaque params, and the region's
   instance count fits the enumeration cap, run the whole iteration space
   abstractly and build the region's conflict graph.  The enumerator
-  translates the region once into nested closures that keep every check of
-  `lang.evaluate` with no memory; its `EvalError` message becomes the `reason`.
+  translates the region once into nested closures that fold constants with
+  `lang.fold` and keep its checks, with no memory; an `EvalError` message
+  becomes the `reason`.
   A region is counted before it is walked: when its instance and iteration
-  counts are fixed before it runs (no `while` or `if`, every trip count known:
-  `lang.step_counts`) and pass the cap or the step budget, it goes
-  conservative at once, with the reason "enumeration cap exceeded" even
-  where the walk would have stopped at a fault first.
+  counts are fixed before it runs (no `while` or `if`, every trip count
+  known: the exact counts of `lang.step_counts`) and pass the cap or the
+  step budget, it goes conservative at once, with the reason "enumeration
+  cap exceeded" even where the walk would have stopped at a fault first.
 
 * conservative: otherwise fall back to ZIV and strong-SIV subscript tests per
   dimension; anything those cannot analyze is assumed dependent with unknown
@@ -34,9 +35,9 @@ carries the graph over to it without building it again: it sorts the
 instances by their times in the candidate, which the step's schedule map
 gives (`schedules`), and takes their loop names and trips from the map too.
 The candidate is never walked.  Where a walk of it would fault, the step is
-judged conservatively instead, and `walk_proved` is the test of that: the
-candidate's arithmetic must be inside int64 and free of zero divisors over
-the intervals of `lang.interval`.  Pairs of declared
+judged conservatively instead, and the proof of `lang.step_counts` is the
+test of that: the candidate's arithmetic must be inside int64 and free of
+zero divisors over the intervals of `lang.interval`.  Pairs of declared
 may-alias arrays stay bipartite (every access of one against every access of
 the other), capped at 4M pairs.
 
@@ -58,8 +59,8 @@ from functools import cached_property
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
     ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
-    evaluate, flat_index, gc_paused, int64, interval, iter_loops, loop_range, simplify,
-    step_counts, subst,
+    flat_index, fold, gc_paused, int64, interval, iter_loops, simplify, step_counts, subst,
+    trip_count,
 )
 
 
@@ -186,8 +187,9 @@ class _Closures:
     & Lapalme, "Using closures for code generation", 1987).
 
     The loop at nesting depth d keeps its variable in `vals[d]` and its trip
-    counter in `trips[d]`; a non-opaque param is a constant.  Each check of
-    `lang.evaluate` runs, in its order, only when the closures run.
+    counter in `trips[d]`; a non-opaque param is a constant.  An operation
+    on two constants is folded unless it faults (`lang.fold`); every other
+    check runs, in the order of evaluation, only when the closures run.
     """
 
     def __init__(self, program: Program, max_instances: int):
@@ -234,11 +236,10 @@ class _Closures:
             return _fault("alias-binding-dependent expression")
         op, (l, r) = (e.op, (e.lhs, e.rhs)) if t is BinOp else (e.func, e.args)
         (sa, ka, fa), (sb, kb, fb), f = self.expr(l, scope), self.expr(r, scope), OPS[op]
-        if type(sa) is type(sb) is tuple:
-            try:  # both operands constant: fold unless it faults
-                return (int64(f(sa[0], sb[0])),), 0, None
-            except EvalError:
-                pass
+        if type(sa) is type(sb) is tuple:  # both operands constant: fold unless it faults
+            v = fold(op, sa[0], sb[0])
+            if v is not None:
+                return (v,), 0, None
         if op not in ("+", "-", "*", "/"):
             return None, 0, lambda: f(sa[ka] if fa is None else fa(),
                                       sb[kb] if fb is None else fb())
@@ -334,37 +335,6 @@ def _fault(message: str):
     def fault():
         raise EvalError(message)
     return None, 0, fault
-
-
-def walk_proved(program: Program, stmts: list[Stmt]) -> bool:
-    """Whether `lang.interval` over `loop_range` proves that a walk of
-    `stmts` values every loop bound, condition, subscript and original
-    coordinate inside int64 and without a zero divisor.  Subscript bounds
-    and the caps are not checked, and a `while` is taken as never reached."""
-    def proved(exprs, env) -> bool:
-        return all(interval(e, env) is not None for e in exprs)
-
-    def walk(stmts, env) -> bool:
-        for s in stmts:
-            t = type(s)
-            if t is Assign:  # a read in a subscript has no interval
-                if not proved([*s.index, *(x for r in array_reads(s.value) for x in r.index),
-                               *(e for _, e in s.orig_coords)], env):
-                    return False
-            elif t is ForLoop:
-                if not proved((s.lower, s.upper), env):
-                    return False
-                var = loop_range(s, env)[1]
-                if var is not None and not walk(s.body, {**env, s.var: var}):
-                    return False  # (with known bounds, no interval: never runs)
-            elif t is IfStmt:
-                if not (proved((s.cond,), env) and walk(s.then_body, env)
-                        and walk(s.else_body or [], env)):
-                    return False
-            elif t is Block and not walk(s.body, env):
-                return False
-        return True
-    return walk(stmts, program.param_ranges(include_opaque=False))
 
 
 def fits(instances: int, steps: int, max_instances: int) -> bool:
@@ -520,19 +490,16 @@ class _Ref:
 
 def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
     refs: list[_Ref] = []
-    params = program.param_values(include_opaque=False)
+    params = program.param_ranges(include_opaque=False)
     counter = [0]
 
     def resolve(e: Expr) -> Expr:
-        return simplify(subst(e, {k: IntLit(v) for k, v in params.items()}))
+        return simplify(subst(e, {k: IntLit(v) for k, (v, _) in params.items()}))
 
     def trips_of(loop: ForLoop) -> object:
-        try:
-            lb = evaluate(loop.lower, params)
-            ub = evaluate(loop.upper, params)
-        except EvalError:
-            return None
-        return max(0, -(-(ub - lb) // loop.step))
+        """The trip count when both bounds are constant, else None."""
+        lb, ub = interval(loop.lower, params), interval(loop.upper, params)
+        return None if lb is None or ub is None else trip_count(lb[0], ub[0], loop.step)
 
     def walk(stmts, loops: tuple):
         for s in stmts:
@@ -728,10 +695,11 @@ def compute_dependences(program: Program, scope, max_enum: int = 4096) -> Depend
     conservative superset.  `scope` is a loop node or a statement list.
 
     A region whose instance and iteration counts are fixed before it runs
-    (`lang.step_counts`) is counted first: one the walk would take past the
-    cap or the step budget goes conservative without walking."""
+    (the exact counts of `lang.step_counts`) is counted first: one the walk
+    would take past the cap or the step budget goes conservative without
+    walking."""
     stmts = scope if isinstance(scope, list) else [scope]
-    counts = step_counts(stmts, program.param_ranges(include_opaque=False))
+    counts = step_counts(stmts, program.param_ranges(include_opaque=False))[0]
     # the walk stops at the first instance past the cap, the first one if the cap is below 1
     if counts is not None and not fits(counts[1], counts[2], max_enum):
         return conservative_dependences(program, stmts, "enumeration cap exceeded")

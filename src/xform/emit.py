@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from .kinds import KINDS
 from .lang import (
-    ArrayRead, Assign, BinOp, Block, Call, Directive, Expr, ForLoop, IfStmt,
+    PRECEDENCE, ArrayRead, Assign, BinOp, Block, Call, Directive, Expr, ForLoop, IfStmt,
     IntLit, Program, Stmt, VarRef, WhileLoop,
 )
-
-_PREC = {"&&": 1, "<": 2, "<=": 2, ">": 2, ">=": 2, "==": 2, "!=": 2,
-         "+": 3, "-": 3, "*": 4, "/": 4, "%": 4}
 
 
 def expr_str(e: Expr, parent_prec: int = 0) -> str:
@@ -29,7 +26,7 @@ def expr_str(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Call):
         return f"{e.func}({', '.join(expr_str(a) for a in e.args)})"
     if isinstance(e, BinOp):
-        prec = _PREC[e.op]
+        prec = PRECEDENCE[e.op]
         # left-associative: right operand at equal precedence needs parens
         s = f"{expr_str(e.lhs, prec)} {e.op} {expr_str(e.rhs, prec + 1)}"
         return f"({s})" if prec < parent_prec else s

@@ -31,9 +31,9 @@ import re
 
 from .kinds import BY_SURFACE
 from .lang import (
-    AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Block, Call, Directive,
-    INT64_MAX, INT64_MIN, Expr, ForLoop, IfStmt, IntLit, ParamDecl, Program,
-    VarRef, WhileLoop, array_reads, child_bodies, free_vars, subexprs,
+    INT64_MAX, INT64_MIN, PRECEDENCE, AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Block,
+    Call, Directive, Expr, ForLoop, IfStmt, IntLit, ParamDecl, Program, VarRef, WhileLoop,
+    array_reads, child_bodies, free_vars, subexprs,
 )
 
 
@@ -167,6 +167,13 @@ class _Parser:
         self.stmt_counter += 1
         return sid
 
+    def items(self, item) -> list:
+        """`item ("," item)*`: the values of the items."""
+        vals = [item()]
+        while self.accept(","):
+            vals.append(item())
+        return vals
+
     # grammar --------------------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -187,9 +194,7 @@ class _Parser:
         if t.text == "array":
             name = self.expect("ID", "array name").text
             self.expect("[")
-            dims = [self.parse_dim()]
-            while self.accept(","):
-                dims.append(self.parse_dim())
+            dims = self.items(self.parse_dim)
             self.expect("]")
             init = "zero"
             if self.at("ID", "init"):
@@ -313,24 +318,16 @@ class _Parser:
         return [self.parse_stmt()]
 
     def parse_block(self) -> Block:
-        t = self.next()  # "{"
+        t = self.peek()  # "{"
         sid = self.fresh_sid()
-        stmts = []
-        while not self.at("}"):
-            if self.at("EOF"):
-                self.fail("unterminated '{'")
-            stmts.append(self.parse_stmt())
-        self.next()
-        return Block(stmts, sid, t.line)
+        return Block(self.parse_body(), sid, t.line)
 
     def parse_assign(self) -> Assign:
         t = self.peek()
         sid = self.fresh_sid()
         name = self.next().text
         self.expect("[", "'[' (assignments target array elements)")
-        index = [self.parse_expr()]
-        while self.accept(","):
-            index.append(self.parse_expr())
+        index = self.items(self.parse_expr)
         self.expect("]")
         if self.at("="):
             op = "="
@@ -343,34 +340,13 @@ class _Parser:
         self.expect(";")
         return Assign(name, tuple(index), op, value, sid, t.line)
 
-    # expressions: && < comparisons < additive < multiplicative < unary
+    # expressions: precedence climbing over `lang.PRECEDENCE`, then unary
 
-    def parse_expr(self) -> Expr:
-        e = self.parse_cmp()
-        while self.at("&&"):
-            self.next()
-            e = BinOp("&&", e, self.parse_cmp())
-        return e
-
-    def parse_cmp(self) -> Expr:
-        e = self.parse_add()
-        while self.peek().kind in ("<", "<=", ">", ">=", "==", "!="):
-            op = self.next().text
-            e = BinOp(op, e, self.parse_add())
-        return e
-
-    def parse_add(self) -> Expr:
-        e = self.parse_mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().text
-            e = BinOp(op, e, self.parse_mul())
-        return e
-
-    def parse_mul(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
         e = self.parse_unary()
-        while self.peek().kind in ("*", "/", "%"):
+        while PRECEDENCE.get(self.peek().kind, 0) >= min_prec:
             op = self.next().text
-            e = BinOp(op, e, self.parse_unary())
+            e = BinOp(op, e, self.parse_expr(PRECEDENCE[op] + 1))  # left-associative
         return e
 
     def parse_unary(self) -> Expr:
@@ -393,19 +369,15 @@ class _Parser:
         if t.kind == "ID":
             self.next()
             if t.text in ("min", "max", "disjoint") and self.at("("):
-                self.expect("(")
-                args = [self.parse_expr()]
-                while self.accept(","):
-                    args.append(self.parse_expr())
+                self.next()
+                args = self.items(self.parse_expr)
                 self.expect(")")
                 if len(args) != 2:
                     raise ParseError(f"{t.text} takes exactly 2 arguments", t.line, t.col)
                 return Call(t.text, tuple(args))
             if self.at("["):
                 self.next()
-                index = [self.parse_expr()]
-                while self.accept(","):
-                    index.append(self.parse_expr())
+                index = self.items(self.parse_expr)
                 self.expect("]")
                 return ArrayRead(t.text, tuple(index))
             return VarRef(t.text)
@@ -422,11 +394,8 @@ class _Parser:
         if self.at("ID", "loop") and self.toks[self.pos + 1].kind == "(":
             self.next()
             self.next()
-            names = [self.expect("ID", "loop name").text]
-            while self.accept(","):
-                names.append(self.expect("ID", "loop name").text)
+            targets = tuple(self.items(lambda: self.expect("ID", "loop name").text))
             self.expect(")")
-            targets = tuple(names)
         kt = self.expect("ID", "transformation name")
         kind = BY_SURFACE.get(kt.text)
         if kind is None:
@@ -479,10 +448,8 @@ class _Parser:
             return kw.text
         if shape in ("int", "ints", "id", "ids"):
             ints = shape in ("int", "ints")
-            item = self.parse_int if ints else lambda: self.expect("ID", "identifier").text
-            vals = [item()]
-            while self.accept(","):
-                vals.append(item())
+            vals = self.items(self.parse_int if ints
+                              else lambda: self.expect("ID", "identifier").text)
             self.expect(")")
             if shape in ("ints", "ids"):
                 return tuple(vals)

@@ -3,9 +3,10 @@ semantic-equivalence oracle.
 
 All arithmetic is int64 with faults on overflow and division by zero, so
 program equivalence is exact — no tolerance questions.  `run` executes a
-program's lowered form (`xform.lower`): generated Python that keeps
-`lang.evaluate`'s checks and order of evaluation, and raises a `RunFault`
-naming the line of the statement whose expression faulted.  A traced run
+program's lowered form (`xform.lower`): generated Python that keeps the
+checks and the order of evaluation of the reference evaluator in
+`tests/reference_lang.py`, and raises a `RunFault` naming the line of the
+statement whose expression faulted.  A traced run
 (`record_trace`) returns one finished CSV row per statement instance, the
 rows of `--trace` (the header is `CSV_HEADER`).  Random array initialization
 draws from [-100, 100] with a recorded seed.  The tree walker that the

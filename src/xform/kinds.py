@@ -40,14 +40,18 @@ from .schedules import (
 )
 from .lang import (
     Assign, BinOp, Call, Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef,
-    WhileLoop, containing_list, find_loop, free_vars, iter_stmts, loop_range, simplify,
-    subst_body, subst_stmt,
+    WhileLoop, find_loop, free_vars, iter_stmts, locate, loop_range, simplify, subst_body,
+    subst_stmt,
 )
 from .legality import Verdict
 
 
 class TransformError(Exception):
     """Structural impossibility; the legality layer maps this to a verdict."""
+
+
+# The most copies of a loop body one unroll or unroll-and-jam may make.
+MAX_COPIES = 1024
 
 
 @dataclass
@@ -96,6 +100,14 @@ def _require_for(node, what: str):
     if isinstance(node, WhileLoop):
         raise TransformError(f"{what} requires a canonical for-loop, not a while-loop")
     assert isinstance(node, ForLoop)
+
+
+def _copies(n: int) -> int:
+    """`n`, the copies of a body a step makes, or TransformError past the limit."""
+    if n > MAX_COPIES:
+        raise TransformError(f"the step would make {n} copies of the loop body, "
+                             f"more than the limit of {MAX_COPIES}")
+    return n
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -257,7 +269,7 @@ def unroll_full(program: Program, loop: ForLoop) -> TransformResult:
     if trips is None:
         raise TransformError("full unroll requires a constant trip count")
     out: list[Stmt] = []
-    for k in range(trips):
+    for k in range(_copies(trips)):
         val = simplify(BinOp("+", loop.lower, IntLit(k * loop.step)))
         out.extend(subst_body(loop.body, {loop.var: val}))
     return TransformResult(out)
@@ -295,7 +307,7 @@ def _jam(program: Program, loop: ForLoop, chain: list[ForLoop], factor: int,
     v = loop.var
     body = (chain[-1] if chain else loop).body
     jammed: list[Stmt] = subst_body(body, {})
-    for k in range(1, factor):
+    for k in range(1, _copies(factor)):
         off = simplify(BinOp("+", VarRef(v), IntLit(k * loop.step)))
         copy = subst_body(body, {v: off})
         if divisible:
@@ -500,10 +512,7 @@ def _nest_chain(nodes: list, what: str, ordered_names: tuple[str, ...] | None = 
 
 
 def _adjacent_siblings(cand: Program, nodes: list) -> list[ForLoop]:
-    found = containing_list(cand.body, nodes[0])
-    if found is None:
-        raise TransformError("fuse targets must be adjacent siblings")
-    container, idx = found
+    container, idx = locate(cand.body, nodes[0])[:2]
     for k, n in enumerate(nodes):
         if idx + k >= len(container) or container[idx + k] is not n:
             raise TransformError("fuse targets must be adjacent siblings, "
@@ -561,6 +570,8 @@ class Kind:
         msg = self.check(clauses, targets) if self.check else None
         if not msg and self.shape == LOOP and len(targets) > 1:
             msg = f"{self.surface} targets a single loop"
+        if not msg and len(set(targets)) < len(targets):
+            msg = f"{self.surface} names a target loop twice"
         return msg
 
     def with_ids(self, clauses: dict, targets: tuple[str, ...]) -> dict:

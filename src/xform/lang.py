@@ -9,11 +9,15 @@ value from the *current* variables.  Transformations rewrite those expressions
 along with the code, which is what lets the interpreter report traces in
 original-loop coordinates no matter how mangled the tree is.
 
-`evaluate` is the one place an expression gets its int64 value, and
-`subexprs` the one expression walker.  `simplify` folds constants only
-through `evaluate`; the dependence enumerator's closures (`xform.deps`) and
-the interpreter's lowering (`xform.lower`) keep its checks and its order of
-evaluation.
+Each rule is stated once here: `fold` gives a constant operation its int64
+value, `trip_count` a loop's iterations, `interval` an expression's static
+bounds (on an environment of points, its value), `step_counts` is the one
+static walk of a region, `locate` finds a node in the tree, `PRECEDENCE`
+orders the operators for the parser and the printer, and `subexprs` walks an
+expression.  The dependence enumerator's closures (`xform.deps`) and the
+interpreter's lowering (`xform.lower`) fold through `fold` and keep its
+checks, in the order of evaluation of the tests' reference evaluator
+(`tests/reference_lang.py`).
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ class BinOp:
     rhs: "Expr"
 
 
+# The binary operators by how tightly they bind, all left-associative.
+PRECEDENCE = {"&&": 1, "<": 2, "<=": 2, ">": 2, ">=": 2, "==": 2, "!=": 2,
+              "+": 3, "-": 3, "*": 4, "/": 4, "%": 4}
+
+
 @dataclass(frozen=True)
 class Call:
     func: str  # min | max | disjoint
@@ -88,9 +97,8 @@ def int64(v: int) -> int:
     raise EvalError("int64 overflow")
 
 
-# The binary operators and the min/max builtins.  `evaluate` passes each
-# binary operator's result through `int64`, so `+ - * /` fault on overflow;
-# `/ %` fault on a zero divisor.
+# The binary operators and the min/max builtins.  `fold` rejects a result
+# outside int64, so `+ - * /` fault on overflow; `/ %` fault on a zero divisor.
 OPS = {
     "+": operator.add,
     "-": operator.sub,
@@ -109,34 +117,19 @@ OPS = {
 }
 
 
-def evaluate(e: Expr, env: dict[str, int], mem=None) -> int:
-    """The int64 value of `e` under `env`, or EvalError.
+def fold(op: str, a: int, b: int) -> int | None:
+    """`a op b` for a binary operator or min/max, or None where it has no
+    int64 value: it overflows or divides by zero."""
+    try:
+        v = OPS[op](a, b)
+    except EvalError:
+        return None
+    return v if INT64_MIN <= v <= INT64_MAX else None
 
-    `mem.load(array, idx)` answers array reads and `mem.disjoint(a, b)` the
-    `disjoint` builtin; without a `mem` both raise EvalError.
-    """
-    t = type(e)
-    if t is VarRef:
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
-    if t is BinOp:
-        v = OPS[e.op](evaluate(e.lhs, env, mem), evaluate(e.rhs, env, mem))
-        return v if INT64_MIN <= v <= INT64_MAX else int64(v)
-    if t is IntLit:
-        return e.value
-    if t is ArrayRead:
-        if mem is None:
-            raise EvalError("memory-dependent expression")
-        return mem.load(e.array, [evaluate(i, env, mem) for i in e.index])
-    if t is Call:
-        if e.func == "disjoint":
-            if mem is None:
-                raise EvalError("alias-binding-dependent expression")
-            return int(mem.disjoint(e.args[0].name, e.args[1].name))
-        return OPS[e.func](evaluate(e.args[0], env, mem), evaluate(e.args[1], env, mem))
-    raise TypeError(f"not an expression: {e!r}")
+
+def trip_count(lower: int, upper: int, step: int) -> int:
+    """How many times a loop from `lower` to below `upper` by `step` runs."""
+    return max(0, -(-(upper - lower) // step))
 
 
 def flat_index(array: str, dims: tuple[int, ...], idx) -> int:
@@ -163,16 +156,13 @@ Interval = tuple[int, int]
 def op_interval(op: str, a: Interval | None, b: Interval | None) -> Interval | None:
     """The interval of `x op y` for x in `a` and y in `b`, or None when the
     operation may fault there, or when an operand's interval is unknown.  On
-    two points it is `evaluate`'s value.  `/` and `%` are known only by a
+    two points it is `fold`'s value.  `/` and `%` are known only by a
     constant other than 0 and -1, which can neither fault nor overflow."""
     if a is None or b is None:
         return None
     if a[0] == a[1] and b[0] == b[1]:
-        try:
-            v = int64(OPS[op](a[0], b[0]))
-        except EvalError:
-            return None
-        return v, v
+        v = fold(op, a[0], b[0])
+        return None if v is None else (v, v)
     if op in ("/", "%"):
         c = b[0]
         if b[0] != b[1] or c in (0, -1):
@@ -222,53 +212,79 @@ def loop_range(loop: "ForLoop", env: dict) -> tuple[int | None, Interval | None]
     bounds, else from a constant extent `upper - lower` (`i < i0 + 4`)."""
     lo, hi, step = interval(loop.lower, env), interval(loop.upper, env), loop.step
     if lo is not None and hi is not None and lo[0] == lo[1] and hi[0] == hi[1]:
-        trips = max(0, -(-(hi[0] - lo[0]) // step))
+        trips = trip_count(lo[0], hi[0], step)
     else:
         extent = simplify(BinOp("-", loop.upper, loop.lower))
-        trips = max(0, -(-extent.value // step)) if isinstance(extent, IntLit) else None
+        trips = trip_count(0, extent.value, step) if isinstance(extent, IntLit) else None
     if lo is None or hi is None:
         return trips, None
     last = hi[1] - 1 if trips is None else min(hi[1] - 1, lo[1] + (trips - 1) * step)
     return trips, (lo[0], last) if lo[0] <= last else None
 
 
-def step_counts(stmts: list["Stmt"], env: dict,
-                bound: bool = False) -> tuple[int, int, int] | None:
-    """How many statements, assignments and loop iterations one run of
-    `stmts` executes, when no value decides it: no `while` or `if`, and every
-    trip count known (`loop_range`).  None otherwise.  A run that faults
-    stops within these counts.  With `bound`, counts that a run stays within
-    where values decide: an `if` runs both branches and a trip count not
-    known is bounded by its variable's interval; None only for a `while` or
-    a loop with no interval."""
-    total = [0, 0, 0]
+def step_counts(stmts: list["Stmt"], env: dict):
+    """The one static walk of a region: (exact, bound, proved) for `stmts`
+    under `env`.
 
-    def walk(stmts, env, times) -> bool:
+    `exact` counts the statements, assignments and loop iterations one run
+    executes when no value decides them: no `while` or `if`, and every trip
+    count known (`loop_range`).  A run that faults stops within them.
+    `bound` holds the counts a run stays within where values decide: an `if`
+    runs both branches and a trip count not known is bounded by its
+    variable's interval.  Each is None where its rule fails: `exact` at a
+    `while`, an `if` or an unknown trip count, `bound` at a `while` or a
+    loop with no interval and unknown bounds.  `proved` is whether
+    `interval` proves that a walk values every loop bound, condition,
+    subscript and original coordinate inside int64 and without a zero
+    divisor.  Subscript bounds are not checked, a `while` is taken as never
+    reached, and the body of a loop that never runs is counted, not proved."""
+    total = [0, 0, 0]
+    exact = bound = proved = True
+
+    def known(exprs, env) -> bool:
+        return all(interval(e, env) is not None for e in exprs)
+
+    def walk(stmts, env, times, prove):
+        nonlocal exact, bound, proved
         for s in stmts:
+            prove = prove and proved
+            if not (bound or prove):  # both counts gone, nothing to prove here
+                return
             total[0] += times
             t = type(s)
             if t is Assign:
                 total[1] += times
+                # (a read in a subscript has no interval)
+                if prove and not known([*s.index,
+                                        *(x for r in array_reads(s.value) for x in r.index),
+                                        *(e for _, e in s.orig_coords)], env):
+                    proved = False
             elif t is ForLoop:
+                if prove and not known((s.lower, s.upper), env):
+                    proved = prove = False
                 trips, var = loop_range(s, env)
-                if trips is None and bound:
-                    if var is not None:
-                        trips = (var[1] - var[0]) // s.step + 1
-                    elif interval(s.lower, env) and interval(s.upper, env):
-                        continue  # known bounds and no interval: it never runs
                 if trips is None:
-                    return False
+                    exact = False
+                    if var is None:  # with known bounds it never runs
+                        bound = bound and known((s.lower, s.upper), env)
+                        continue
+                    trips = (var[1] - var[0]) // s.step + 1
                 total[2] += times * trips
-                if not walk(s.body, {**env, s.var: var}, times * trips):
-                    return False
-            elif t is Block or (bound and t is IfStmt):
+                walk(s.body, {**env, s.var: var}, times * trips, prove and var is not None)
+            elif t is IfStmt:
+                exact = False
+                if prove and not known((s.cond,), env):
+                    proved = prove = False
                 for body in child_bodies(s):
-                    if not walk(body, env, times):
-                        return False
-            else:  # a while or an if: values decide
-                return False
-        return True
-    return tuple(total) if walk(stmts, env, 1) else None
+                    walk(body, env, times, prove)
+            elif t is Block:
+                walk(s.body, env, times, prove)
+            else:  # a while: values decide its count
+                exact = bound = False
+
+    walk(stmts, env, 1, True)
+    counts = tuple(total)
+    return counts if exact else None, counts if bound else None, proved
 
 
 @contextmanager
@@ -287,16 +303,17 @@ def gc_paused():
 def subexprs(e: Expr):
     """`e` and every expression inside it, in preorder.  The arguments of
     `disjoint` name arrays and are not expressions, so they are skipped."""
-    yield e
-    if isinstance(e, BinOp):
-        yield from subexprs(e.lhs)
-        yield from subexprs(e.rhs)
-    elif isinstance(e, ArrayRead):
-        for i in e.index:
-            yield from subexprs(i)
-    elif isinstance(e, Call) and e.func != "disjoint":
-        for a in e.args:
-            yield from subexprs(a)
+    stack = [e]  # not recursive: a generator per level would pass on every item
+    while stack:
+        e = stack.pop()
+        yield e
+        t = type(e)
+        if t is BinOp:
+            stack += e.rhs, e.lhs
+        elif t is ArrayRead:
+            stack += reversed(e.index)
+        elif t is Call and e.func != "disjoint":
+            stack += reversed(e.args)
 
 
 def free_vars(e: Expr) -> set[str]:
@@ -325,19 +342,10 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _fold(e: BinOp) -> IntLit | None:
-    """`e`, whose operands are literals, as a literal; None when it has no
-    int64 value (a fault must stay visible to the interpreter)."""
-    try:
-        return IntLit(evaluate(e, {}))
-    except EvalError:
-        return None
-
-
 def simplify(e: Expr) -> Expr:
     """Light constant folding and algebraic cleanup.
 
-    Constants are folded only by `evaluate`, so an operation that would
+    Constants are folded only by `fold`, so an operation that would
     overflow or divide by zero is left in the tree.
     """
     if isinstance(e, (IntLit, VarRef)):
@@ -348,7 +356,7 @@ def simplify(e: Expr) -> Expr:
         args = tuple(simplify(a) for a in e.args)
         if e.func in ("min", "max"):
             if all(isinstance(a, IntLit) for a in args):
-                return IntLit(evaluate(Call(e.func, args), {}))
+                return IntLit(fold(e.func, args[0].value, args[1].value))
             if len(args) == 2 and args[0] == args[1]:
                 return args[0]
         return Call(e.func, args)
@@ -356,9 +364,9 @@ def simplify(e: Expr) -> Expr:
         l, r = simplify(e.lhs), simplify(e.rhs)
         op = e.op
         if isinstance(l, IntLit) and isinstance(r, IntLit):
-            folded = _fold(BinOp(op, l, r))
-            if folded is not None:
-                return folded
+            v = fold(op, l.value, r.value)
+            if v is not None:
+                return IntLit(v)
         if op == "-":
             if l == r:
                 return IntLit(0)
@@ -371,14 +379,15 @@ def simplify(e: Expr) -> Expr:
             if r.value == 0:
                 return l
             if r.value < 0:  # x + -c -> x - c, x - -c -> x + c
-                flipped = _fold(BinOp("-", IntLit(0), r))
+                flipped = fold("-", 0, r.value)
                 if flipped is not None:
-                    return simplify(BinOp("-" if op == "+" else "+", l, flipped))
+                    return simplify(BinOp("-" if op == "+" else "+", l, IntLit(flipped)))
             elif isinstance(l, BinOp) and l.op in ("+", "-") and isinstance(l.rhs, IntLit):
                 # ((x +- c1) +- c2) -> x + c
-                c = _fold(BinOp(op, BinOp(l.op, IntLit(0), l.rhs), r))
+                c1 = fold(l.op, 0, l.rhs.value)
+                c = None if c1 is None else fold(op, c1, r.value)
                 if c is not None:
-                    return simplify(BinOp("+", l.lhs, c))
+                    return simplify(BinOp("+", l.lhs, IntLit(c)))
         if op == "+" and isinstance(l, IntLit) and l.value == 0:
             return r
         if op == "/" and isinstance(r, IntLit) and r.value == 1:
@@ -563,17 +572,22 @@ def find_loop(stmts: list[Stmt], name: str):
     return None
 
 
-def containing_list(stmts: list[Stmt], node: Stmt):
-    """Locate the body list (and index) physically holding `node`."""
-    for i, s in enumerate(stmts):
-        if s is node:
-            return stmts, i
-    for s in stmts:
-        for b in child_bodies(s):
-            found = containing_list(b, node)
-            if found is not None:
-                return found
-    return None
+def locate(stmts: list[Stmt], node: Stmt):
+    """Where `node` sits in `stmts`: (the body list holding it, its index
+    there, the index of the top-level statement around it, the for-loops
+    around it, outermost first), or None when it is not there."""
+    def find(body, top, outer):
+        for i, s in enumerate(body):
+            here = i if top is None else top
+            if s is node:
+                return body, i, here, list(outer)
+            inner = outer + (s,) if type(s) is ForLoop else outer
+            for b in child_bodies(s):
+                found = find(b, here, inner)
+                if found is not None:
+                    return found
+        return None
+    return find(stmts, None, ())
 
 
 def clone_program(p: Program) -> Program:

@@ -2,8 +2,9 @@
 that a run executes generated code instead of walking the tree (after Feeley
 & Lapalme, "Using closures for code generation", 1987).
 
-The generated code keeps every check of `lang.evaluate` that can fire, in
-its order of evaluation: `+ - * /` results are checked against int64, zero
+The generated code keeps every check that can fire, in the order of
+evaluation: an operation on two constants is folded unless it faults
+(`lang.fold`), other `+ - * /` results are checked against int64, zero
 divisors fault in `lang.idiv`/`lang.imod`, subscripts are checked one
 dimension at a time with `flat_index`'s message.  A fault is an `EvalError`
 raised on a generated line, which `Lowered.__call__` maps back to the
@@ -19,7 +20,8 @@ or `disjoint` keeps its checks, and a statement checks each unproved
 subscript once.
 
 Every statement and loop iteration takes one step of the budget.  A counted
-program (no `while` or `if`, every trip count known: `lang.step_counts`)
+program (no `while` or `if`, every trip count known: the exact counts of
+`lang.step_counts`)
 takes a known number T of steps, so it is compiled without them; a run with
 a budget below T runs the per-step-checked form instead, which is compiled
 on its first use and faults at the same step with the same message.
@@ -44,9 +46,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .lang import (
-    INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, ForLoop,
-    IfStmt, IntLit, Program, VarRef, WhileLoop, gc_paused, idiv, imod, int64, loop_range,
-    op_interval, step_counts,
+    INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Block, Call, EvalError, ForLoop, IfStmt,
+    IntLit, Program, VarRef, WhileLoop, fold, gc_paused, idiv, imod, loop_range, op_interval,
+    step_counts,
 )
 
 MAX_DEPTH = 12
@@ -162,7 +164,7 @@ class _Gen:
         self.arrays = [f"{c}_{a}" for a in self.dims for c in "cb"]
         self.funcs: list = []
         self.reads: list | None = None  # the traced assignment's (array, flat) reads
-        counts = step_counts(program.body, program.param_ranges())
+        counts = step_counts(program.body, program.param_ranges())[0]
         self.steps = None if counts is None else counts[0] + counts[2]
         self.ticks = ticked or counts is None
         self.ranges: dict = {}  # interval of each loop variable and temporary
@@ -202,11 +204,10 @@ class _Gen:
             raise TypeError(f"not an expression: {e!r}")
         op, args = (e.op, (e.lhs, e.rhs)) if t is BinOp else (e.func, e.args)
         a, b = self.expr(args[0], scope), self.expr(args[1], scope)
-        if type(a) is int and type(b) is int:
-            try:  # both operands known: fold unless it faults
-                return int64(OPS[op](a, b))
-            except EvalError:
-                pass
+        if type(a) is int and type(b) is int:  # both operands known: fold unless it faults
+            v = fold(op, a, b)
+            if v is not None:
+                return v
         known = op_interval(op, self.span(a), self.span(b))
         r = self.let(_FORMS[op].format(a, b), known)
         if op in ("+", "-", "*", "/"):

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from operator import floordiv, itemgetter, mod
 
-from .lang import Expr, ForLoop, evaluate
+from .lang import Expr, ForLoop, interval, trip_count
 
 
 def placer(schedule, meta: dict, outer: list[ForLoop], params: dict):
     """A kind's `schedule` of the region's instances: a function of the
     instances, in execution order, giving each one's (loop names, trips,
     time) in the candidate.  `outer` are the for-loops around the targets,
-    outermost first."""
+    outermost first, and `params` the params as points (`param_ranges`)."""
     depth = len(outer)
     heads, rewrite = schedule(meta, depth, _outer_values(outer, params))
 
@@ -55,7 +55,8 @@ def placer(schedule, meta: dict, outer: list[ForLoop], params: dict):
 
 def _outer_values(outer: list[ForLoop], params: dict):
     """The values of the loops `outer` (outermost first), and the params,
-    at given trip counts of those loops, memoized."""
+    at given trip counts of those loops, as an environment of points,
+    memoized."""
     memo: dict = {}
 
     def values(trips: tuple) -> dict:
@@ -63,14 +64,16 @@ def _outer_values(outer: list[ForLoop], params: dict):
         if env is None:
             env = dict(params)
             for loop, t in zip(outer, trips):
-                env[loop.var] = evaluate(loop.lower, env) + t * loop.step
+                v = interval(loop.lower, env)[0] + t * loop.step
+                env[loop.var] = v, v
             memo[trips] = env
         return env
     return values
 
 
-def _trip_count(lower: Expr, upper: Expr, step: int, env: dict) -> int:
-    return max(0, -(-(evaluate(upper, env) - evaluate(lower, env)) // step))
+def _trips(lower: Expr, upper: Expr, step: int, env: dict) -> int:
+    """The trip count of a loop over `env`'s points."""
+    return trip_count(interval(lower, env)[0], interval(upper, env)[0], step)
 
 
 def _renamer(depth: int, width: int, names):
@@ -99,7 +102,7 @@ def tile_schedule(meta, depth, values):
         out = memo.get(outer)
         if out is None:
             env = values(outer)
-            out = memo[outer] = {d: c if type(c) is int else _trip_count(*c, env)
+            out = memo[outer] = {d: c if type(c) is int else _trips(*c, env)
                                  for d, c in peeled}
         return out
 
@@ -186,6 +189,6 @@ def reverse_schedule(meta, depth, values):
             outer = logical[:depth]
             n = memo.get(outer)
             if n is None:
-                n = memo[outer] = _trip_count(lower, upper, step, values(outer))
+                n = memo[outer] = _trips(lower, upper, step, values(outer))
         return inst.loops, logical[:depth] + (n - 1 - t,) + logical[depth + 1:], (-t,)
     return (meta["level"],), rewrite

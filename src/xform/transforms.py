@@ -7,10 +7,11 @@ construction is always valid.  Everything else is checked against the
 dependence analysis.  In exact mode every conflicting instance pair must
 keep its execution order in the candidate: the kind's schedule gives each
 instance of the region its time there, and the candidate itself is never
-walked.  In conservative mode the kind's distance-vector rule applies, and
-so it does for an exact region whose candidate a walk could not value
-(arithmetic that `lang.interval` cannot prove, or past the step budget) or
-whose target loop names are not unique in the region.  The exact conflict
+walked, only counted and proved once by `lang.step_counts`.  In
+conservative mode the kind's distance-vector rule applies, and so it does
+for an exact region whose candidate a walk could not value (arithmetic that
+`lang.interval` cannot prove, or past the step budget) or whose target loop
+names are not unique in the region.  The exact conflict
 graph is built once per region and carried from step to step, sorted into
 each schedule, for as long as each step is exact and always valid.
 """
@@ -25,8 +26,9 @@ from .deps import DepsError
 from .ir import PlannedDirective, PlannedPipeline
 from .kinds import KINDS, SIBLINGS, TransformError, _const_trips  # noqa: F401 (re-exported)
 from .lang import (
-    Directive, ForLoop, Program, Stmt, child_bodies, clone_program, containing_list,
-    find_loop, gc_paused, iter_loops, iter_stmts, step_counts, strip_pragmas, subst_stmt,
+    INT64_MAX, INT64_MIN, Assign, Directive, ForLoop, IfStmt, IntLit, Program, Stmt,
+    WhileLoop, clone_program, find_loop, gc_paused, iter_loops, iter_stmts, locate,
+    step_counts, strip_pragmas, subexprs, subst_stmt,
 )
 from .legality import (
     HARD_ERROR, IMPOSSIBLE, KEEP_ORIGINAL, TRANSFORM_WITH_RTC, Action, Verdict,
@@ -48,27 +50,15 @@ class ApplyInfo:
     outer: list[ForLoop]  # the for-loops around the targets, outermost first
 
 
-def _enclosing_loops(stmts: list[Stmt], node: Stmt, outer: tuple = ()) -> list | None:
-    """The for-loops around `node`, outermost first; None if it is not in `stmts`."""
-    for s in stmts:
-        if s is node:
-            return list(outer)
-        inner = outer + (s,) if isinstance(s, ForLoop) else outer
-        for body in child_bodies(s):
-            found = _enclosing_loops(body, node, inner)
-            if found is not None:
-                return found
-    return None
-
-
-def _top_index(program: Program, node: Stmt) -> int:
-    for i, s in enumerate(program.body):
-        if s is node:
-            return i
-        for inner in iter_stmts([s]):
-            if inner is node:
-                return i
-    raise AssertionError("node not in program")
+def _constants(s: Stmt) -> list[int]:
+    """The loop step and the literals of a statement's own expressions."""
+    if isinstance(s, Assign):
+        exprs = (*s.index, s.value, *(e for _, e in s.orig_coords))
+    elif isinstance(s, ForLoop):
+        exprs = (s.lower, s.upper, IntLit(s.step))
+    else:
+        exprs = (s.cond,) if isinstance(s, (IfStmt, WhileLoop)) else ()
+    return [x.value for e in exprs for x in subexprs(e) if type(x) is IntLit]
 
 
 def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, ApplyInfo]:
@@ -84,26 +74,22 @@ def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, Ap
             raise TransformError(f"loop '{t}' is not available")
         nodes.append(n)
     loops = kind.loops(cand, nodes, pd.targets)
-    outer = _enclosing_loops(cand.body, loops[0])
+    container, idx, top, outer = locate(cand.body, loops[0])
     res = kind.build(cand, loops, kind.with_ids(d.clauses, pd.targets), d.uid, taken)
     for s in iter_stmts(res.replacement):  # generated statements: the directive's line
         if s.line == 0:
             s.line = d.line
+        for v in _constants(s):
+            if not INT64_MIN <= v <= INT64_MAX:
+                raise TransformError(f"generated constant {v} is outside int64")
 
     # the replacement takes the place of the outermost target loop, or of
-    # all the sibling loops
-    tops = sorted({_top_index(cand, l) for l in loops})
-    found = containing_list(cand.body, loops[0])
-    assert found is not None
-    container, idx = found
+    # all the sibling loops; nested, it stays within one top-level statement
     count = len(loops) if kind.shape == SIBLINGS else 1
     container[idx:idx + count] = res.replacement
     if container is cand.body:
-        span_new = len(tops) - count + len(res.replacement)
-    else:
-        span_new = len(tops)
-    info = ApplyInfo(tops[0], len(tops), span_new, res.meta, outer)
-    return cand, info
+        return cand, ApplyInfo(top, count, len(res.replacement), res.meta, outer)
+    return cand, ApplyInfo(top, 1, 1, res.meta, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -166,40 +152,40 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
             return kind.exact(depset, info.meta)
         cstop = info.span_start + info.span_new
         cscope = candidate.body[info.span_start:cstop]
-        env = candidate.param_ranges(include_opaque=False)
-        counts = step_counts(cscope, env)
-        place = exact_schedule(program, pd, candidate, info, counts, max_enum)
+        walk = step_counts(cscope, candidate.param_ranges(include_opaque=False))
+        place = exact_schedule(program, pd, info, walk, max_enum)
         if place is not None:
             with gc_paused():  # many tuples, no cycles
                 placed = place(depset.instances)
                 verdict = legality.judge_exact(depset, [p[2] for p in placed])
                 # carried only where the next step would analyze the candidate
                 # exactly: its instances are the region's, its steps bounded
-                bounds = counts or step_counts(cscope, env, bound=True)
-                if (verdict.kind == legality.ALWAYS_VALID and bounds
-                        and depmod.fits(len(placed), bounds[2], max_enum)):
+                bound = walk[1]
+                if (verdict.kind == legality.ALWAYS_VALID and bound
+                        and depmod.fits(len(placed), bound[2], max_enum)):
                     graphs[(info.span_start, cstop)] = depmod.reorder(depset, placed, cscope)
             return verdict
 
     return kind.conservative(depset, info.meta)
 
 
-def exact_schedule(program: Program, pd: PlannedDirective, candidate: Program,
-                   info: ApplyInfo, counts, max_enum: int):
+def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, walk,
+                   max_enum: int):
     """The kind's schedule of an exact region (`schedules.placer`), or None where
     the step goes to the kind's conservative rule: where a walk of the
-    candidate under twice the cap would go conservative (its arithmetic
-    unproved, or its `counts` past the step budget), or where a target's
-    name is not unique in the region, so its instances cannot be told apart
-    from those of the loop's copies."""
+    candidate under twice the cap would go conservative (by `walk`, the
+    candidate's `lang.step_counts`: its arithmetic unproved, or its exact
+    counts past the step budget), or where a target's name is not unique in
+    the region, so its instances cannot be told apart from those of the
+    loop's copies."""
+    counts, _, proved = walk
     start = info.span_start
     region = [l.name for l in iter_loops(program.body[start:start + info.span_old])]
-    if not (all(region.count(t) == 1 for t in pd.targets)
-            and (counts is None or depmod.fits(0, counts[2], 2 * max_enum))
-            and depmod.walk_proved(candidate, candidate.body[start:start + info.span_new])):
+    if not (all(region.count(t) == 1 for t in pd.targets) and proved
+            and (counts is None or depmod.fits(0, counts[2], 2 * max_enum))):
         return None
     return placer(KINDS[pd.directive.kind].schedule, info.meta, info.outer,
-                  program.param_values(include_opaque=False))
+                  program.param_ranges(include_opaque=False))
 
 
 def apply_pipeline(program: Program, plan: PlannedPipeline,

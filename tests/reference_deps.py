@@ -2,7 +2,7 @@
 
 `reference_enumerate_instances` is the tree walker that `deps`'s closure
 compiler replaced: it walks the region's statements and values every
-expression with `lang.evaluate` over a dict environment.  It is the
+expression with `reference_lang.evaluate` over a dict environment.  It is the
 differential reference for `deps.enumerate_instances`, which must give the
 same `Enumeration` (`steps` included) or raise the same exception with the
 same message.
@@ -25,12 +25,12 @@ from xform.deps import (
     _reads, _step_budget, enumerate_instances,
 )
 from xform.lang import (
-    Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, evaluate, flat_index,
-    iter_stmts,
+    Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, flat_index, iter_stmts,
 )
 from xform.legality import ALWAYS_VALID, INVALID, Verdict, _pair_to_dep, _rtc_verdict
 
 import reference_interp
+from reference_lang import evaluate
 
 
 def reference_enumerate_instances(program: Program, scope: list[Stmt],

@@ -1,6 +1,6 @@
 """The tree-walking reference interpreter, kept as the differential oracle
 for `xform.lower`: it executes the statement tree directly, valuing each
-expression with `lang.evaluate`, and can run a loop's iterations reversed or
+expression with `reference_lang.evaluate`, and can run a loop's iterations reversed or
 shuffled (`parallel_consistent`).
 
 A traced run records one `TraceRecord` per statement instance: its
@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 from xform.interp import Memory, RunFault
 from xform.lang import (
-    Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, evaluate,
-    flat_index, int64,
+    Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, flat_index, int64,
 )
+
+from reference_lang import evaluate
 
 
 @dataclass

@@ -1,5 +1,9 @@
-"""The tree-equality oracles the tests compare programs with.
+"""The reference evaluator and the tree-equality oracles of the tests.
 
+`evaluate` values an expression under a dict environment with every check
+of the language, in its order of evaluation: it is the oracle of
+`lang.fold`, `lang.interval` and `lang.simplify`, and the reference
+interpreter and dependence walker value expressions with it.
 `structurally_equal` compares programs, bodies or statements and ignores
 statement ids, lines, loop names, origins and original coordinates;
 `alpha_normalize` renames loop variables so that trees can be compared up to
@@ -9,9 +13,39 @@ the names a transformation chose for its generated loops.
 from __future__ import annotations
 
 from xform.lang import (
-    Assign, Block, Directive, ForLoop, IfStmt, Program, Stmt, VarRef, WhileLoop, subst,
-    subst_stmt,
+    INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, Directive, EvalError,
+    Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, int64, subst, subst_stmt,
 )
+
+
+def evaluate(e: Expr, env: dict[str, int], mem=None) -> int:
+    """The int64 value of `e` under `env`, or EvalError.
+
+    `mem.load(array, idx)` answers array reads and `mem.disjoint(a, b)` the
+    `disjoint` builtin; without a `mem` both raise EvalError.
+    """
+    t = type(e)
+    if t is VarRef:
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}") from None
+    if t is BinOp:
+        v = OPS[e.op](evaluate(e.lhs, env, mem), evaluate(e.rhs, env, mem))
+        return v if INT64_MIN <= v <= INT64_MAX else int64(v)
+    if t is IntLit:
+        return e.value
+    if t is ArrayRead:
+        if mem is None:
+            raise EvalError("memory-dependent expression")
+        return mem.load(e.array, [evaluate(i, env, mem) for i in e.index])
+    if t is Call:
+        if e.func == "disjoint":
+            if mem is None:
+                raise EvalError("alias-binding-dependent expression")
+            return int(mem.disjoint(e.args[0].name, e.args[1].name))
+        return OPS[e.func](evaluate(e.args[0], env, mem), evaluate(e.args[1], env, mem))
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def directive_equal(a: Directive, b: Directive) -> bool:

@@ -172,6 +172,18 @@ def test_bad_input_is_an_error_line_not_a_traceback(tmp_path, make_args):
     assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize("pragma", ["loop(i,i) fuse", "loop(i,i) collapse",
+                                    "loop(i,i) tile sizes(2,2)"])
+def test_a_target_named_twice_is_a_parse_error(tmp_path, pragma):
+    path = tmp_path / "in.loop"
+    path.write_text(f"array A[4] init zero;\n#pragma xform {pragma}\n"
+                    "for (i = 0; i < 4; i += 1) A[i] = i;\n")
+    r = run_cli(str(path))
+    assert r.returncode == 1
+    kind = pragma.split()[1]
+    assert r.stderr == f"error: {kind} names a target loop twice (line 2, col 25)\n", r.stderr
+
+
 @pytest.mark.parametrize("flags", [("--dump-tree",), ("--emit", "-"), ("--deps",)])
 def test_closed_stdout_is_an_error_line_not_a_traceback(flags):
     read_end, write_end = os.pipe()

@@ -1,12 +1,20 @@
-"""The expression evaluator and the constant folder."""
+"""The reference evaluator against the constant folder, the static ranges and
+the static walk."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from xform import plan_pipeline
+from xform.kinds import TransformError
 from xform.lang import (
-    INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Call, EvalError, ForLoop, IntLit, VarRef,
-    evaluate, flat_index, interval, loop_range, op_interval, simplify, subexprs, subst_stmt,
+    INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Call, EvalError, ForLoop, IfStmt, IntLit,
+    VarRef, array_reads, flat_index, interval, loop_range, op_interval, simplify, step_counts,
+    strip_pragmas, subexprs, subst_stmt,
 )
+from xform.transforms import build_candidate
+
+from conftest import parse_named
+from reference_lang import evaluate
 
 MAX, MIN = INT64_MAX, INT64_MIN
 
@@ -181,3 +189,85 @@ def test_an_unsubstituted_copy_shares_its_expression_tuples():
         assert c == s and c is not s
     c = subst_stmt(s, {})
     assert c.index is s.index and c.orig_coords is s.orig_coords
+
+
+# ---------------------------------------------------------------------------
+# The static walk
+
+
+def reference_walk(stmts, env) -> tuple[list[int], bool]:
+    """Run `stmts`' control flow, valuing with `evaluate`: the statements,
+    assignments and loop iterations executed, and whether a bound, guard,
+    subscript or original coordinate faulted (the walk stops there)."""
+    total = [0, 0, 0]
+
+    def walk(stmts, env):
+        for s in stmts:
+            total[0] += 1
+            if isinstance(s, Assign):
+                total[1] += 1
+                for e in (*s.index, *(x for r in array_reads(s.value) for x in r.index),
+                          *(e for _, e in s.orig_coords)):
+                    evaluate(e, env)
+            elif isinstance(s, ForLoop):
+                lb, ub = evaluate(s.lower, env), evaluate(s.upper, env)
+                for v in range(lb, ub, s.step):
+                    total[2] += 1
+                    walk(s.body, {**env, s.var: v})
+            elif isinstance(s, IfStmt):
+                walk(s.then_body if evaluate(s.cond, env) != 0 else s.else_body or [], env)
+            else:
+                walk(s.body, env)
+    try:
+        walk(stmts, env)
+    except EvalError:
+        return total, True
+    return total, False
+
+
+@st.composite
+def guarded_programs(draw):
+    """A 2-deep nest like `test_properties`' with an `if` guard, triangular
+    or clamped inner bounds, a divisor param that may be 0 and an outer
+    loop near int64's ends, under one directive or none."""
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    def stmt():
+        subs = ("0", "j", "j", "i - B", "j / Z", "i * 2 - B")
+        return f"A[{pick(*subs)}, {pick(*subs)}] = A[{pick(*subs)}, 0] + i;"
+
+    guard = pick(None, None, "j < i - B", "i * 2 > B", "j % Z == 0")
+    body = stmt() if guard is None else f"if ({guard}) {stmt()} else {{ {stmt()} {stmt()} }}"
+    step = draw(st.integers(1, 2))
+    pragma = pick("", "reverse", "reverse", "loop(i) stripmine size(2)",
+                  "loop(i,j) tile sizes(2,2)", "loop(i) unroll factor(2)", "loop(j) unroll factor(3)", "loop(i,j) collapse",
+                  "loop(i,j) interchange permutation(j,i)", "loop(j) reverse")
+    return (f"param B = {pick(0, 0, 2**62, MAX - 20)};\nparam Z = {pick(0, 1, 1)};\n"
+            "array A[8,8] init random;\n"
+            + (f"#pragma xform {pragma}\n" if pragma else "")
+            + f"for (i = B; i < B + {draw(st.integers(0, 5)) * step}; i += {step})\n"
+            f"  for (j = {pick('0', '0', 'i - B', '(i - B) / Z')}; "
+            f"j < {pick('3', '3', 'i - B + 2', 'min(i - B, 4)')}; j += 1)\n    {body}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(guarded_programs())
+@example(f"param B = {2**62};\narray A[8,8] init random;\n#pragma xform reverse\n"  # a coordinate faults
+         "for (i = B; i < B + 2; i += 1)\n  for (j = 0; j < 3; j += 1)\n    A[j, 0] = i;\n")
+def test_the_static_walk_bounds_counts_and_proves_a_run(src):
+    p = parse_named(src)
+    programs = [strip_pragmas(p)]
+    for pd in plan_pipeline(p).steps:
+        try:
+            programs.append(build_candidate(p, pd)[0])
+        except TransformError:
+            pass
+    for q in programs:
+        counts, bound, proved = step_counts(q.body, q.param_ranges(include_opaque=False))
+        walked, faulted = reference_walk(q.body, q.param_values(include_opaque=False))
+        if bound is not None:
+            assert all(b >= w for b, w in zip(bound, walked)), (src, bound, walked)
+        if counts is not None:
+            assert counts == bound and (faulted or list(counts) == walked), (src, counts, walked)
+        assert not (proved and faulted), src

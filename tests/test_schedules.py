@@ -40,8 +40,8 @@ def check_step(program, pd, cand, info, max_enum, graphs) -> str:
     if not depset.exact:
         return "conservative region"
     cscope = cand.body[info.span_start:info.span_start + info.span_new]
-    counts = step_counts(cscope, cand.param_ranges(include_opaque=False))
-    place = transforms.exact_schedule(program, pd, cand, info, counts, max_enum)
+    walk = step_counts(cscope, cand.param_ranges(include_opaque=False))
+    place = transforms.exact_schedule(program, pd, info, walk, max_enum)
     walked = walk_candidate(cand, cscope, max_enum)
     if place is None:
         region = [l.name for l in iter_loops(program.body[info.span_start:stop])]
@@ -98,6 +98,20 @@ def test_dgemm_schedules_match_the_walked_candidates(m, monkeypatch):
     src = load_corpus("05_dgemm.loop").replace("16", str(m))
     seen = checked_pipeline(src, monkeypatch, safety_override="fallback")
     assert seen == ["schedule"] * 4
+
+
+@pytest.mark.parametrize("src, max_enum, status", [
+    # reverse of a loop that the unroll copied: its name is not unique
+    ("array A[8,8] init random;\n#pragma xform loop(j) reverse\n"
+     "#pragma xform loop(i) unroll factor(2)\nfor (i = 0; i < 8; i += 1)\n"
+     "  for (j = 0; j < 8; j += 1) A[i,j] = A[i,j] + 1;\n", 4096, "ambiguous"),
+    # 10,100 loop iterations fit a cap of 1, the tiled 17,550 pass twice its budget
+    ("array A[2] init random;\n#pragma xform loop(i,j) tile sizes(2,2)\n"
+     "for (i = 0; i < 100; i += 1)\n  for (j = 0; j < 100; j += 1)\n"
+     "    for (k = 0; k < 0; k += 1) A[0] = 1;\n", 1, "unscheduled"),
+])
+def test_each_gate_before_a_schedule_is_reached(src, max_enum, status, monkeypatch):
+    assert checked_pipeline(src, monkeypatch, max_enum=max_enum)[-1] == status
 
 
 # stacked pipelines on generated nests ---------------------------------------

@@ -54,6 +54,19 @@ def test_show_lowering_into_a_closed_pipe_prints_no_traceback():
     assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
+def test_cli_digest_runs_the_gates_and_the_rejected_directives(tmp_path):
+    for only, programs in (("gate_", 2), ("rejected_", 4)):
+        out = str(tmp_path / f"{only}.jsonl")
+        r = run_script("cli_digest.py", "--only", only, "--out", out)
+        assert r.returncode == 0, r.stderr
+        with open(out, encoding="utf-8") as f:
+            lines = [json.loads(line) for line in f]
+        assert len(lines) == 12 * programs
+        # a target named twice is a parse error; everything else runs and verifies
+        assert all(d["exit"] == (1 if "repeated_name" in d["argv"][0] else 0)
+                   for d in lines), lines
+
+
 def test_cli_digest_of_a_subset_matches_itself(tmp_path):
     digests = []
     for name in ("a.jsonl", "b.jsonl"):

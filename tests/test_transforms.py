@@ -3,9 +3,10 @@ instance preservation, verdicts for the rejection cases."""
 
 import pytest
 
-from xform import equivalent, plan_pipeline, transforms
+from xform import equivalent, kinds, parse_program, plan_pipeline, transforms
 from xform.emit import emit_program
-from xform.lang import Assign, ForLoop, IfStmt, iter_loops, iter_stmts, strip_pragmas
+from xform.kinds import MAX_COPIES, TransformError
+from xform.lang import INT64_MAX, Assign, ForLoop, IfStmt, iter_loops, iter_stmts, strip_pragmas
 from xform.legality import ALWAYS_VALID, IMPOSSIBLE, INVALID
 
 from conftest import corpus_names, load_corpus, parse_named, run_pipeline, with_directive
@@ -129,6 +130,19 @@ def test_full_unroll_needs_constant_trip_count():
                           "#pragma xform unroll full\n"
                           "for (i = 0; i < N; i += 1) A[i] = i;\n")
     assert res.reports[0].verdict.kind == IMPOSSIBLE
+
+
+@pytest.mark.parametrize("build", [
+    lambda p, loop: kinds.unroll_partial(p, loop, MAX_COPIES + 1, 0),
+    lambda p, loop: kinds.unroll_and_jam(p, loop, MAX_COPIES + 1, 0),
+    lambda p, loop: kinds.unroll_full(p, loop),
+], ids=["factor", "jam", "full"])
+def test_an_unroll_past_the_copy_limit_is_refused(build):
+    p = parse_named(f"array A[8] init zero;\nfor (i = 0; i < {MAX_COPIES + 1}; i += 1)\n"
+                    "  for (j = 0; j < 2; j += 1) A[j] = i;\n")
+    with pytest.raises(TransformError, match=f"^the step would make {MAX_COPIES + 1} copies of "
+                                             f"the loop body, more than the limit of {MAX_COPIES}$"):
+        build(p, p.body[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +271,18 @@ def test_peel_first_larger_than_tripcount():
     out = applied(res)
     t0, t1 = traces(strip_pragmas(p), out)
     assert order_preserved(t0, t1)
+
+
+@pytest.mark.parametrize("pragma", [f"tile sizes({INT64_MAX})", f"peel first({INT64_MAX})"])
+def test_a_generated_constant_outside_int64_is_impossible(pragma):
+    _, res = run_pipeline("array A[8] init zero;\n"
+                          f"#pragma xform {pragma}\n"
+                          "for (i = 0; i < 8; i += 2) A[i] = i;\n")
+    verdict = res.reports[0].verdict
+    assert verdict.kind == IMPOSSIBLE
+    assert verdict.detail == f"generated constant {2 * INT64_MAX} is outside int64"
+    text = emit_program(res.program)
+    assert emit_program(parse_program(text)) == text
 
 
 def test_peel_multiple_with_opaque_bounds_impossible():
