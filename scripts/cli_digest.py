@@ -24,7 +24,8 @@ them is the same from run to run:
   under `fallback`;
 * `EDGES`, programs at the edges of the analyses (faults, int64 limits,
   step budgets, deep nests, the exact schedules of every order-changing
-  directive and the gates before them, directives the builders refuse)
+  directive and the gates before them, graphs carried into the steps that
+  read them, directives the builders refuse)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -232,6 +233,33 @@ for (i = 0; i < 12; i += 1) {
   A[i] = B[i] + 1;
   B[i] = A[i] * 2;
 }
+""",
+    # an exact always-valid step carries its graph into a step that reads it
+    # in the current schedule: an invalid one's witness, a parallel mark, and
+    # the conservative rule after a failed gate (unproved arithmetic)
+    "carried_then_invalid": """array A[8,8] init random;
+
+#pragma xform loop(i) reverse
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 1; i < 8; i += 1)
+  for (j = 0; j < 7; j += 1)
+    A[i,j] = A[i-1,j] + A[i,j+1];
+""",
+    "carried_then_parallel": """array A[8,8] init random;
+
+#pragma xform loop(i) parallel
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 1; i < 8; i += 1)
+  for (j = 0; j < 8; j += 1)
+    A[i,j] = A[i-1,j] + 1;
+""",
+    "carried_then_unproved": """array A[8,8] init random;
+
+#pragma xform loop(i) reverse
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 9223372036854775801; i < 9223372036854775807; i += 1)
+  for (j = 0; j < 8; j += 1)
+    A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
 """,
     # the two gates of an exact schedule: a target whose name the region
     # repeats, and a candidate past the step budget of --max-enum 1

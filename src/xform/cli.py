@@ -9,6 +9,7 @@ mode legally permits, but tooling needs to see).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -19,6 +20,7 @@ from .ir import PlanError
 from .lang import ForLoop, Program, strip_pragmas
 
 
+@functools.cache  # built on the first call, and reused by in-process callers
 def build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="xform",

@@ -30,16 +30,17 @@ the edges in order.  The distance vectors (`DependenceSet.deps`) are
 summarized on first use from all conflicting pairs (`full_pairs`), so
 `--deps` and the conservative rules read the same data however the set was
 built.  Instance keys and accessed addresses do not change under a
-transformation, so once a candidate has kept every edge in order, `reorder`
-carries the graph over to it without building it again: it sorts the
-instances by their times in the candidate, which the step's schedule map
-gives (`schedules`), and takes their loop names and trips from the map too.
-The candidate is never walked.  Where a walk of it would fault, the step is
-judged conservatively instead, and the proof of `lang.step_counts` is the
-test of that: the candidate's arithmetic must be inside int64 and free of
-zero divisors over the intervals of `lang.interval`.  Pairs of declared
-may-alias arrays stay bipartite (every access of one against every access of
-the other), capped at 4M pairs.
+transformation, so once a candidate has kept every edge in order, the graph
+is the candidate's too: a pipeline carries it unchanged, with the placement
+(loop names, trips and time) of each instance that the steps' schedule maps
+give (`schedules`), and `reorder` sorts it into the current schedule only
+where a verdict reads the instances.  The candidate is never walked.
+Where a walk of it would fault, the step is judged conservatively instead,
+and the proof of `lang.step_counts` is the test of that: the candidate's
+arithmetic must be inside int64 and free of zero divisors over the
+intervals of `lang.interval`.  Pairs of declared may-alias arrays stay
+bipartite (every access of one against every access of the other), capped
+at 4M pairs.
 
 Distance vectors are in logical iterations (trip counts), source before sink,
 so they are lexicographically non-negative for the original program.
@@ -449,20 +450,20 @@ def _exact_set(program: Program, instances: list[Instance], stmts: list[Stmt]) -
                          _alias_pairs(program, instances))
 
 
-def reorder(depset: DependenceSet, placed: list[tuple], stmts: list[Stmt]) -> DependenceSet:
+def reorder(depset: DependenceSet, placement: list[tuple], stmts: list[Stmt]) -> DependenceSet:
     """`depset`'s graph over another schedule of the same region, `stmts`:
-    `placed` gives each instance's (loop names, trips, time) there, as a
+    `placement` gives each instance's (loop names, trips, time) there, as a
     kind's schedule does.  The schedule runs each instance once and keeps
-    every edge in order (an exact always-valid step), so every address sees
+    every edge in order (exact always-valid steps), so every address sees
     its writes, and the reads between two writes, in the same order, and
     the key-level edges are unchanged.  The instances are sorted by time."""
     old = depset.instances
-    order = sorted(range(len(placed)), key=[p[2] for p in placed].__getitem__)
+    order = sorted(range(len(placement)), key=[p[2] for p in placement].__getitem__)
     new = [0] * len(order)
     out = []
     for pos, i in enumerate(order):
         new[i] = pos
-        inst, (loops, logical, _) = old[i], placed[i]
+        inst, (loops, logical, _) = old[i], placement[i]
         out.append(Instance(pos, inst.stmt, inst.orig, loops, logical, inst.reads,
                             inst.writes, inst.key))
     return DependenceSet(True, _scope_loops(stmts), out,

@@ -290,7 +290,8 @@ def step_counts(stmts: list["Stmt"], env: dict):
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector, restoring its previous state on
-    exit: for code that builds many objects and no reference cycles."""
+    exit, also by an exception: for code that builds many long-lived objects
+    and few reference cycles.  Also a decorator (`transforms.apply_pipeline`)."""
     enabled = gc.isenabled()
     gc.disable()
     try:

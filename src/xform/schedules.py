@@ -7,50 +7,59 @@ counts in the candidate and a key that orders it there (after Kelly & Pugh,
 `//` and `%` of a tile or stripe level, with the peel region of a tile
 first; a negated trip for reverse; the copy of an unroll-and-jam after the
 inner loops it is jammed into; the part of a distribution before its trip;
-the loop of a fusion after its trip.  The instances of one execution of the
-target loops run without a gap in the region, and the replacement runs
-them in the same place.  So an instance's time in the candidate is the
-tuple (position of the execution's first instance, key..., position), and
-the time of an instance outside the targets is (position,): instances with
-equal keys come from one iteration of the original body, which keeps their
-order.
+the loop of a fusion after its trip.
+
+A placement gives each instance of a region, in the order of the region's
+enumeration, its (loop names, trips, time) in one schedule: sorted by time,
+the instances run in that schedule's order, and before any step the time is
+the position.  The instances of one execution of the target loops run
+without a gap in the current schedule, and the replacement runs them in the
+same place.  So the times of stacked steps nest: an instance's time in the
+candidate is (rep, key..., time), where `time` is its current time and `rep`
+the current time of any member of its execution (`place` takes the first it
+meets: no instance outside the execution runs between its members), and
+that of an instance outside the targets is (time,).  Instances with equal
+keys come from one iteration of the original body, which keeps their order.
 
 Each order-changing `Kind` names its schedule in `kinds.KINDS`.  A schedule
 takes the step's meta (what its builder recorded), the depth of the target
 loops and a function giving the values of the loops around them at given
 trips, and returns the names of the outermost target loops and `rewrite`,
-which gives an instance's loop names, trips and key in the candidate.
-`placer` applies it to a region's instances.
+which gives an instance's loop names, trips and key in the candidate from
+its current ones and its statement; `placer` applies it to a placement.
 """
 
 from __future__ import annotations
 
-from operator import floordiv, itemgetter, mod
+from operator import attrgetter, floordiv, itemgetter, mod
 
 from .lang import Expr, ForLoop, interval, trip_count
 
 
 def placer(schedule, meta: dict, outer: list[ForLoop], params: dict):
     """A kind's `schedule` of the region's instances: a function of the
-    instances, in execution order, giving each one's (loop names, trips,
-    time) in the candidate.  `outer` are the for-loops around the targets,
-    outermost first, and `params` the params as points (`param_ranges`)."""
+    instances, in the order of their enumeration, and their current
+    placement (None before any step), giving their placement in the
+    candidate.  `outer` are the for-loops around the targets, outermost
+    first, and `params` the params as points (`param_ranges`)."""
     depth = len(outer)
     heads, rewrite = schedule(meta, depth, _outer_values(outer, params))
 
-    def place(instances) -> list[tuple]:
-        first: dict = {}  # outer trips -> position of the execution's first instance
+    def place(instances, placement=None) -> list[tuple]:
+        first: dict = {}  # outer trips -> the current time of a member of that execution
         out = []
-        for inst in instances:
-            loops = inst.loops
+        for inst, (loops, logical, time) in zip(instances, placement or map(_where, instances)):
             if len(loops) > depth and loops[depth] in heads:
-                start = first.setdefault(inst.logical[:depth], inst.pos)
-                new_loops, new_logical, key = rewrite(inst)
-                out.append((new_loops, new_logical, (start, *key, inst.pos)))
+                rep = first.setdefault(logical[:depth], time)
+                new_loops, new_logical, key = rewrite(loops, logical, inst.stmt)
+                out.append((new_loops, new_logical, (rep, *key, time)))
             else:
-                out.append((loops, inst.logical, (inst.pos,)))
+                out.append((loops, logical, (time,)))
         return out
     return place
+
+
+_where = attrgetter("loops", "logical", "pos")  # an instance's placement before any step
 
 
 def _outer_values(outer: list[ForLoop], params: dict):
@@ -106,12 +115,11 @@ def tile_schedule(meta, depth, values):
                                  for d, c in peeled}
         return out
 
-    def rewrite(inst):
-        logical = inst.logical
+    def rewrite(loops, logical, stmt):
         band = logical[depth:depth + k]
         if not peeled:
             floors, points = tuple(map(floordiv, band, sizes)), tuple(map(mod, band, sizes))
-            return (rename(inst.loops), logical[:depth] + floors + points + logical[depth + k:],
+            return (rename(loops), logical[:depth] + floors + points + logical[depth + k:],
                     (0, *floors, *points))
         w = starts(logical[:depth])
         mask = sum(1 << d for d in w if band[d] >= w[d])
@@ -119,7 +127,7 @@ def tile_schedule(meta, depth, values):
                         if not mask >> d & 1])
         points = tuple([t - w[d] if mask >> d & 1 else t % z
                         for d, (t, z) in enumerate(zip(band, sizes))])
-        return (renames[mask](inst.loops),
+        return (renames[mask](loops),
                 logical[:depth] + floors + points + logical[depth + k:], (mask, *floors, *points))
     return meta["band"][:1], rewrite
 
@@ -127,20 +135,18 @@ def tile_schedule(meta, depth, values):
 def stripe_schedule(meta, depth, values):
     stride, rename = meta["stride"], _renamer(depth, 1, meta["ids"])
 
-    def rewrite(inst):
-        logical = inst.logical
+    def rewrite(loops, logical, stmt):
         here = (logical[depth] % stride, logical[depth] // stride)
-        return rename(inst.loops), logical[:depth] + here + logical[depth + 1:], here
+        return rename(loops), logical[:depth] + here + logical[depth + 1:], here
     return (meta["level"],), rewrite
 
 
 def jam_schedule(meta, depth, values):
     factor, inner = meta["factor"], depth + len(meta["jam_order"])
 
-    def rewrite(inst):
-        logical = inst.logical
+    def rewrite(loops, logical, stmt):
         q, copy = divmod(logical[depth], factor)
-        return (inst.loops, logical[:depth] + (q,) + logical[depth + 1:],
+        return (loops, logical[:depth] + (q,) + logical[depth + 1:],
                 (q, *logical[depth + 1:inner], copy))
     return meta["jam_order"][-1:], rewrite
 
@@ -150,10 +156,9 @@ def interchange_schedule(meta, depth, values):
     k, rename = len(band), _renamer(depth, len(band), order)
     pick = itemgetter(*[depth + band.index(name) for name in order])  # k > 1: a tuple
 
-    def rewrite(inst):
-        logical = inst.logical
+    def rewrite(loops, logical, stmt):
         moved = pick(logical)
-        return rename(inst.loops), logical[:depth] + moved + logical[depth + k:], moved
+        return rename(loops), logical[:depth] + moved + logical[depth + k:], moved
     return band[:1], rewrite
 
 
@@ -161,9 +166,9 @@ def distribute_schedule(meta, depth, values):
     part_of = meta["part_of"]
     renames = [_renamer(depth, 1, (name,)) for name in meta["names"]]
 
-    def rewrite(inst):
-        part = part_of[inst.stmt]
-        return renames[part](inst.loops), inst.logical, (part, inst.logical[depth])
+    def rewrite(loops, logical, stmt):
+        part = part_of[stmt]
+        return renames[part](loops), logical, (part, logical[depth])
     return (meta["level"],), rewrite
 
 
@@ -171,9 +176,8 @@ def fuse_schedule(meta, depth, values):
     index = {name: i for i, name in enumerate(meta["names"])}
     rename = _renamer(depth, 1, (meta["fused_id"],))
 
-    def rewrite(inst):
-        loops = inst.loops
-        return rename(loops), inst.logical, (inst.logical[depth], index[loops[depth]])
+    def rewrite(loops, logical, stmt):
+        return rename(loops), logical, (logical[depth], index[loops[depth]])
     return tuple(meta["names"]), rewrite
 
 
@@ -181,8 +185,7 @@ def reverse_schedule(meta, depth, values):
     trips, (lower, upper, step) = meta["trips"], meta["bounds"]
     memo: dict = {}
 
-    def rewrite(inst):
-        logical = inst.logical
+    def rewrite(loops, logical, stmt):
         t = logical[depth]
         n = trips
         if n is None:
@@ -190,5 +193,5 @@ def reverse_schedule(meta, depth, values):
             n = memo.get(outer)
             if n is None:
                 n = memo[outer] = _trips(lower, upper, step, values(outer))
-        return inst.loops, logical[:depth] + (n - 1 - t,) + logical[depth + 1:], (-t,)
+        return loops, logical[:depth] + (n - 1 - t,) + logical[depth + 1:], (-t,)
     return (meta["level"],), rewrite

@@ -11,9 +11,10 @@ walked, only counted and proved once by `lang.step_counts`.  In
 conservative mode the kind's distance-vector rule applies, and so it does
 for an exact region whose candidate a walk could not value (arithmetic that
 `lang.interval` cannot prove, or past the step budget) or whose target loop
-names are not unique in the region.  The exact conflict
-graph is built once per region and carried from step to step, sorted into
-each schedule, for as long as each step is exact and always valid.
+names are not unique in the region.  The exact conflict graph is built once
+per region and carried from step to step unchanged, with its instances'
+placement in the current schedule (`schedules`), while each step is exact
+and always valid.  A pipeline pauses the cyclic collector.
 """
 
 from __future__ import annotations
@@ -122,12 +123,15 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
     """Classify one planned directive against the current tree.
 
     `graphs` carries exact conflict graphs from one step of a pipeline to the
-    next, keyed by top-level span (start, stop).  On entry it may hold the
-    graph of a region of `program`; classify empties it.  After an exact
-    always-valid verdict it stores the candidate's graph under the
-    candidate's span, unless the candidate is too large for `max_enum` to
-    analyze exactly from scratch.  An always-valid step is applied in every
-    safety mode.
+    next, keyed by top-level span (start, stop): the region's first
+    `DependenceSet` and its instances' placement in the current schedule.
+    On entry it may hold the graph of a region of `program`; classify
+    empties it.  After an exact always-valid verdict it stores the graph and
+    the candidate's placement under the candidate's span, unless the
+    candidate is too large for `max_enum` to analyze exactly from scratch.
+    Only a witness, the kind's `exact` judge and its conservative rule sort
+    the graph into the current schedule (`deps.reorder`).  An always-valid
+    step is applied in every safety mode.
     """
     carried = graphs.copy()
     graphs.clear()
@@ -138,35 +142,42 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
                                                info.meta):
         return Verdict(legality.ALWAYS_VALID)
 
-    stop = info.span_start + info.span_old
-    depset = carried.get((info.span_start, stop))
+    start, stop = info.span_start, info.span_start + info.span_old
+    region = program.body[start:stop]
+    depset, placement = carried.get((start, stop), (None, None))
     if depset is None:
         try:
-            depset = depmod.compute_dependences(program, program.body[info.span_start:stop],
-                                                max_enum)
+            depset = depmod.compute_dependences(program, region, max_enum)
         except DepsError as e:
             return Verdict(IMPOSSIBLE, str(e))
 
+    def current():  # the graph over the instances of the current schedule
+        return depset if placement is None else depmod.reorder(depset, placement, region)
+
     if depset.exact:
         if kind.exact is not None:
-            return kind.exact(depset, info.meta)
-        cstop = info.span_start + info.span_new
-        cscope = candidate.body[info.span_start:cstop]
+            return kind.exact(current(), info.meta)
+        cstop = start + info.span_new
+        cscope = candidate.body[start:cstop]
         walk = step_counts(cscope, candidate.param_ranges(include_opaque=False))
         place = exact_schedule(program, pd, info, walk, max_enum)
         if place is not None:
-            with gc_paused():  # many tuples, no cycles
-                placed = place(depset.instances)
-                verdict = legality.judge_exact(depset, [p[2] for p in placed])
-                # carried only where the next step would analyze the candidate
-                # exactly: its instances are the region's, its steps bounded
-                bound = walk[1]
-                if (verdict.kind == legality.ALWAYS_VALID and bound
-                        and depmod.fits(len(placed), bound[2], max_enum)):
-                    graphs[(info.span_start, cstop)] = depmod.reorder(depset, placed, cscope)
+            placed = place(depset.instances, placement)
+            times = [p[2] for p in placed]
+            verdict = legality.judge_exact(depset, times)
+            if verdict.kind == legality.INVALID and placement is not None:
+                # the witness is the first violated pair in the current order
+                order = sorted(range(len(times)), key=[p[2] for p in placement].__getitem__)
+                verdict = legality.judge_exact(current(), [times[k] for k in order])
+            # carried only where the next step would analyze the candidate
+            # exactly: its instances are the region's, its steps bounded
+            bound = walk[1]
+            if (verdict.kind == legality.ALWAYS_VALID and bound
+                    and depmod.fits(len(placed), bound[2], max_enum)):
+                graphs[(start, cstop)] = depset, placed
             return verdict
 
-    return kind.conservative(depset, info.meta)
+    return kind.conservative(current(), info.meta)
 
 
 def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, walk,
@@ -188,6 +199,7 @@ def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, walk
                   program.param_ranges(include_opaque=False))
 
 
+@gc_paused()
 def apply_pipeline(program: Program, plan: PlannedPipeline,
                    safety_override: str | None = None, required_all: bool = False,
                    max_enum: int = 4096) -> PipelineResult:
@@ -204,7 +216,7 @@ def apply_pipeline(program: Program, plan: PlannedPipeline,
     rtc_conds: dict[int, dict] = {}
     kept_ids: dict[str, Directive] = {}
     reports: list[DirectiveReport] = []
-    graphs: dict = {}  # exact conflict graph of the current program, see classify
+    graphs: dict = {}  # exact conflict graph and placement of the current program, see classify
 
     for pd in plan.steps:
         d = pd.directive

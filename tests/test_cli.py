@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from xform import cli
+
 from conftest import CORPUS_DIR
 
 XFORM = [sys.executable, "-m", "xform"]
@@ -131,6 +133,20 @@ def test_identical_invocations_are_deterministic():
     args = (corpus("05_dgemm.loop"), "--verify", "3", "--seed", "9", "--emit", "-")
     r1, r2 = run_cli(*args), run_cli(*args)
     assert (r1.stdout, r1.stderr, r1.returncode) == (r2.stdout, r2.stderr, r2.returncode)
+
+
+def test_each_in_process_call_sees_only_its_own_flags(capsys):
+    assert cli.build_arg_parser() is cli.build_arg_parser()  # built once
+    dgemm = corpus("05_dgemm.loop")
+    flagged = [dgemm, "--deps", "--emit", "-", "--safety", "force", "--max-enum", "1"]
+    assert cli.main(flagged) == 0
+    first = capsys.readouterr()
+    assert first.out.startswith("nest 'i' (line ") and "#pragma" not in first.out
+    assert first.err.startswith("warning: tile on loop 'i' (line ")
+    assert cli.main([dgemm]) == 0
+    assert capsys.readouterr() == ("", "")  # no deps, no emit, exact and applied
+    assert cli.main(flagged) == 0
+    assert capsys.readouterr() == first
 
 
 def test_max_enum_forces_conservative_path():

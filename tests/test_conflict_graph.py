@@ -1,14 +1,18 @@
 """The linear conflict graph: write-separated adjacent pairs decide order
 preservation exactly as all conflicting pairs do, the verdict text is the one
-all pairs give, and a pipeline that carries the graph from step to step
-reports exactly what classifying every step from scratch reports."""
+all pairs give, a pipeline that carries the graph from step to step
+reports exactly what classifying every step from scratch reports, and a
+pipeline runs with the cyclic collector paused and then as the caller had
+it."""
 
+import contextlib
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xform import deps, emit_program, plan_pipeline, transforms
+from xform import cli, deps, emit_program, plan_pipeline, transforms
 from xform.deps import compute_dependences, enumerate_instances
 from xform.legality import _judge_order, judge_exact
 from xform.lang import strip_pragmas
@@ -226,6 +230,45 @@ for (i = 0; i < 100; i += 1)
   for (j = 0; j < 150; j += 1)
     if (i + j < 3) A[i+j, 0] = A[i+j, 0] + 1;
 """,
+    # an exact always-valid interchange carries its graph into a step that
+    # reads it in the current schedule: the reverse of the new inner loop,
+    # judged invalid, with the first violated pair in the current order as
+    # its witness ...
+    "carried_then_invalid": """array A[8,8] init random;
+
+#pragma xform loop(i) reverse
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 1; i < 8; i += 1)
+  for (j = 0; j < 7; j += 1)
+    A[i,j] = A[i-1,j] + A[i,j+1];
+""",
+    # ... a parallel mark, which its kind judges on the graph ...
+    "carried_then_parallel": """array A[8,8] init random;
+
+#pragma xform loop(i) parallel
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 1; i < 8; i += 1)
+  for (j = 0; j < 8; j += 1)
+    A[i,j] = A[i-1,j] + 1;
+""",
+    # ... and a reverse whose generated arithmetic is not proved inside
+    # int64, so the schedule gate fails and the conservative rule runs
+    "carried_then_unproved": """array A[8,8] init random;
+
+#pragma xform loop(i) reverse
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 9223372036854775801; i < 9223372036854775807; i += 1)
+  for (j = 0; j < 8; j += 1)
+    A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
+""",
+}
+
+# the second step of each: its kind, and whether a schedule judges it
+# (None: the kind judges the graph itself)
+CARRIED_PATHS = {
+    "carried_then_invalid": ("reverse", True),
+    "carried_then_parallel": ("parallel", None),
+    "carried_then_unproved": ("reverse", False),
 }
 
 
@@ -251,12 +294,39 @@ def test_carried_graph_reports_match_from_scratch(name, monkeypatch):
                 _outcome(p, monkeypatch, False, **kw), (name, mode, max_enum)
 
 
+@pytest.mark.parametrize("name", sorted(CARRIED_PATHS))
+def test_each_rare_path_reads_a_carried_graph(name, monkeypatch):
+    steps, scheduled = [], []
+    classify_, exact_schedule = transforms.classify, transforms.exact_schedule
+
+    def spy_classify(*a, graphs, **k):
+        carried = bool(graphs)
+        verdict = classify_(*a, graphs=graphs, **k)
+        steps.append((a[1].directive.kind, carried, verdict.describe()))
+        return verdict
+
+    def spy_schedule(*a, **k):
+        place = exact_schedule(*a, **k)
+        scheduled.append(place is not None)
+        return place
+
+    monkeypatch.setattr(transforms, "classify", spy_classify)
+    monkeypatch.setattr(transforms, "exact_schedule", spy_schedule)
+    p = parse_named(PIPELINES[name])
+    apply_pipeline(p, plan_pipeline(p), safety_override="fallback")
+    kind, by_schedule = CARRIED_PATHS[name]
+    # the witness is in the interchanged nest's loops (j,i), not the source's
+    assert steps == [("interchange", False, "always valid"),
+                     (kind, True, "invalid: dependence flow s2->s2 (0,1) would be violated")]
+    assert scheduled == [True] + ([] if by_schedule is None else [by_schedule])
+
+
 def test_invalid_step_drops_the_graph():
     p = parse_named(PIPELINES["invalid_then_judged"])
     cur = strip_pragmas(p)
     first, _ = plan_pipeline(p).steps
     cand, info = build_candidate(cur, first)
-    graphs = {(0, 1): compute_dependences(cur, cur.body)}
+    graphs = {(0, 1): (compute_dependences(cur, cur.body), None)}
     assert classify(cur, first, cand, info, graphs=graphs).kind == "invalid"
     assert graphs == {}
     res = apply_pipeline(p, plan_pipeline(p))
@@ -279,16 +349,25 @@ def test_valid_step_carries_the_candidates_graph():
     assert classify(cur, pd, cand, info, graphs=graphs).kind == "always_valid"
     span = (info.span_start, info.span_start + info.span_new)
     assert list(graphs) == [span]
-    carried = graphs[span]
-    fresh = compute_dependences(cand, cand.body[span[0]:span[1]])
+    region, placement = graphs[span]
+    # the region's own graph, unchanged, and the candidate's placement
+    assert region.instances == compute_dependences(cur, cur.body).instances
+    cscope = cand.body[span[0]:span[1]]
+    walked = enumerate_instances(cand, cscope)
+    assert [(region.instances[k].key, *placement[k][:2])
+            for k in sorted(range(len(placement)), key=lambda k: placement[k][2])] == \
+        [(c.key, c.loops, c.logical) for c in walked]
+    carried = deps.reorder(region, placement, cscope)
+    fresh = compute_dependences(cand, cscope)
     assert carried.instances == fresh.instances
     assert _keyed(carried) == _keyed(fresh)
+    assert carried.alias_pairs == fresh.alias_pairs
     assert carried.deps == fresh.deps
 
 
 def test_dgemm_pipeline_builds_one_graph(monkeypatch):
-    calls = {"compute": 0, "enumerate": 0}
-    compute, enumerate_ = deps.compute_dependences, deps.enumerate_instances
+    calls = {"compute": 0, "enumerate": 0, "reorder": 0}
+    compute, enumerate_, reorder = deps.compute_dependences, deps.enumerate_instances, deps.reorder
 
     def counted_compute(*a, **k):
         calls["compute"] += 1
@@ -298,9 +377,80 @@ def test_dgemm_pipeline_builds_one_graph(monkeypatch):
         calls["enumerate"] += 1
         return enumerate_(*a, **k)
 
+    def counted_reorder(*a, **k):
+        calls["reorder"] += 1
+        return reorder(*a, **k)
+
     monkeypatch.setattr(deps, "compute_dependences", counted_compute)
     monkeypatch.setattr(deps, "enumerate_instances", counted_enumerate)
+    monkeypatch.setattr(deps, "reorder", counted_reorder)
     p = parse_named(DGEMM16)
     res = apply_pipeline(p, plan_pipeline(p))
     assert [r.verdict.kind for r in res.reports] == ["always_valid"] * 4
-    assert calls == {"compute": 1, "enumerate": 1}
+    # every step reads the placement, none the graph in its schedule
+    assert calls == {"compute": 1, "enumerate": 1, "reorder": 0}
+
+
+# the collector pause --------------------------------------------------------
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run with the cyclic collector on or off, then restore its state."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_collection_runs_during_a_pipeline():
+    p = parse_named(DGEMM16)
+    plan = plan_pipeline(p)
+    phases = []
+
+    def record(phase, info):
+        phases.append((phase, info["generation"]))
+
+    gc.callbacks.append(record)
+    try:
+        with collector(True):
+            res = apply_pipeline(p, plan)
+            assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(record)
+    assert [r.verdict.kind for r in res.reports] == ["always_valid"] * 4
+    assert phases == []
+
+
+DEEP_SUM = ("array A[8] init random;\n\n#pragma xform reverse\n"
+            "for (i = 0; i < 8; i += 1)\n  A[i] = " + " + ".join(["i"] * 2000) + ";\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_callers_collector_state_comes_back(enabled, tmp_path, monkeypatch, capsys):
+    p = parse_named(DGEMM16)
+    with collector(enabled):
+        apply_pipeline(p, plan_pipeline(p))
+        assert gc.isenabled() == enabled
+
+    # a sum 2,000 terms deep parses in a loop and overflows the stack of a
+    # recursive walk in the pipeline; the error leaves through cli.main
+    real, escaped = transforms.apply_pipeline, []
+
+    def spy(*a, **k):
+        try:
+            return real(*a, **k)
+        except RecursionError:
+            escaped.append(gc.isenabled())
+            raise
+
+    monkeypatch.setattr(transforms, "apply_pipeline", spy)
+    path = tmp_path / "deep.loop"
+    path.write_text(DEEP_SUM)
+    with collector(enabled):
+        assert cli.main([str(path), "--emit", "-"]) == 1
+        assert gc.isenabled() == enabled
+    assert escaped == [enabled]
+    assert capsys.readouterr().err == "error: program nests too deeply to process\n"

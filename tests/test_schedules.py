@@ -1,12 +1,14 @@
 """The kinds' schedules against the walked candidate.
 
 Wherever a step of an exact region is judged by its kind's schedule
-(`transforms.exact_schedule`), the schedule must sort the region's instances
-into the candidate's execution order and give each the candidate's loop
-names and trips; its verdict must be the one the walked candidate gives
-(`reference_deps.judge_walked`); and the graph it carries must be the one a
-fresh analysis of the candidate builds.  Every step also checks that the
-arithmetic gate is sound: a step it lets through walks without a fault.
+(`transforms.exact_schedule`), the placement it gives, sorted by time, must
+be the candidate's execution order with the candidate's loop names and
+trips; its verdict must be the one the walked candidate gives
+(`reference_deps.judge_walked`) against the graph sorted into the current
+schedule; and the graph it carries, sorted into the candidate's schedule,
+must be the one a fresh analysis of the candidate builds.  Every step also
+checks that the arithmetic gate is sound: a step it lets through walks
+without a fault.
 """
 
 import pytest
@@ -16,56 +18,63 @@ from xform import deps, plan_pipeline, transforms
 from xform.deps import DepsError, compute_dependences
 from xform.kinds import KINDS
 from xform.lang import iter_loops, step_counts
-from xform.legality import judge_exact
 
 from conftest import corpus_names, load_corpus, parse_named
 from reference_deps import judge_walked, walk_candidate
 from test_properties import nest_programs
 
 
-def check_step(program, pd, cand, info, max_enum, graphs) -> str:
+def assert_same_graph(got, fresh):
+    """`got` is the graph a fresh analysis builds: instances, keyed pairs,
+    alias pairs and distance vectors."""
+    assert fresh.exact
+    assert got.instances == fresh.instances
+    assert sorted(got.pairs) == sorted(fresh.pairs)
+    assert got.alias_pairs == fresh.alias_pairs
+    assert got.deps == fresh.deps
+
+
+def check_step(program, pd, cand, info, max_enum, graphs):
     """Check one step's schedule against its walked candidate; returns how
-    the step is judged: by its "schedule", or why not."""
+    the step is judged, by its "schedule" or why not, the verdict the walked
+    candidate gives (None unless by its schedule) and the placement."""
     kind = KINDS[pd.directive.kind]
     if kind.schedule is None or (kind.always_valid and kind.always_valid(
             program, pd.targets, pd.directive.clauses, info.meta)):
-        return "no schedule"
+        return "no schedule", None, None
     stop = info.span_start + info.span_old
-    depset = graphs.get((info.span_start, stop))
+    region = program.body[info.span_start:stop]
+    depset, placement = graphs.get((info.span_start, stop), (None, None))
     if depset is None:
         try:
-            depset = compute_dependences(program, program.body[info.span_start:stop], max_enum)
+            depset = compute_dependences(program, region, max_enum)
         except DepsError:
-            return "no analysis"
+            return "no analysis", None, None
     if not depset.exact:
-        return "conservative region"
+        return "conservative region", None, None
     cscope = cand.body[info.span_start:info.span_start + info.span_new]
     walk = step_counts(cscope, cand.param_ranges(include_opaque=False))
     place = transforms.exact_schedule(program, pd, info, walk, max_enum)
     walked = walk_candidate(cand, cscope, max_enum)
     if place is None:
-        region = [l.name for l in iter_loops(program.body[info.span_start:stop])]
         if walked is None:
-            return "unscheduled"
-        if any(region.count(t) > 1 for t in pd.targets):
-            return "ambiguous"  # copies of a target loop share its name
-        return "unscheduled, walkable"
+            return "unscheduled", None, None
+        names = [l.name for l in iter_loops(region)]
+        if any(names.count(t) > 1 for t in pd.targets):
+            return "ambiguous", None, None  # copies of a target loop share its name
+        return "unscheduled, walkable", None, None
     assert walked is not None, "the gate let through a candidate whose walk faults"
 
-    placed = place(depset.instances)
+    placed = place(depset.instances, placement)
     order = sorted(range(len(placed)), key=lambda k: placed[k][2])
     assert [(depset.instances[k].key, placed[k][0], placed[k][1]) for k in order] == \
         [(c.key, c.loops, c.logical) for c in walked]
-    verdict = judge_exact(depset, [p[2] for p in placed])
-    assert verdict == judge_walked(depset, walked)
+    current = depset if placement is None else deps.reorder(depset, placement, region)
+    verdict = judge_walked(current, walked)
     if verdict.kind == "always_valid" and deps.fits(len(walked), walked.steps, max_enum):
-        carried = deps.reorder(depset, placed, cscope)
-        fresh = compute_dependences(cand, cscope, max_enum)
-        assert fresh.exact
-        assert carried.instances == fresh.instances
-        assert sorted(carried.pairs) == sorted(fresh.pairs)
-        assert carried.alias_pairs == fresh.alias_pairs
-    return "schedule"
+        assert_same_graph(deps.reorder(depset, placed, cscope),
+                          compute_dependences(cand, cscope, max_enum))
+    return "schedule", verdict, placed
 
 
 def checked_pipeline(src: str, monkeypatch, **kw) -> list[str]:
@@ -75,9 +84,16 @@ def checked_pipeline(src: str, monkeypatch, **kw) -> list[str]:
     real = transforms.classify
 
     def classify(program, pd, cand, info, reason="", max_enum=4096, *, graphs):
-        if cand is not None:
-            seen.append(check_step(program, pd, cand, info, max_enum, graphs))
-        return real(program, pd, cand, info, reason, max_enum, graphs=graphs)
+        if cand is None:
+            return real(program, pd, cand, info, reason, max_enum, graphs=graphs)
+        status, walked_verdict, placed = check_step(program, pd, cand, info, max_enum, graphs)
+        seen.append(status)
+        verdict = real(program, pd, cand, info, reason, max_enum, graphs=graphs)
+        if status == "schedule":
+            assert verdict == walked_verdict
+            # what a step carries is the placement checked above
+            assert [placement for _, placement in graphs.values()] in ([], [placed])
+        return verdict
 
     p = parse_named(src)
     with monkeypatch.context() as m:
