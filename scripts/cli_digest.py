@@ -25,7 +25,8 @@ them is the same from run to run:
 * `EDGES`, programs at the edges of the analyses (faults, int64 limits,
   step budgets, deep nests, the exact schedules of every order-changing
   directive and the gates before them, graphs carried into the steps that
-  read them, directives the builders refuse)
+  read them, a parallel mark inside an outer loop, directives the builders
+  refuse or copy past a known trip count)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -261,8 +262,9 @@ for (i = 9223372036854775801; i < 9223372036854775807; i += 1)
   for (j = 0; j < 8; j += 1)
     A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
 """,
-    # the two gates of an exact schedule: a target whose name the region
-    # repeats, and a candidate past the step budget of --max-enum 1
+    # the gate of an exact schedule, a target whose name the region repeats,
+    # and a candidate past the step budget of --max-enum 1, which no gate
+    # stops since the candidate is never walked
     "gate_unique_names": """array A[8,8] init random;
 
 #pragma xform loop(j) reverse
@@ -290,8 +292,23 @@ for (i = 0; i < 8; i += 1)
     "rejected_unroll_1025": """array A[8] init random;
 
 #pragma xform unroll factor(1025)
+for (i = 0; i < 1025; i += 1)
+  A[i % 8] = A[i % 8] + i;
+""",
+    # an unroll past a known trip count makes one copy per trip
+    "unroll_past_trips": """array A[8] init random;
+
+#pragma xform unroll factor(1024)
 for (i = 0; i < 8; i += 1)
   A[i] = A[i] + i;
+""",
+    # a parallel mark inside an outer loop that carries the only dependence
+    "parallel_under_outer": """array A[5] init random;
+
+for (o = 0; o < 3; o += 1)
+  #pragma xform parallel fallback
+  for (i = 0; i < 3; i += 1)
+    A[o - i + 2] = A[o - i + 2] + 1;
 """,
     "rejected_tile_int64": """array A[8] init random;
 

@@ -31,16 +31,17 @@ summarized on first use from all conflicting pairs (`full_pairs`), so
 `--deps` and the conservative rules read the same data however the set was
 built.  Instance keys and accessed addresses do not change under a
 transformation, so once a candidate has kept every edge in order, the graph
-is the candidate's too: a pipeline carries it unchanged, with the placement
-(loop names, trips and time) of each instance that the steps' schedule maps
-give (`schedules`), and `reorder` sorts it into the current schedule only
-where a verdict reads the instances.  The candidate is never walked.
-Where a walk of it would fault, the step is judged conservatively instead,
-and the proof of `lang.step_counts` is the test of that: the candidate's
-arithmetic must be inside int64 and free of zero divisors over the
-intervals of `lang.interval`.  Pairs of declared may-alias arrays stay
-bipartite (every access of one against every access of the other), capped
-at 4M pairs.
+is the candidate's too: a pipeline carries it unchanged, in the order of its
+first enumeration, with the placement (loop names, trips and time) of each
+instance that the steps' schedule maps give (`schedules`).
+`compute_dependences` is the only source of a graph: a verdict that reads
+the instances in the current schedule analyzes the current region afresh.
+The candidate is never walked.  Where a walk of it would fault, the step is
+judged conservatively instead, and the proof of `lang.step_counts` is the
+test of that: the candidate's arithmetic must be inside int64 and free of
+zero divisors over the intervals of `lang.interval`.  Pairs of declared
+may-alias arrays stay bipartite (every access of one against every access
+of the other), capped at 4M pairs.
 
 Distance vectors are in logical iterations (trip counts), source before sink,
 so they are lexicographically non-negative for the original program.
@@ -60,7 +61,7 @@ from functools import cached_property
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
     ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
-    flat_index, fold, gc_paused, int64, interval, iter_loops, simplify, step_counts, subst,
+    flat_index, fold, gc_paused, int64, interval, simplify, step_counts, subst,
     trip_count,
 )
 
@@ -117,7 +118,6 @@ def _step_budget(max_instances: int) -> int:
 @dataclass
 class DependenceSet:
     exact: bool
-    loops: tuple[str, ...]
     instances: list[Instance] | None = None
     pairs: list[tuple[int, int, str]] = field(default_factory=list)  # linear edges
     alias_pairs: list[tuple[int, int, str, tuple[str, str]]] = field(default_factory=list)
@@ -344,10 +344,6 @@ def fits(instances: int, steps: int, max_instances: int) -> bool:
     return instances <= max(max_instances, 0) and steps <= _step_budget(max_instances)
 
 
-def _scope_loops(scope: list[Stmt]) -> tuple[str, ...]:
-    return tuple(l.name for l in iter_loops(scope) if isinstance(l, ForLoop))
-
-
 def _pair_kind(first_is_write: bool, second_is_write: bool) -> str:
     if first_is_write and second_is_write:
         return "output"
@@ -445,31 +441,9 @@ def _alias_pairs(program: Program, instances: list[Instance]):
     return sorted(alias_pairs)
 
 
-def _exact_set(program: Program, instances: list[Instance], stmts: list[Stmt]) -> DependenceSet:
-    return DependenceSet(True, _scope_loops(stmts), instances, _linear_pairs(instances),
+def _exact_set(program: Program, instances: list[Instance]) -> DependenceSet:
+    return DependenceSet(True, instances, _linear_pairs(instances),
                          _alias_pairs(program, instances))
-
-
-def reorder(depset: DependenceSet, placement: list[tuple], stmts: list[Stmt]) -> DependenceSet:
-    """`depset`'s graph over another schedule of the same region, `stmts`:
-    `placement` gives each instance's (loop names, trips, time) there, as a
-    kind's schedule does.  The schedule runs each instance once and keeps
-    every edge in order (exact always-valid steps), so every address sees
-    its writes, and the reads between two writes, in the same order, and
-    the key-level edges are unchanged.  The instances are sorted by time."""
-    old = depset.instances
-    order = sorted(range(len(placement)), key=[p[2] for p in placement].__getitem__)
-    new = [0] * len(order)
-    out = []
-    for pos, i in enumerate(order):
-        new[i] = pos
-        inst, (loops, logical, _) = old[i], placement[i]
-        out.append(Instance(pos, inst.stmt, inst.orig, loops, logical, inst.reads,
-                            inst.writes, inst.key))
-    return DependenceSet(True, _scope_loops(stmts), out,
-                         [(new[i], new[j], kind) for i, j, kind in depset.pairs],
-                         sorted((new[i], new[j], kind, pair)
-                                for i, j, kind, pair in depset.alias_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +656,7 @@ def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -
                 emit(r1, r2, names, dist, pair)
                 emit(r2, r1, names, dist, pair)
 
-    ds = DependenceSet(exact=False, loops=_scope_loops(scope), reason=reason)
+    ds = DependenceSet(exact=False, reason=reason)
     ds.deps = [Dependence(*key) for key in seen]
     return ds
 
@@ -705,7 +679,7 @@ def compute_dependences(program: Program, scope, max_enum: int = 4096) -> Depend
     if counts is not None and not fits(counts[1], counts[2], max_enum):
         return conservative_dependences(program, stmts, "enumeration cap exceeded")
     try:
-        return _exact_set(program, enumerate_instances(program, stmts, max_enum), stmts)
+        return _exact_set(program, enumerate_instances(program, stmts, max_enum))
     except _CapExceeded:
         return conservative_dependences(program, stmts, "enumeration cap exceeded")
     except EvalError as e:

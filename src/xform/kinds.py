@@ -300,14 +300,15 @@ def unroll_and_jam(program: Program, loop: ForLoop, factor: int, uid: int) -> Tr
 def _jam(program: Program, loop: ForLoop, chain: list[ForLoop], factor: int,
          origin: str, uid: int) -> ForLoop:
     """`loop` stepping `factor` times further, with `factor` copies of the
-    innermost body of `chain` (the loops nested below it, or none); copies
-    past the first are guarded when the trip count may not divide."""
+    innermost body of `chain` (the loops nested below it, or none), or one
+    per trip when a known trip count is smaller; copies past the first are
+    guarded when the trip count may not divide."""
     trips = _const_trips(program, loop)
     divisible = trips is not None and trips % factor == 0
     v = loop.var
     body = (chain[-1] if chain else loop).body
     jammed: list[Stmt] = subst_body(body, {})
-    for k in range(1, _copies(factor)):
+    for k in range(1, _copies(factor if trips is None else min(factor, trips))):
         off = simplify(BinOp("+", VarRef(v), IntLit(k * loop.step)))
         copy = subst_body(body, {v: off})
         if divisible:

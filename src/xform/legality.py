@@ -135,9 +135,9 @@ def _judge_order(depset: DependenceSet, pairs, times: list) -> Verdict:
 
 def judge_parallel_exact(depset: DependenceSet, loop_name: str) -> Verdict:
     """A marked loop may run its iterations in any order: no conflicting pair
-    may differ in that loop's trip count.  This is checked on all pairs, not
-    on the linear edges: being carried is not transitive, so a chain of
-    edges none of which is carried can join two instances that are."""
+    in one execution of it may differ in its trip count.  This is checked on
+    all pairs, not on the linear edges: being carried is not transitive, so a
+    chain of edges none of which is carried can join two instances that are."""
     instances = depset.instances
 
     def carried(i, j):
@@ -146,7 +146,7 @@ def judge_parallel_exact(depset: DependenceSet, loop_name: str) -> Verdict:
             return False
         ka = a.loops.index(loop_name)
         kb = b.loops.index(loop_name)
-        if a.loops[:ka + 1] != b.loops[:kb + 1]:
+        if a.loops[:ka + 1] != b.loops[:kb + 1] or a.logical[:ka] != b.logical[:kb]:
             return False
         return a.logical[ka] != b.logical[kb]
 

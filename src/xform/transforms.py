@@ -10,11 +10,12 @@ instance of the region its time there, and the candidate itself is never
 walked, only counted and proved once by `lang.step_counts`.  In
 conservative mode the kind's distance-vector rule applies, and so it does
 for an exact region whose candidate a walk could not value (arithmetic that
-`lang.interval` cannot prove, or past the step budget) or whose target loop
-names are not unique in the region.  The exact conflict graph is built once
-per region and carried from step to step unchanged, with its instances'
-placement in the current schedule (`schedules`), while each step is exact
-and always valid.  A pipeline pauses the cyclic collector.
+`lang.interval` cannot prove) or whose target loop names are not unique in
+the region.  The exact conflict graph is built once per region and carried
+from step to step unchanged, with its instances' placement in the current
+schedule (`schedules`), while each step is exact and always valid; a
+verdict that reads the current schedule's instances analyzes the region
+afresh.  A pipeline pauses the cyclic collector.
 """
 
 from __future__ import annotations
@@ -124,14 +125,15 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
 
     `graphs` carries exact conflict graphs from one step of a pipeline to the
     next, keyed by top-level span (start, stop): the region's first
-    `DependenceSet` and its instances' placement in the current schedule.
-    On entry it may hold the graph of a region of `program`; classify
-    empties it.  After an exact always-valid verdict it stores the graph and
-    the candidate's placement under the candidate's span, unless the
-    candidate is too large for `max_enum` to analyze exactly from scratch.
-    Only a witness, the kind's `exact` judge and its conservative rule sort
-    the graph into the current schedule (`deps.reorder`).  An always-valid
-    step is applied in every safety mode.
+    `DependenceSet`, in enumeration order, and its instances' placement in
+    the current schedule.  On entry it may hold the graph of a region of
+    `program`; classify empties it.  After an exact always-valid verdict it
+    stores the graph and the candidate's placement under the candidate's
+    span where a fresh analysis of the candidate would be exact.  A verdict
+    that reads the current schedule's instances (a witness, a kind's `exact`
+    judge or conservative rule) reads such an analysis of the region
+    (`deps.compute_dependences`).  An always-valid step is applied in every
+    safety mode.
     """
     carried = graphs.copy()
     graphs.clear()
@@ -152,26 +154,25 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
             return Verdict(IMPOSSIBLE, str(e))
 
     def current():  # the graph over the instances of the current schedule
-        return depset if placement is None else depmod.reorder(depset, placement, region)
+        return depset if placement is None else depmod.compute_dependences(
+            program, region, max_enum)
 
     if depset.exact:
         if kind.exact is not None:
             return kind.exact(current(), info.meta)
         cstop = start + info.span_new
         cscope = candidate.body[start:cstop]
-        walk = step_counts(cscope, candidate.param_ranges(include_opaque=False))
-        place = exact_schedule(program, pd, info, walk, max_enum)
+        _, bound, proved = step_counts(cscope, candidate.param_ranges(include_opaque=False))
+        place = exact_schedule(program, pd, info, proved)
         if place is not None:
             placed = place(depset.instances, placement)
-            times = [p[2] for p in placed]
-            verdict = legality.judge_exact(depset, times)
+            verdict = legality.judge_exact(depset, [p[2] for p in placed])
             if verdict.kind == legality.INVALID and placement is not None:
                 # the witness is the first violated pair in the current order
-                order = sorted(range(len(times)), key=[p[2] for p in placement].__getitem__)
-                verdict = legality.judge_exact(current(), [times[k] for k in order])
+                fresh = current()
+                verdict = legality.judge_exact(fresh, [p[2] for p in place(fresh.instances)])
             # carried only where the next step would analyze the candidate
             # exactly: its instances are the region's, its steps bounded
-            bound = walk[1]
             if (verdict.kind == legality.ALWAYS_VALID and bound
                     and depmod.fits(len(placed), bound[2], max_enum)):
                 graphs[(start, cstop)] = depset, placed
@@ -180,20 +181,15 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
     return kind.conservative(current(), info.meta)
 
 
-def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, walk,
-                   max_enum: int):
+def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, proved: bool):
     """The kind's schedule of an exact region (`schedules.placer`), or None where
-    the step goes to the kind's conservative rule: where a walk of the
-    candidate under twice the cap would go conservative (by `walk`, the
-    candidate's `lang.step_counts`: its arithmetic unproved, or its exact
-    counts past the step budget), or where a target's name is not unique in
-    the region, so its instances cannot be told apart from those of the
-    loop's copies."""
-    counts, _, proved = walk
+    the step goes to the kind's conservative rule: where the candidate's
+    arithmetic is not `proved` (by its `lang.step_counts`), so a walk of it
+    could fault, or where a target's name is not unique in the region, so
+    its instances cannot be told apart from those of the loop's copies."""
     start = info.span_start
     region = [l.name for l in iter_loops(program.body[start:start + info.span_old])]
-    if not (all(region.count(t) == 1 for t in pd.targets) and proved
-            and (counts is None or depmod.fits(0, counts[2], 2 * max_enum))):
+    if not (proved and all(region.count(t) == 1 for t in pd.targets)):
         return None
     return placer(KINDS[pd.directive.kind].schedule, info.meta, info.outer,
                   program.param_ranges(include_opaque=False))

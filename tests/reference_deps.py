@@ -16,13 +16,19 @@ addresses pairwise over its trace records.  `is_superset`, `covers` and
 schedules: it reads each instance's place from the candidate's enumerated
 instances (`walk_candidate`), and so also sees an instance that the
 candidate drops, runs twice or adds.  It is the oracle of the schedules.
+
+`keyed` and `placed_deps` compare a graph carried across a pipeline with a
+fresh analysis of the current program: by instance key, which is the same
+in every schedule, and by the distance vectors the carried placement gives.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from xform.deps import (
     Dependence, DependenceSet, DepsError, Enumeration, Instance, _CapExceeded, _exact_set,
-    _reads, _step_budget, enumerate_instances,
+    _reads, _step_budget, _summarize, enumerate_instances,
 )
 from xform.lang import (
     Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, flat_index, iter_stmts,
@@ -116,7 +122,7 @@ def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> Depend
     for k, r in enumerate(trace):
         instances.append(Instance(k, r.stmt, r.ivec, r.cur_loops, r.cur_logical,
                                   frozenset(r.reads), frozenset(r.writes), (r.stmt, r.ivec)))
-    return _exact_set(program, instances, stmts)
+    return _exact_set(program, instances)
 
 
 def covers(general: Dependence, specific: Dependence) -> bool:
@@ -136,14 +142,31 @@ def dep_signature(ds: DependenceSet) -> frozenset:
     return frozenset((d.src, d.snk, d.kind, d.loops, d.distance, d.alias) for d in ds.deps)
 
 
-def walk_candidate(candidate: Program, scope: list[Stmt], max_enum: int = 4096):
-    """The candidate region's instances in execution order, walked under twice
-    the cap, or None where the walk faults or passes a cap (the step then
-    goes to the kind's conservative rule)."""
+def walk_candidate(candidate: Program, scope: list[Stmt]):
+    """The candidate region's instances in execution order, or None where the
+    walk faults (the step then goes to the kind's conservative rule).  The
+    cap is far above any region the tests judge exactly, so a walk never
+    stops at it."""
     try:
-        return enumerate_instances(candidate, scope, 2 * max_enum)
+        return enumerate_instances(candidate, scope, 10**6)
     except (EvalError, _CapExceeded):
         return None
+
+
+def keyed(ds: DependenceSet):
+    """The linear, full and alias pairs of an exact set, by instance key."""
+    key = [inst.key for inst in ds.instances]
+    return ({(key[i], key[j], kind) for i, j, kind in ds.pairs},
+            {(key[i], key[j], kind) for i, j, kind in ds.full_pairs},
+            {(key[i], key[j], kind, pair) for i, j, kind, pair in ds.alias_pairs})
+
+
+def placed_deps(ds: DependenceSet, placement: list[tuple]) -> set:
+    """The distance vectors of an exact set with each instance's loops and
+    trips where `placement` (loop names, trips, time) puts it."""
+    insts = [dataclasses.replace(inst, loops=loops, logical=logical)
+             for inst, (loops, logical, _) in zip(ds.instances, placement)]
+    return set(_summarize(insts, ds.full_pairs, ds.alias_pairs))
 
 
 def judge_walked(depset: DependenceSet, cand_instances: list[Instance]) -> Verdict:

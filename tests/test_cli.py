@@ -333,3 +333,18 @@ def test_min_max_and_disjoint_are_loop_variables_unless_called(tmp_path):
     assert r.stderr == "verified: 2 trials, memory identical\n"
     assert "A[3 - min, max + disjoint] = min(3 - min, max) + max(A[3 - min, 0], disjoint);" \
         in r.stdout, r.stdout
+
+
+def test_parallel_inside_an_outer_loop_is_judged_per_execution(tmp_path):
+    # the anti pair (o, i) -> (o + 1, i + 1) is carried by 'o', not by 'i':
+    # within one execution of 'i' every iteration touches its own element
+    path = tmp_path / "in.loop"
+    path.write_text("array A[5] init random;\n\n"
+                    "for (o = 0; o < 3; o += 1)\n"
+                    "  #pragma xform parallel fallback\n"
+                    "  for (i = 0; i < 3; i += 1)\n"
+                    "    A[o - i + 2] = A[o - i + 2] + 1;\n")
+    r = run_cli(str(path), "--emit", "-", "--verify", "2")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "verified: 2 trials, memory identical\n"
+    assert "  #pragma xform parallel\n  for (i = 0; i < 3; i += 1) {\n" in r.stdout

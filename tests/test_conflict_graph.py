@@ -18,7 +18,7 @@ from xform.legality import _judge_order, judge_exact
 from xform.lang import strip_pragmas
 from xform.transforms import TransformError, apply_pipeline, build_candidate, classify
 
-from reference_deps import brute_force_dependences, judge_walked
+from reference_deps import brute_force_dependences, judge_walked, keyed, placed_deps
 from conftest import corpus_names, load_corpus, parse_named, run_pipeline
 
 HEADER = "array A[16,16] init random;\narray B[16,16] init random;\n"
@@ -108,15 +108,9 @@ def test_linear_edges_decide_like_all_pairs(src):
     assert judge_exact(depset, times).describe() == full.describe(), src
     if full.kind == "always_valid":
         # the carried graph is the candidate's own
-        carried = deps.reorder(depset, placed, cand.body)
         fresh = compute_dependences(cand, cand.body)
-        assert _keyed(carried) == _keyed(fresh), src
-        assert carried.alias_pairs == fresh.alias_pairs, src
-        assert carried.deps == fresh.deps, src
-
-
-def _keyed(ds):
-    return {(ds.instances[i].key, ds.instances[j].key, k) for i, j, k in ds.pairs}
+        assert keyed(depset) == keyed(fresh), src
+        assert placed_deps(depset, placed) == set(fresh.deps), src
 
 
 # hand cases ----------------------------------------------------------------
@@ -296,13 +290,21 @@ def test_carried_graph_reports_match_from_scratch(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CARRIED_PATHS))
 def test_each_rare_path_reads_a_carried_graph(name, monkeypatch):
-    steps, scheduled = [], []
+    steps, scheduled, analyses = [], [], []
     classify_, exact_schedule = transforms.classify, transforms.exact_schedule
+    compute = deps.compute_dependences
+
+    def spy_compute(*a, **k):
+        ds = compute(*a, **k)
+        analyses.append(ds.exact)
+        return ds
 
     def spy_classify(*a, graphs, **k):
         carried = bool(graphs)
+        analyses.clear()
         verdict = classify_(*a, graphs=graphs, **k)
-        steps.append((a[1].directive.kind, carried, verdict.describe()))
+        # a carried step reads one fresh analysis, and it is exact
+        steps.append((a[1].directive.kind, carried, verdict.describe(), list(analyses)))
         return verdict
 
     def spy_schedule(*a, **k):
@@ -312,12 +314,14 @@ def test_each_rare_path_reads_a_carried_graph(name, monkeypatch):
 
     monkeypatch.setattr(transforms, "classify", spy_classify)
     monkeypatch.setattr(transforms, "exact_schedule", spy_schedule)
+    monkeypatch.setattr(deps, "compute_dependences", spy_compute)
     p = parse_named(PIPELINES[name])
     apply_pipeline(p, plan_pipeline(p), safety_override="fallback")
     kind, by_schedule = CARRIED_PATHS[name]
     # the witness is in the interchanged nest's loops (j,i), not the source's
-    assert steps == [("interchange", False, "always valid"),
-                     (kind, True, "invalid: dependence flow s2->s2 (0,1) would be violated")]
+    assert steps == [("interchange", False, "always valid", [True]),
+                     (kind, True, "invalid: dependence flow s2->s2 (0,1) would be violated",
+                      [True])]
     assert scheduled == [True] + ([] if by_schedule is None else [by_schedule])
 
 
@@ -357,17 +361,14 @@ def test_valid_step_carries_the_candidates_graph():
     assert [(region.instances[k].key, *placement[k][:2])
             for k in sorted(range(len(placement)), key=lambda k: placement[k][2])] == \
         [(c.key, c.loops, c.logical) for c in walked]
-    carried = deps.reorder(region, placement, cscope)
     fresh = compute_dependences(cand, cscope)
-    assert carried.instances == fresh.instances
-    assert _keyed(carried) == _keyed(fresh)
-    assert carried.alias_pairs == fresh.alias_pairs
-    assert carried.deps == fresh.deps
+    assert keyed(region) == keyed(fresh)
+    assert placed_deps(region, placement) == set(fresh.deps)
 
 
 def test_dgemm_pipeline_builds_one_graph(monkeypatch):
-    calls = {"compute": 0, "enumerate": 0, "reorder": 0}
-    compute, enumerate_, reorder = deps.compute_dependences, deps.enumerate_instances, deps.reorder
+    calls = {"compute": 0, "enumerate": 0}
+    compute, enumerate_ = deps.compute_dependences, deps.enumerate_instances
 
     def counted_compute(*a, **k):
         calls["compute"] += 1
@@ -377,18 +378,13 @@ def test_dgemm_pipeline_builds_one_graph(monkeypatch):
         calls["enumerate"] += 1
         return enumerate_(*a, **k)
 
-    def counted_reorder(*a, **k):
-        calls["reorder"] += 1
-        return reorder(*a, **k)
-
     monkeypatch.setattr(deps, "compute_dependences", counted_compute)
     monkeypatch.setattr(deps, "enumerate_instances", counted_enumerate)
-    monkeypatch.setattr(deps, "reorder", counted_reorder)
     p = parse_named(DGEMM16)
     res = apply_pipeline(p, plan_pipeline(p))
     assert [r.verdict.kind for r in res.reports] == ["always_valid"] * 4
-    # every step reads the placement, none the graph in its schedule
-    assert calls == {"compute": 1, "enumerate": 1, "reorder": 0}
+    # every step reads the carried graph and its placement, none a fresh one
+    assert calls == {"compute": 1, "enumerate": 1}
 
 
 # the collector pause --------------------------------------------------------
@@ -405,14 +401,25 @@ def collector(enabled: bool):
         (gc.enable if was else gc.disable)()
 
 
-def test_no_collection_runs_during_a_pipeline():
+def test_no_collection_runs_during_a_pipeline(monkeypatch):
+    # from the first step to the end of the last; the collection the pause
+    # defers may run as it ends, depending on what ran before
     p = parse_named(DGEMM16)
     plan = plan_pipeline(p)
-    phases = []
+    events = []
+    real = transforms.classify
+
+    def classify(*a, **k):
+        events.append("step")
+        verdict = real(*a, **k)
+        events.append("step done")
+        return verdict
 
     def record(phase, info):
-        phases.append((phase, info["generation"]))
+        if phase == "start":
+            events.append(f"collection of generation {info['generation']}")
 
+    monkeypatch.setattr(transforms, "classify", classify)
     gc.callbacks.append(record)
     try:
         with collector(True):
@@ -421,7 +428,8 @@ def test_no_collection_runs_during_a_pipeline():
     finally:
         gc.callbacks.remove(record)
     assert [r.verdict.kind for r in res.reports] == ["always_valid"] * 4
-    assert phases == []
+    first, last = events.index("step"), len(events) - events[::-1].index("step done")
+    assert set(events[first:last]) == {"step", "step done"}
 
 
 DEEP_SUM = ("array A[8] init random;\n\n#pragma xform reverse\n"

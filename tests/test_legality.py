@@ -1,15 +1,17 @@
 """Safety-matrix conformance and verdict classification."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xform import equivalent
+from xform.deps import compute_dependences
 from xform.lang import strip_pragmas
 from xform.legality import (
     ALWAYS_VALID, HARD_ERROR, IMPOSSIBLE, INVALID, KEEP_ORIGINAL, TRANSFORM,
     TRANSFORM_WITH_RTC, VALID_WITH_RTC, Verdict, resolve,
 )
 
-from conftest import run_pipeline
+from conftest import parse_named, run_pipeline
 
 
 # the full verdict x mode matrix, required=False
@@ -328,3 +330,41 @@ for (j = 0; j < 16; j += 1)
     assert r.verdict.describe() == "invalid: dependence flow s1->s3 () would be violated"
     assert r.action.kind == KEEP_ORIGINAL
     assert equivalent(strip_pragmas(p), res.program, trials=5, seed=3)
+
+
+# a parallel mark against the reversal of the same loop ------------------------
+
+SUBSCRIPTS = ["a", "b", "c", "a+b", "b+c", "a+c", "a-b+3", "b-c+3", "a-c+3", "a+b+c", "2*b", "3"]
+
+
+@st.composite
+def marked_nests(draw):
+    """3-deep nests of 1-2 statements over two 1-D arrays, with a directive
+    slot `KIND` on one of the three loops."""
+    stmts = []
+    for _ in range(draw(st.integers(1, 2))):
+        dst, src = draw(st.sampled_from("AB")), draw(st.sampled_from("AB"))
+        sub = [draw(st.sampled_from(SUBSCRIPTS)) for _ in range(2)]
+        op = draw(st.sampled_from(["=", "+="]))
+        stmts.append(f"{dst}[{sub[0]}] {op} {src}[{sub[1]}] + 1;")
+    head = "".join(f"{'  ' * d}for ({v} = 0; {v} < {draw(st.integers(1, 4))}; {v} += 1)\n"
+                   for d, v in enumerate("abc"))
+    alias = draw(st.sampled_from(["", "maybe_alias(A, B);\n"]))
+    target = draw(st.sampled_from("abc"))
+    return ("array A[16] init random;\narray B[16] init random;\n" + alias
+            + f"#pragma xform loop({target}) KIND\n" + head
+            + "      { " + " ".join(stmts) + " }\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_nests())
+def test_parallel_and_reverse_agree_on_exact_nests(src):
+    # both hold iff no conflicting pair within one execution of the loop
+    # differs in its trip
+    p = parse_named(src.replace("KIND", "reverse"))
+    assert compute_dependences(strip_pragmas(p), p.body).exact
+    verdicts = []
+    for kind in ("parallel", "reverse"):
+        _, res = run_pipeline(src.replace("KIND", kind), safety_override="fallback")
+        verdicts.append((res.reports[0].verdict.kind, res.reports[0].verdict.rtc_pairs))
+    assert verdicts[0] == verdicts[1], src

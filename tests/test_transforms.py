@@ -145,6 +145,21 @@ def test_an_unroll_past_the_copy_limit_is_refused(build):
         build(p, p.body[0])
 
 
+@pytest.mark.parametrize("pragma, copies", [
+    ("#pragma xform unroll factor(1024)\nfor (i = 0; i < 8; i += 1)\n"
+     "  A[i, 0] = A[i, 0] + i;\n", 8),
+    ("#pragma xform unrollingandjam factor(1024)\nfor (i = 0; i < 5; i += 1)\n"
+     "  for (j = 0; j < 2; j += 1) A[i, j] = A[i, j] + i;\n", 5),
+], ids=["unroll", "jam"])
+def test_an_unroll_past_a_known_trip_count_copies_once_per_trip(pragma, copies):
+    # the copies past the last trip could never run; the copy limit counts
+    # only the copies made
+    p, res = run_pipeline("array A[8,2] init random;\n" + pragma)
+    assert res.reports[0].verdict.kind == ALWAYS_VALID
+    assert sum(isinstance(s, Assign) for s in iter_stmts(res.program.body)) == copies
+    assert equivalent(strip_pragmas(p), res.program, trials=2)
+
+
 # ---------------------------------------------------------------------------
 # unroll-and-jam
 
