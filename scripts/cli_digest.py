@@ -25,8 +25,9 @@ them is the same from run to run:
 * `EDGES`, programs at the edges of the analyses (faults, int64 limits,
   step budgets, deep nests, the exact schedules of every order-changing
   directive and the gates before them, graphs carried into the steps that
-  read them, a parallel mark inside an outer loop, directives the builders
-  refuse or copy past a known trip count)
+  read them, parallel marks inside an outer loop, after and before a carried
+  step and over arithmetic that faults or that `interval` cannot bound,
+  directives the builders refuse or copy past a known trip count)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -309,6 +310,54 @@ for (o = 0; o < 3; o += 1)
   #pragma xform parallel fallback
   for (i = 0; i < 3; i += 1)
     A[o - i + 2] = A[o - i + 2] + 1;
+""",
+    # a valid mark reads the graph an interchange carried; a mark on the
+    # first of two siblings carries it on, in the current order, to their fusion
+    "carried_then_valid_parallel": """array A[8,8] init random;
+
+#pragma xform loop(i) parallel
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 0; i < 8; i += 1)
+  for (j = 1; j < 8; j += 1)
+    A[i,j] = A[i,j-1] + 1;
+""",
+    "parallel_then_siblings": """array A[4,8] init random;
+array B[4,8] init random;
+
+#pragma xform loop(i,j) fuse fused_id(f)
+#pragma xform loop(i) parallel
+for (o = 0; o < 4; o += 1) {
+  for (i = 0; i < 8; i += 1)
+    A[o,i] = o + i;
+  for (j = 0; j < 8; j += 1)
+    B[o,j] = A[o,7-j] + 1;
+}
+""",
+    # marks over values that fault or overflow int64, with and without a
+    # may-alias pair, and over a condition that `interval` cannot bound
+    # inside int64, so the arithmetic gate does not prove it
+    "parallel_unproved_value": """array A[8] init random;
+
+#pragma xform parallel
+for (i = 0; i < 8; i += 1)
+  A[i] = 100 / (i - 1) + (i / 7) * 9223372036854775807;
+""",
+    "parallel_unproved_value_alias": """array A[8] init random;
+array B[8] init random;
+maybe_alias(A, B);
+
+#pragma xform parallel
+for (i = 0; i < 8; i += 1)
+  A[i] = B[i] + 100 / (i - 1) + (i / 7) * 9223372036854775807;
+""",
+    "parallel_unproved_condition_alias": """array A[8] init random;
+array B[8] init random;
+maybe_alias(A, B);
+
+#pragma xform loop(j) parallel
+for (i = 0; i < 8; i += 1)
+  for (j = 0; j < 4; j += 1)
+    if ((j / 3) * 9223372036854775807 + (3 - j) == 3) A[i] = B[i] + 1;
 """,
     "rejected_tile_int64": """array A[8] init random;
 

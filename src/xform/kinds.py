@@ -7,8 +7,8 @@ clauses), what its targets are, the rewrite that builds its candidate, when
 that rewrite is valid without looking at dependences, where an
 order-changing rewrite sends each instance (its schedule map, in
 `schedules`, which the exact judge reads instead of walking the
-candidate), and the distance-vector rule that judges it when the exact
-route is unavailable.  The parser, the emitter, the planner, `transforms.build_candidate` and
+candidate; a mark reads reverse's), and the distance-vector rule that
+judges it when the exact route is unavailable.  The parser, the emitter, the planner, `transforms.build_candidate` and
 `transforms.classify` look a directive up in `KINDS` instead of branching
 on its kind, so a new directive is added here and nowhere else.
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import legality
-from .deps import DependenceSet
 from .schedules import (
     distribute_schedule, fuse_schedule, interchange_schedule, jam_schedule, reverse_schedule,
     stripe_schedule, tile_schedule,
@@ -43,7 +42,6 @@ from .lang import (
     WhileLoop, find_loop, free_vars, iter_stmts, locate, loop_range, simplify, subst_body,
     subst_stmt,
 )
-from .legality import Verdict
 
 
 class TransformError(Exception):
@@ -465,9 +463,16 @@ def fuse(loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
                                    "fused_id": fused_id})
 
 
+def _level_meta(program: Program, loop: ForLoop) -> dict:
+    """Reverse's meta: `loop`'s name, constant trip count (or None), bounds."""
+    return {"level": loop.name, "trips": _const_trips(program, loop),
+            "bounds": (loop.lower, loop.upper, loop.step)}
+
+
 def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
     """Iterate the domain back to front."""
-    trips = _const_trips(program, loop)
+    meta = _level_meta(program, loop)
+    trips = meta["trips"]
     if trips is not None:
         last: Expr = IntLit((trips - 1) * loop.step)
     else:
@@ -477,17 +482,16 @@ def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
     body = subst_body(loop.body, {loop.var: reflect})
     out = _make_loop(loop.var, loop.lower, loop.upper, loop.step, body,
                      loop.name, _gen("reverse", uid), loop.parallel)
-    return TransformResult([out], {"level": loop.name, "trips": trips,
-                                   "bounds": (loop.lower, loop.upper, loop.step)})
+    return TransformResult([out], meta)
 
 
-def parallel_mark(loop: ForLoop) -> TransformResult:
-    """Mark a loop's iterations as safe to run in any order (no structural
-    change).  `--verify` runs a marked loop in source order only, so it
-    cannot catch a wrong mark (ROADMAP item 2)."""
+def parallel_mark(program: Program, loop: ForLoop) -> TransformResult:
+    """Mark a loop's iterations as safe to run in any order, with reverse's
+    meta and `mark` (reverse's schedule checks a mark).  `--verify` runs a
+    marked loop in source order only, so it cannot catch a wrong mark (ROADMAP item 2)."""
     out = subst_stmt(loop, {})
     out.parallel = True
-    return TransformResult([out], {"level": loop.name})
+    return TransformResult([out], {**_level_meta(program, loop), "mark": True})
 
 
 def _nest_chain(nodes: list, what: str, ordered_names: tuple[str, ...] | None = None) -> list[ForLoop]:
@@ -559,12 +563,10 @@ class Kind:
     # (program, targets, clauses, candidate meta) -> valid whatever the
     # dependences are
     always_valid: Callable[..., bool] | None = None
-    # where an order-changing rewrite sends each instance (`schedules`)
+    # where an order-changing rewrite (or a mark, as a check) sends each instance
     schedule: Callable | None = None
-    # (exact dependence set, meta) -> Verdict, in place of the schedule check
-    exact: Callable[[DependenceSet, dict], Verdict] | None = None
     # (dependence set, meta) -> Verdict, from the distance vectors
-    conservative: Callable[[DependenceSet, dict], Verdict] | None = None
+    conservative: Callable | None = None
 
     def validate(self, clauses: dict, targets: tuple[str, ...]) -> str | None:
         """Why a written pragma is malformed, or None."""
@@ -763,9 +765,8 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          lambda p, loops, a, uid, taken: reverse(p, loops[0], uid),
          schedule=reverse_schedule, conservative=_level_rule),
     Kind("parallel", "parallel", {},
-         lambda p, loops, a, uid, taken: parallel_mark(loops[0]),
-         exact=lambda ds, m: legality.judge_parallel_exact(ds, m["level"]),
-         conservative=_level_rule),
+         lambda p, loops, a, uid, taken: parallel_mark(p, loops[0]),
+         schedule=reverse_schedule, conservative=_level_rule),
 )}
 
 BY_SURFACE: dict[str, Kind] = {k.surface: k for k in KINDS.values()}

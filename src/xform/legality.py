@@ -22,10 +22,10 @@ action; `required` upgrades every keep-original warning to a hard error:
 Note the default column: by design the transformation is applied even when
 it changes semantics, and no runtime check is inserted.
 
-The exact judges read the region's conflict graph: `judge_exact` compares
-each edge's two times in the candidate, which the kind's schedule map gives
-(`schedules`), and `judge_parallel_exact` the edges' trips of the marked loop.
-The conservative judges read distance vectors.
+The exact judge, `judge_exact`, reads the region's conflict graph: it
+compares each edge's two times in the candidate, which the kind's schedule
+map gives (`schedules`; a `parallel` mark is judged by reverse's).  The
+conservative judges read distance vectors.
 """
 
 from __future__ import annotations
@@ -133,27 +133,8 @@ def _judge_order(depset: DependenceSet, pairs, times: list) -> Verdict:
                         if times[i] > times[j])
 
 
-def judge_parallel_exact(depset: DependenceSet, loop_name: str) -> Verdict:
-    """A marked loop may run its iterations in any order: no conflicting pair
-    in one execution of it may differ in its trip count.  This is checked on
-    all pairs, not on the linear edges: being carried is not transitive, so a
-    chain of edges none of which is carried can join two instances that are."""
-    instances = depset.instances
-
-    def carried(i, j):
-        a, b = instances[i], instances[j]
-        if loop_name not in a.loops or loop_name not in b.loops:
-            return False
-        ka = a.loops.index(loop_name)
-        kb = b.loops.index(loop_name)
-        if a.loops[:ka + 1] != b.loops[:kb + 1] or a.logical[:ka] != b.logical[:kb]:
-            return False
-        return a.logical[ka] != b.logical[kb]
-
-    for (i, j, kind) in depset.full_pairs:
-        if carried(i, j):
-            return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
-    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs if carried(i, j))
+# a name the benchmark tracer's `JUDGES` list still binds
+judge_parallel_exact = judge_exact
 
 
 def _rtc_verdict(pairs) -> Verdict:

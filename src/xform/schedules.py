@@ -21,12 +21,13 @@ meets: no instance outside the execution runs between its members), and
 that of an instance outside the targets is (time,).  Instances with equal
 keys come from one iteration of the original body, which keeps their order.
 
-Each order-changing `Kind` names its schedule in `kinds.KINDS`.  A schedule
-takes the step's meta (what its builder recorded), the depth of the target
-loops and a function giving the values of the loops around them at given
-trips, and returns the names of the outermost target loops and `rewrite`,
-which gives an instance's loop names, trips and key in the candidate from
-its current ones and its statement; `placer` applies it to a placement.
+Each order-changing `Kind` names its schedule in `kinds.KINDS` (a mark is
+judged by reverse's, as a check, and leaves the placement as it is).  A
+schedule takes the step's meta (what its builder recorded), the depth of
+the target loops and a function giving the values of the loops around them
+at given trips, and returns the names of the outermost target loops and
+`rewrite`, which gives an instance's loop names, trips and key in the
+candidate from its current ones and its statement; `placer` applies it.
 """
 
 from __future__ import annotations

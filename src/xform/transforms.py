@@ -5,17 +5,17 @@ The catalog of rewrites and everything else particular to one directive
 kind lives in `kinds`.  A rewrite that keeps the execution order by
 construction is always valid.  Everything else is checked against the
 dependence analysis.  In exact mode every conflicting instance pair must
-keep its execution order in the candidate: the kind's schedule gives each
-instance of the region its time there, and the candidate itself is never
-walked, only counted and proved once by `lang.step_counts`.  In
-conservative mode the kind's distance-vector rule applies, and so it does
-for an exact region whose candidate a walk could not value (arithmetic that
-`lang.interval` cannot prove) or whose target loop names are not unique in
-the region.  The exact conflict graph is built once per region and carried
-from step to step unchanged, with its instances' placement in the current
-schedule (`schedules`), while each step is exact and always valid; a
-verdict that reads the current schedule's instances analyzes the region
-afresh.  A pipeline pauses the cyclic collector.
+keep its execution order in the candidate (a mark, in its loop reversed):
+the kind's schedule gives each instance of the region its time there, and
+the candidate is never walked, only counted and proved once by
+`lang.step_counts`.  In conservative mode the kind's distance-vector rule
+applies, and so it does for an exact region whose candidate a walk could
+not value (arithmetic that `lang.interval` cannot prove) or whose target
+loop names are not unique in the region.  The exact conflict graph is built
+once per region and carried from step to step unchanged, with its
+instances' placement in the current schedule (`schedules`), while each step
+is exact and always valid; a verdict that reads the current schedule's
+instances analyzes the region afresh.  A pipeline pauses the cyclic collector.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import deps as depmod
 from . import legality
 from .deps import DepsError
 from .ir import PlannedDirective, PlannedPipeline
-from .kinds import KINDS, SIBLINGS, TransformError, _const_trips  # noqa: F401 (re-exported)
+from .kinds import KINDS, SIBLINGS, TransformError
 from .lang import (
     INT64_MAX, INT64_MIN, Assign, Directive, ForLoop, IfStmt, IntLit, Program, Stmt,
     WhileLoop, clone_program, find_loop, gc_paused, iter_loops, iter_stmts, locate,
@@ -129,11 +129,11 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
     the current schedule.  On entry it may hold the graph of a region of
     `program`; classify empties it.  After an exact always-valid verdict it
     stores the graph and the candidate's placement under the candidate's
-    span where a fresh analysis of the candidate would be exact.  A verdict
-    that reads the current schedule's instances (a witness, a kind's `exact`
-    judge or conservative rule) reads such an analysis of the region
-    (`deps.compute_dependences`).  An always-valid step is applied in every
-    safety mode.
+    span where a fresh analysis of the candidate would be exact (a mark's
+    schedule is a check: it carries the current placement).  A verdict that
+    reads the current schedule's instances (a witness or a conservative rule)
+    reads such an analysis of the region (`deps.compute_dependences`).  An
+    always-valid step is applied in every safety mode.
     """
     carried = graphs.copy()
     graphs.clear()
@@ -158,8 +158,6 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
             program, region, max_enum)
 
     if depset.exact:
-        if kind.exact is not None:
-            return kind.exact(current(), info.meta)
         cstop = start + info.span_new
         cscope = candidate.body[start:cstop]
         _, bound, proved = step_counts(cscope, candidate.param_ranges(include_opaque=False))
@@ -175,7 +173,7 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
             # exactly: its instances are the region's, its steps bounded
             if (verdict.kind == legality.ALWAYS_VALID and bound
                     and depmod.fits(len(placed), bound[2], max_enum)):
-                graphs[(start, cstop)] = depset, placed
+                graphs[(start, cstop)] = depset, placement if "mark" in info.meta else placed
             return verdict
 
     return kind.conservative(current(), info.meta)
@@ -183,13 +181,13 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
 
 def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, proved: bool):
     """The kind's schedule of an exact region (`schedules.placer`), or None where
-    the step goes to the kind's conservative rule: where the candidate's
-    arithmetic is not `proved` (by its `lang.step_counts`), so a walk of it
-    could fault, or where a target's name is not unique in the region, so
-    its instances cannot be told apart from those of the loop's copies."""
+    the step goes to the kind's conservative rule: where a walk of the
+    candidate could fault, as a mark's cannot and `lang.step_counts` has not
+    `proved`, or where a target's name is not unique in the region, so its
+    instances cannot be told apart from those of the loop's copies."""
     start = info.span_start
     region = [l.name for l in iter_loops(program.body[start:start + info.span_old])]
-    if not (proved and all(region.count(t) == 1 for t in pd.targets)):
+    if not ((proved or "mark" in info.meta) and all(region.count(t) == 1 for t in pd.targets)):
         return None
     return placer(KINDS[pd.directive.kind].schedule, info.meta, info.outer,
                   program.param_ranges(include_opaque=False))

@@ -16,6 +16,9 @@ addresses pairwise over its trace records.  `is_superset`, `covers` and
 schedules: it reads each instance's place from the candidate's enumerated
 instances (`walk_candidate`), and so also sees an instance that the
 candidate drops, runs twice or adds.  It is the oracle of the schedules.
+`judge_marked` is the exact judge of a `parallel` mark as it was before the
+mark was judged by reverse's schedule: no conflicting pair in one execution
+of the marked loop may differ in its trip.  It is the oracle of the marks.
 
 `keyed` and `placed_deps` compare a graph carried across a pipeline with a
 fresh analysis of the current program: by instance key, which is the same
@@ -211,3 +214,26 @@ def _schedule_mismatch(instances: list[Instance], cand_instances: list[Instance]
             if positions[c.key] != c.pos:
                 return f"instance of {c.stmt} runs more than once"
     return ""
+
+
+def judge_marked(depset: DependenceSet, loop_name: str) -> Verdict:
+    """A marked loop may run its iterations in any order: no conflicting pair
+    in one execution of it may differ in its trip count.  This is checked on
+    all pairs, not on the linear edges: being carried is not transitive, so a
+    chain of edges none of which is carried can join two instances that are."""
+    instances = depset.instances
+
+    def carried(i, j):
+        a, b = instances[i], instances[j]
+        if loop_name not in a.loops or loop_name not in b.loops:
+            return False
+        ka = a.loops.index(loop_name)
+        kb = b.loops.index(loop_name)
+        if a.loops[:ka + 1] != b.loops[:kb + 1] or a.logical[:ka] != b.logical[:kb]:
+            return False
+        return a.logical[ka] != b.logical[kb]
+
+    for (i, j, kind) in depset.full_pairs:
+        if carried(i, j):
+            return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
+    return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs if carried(i, j))

@@ -49,7 +49,7 @@ def _programs_with_top_for():
 
 
 def _const_trips_of(program, loop):
-    from xform.transforms import _const_trips
+    from xform.kinds import _const_trips
     return _const_trips(program, loop)
 
 

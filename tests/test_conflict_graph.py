@@ -236,7 +236,7 @@ for (i = 1; i < 8; i += 1)
   for (j = 0; j < 7; j += 1)
     A[i,j] = A[i-1,j] + A[i,j+1];
 """,
-    # ... a parallel mark, which its kind judges on the graph ...
+    # ... a parallel mark, judged by reverse's schedule ...
     "carried_then_parallel": """array A[8,8] init random;
 
 #pragma xform loop(i) parallel
@@ -255,13 +255,36 @@ for (i = 9223372036854775801; i < 9223372036854775807; i += 1)
   for (j = 0; j < 8; j += 1)
     A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
 """,
+    # a valid mark reads the graph that an interchange carried, with no fresh
+    # analysis ...
+    "carried_then_valid_parallel": """array A[8,8] init random;
+
+#pragma xform loop(i) parallel
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 0; i < 8; i += 1)
+  for (j = 1; j < 8; j += 1)
+    A[i,j] = A[i,j-1] + 1;
+""",
+    # ... and carries it on in the current order: the fusion after a mark on
+    # the first sibling is invalid, and would be valid on the reversed order
+    "parallel_then_siblings": """array A[4,8] init random;
+array B[4,8] init random;
+
+#pragma xform loop(i,j) fuse fused_id(f)
+#pragma xform loop(i) parallel
+for (o = 0; o < 4; o += 1) {
+  for (i = 0; i < 8; i += 1)
+    A[o,i] = o + i;
+  for (j = 0; j < 8; j += 1)
+    B[o,j] = A[o,7-j] + 1;
+}
+""",
 }
 
 # the second step of each: its kind, and whether a schedule judges it
-# (None: the kind judges the graph itself)
 CARRIED_PATHS = {
     "carried_then_invalid": ("reverse", True),
-    "carried_then_parallel": ("parallel", None),
+    "carried_then_parallel": ("parallel", True),
     "carried_then_unproved": ("reverse", False),
 }
 
@@ -288,8 +311,10 @@ def test_carried_graph_reports_match_from_scratch(name, monkeypatch):
                 _outcome(p, monkeypatch, False, **kw), (name, mode, max_enum)
 
 
-@pytest.mark.parametrize("name", sorted(CARRIED_PATHS))
-def test_each_rare_path_reads_a_carried_graph(name, monkeypatch):
+def _spied_steps(name, monkeypatch):
+    """Apply a pipeline under fallback; per step (kind, whether a graph was
+    carried into it, verdict, the exactness of each analysis it read), and
+    whether each exact step found a schedule."""
     steps, scheduled, analyses = [], [], []
     classify_, exact_schedule = transforms.classify, transforms.exact_schedule
     compute = deps.compute_dependences
@@ -303,7 +328,6 @@ def test_each_rare_path_reads_a_carried_graph(name, monkeypatch):
         carried = bool(graphs)
         analyses.clear()
         verdict = classify_(*a, graphs=graphs, **k)
-        # a carried step reads one fresh analysis, and it is exact
         steps.append((a[1].directive.kind, carried, verdict.describe(), list(analyses)))
         return verdict
 
@@ -317,12 +341,33 @@ def test_each_rare_path_reads_a_carried_graph(name, monkeypatch):
     monkeypatch.setattr(deps, "compute_dependences", spy_compute)
     p = parse_named(PIPELINES[name])
     apply_pipeline(p, plan_pipeline(p), safety_override="fallback")
+    return steps, scheduled
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED_PATHS))
+def test_each_rare_path_reads_a_carried_graph(name, monkeypatch):
+    steps, scheduled = _spied_steps(name, monkeypatch)
     kind, by_schedule = CARRIED_PATHS[name]
-    # the witness is in the interchanged nest's loops (j,i), not the source's
+    # a carried step reads one fresh analysis, and it is exact; the witness
+    # is in the interchanged nest's loops (j,i), not the source's
     assert steps == [("interchange", False, "always valid", [True]),
                      (kind, True, "invalid: dependence flow s2->s2 (0,1) would be violated",
                       [True])]
-    assert scheduled == [True] + ([] if by_schedule is None else [by_schedule])
+    assert scheduled == [True, by_schedule]
+
+
+@pytest.mark.parametrize("name, first, second, verdict", [
+    ("carried_then_valid_parallel", "interchange", "parallel", "always valid"),
+    ("parallel_then_siblings", "parallel", "fuse",
+     "invalid: dependence flow s2->s4 (0) would be violated"),
+])
+def test_a_step_after_a_valid_step_reads_no_fresh_analysis(name, first, second, verdict,
+                                                             monkeypatch):
+    # a mark is judged on the carried graph, and carries it on unchanged
+    steps, scheduled = _spied_steps(name, monkeypatch)
+    assert steps == [(first, False, "always valid", [True]),
+                     (second, True, verdict, [])]
+    assert scheduled == [True, True]
 
 
 def test_invalid_step_drops_the_graph():

@@ -12,6 +12,7 @@ from xform.legality import (
 )
 
 from conftest import parse_named, run_pipeline
+from reference_deps import judge_marked
 
 
 # the full verdict x mode matrix, required=False
@@ -360,11 +361,37 @@ def marked_nests(draw):
 @given(marked_nests())
 def test_parallel_and_reverse_agree_on_exact_nests(src):
     # both hold iff no conflicting pair within one execution of the loop
-    # differs in its trip
+    # differs in its trip, which the mark's own oracle checks
     p = parse_named(src.replace("KIND", "reverse"))
-    assert compute_dependences(strip_pragmas(p), p.body).exact
-    verdicts = []
+    depset = compute_dependences(strip_pragmas(p), p.body)
+    assert depset.exact
+    reports = []
     for kind in ("parallel", "reverse"):
         _, res = run_pipeline(src.replace("KIND", kind), safety_override="fallback")
-        verdicts.append((res.reports[0].verdict.kind, res.reports[0].verdict.rtc_pairs))
+        reports.append(res.reports[0])
+    verdicts = [(r.verdict.kind, r.verdict.rtc_pairs) for r in reports]
     assert verdicts[0] == verdicts[1], src
+    oracle = judge_marked(depset, reports[0].target)
+    assert (reports[0].verdict.describe(), reports[0].verdict.rtc_pairs) == \
+        (oracle.describe(), oracle.rtc_pairs), src
+
+
+def test_a_mark_needs_no_arithmetic_proof():
+    # `interval` cannot prove the condition inside int64 (j / 3 may be 1 where
+    # 3 - j is 3), so a reverse goes to the conservative rule, whose may-alias
+    # dependence has no known distance; a mark rewrites no arithmetic, so it
+    # keeps the exact verdict: A and B are touched in one trip of j only
+    src = """array A[8] init random;
+array B[8] init random;
+maybe_alias(A, B);
+
+#pragma xform loop(j) KIND
+for (i = 0; i < 8; i += 1)
+  for (j = 0; j < 4; j += 1)
+    if ((j / 3) * 9223372036854775807 + (3 - j) == 3) A[i] = B[i] + 1;
+"""
+    got = {}
+    for kind in ("parallel", "reverse"):
+        _, res = run_pipeline(src.replace("KIND", kind), safety_override="force")
+        got[kind] = res.reports[0].verdict.describe()
+    assert got == {"parallel": "always valid", "reverse": "valid with rtc [disjoint(A,B)]"}

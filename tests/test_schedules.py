@@ -7,8 +7,12 @@ trips; its verdict must be the one the walked candidate gives
 (`reference_deps.judge_walked`) against a fresh analysis of the current
 region; and the graph it carries, placed in the candidate's schedule, must
 be the one a fresh analysis of the candidate builds: the same pairs by
-instance key and the same distance vectors.  Every step also checks that
-the arithmetic gate is sound: a step it lets through walks without a fault.
+instance key and the same distance vectors.  A `parallel` mark is judged by
+reverse's schedule as a check only: its verdict must be the one
+`reference_deps.judge_marked` gives on a fresh analysis of the current
+region, and it carries the current placement unchanged.  Every step also
+checks that the arithmetic gate is sound: a step it lets through walks
+without a fault.
 """
 
 import pytest
@@ -20,7 +24,7 @@ from xform.kinds import KINDS
 from xform.lang import iter_loops, step_counts
 
 from conftest import corpus_names, load_corpus, parse_named
-from reference_deps import judge_walked, keyed, placed_deps, walk_candidate
+from reference_deps import judge_marked, judge_walked, keyed, placed_deps, walk_candidate
 from test_properties import nest_programs
 
 
@@ -38,8 +42,9 @@ def assert_same_graph(depset, placement, fresh):
 
 def check_step(program, pd, cand, info, max_enum, graphs):
     """Check one step's schedule against its walked candidate; returns how
-    the step is judged, by its "schedule" or why not, the verdict the walked
-    candidate gives (None unless by its schedule) and the placement."""
+    the step is judged, by its "schedule", as a "mark" or why not, the
+    verdict the walked candidate or the mark's oracle gives (None unless by
+    a schedule) and the placement the step carries if valid."""
     kind = KINDS[pd.directive.kind]
     if kind.schedule is None or (kind.always_valid and kind.always_valid(
             program, pd.targets, pd.directive.clauses, info.meta)):
@@ -67,14 +72,16 @@ def check_step(program, pd, cand, info, max_enum, graphs):
         return "unscheduled, walkable", None, None
     assert walked is not None, "the gate let through a candidate whose walk faults"
 
-    placed = place(depset.instances, placement)
-    order = sorted(range(len(placed)), key=lambda k: placed[k][2])
-    assert [(depset.instances[k].key, placed[k][0], placed[k][1]) for k in order] == \
-        [(c.key, c.loops, c.logical) for c in walked]
     current = depset
     if placement is not None:
         current = compute_dependences(program, region, max_enum)
         assert_same_graph(depset, placement, current)
+    if "mark" in info.meta:  # the candidate runs in the current order
+        return "mark", judge_marked(current, pd.targets[0]), placement
+    placed = place(depset.instances, placement)
+    order = sorted(range(len(placed)), key=lambda k: placed[k][2])
+    assert [(depset.instances[k].key, placed[k][0], placed[k][1]) for k in order] == \
+        [(c.key, c.loops, c.logical) for c in walked]
     verdict = judge_walked(current, walked)
     if verdict.kind == "always_valid" and deps.fits(len(walked), walked.steps, max_enum):
         assert_same_graph(depset, placed, compute_dependences(cand, cscope, max_enum))
@@ -93,7 +100,7 @@ def checked_pipeline(src: str, monkeypatch, **kw) -> list[str]:
         status, walked_verdict, placed = check_step(program, pd, cand, info, max_enum, graphs)
         seen.append(status)
         verdict = real(program, pd, cand, info, reason, max_enum, graphs=graphs)
-        if status == "schedule":
+        if status in ("schedule", "mark"):
             assert verdict == walked_verdict
             # what a step carries is the placement checked above
             assert [placement for _, placement in graphs.values()] in ([], [placed])
