@@ -25,8 +25,9 @@ them is the same from run to run:
 * `EDGES`, programs at the edges of the analyses (faults, int64 limits,
   step budgets, deep nests, the exact schedules of every order-changing
   directive and the gates before them, graphs carried into the steps that
-  read them, parallel marks inside an outer loop, after and before a carried
-  step and over arithmetic that faults or that `interval` cannot bound,
+  read them, parallel marks and reversals inside an outer loop, after and
+  before a carried step and over arithmetic that faults or that `interval`
+  cannot bound, strong SIV under a lower bound that moves,
   directives the builders refuse or copy past a known trip count)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
@@ -332,6 +333,29 @@ for (o = 0; o < 4; o += 1) {
   for (j = 0; j < 8; j += 1)
     B[o,j] = A[o,7-j] + 1;
 }
+""",
+    # a reversal and a mark on the first of two siblings inside an outer
+    # loop: whatever the siblings share, one execution of the marked loop
+    # reorders none of it
+    "level_first_sibling": """array A[4,8] init random;
+array B[4,8] init random;
+
+for (o = 0; o < 4; o += 1) {
+  #pragma xform parallel
+  #pragma xform reverse
+  for (i = 0; i < 8; i += 1)
+    A[o,i] = o + i;
+  for (j = 0; j < 8; j += 1)
+    B[o,j] = A[o,7-j] + 1;
+}
+""",
+    # strong SIV on a loop whose lower bound moves with the outer loop
+    "siv_moving_lower_bound": """array A[12] init random;
+
+#pragma xform loop(i) reverse
+for (i = 0; i < 8; i += 4)
+  for (j = i; j < i + 4; j += 1)
+    A[j + 4] = A[j];
 """,
     # marks over values that fault or overflow int64, with and without a
     # may-alias pair, and over a condition that `interval` cannot bound

@@ -140,15 +140,16 @@ class DependenceSet:
         return "\n".join(f"{d.pretty()} {mode}" for d in self.deps)
 
 
-def lex_nonneg(distance: tuple[object, ...]) -> bool:
+def leading_sign(distance: tuple[object, ...]) -> int | None:
+    """The sign of a distance vector's first non-zero entry (1 or -1), None
+    where an unknown entry comes first, 0 where every entry is 0.  The only
+    reading of a vector's first decisive entry."""
     for d in distance:
         if d is None:
-            return True  # could be positive
-        if d > 0:
-            return True
-        if d < 0:
-            return False
-    return True
+            return None
+        if d:
+            return 1 if d > 0 else -1
+    return 0
 
 
 def common_loops(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
@@ -159,6 +160,20 @@ def common_loops(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
             break
         k += 1
     return a[:k]
+
+
+def distance(a: Instance, b: Instance) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Two instances' common loops and the trips from `a` to `b` on each."""
+    common = common_loops(a.loops, b.loops)
+    return common, tuple(b.logical[x] - a.logical[x] for x in range(len(common)))
+
+
+def _unique(keys) -> list[Dependence]:
+    """The dependences of `keys` (the `Dependence` fields in order), each
+    once in first-seen order, without a statement's zero-distance pair with
+    itself."""
+    kept = dict.fromkeys(k for k in keys if k[0] != k[1] or any(d != 0 for d in k[4]))
+    return [Dependence(*key) for key in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +366,15 @@ def _pair_kind(first_is_write: bool, second_is_write: bool) -> str:
 
 
 def _summarize(instances: list[Instance], pairs, alias_pairs) -> list[Dependence]:
-    seen = {}
-    for entry in pairs:
-        i, j, kind = entry
-        a, b = instances[i], instances[j]
-        common = common_loops(a.loops, b.loops)
-        dist = tuple(b.logical[x] - a.logical[x] for x in range(len(common)))
-        if a.stmt == b.stmt and all(d == 0 for d in dist):
-            continue  # degenerate same-instance pairing
-        seen.setdefault((a.stmt, b.stmt, kind, common, dist, None), None)
-    for (i, j, kind, pair) in alias_pairs:
-        a, b = instances[i], instances[j]
-        common = common_loops(a.loops, b.loops)
-        seen.setdefault((a.stmt, b.stmt, kind, common, (None,) * len(common), pair), None)
-    return [Dependence(*key) for key in seen]
+    def keys():
+        for i, j, kind in pairs:
+            a, b = instances[i], instances[j]
+            yield (a.stmt, b.stmt, kind, *distance(a, b), None)
+        for i, j, kind, pair in alias_pairs:
+            a, b = instances[i], instances[j]
+            common = common_loops(a.loops, b.loops)
+            yield (a.stmt, b.stmt, kind, common, (None,) * len(common), pair)
+    return _unique(keys())
 
 
 def _accesses_by_address(instances: list[Instance]) -> dict:
@@ -453,7 +463,6 @@ def _exact_set(program: Program, instances: list[Instance]) -> DependenceSet:
 @dataclass
 class _Ref:
     stmt: str
-    pos: int                       # textual preorder position
     array: str
     index: tuple[Expr, ...]
     write: bool
@@ -466,13 +475,17 @@ class _Ref:
 def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
     refs: list[_Ref] = []
     params = program.param_ranges(include_opaque=False)
-    counter = [0]
 
     def resolve(e: Expr) -> Expr:
         return simplify(subst(e, {k: IntLit(v) for k, (v, _) in params.items()}))
 
     def trips_of(loop: ForLoop) -> object:
-        """The trip count when both bounds are constant, else None."""
+        """The trip count when both bounds are constant, else None.  Not the
+        count of a loop whose bounds move with an outer loop, which
+        `lang.loop_range` also gives: the strong SIV test measures its
+        distance in values of the loop variable, which are trips only from a
+        fixed lower bound, and `|d| >= trips` would then prove away a
+        dependence that the loop carries."""
         lb, ub = interval(loop.lower, params), interval(loop.upper, params)
         return None if lb is None or ub is None else trip_count(lb[0], ub[0], loop.step)
 
@@ -480,8 +493,6 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
         for s in stmts:
             if isinstance(s, WhileLoop):
                 raise DepsError("while-loop in analyzed region")
-            pos = counter[0]  # textual preorder position
-            counter[0] += 1
             if isinstance(s, Assign):
                 names = tuple(l.name for l in loops)
                 lvars = tuple(l.var for l in loops)
@@ -492,7 +503,7 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
                     accesses.append((s.array, s.index, False))
                 accesses.append((s.array, s.index, True))
                 for array, index, write in accesses:
-                    refs.append(_Ref(s.stmt_id, pos, array, tuple(resolve(x) for x in index),
+                    refs.append(_Ref(s.stmt_id, array, tuple(resolve(x) for x in index),
                                      write, names, lvars, steps, trips))
             for body in child_bodies(s):
                 walk(body, loops + (s,) if isinstance(s, ForLoop) else loops)
@@ -609,55 +620,45 @@ def _conservative_pair(r1: _Ref, r2: _Ref):
     return common_names, distance, unknown
 
 
-def _neg(distance):
-    return tuple(None if d is None else -d for d in distance)
-
-
 def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -> DependenceSet:
     refs = _collect_refs(program, scope)
     declared = {(a.first, a.second) for a in program.aliases}
     alias_decl = declared | {(b, a) for a, b in declared}
-    seen = {}
 
-    def emit(src: _Ref, snk: _Ref, names, dist, alias):
-        if src.stmt == snk.stmt and all(d == 0 for d in dist):
-            return
-        kind = _pair_kind(src.write, snk.write)
-        seen.setdefault((src.stmt, snk.stmt, kind, tuple(names), dist, alias), None)
+    def key(src: _Ref, snk: _Ref, names, dist, alias):
+        return (src.stmt, snk.stmt, _pair_kind(src.write, snk.write), tuple(names), dist, alias)
 
-    for i1, r1 in enumerate(refs):
-        for r2 in refs[i1:]:
-            same = r1.array == r2.array
-            aliased = (r1.array, r2.array) in alias_decl
-            if not same and not aliased:
-                continue
-            if not (r1.write or r2.write):
-                continue
-            if same:
+    def keys():
+        for i1, r1 in enumerate(refs):
+            for r2 in refs[i1:]:
+                same = r1.array == r2.array
+                if not same and (r1.array, r2.array) not in alias_decl:
+                    continue
+                if not (r1.write or r2.write):
+                    continue
+                if not same:
+                    names = common_loops(r1.loops, r2.loops)
+                    dist = (None,) * len(names)
+                    pair = (r1.array, r2.array) if (r1.array, r2.array) in declared else (r2.array, r1.array)
+                    yield key(r1, r2, names, dist, pair)
+                    yield key(r2, r1, names, dist, pair)
+                    continue
                 res = _conservative_pair(r1, r2)
                 if res is None:
                     continue
                 names, dist, unknown = res
                 if unknown:
                     dist = tuple(None for _ in dist)
-                # orient source-before-sink
-                if lex_nonneg(dist):
-                    if all(d == 0 for d in dist):
-                        src, snk = (r1, r2) if r1.pos <= r2.pos else (r2, r1)
-                        emit(src, snk, names, dist, None)
-                    else:
-                        emit(r1, r2, names, dist, None)
-                if any(d is None or d != 0 for d in dist) and lex_nonneg(_neg(dist)):
-                    emit(r2, r1, names, _neg(dist), None)
-            else:
-                names = common_loops(r1.loops, r2.loops)
-                dist = (None,) * len(names)
-                pair = (r1.array, r2.array) if (r1.array, r2.array) in declared else (r2.array, r1.array)
-                emit(r1, r2, names, dist, pair)
-                emit(r2, r1, names, dist, pair)
+                # source before sink, both ways while an unknown entry leads;
+                # in one iteration r1 runs first, as `refs` is in textual order
+                sign = leading_sign(dist)
+                if sign != -1:
+                    yield key(r1, r2, names, dist, None)
+                if sign is None or sign == -1:
+                    yield key(r2, r1, names, tuple(None if d is None else -d for d in dist), None)
 
     ds = DependenceSet(exact=False, reason=reason)
-    ds.deps = [Dependence(*key) for key in seen]
+    ds.deps = _unique(keys())
     return ds
 
 

@@ -535,11 +535,6 @@ BAND = "band"          # a perfect band named in any order; `band` gives the nam
 SIBLINGS = "siblings"  # adjacent sibling loops, named explicitly
 
 
-def _order_kept(program, targets, clauses, meta) -> bool:
-    """Order preserving by construction: valid whatever the dependences."""
-    return True
-
-
 @dataclass(frozen=True)
 class Kind:
     """Everything the engine knows about one directive kind."""
@@ -563,7 +558,9 @@ class Kind:
     # (program, targets, clauses, candidate meta) -> valid whatever the
     # dependences are
     always_valid: Callable[..., bool] | None = None
-    # where an order-changing rewrite (or a mark, as a check) sends each instance
+    # where an order-changing rewrite (or a mark, as a check) sends each
+    # instance; a kind without one keeps the order by construction and is
+    # always valid
     schedule: Callable | None = None
     # (dependence set, meta) -> Verdict, from the distance vectors
     conservative: Callable | None = None
@@ -715,8 +712,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
     Kind("strip_mine", "stripmine", {"size": "int", "floor_id": "id", "tile_id": "id"},
          lambda p, loops, a, uid, taken: strip_mine(
              p, loops[0], a["size"], a["floor_id"], a["tile_id"], uid),
-         check=_requires("stripmine", "size", 1), ids={"floor_id": "_f", "tile_id": "_t"},
-         always_valid=_order_kept),
+         check=_requires("stripmine", "size", 1), ids={"floor_id": "_f", "tile_id": "_t"}),
     Kind("stripe_mine", "stripemine", {"count": "int", "outer_id": "id", "inner_id": "id"},
          lambda p, loops, a, uid, taken: stripe_mine(
              p, loops[0], a["count"], a["outer_id"], a["inner_id"], uid),
@@ -726,8 +722,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          lambda p, loops, a, uid, taken: (
              unroll_full(p, loops[0]) if "full" in a
              else unroll_partial(p, loops[0], a["factor"], uid)),
-         check=_check_unroll, renames=lambda c, t, a: (t, () if "full" in c else t),
-         always_valid=_order_kept),
+         check=_check_unroll, renames=lambda c, t, a: (t, () if "full" in c else t)),
     Kind("unroll_and_jam", "unrollingandjam", {"factor": "int"},
          lambda p, loops, a, uid, taken: unroll_and_jam(p, loops[0], a["factor"], uid),
          check=_requires("unrollingandjam", "factor", 2), schedule=jam_schedule,
@@ -745,11 +740,11 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
              p, loops[0], next((m, a[m]) for m in _PEEL_MODES if m in a),
              a["prologue_id"], a["main_id"], a["epilogue_id"], uid),
          check=_check_peel, ids={"prologue_id": "_p", "main_id": "", "epilogue_id": "_e"},
-         renames=_peel_renames, always_valid=_order_kept),
+         renames=_peel_renames),
     Kind("collapse", "collapse", {"collapsed_id": "id", "levels": "int"},
          lambda p, loops, a, uid, taken: collapse(loops, a["collapsed_id"], uid),
          shape=NEST, band=lambda c: c["levels"], check=_check_collapse,
-         ids={"collapsed_id": "_c"}, always_valid=_order_kept),
+         ids={"collapsed_id": "_c"}),
     Kind("distribute", "distribute", {"parts": "groups", "ids": "ids"},
          lambda p, loops, a, uid, taken: distribute(
              loops[0], a.get("parts"), a["ids"], uid, taken),

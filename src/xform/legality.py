@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .deps import Dependence, DependenceSet, common_loops
+from .deps import Dependence, DependenceSet, distance, leading_sign
 from .lang import Call, Expr, BinOp, IfStmt, Stmt, VarRef
 
 ALWAYS_VALID = "always_valid"
@@ -148,42 +148,25 @@ def _rtc_verdict(pairs) -> Verdict:
 
 def _pair_to_dep(instances, i, j, kind) -> Dependence:
     a, b = instances[i], instances[j]
-    common = common_loops(a.loops, b.loops)
-    return Dependence(a.stmt, b.stmt, kind, common,
-                      tuple(b.logical[x] - a.logical[x] for x in range(len(common))))
+    return Dependence(a.stmt, b.stmt, kind, *distance(a, b))
 
 
 # conservative checks operate on summarized distance vectors ----------------
 
 
-def _prefix_definitely_carried_outside(dep: Dependence, names: set[str]) -> bool:
-    """True when the dependence is certainly carried by a loop above the
-    region of interest (first non-zero component is a fixed positive entry
-    on a loop not in `names`)."""
-    for loop, d in zip(dep.loops, dep.distance):
-        if loop in names:
-            return False
-        if d is None:
-            return False
-        if d > 0:
-            return True
-        if d < 0:
-            return False
-    return False
+def _carried_outside(dep: Dependence, names: set[str]) -> bool:
+    """True when the dependence is certainly carried by a loop above every
+    loop in `names`: its entries there lead with a fixed positive one."""
+    k = next((k for k, loop in enumerate(dep.loops) if loop in names), len(dep.loops))
+    return leading_sign(dep.distance[:k]) == 1
 
 
 def _violates_at_level(dep: Dependence, loop_name: str) -> bool:
-    """Could this dependence be carried by `loop_name`?"""
-    for loop, d in zip(dep.loops, dep.distance):
-        if loop == loop_name:
-            return d is None or d != 0
-        if d is None:
-            return True  # unknown outer carrier: play safe
-        if d > 0:
-            return False  # carried further out; this level's order is free
-        if d < 0:
-            return True
-    return False  # loop not among the common loops: instances coincide there
+    """Could this dependence be carried by `loop_name`?  Not where it is
+    certainly carried further out, nor where its entries down to this level
+    are all 0; an unknown or negative entry that leads is played safe."""
+    k = dep.loops.index(loop_name) if loop_name in dep.loops else len(dep.loops)
+    return not _carried_outside(dep, {loop_name}) and leading_sign(dep.distance[:k + 1]) != 0
 
 
 def _judge_deps(depset: DependenceSet, violates) -> Verdict:
@@ -210,18 +193,11 @@ def judge_permutation_conservative(depset: DependenceSet, new_order: list[str]) 
     band = set(new_order)
 
     def violates(dep):
-        if _prefix_definitely_carried_outside(dep, band):
-            return False
-        if not band <= set(dep.loops):
+        if _carried_outside(dep, band) or not band <= set(dep.loops):
             # statements not nested under the whole band keep their order
             return False
         comp = dict(zip(dep.loops, dep.distance))
-        for l in _permute_loops(dep.loops, new_order):
-            if comp[l] is None or comp[l] < 0:
-                return True
-            if comp[l] > 0:
-                return False
-        return False
+        return leading_sign([comp[l] for l in _permute_loops(dep.loops, new_order)]) in (None, -1)
 
     return _judge_deps(depset, violates)
 
@@ -240,7 +216,7 @@ def judge_band_nonneg_conservative(depset: DependenceSet, band: list[str]) -> Ve
     bandset = set(band)
 
     def violates(dep):
-        if _prefix_definitely_carried_outside(dep, bandset):
+        if _carried_outside(dep, bandset):
             return False
         comp = dict(zip(dep.loops, dep.distance))
         return any(comp.get(l, 0) is None or comp.get(l, 0) < 0 for l in band)

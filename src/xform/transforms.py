@@ -140,8 +140,8 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
     if candidate is None:
         return Verdict(IMPOSSIBLE, impossible_reason)
     kind = KINDS[pd.directive.kind]
-    if kind.always_valid and kind.always_valid(program, pd.targets, pd.directive.clauses,
-                                               info.meta):
+    if kind.schedule is None or (kind.always_valid and kind.always_valid(
+            program, pd.targets, pd.directive.clauses, info.meta)):
         return Verdict(legality.ALWAYS_VALID)
 
     start, stop = info.span_start, info.span_start + info.span_old
@@ -206,7 +206,7 @@ def apply_pipeline(program: Program, plan: PlannedPipeline,
     """
     cur = strip_pragmas(program)
     tags: list[tuple[int, ...]] = [(i,) for i in range(len(cur.body))]
-    pristine: dict[int, Stmt] = {i: subst_stmt(s, {}) for i, s in enumerate(cur.body)}
+    pristine = list(cur.body)  # never changed: every candidate is built on a clone
     rtc_conds: dict[int, dict] = {}
     kept_ids: dict[str, Directive] = {}
     reports: list[DirectiveReport] = []

@@ -20,6 +20,12 @@ candidate drops, runs twice or adds.  It is the oracle of the schedules.
 mark was judged by reverse's schedule: no conflicting pair in one execution
 of the marked loop may differ in its trip.  It is the oracle of the marks.
 
+`lex_nonneg`, `prefix_definitely_carried_outside`, `violates_at_level`,
+`violates_permutation` and `violates_band` are the conservative rules' scans
+of a distance vector as they were before `deps.leading_sign` stated the
+reading of its first decisive entry once.  With `legality._judge_deps` they
+are the oracle of the conservative judges.
+
 `keyed` and `placed_deps` compare a graph carried across a pipeline with a
 fresh analysis of the current program: by instance key, which is the same
 in every schedule, and by the distance vectors the carried placement gives.
@@ -36,7 +42,9 @@ from xform.deps import (
 from xform.lang import (
     Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, flat_index, iter_stmts,
 )
-from xform.legality import ALWAYS_VALID, INVALID, Verdict, _pair_to_dep, _rtc_verdict
+from xform.legality import (
+    ALWAYS_VALID, INVALID, Verdict, _pair_to_dep, _permute_loops, _rtc_verdict,
+)
 
 import reference_interp
 from reference_lang import evaluate
@@ -237,3 +245,69 @@ def judge_marked(depset: DependenceSet, loop_name: str) -> Verdict:
         if carried(i, j):
             return Verdict(INVALID, witness=_pair_to_dep(instances, i, j, kind))
     return _rtc_verdict(pair for (i, j, kind, pair) in depset.alias_pairs if carried(i, j))
+
+
+def lex_nonneg(distance: tuple[object, ...]) -> bool:
+    for d in distance:
+        if d is None:
+            return True  # could be positive
+        if d > 0:
+            return True
+        if d < 0:
+            return False
+    return True
+
+
+def prefix_definitely_carried_outside(dep: Dependence, names: set[str]) -> bool:
+    """True when the dependence is certainly carried by a loop above the
+    region of interest (first non-zero component is a fixed positive entry
+    on a loop not in `names`)."""
+    for loop, d in zip(dep.loops, dep.distance):
+        if loop in names:
+            return False
+        if d is None:
+            return False
+        if d > 0:
+            return True
+        if d < 0:
+            return False
+    return False
+
+
+def violates_at_level(dep: Dependence, loop_name: str) -> bool:
+    """Could this dependence be carried by `loop_name`?"""
+    for loop, d in zip(dep.loops, dep.distance):
+        if loop == loop_name:
+            return d is None or d != 0
+        if d is None:
+            return True  # unknown outer carrier: play safe
+        if d > 0:
+            return False  # carried further out; this level's order is free
+        if d < 0:
+            return True
+    return False  # loop not among the common loops: instances coincide there
+
+
+def violates_permutation(dep: Dependence, new_order: list[str]) -> bool:
+    """Interchange: may the permuted vector lead with a negative entry?"""
+    band = set(new_order)
+    if prefix_definitely_carried_outside(dep, band):
+        return False
+    if not band <= set(dep.loops):
+        return False
+    comp = dict(zip(dep.loops, dep.distance))
+    for l in _permute_loops(dep.loops, new_order):
+        if comp[l] is None or comp[l] < 0:
+            return True
+        if comp[l] > 0:
+            return False
+    return False
+
+
+def violates_band(dep: Dependence, band: list[str]) -> bool:
+    """Tiling: may an entry of the band be negative, where the dependence
+    is not carried outside it?"""
+    if prefix_definitely_carried_outside(dep, set(band)):
+        return False
+    comp = dict(zip(dep.loops, dep.distance))
+    return any(comp.get(l, 0) is None or comp.get(l, 0) < 0 for l in band)

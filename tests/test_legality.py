@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xform import equivalent
-from xform.deps import compute_dependences
+from xform.deps import Dependence, DependenceSet, compute_dependences, leading_sign
 from xform.lang import strip_pragmas
 from xform.legality import (
     ALWAYS_VALID, HARD_ERROR, IMPOSSIBLE, INVALID, KEEP_ORIGINAL, TRANSFORM,
-    TRANSFORM_WITH_RTC, VALID_WITH_RTC, Verdict, resolve,
+    TRANSFORM_WITH_RTC, VALID_WITH_RTC, Verdict, _judge_deps, judge_band_nonneg_conservative,
+    judge_level_conservative, judge_permutation_conservative, resolve,
 )
 
 from conftest import parse_named, run_pipeline
-from reference_deps import judge_marked
+from reference_deps import (
+    judge_marked, lex_nonneg, violates_at_level, violates_band, violates_permutation,
+)
 
 
 # the full verdict x mode matrix, required=False
@@ -331,6 +334,46 @@ for (j = 0; j < 16; j += 1)
     assert r.verdict.describe() == "invalid: dependence flow s1->s3 () would be violated"
     assert r.action.kind == KEEP_ORIGINAL
     assert equivalent(strip_pragmas(p), res.program, trials=5, seed=3)
+
+
+# the conservative judges against their scans before `deps.leading_sign` -------
+
+NAMES = "abcde"
+ENTRIES = st.sampled_from([None, -2, -1, 0, 1, 2])
+
+
+@st.composite
+def dependences(draw):
+    """A `Dependence` record over loops named from a small alphabet, with or
+    without a may-alias pair."""
+    loops = tuple(draw(st.lists(st.sampled_from(NAMES[:4]), max_size=4, unique=True)))
+    return Dependence(draw(st.sampled_from(["s1", "s2"])), draw(st.sampled_from(["s1", "s2"])),
+                      draw(st.sampled_from(["flow", "anti", "output"])), loops,
+                      tuple(draw(ENTRIES) for _ in loops),
+                      draw(st.sampled_from([None, ("A", "B"), ("C", "D")])))
+
+
+def _same_verdict(got: Verdict, oracle: Verdict) -> bool:
+    return (got.describe(), got.rtc_pairs) == (oracle.describe(), oracle.rtc_pairs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(dependences(), min_size=1, max_size=4), st.sampled_from(NAMES),
+       st.permutations(NAMES[:4]), st.integers(1, 4), st.lists(st.sampled_from(NAMES),
+                                                                 min_size=1, max_size=3,
+                                                                 unique=True))
+def test_conservative_judges_match_their_old_scans(records, level, order, depth, band):
+    depset = DependenceSet(exact=False)
+    depset.deps = records
+    for dep in records:
+        assert (leading_sign(dep.distance) != -1) == lex_nonneg(dep.distance)
+    assert _same_verdict(judge_level_conservative(depset, level),
+                         _judge_deps(depset, lambda dep: violates_at_level(dep, level)))
+    new_order = list(order[:depth])
+    assert _same_verdict(judge_permutation_conservative(depset, new_order),
+                         _judge_deps(depset, lambda dep: violates_permutation(dep, new_order)))
+    assert _same_verdict(judge_band_nonneg_conservative(depset, band),
+                         _judge_deps(depset, lambda dep: violates_band(dep, band)))
 
 
 # a parallel mark against the reversal of the same loop ------------------------
