@@ -162,10 +162,14 @@ def _carried_outside(dep: Dependence, names: set[str]) -> bool:
 
 
 def _violates_at_level(dep: Dependence, loop_name: str) -> bool:
-    """Could this dependence be carried by `loop_name`?  Not where it is
-    certainly carried further out, nor where its entries down to this level
-    are all 0; an unknown or negative entry that leads is played safe."""
-    k = dep.loops.index(loop_name) if loop_name in dep.loops else len(dep.loops)
+    """Could this dependence be carried by `loop_name`?  Not where the loop
+    is not among its common loops (a level step reorders only the instances
+    in one execution of its loop), where it is certainly carried further
+    out, or where its entries down to this level are all 0; an unknown or
+    negative entry that leads is played safe."""
+    if loop_name not in dep.loops:
+        return False
+    k = dep.loops.index(loop_name)
     return not _carried_outside(dep, {loop_name}) and leading_sign(dep.distance[:k + 1]) != 0
 
 

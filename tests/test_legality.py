@@ -289,6 +289,28 @@ for (i = 0; i < 9; i += 1)
     assert res2.reports[0].verdict.kind == ALWAYS_VALID
 
 
+@pytest.mark.parametrize("kind", ["reverse", "parallel"])
+def test_conservative_level_ignores_sibling_dependences(kind):
+    # the flow from i's loop to j's has no known distance on `o` and no
+    # common loop `i`: one execution of `i` reorders none of it
+    src = f"""
+array A[4,8] init random;
+array B[4,8] init random;
+
+for (o = 0; o < 4; o += 1) {{
+  #pragma xform {kind} fallback
+  for (i = 0; i < 8; i += 1)
+    A[o,i] = o + i;
+  for (j = 0; j < 8; j += 1)
+    B[o,j] = A[o,7-j] + 1;
+}}
+"""
+    p, res = run_pipeline(src, max_enum=1)
+    assert [r.verdict.describe() for r in res.reports] == ["always valid"]
+    assert res.reports[0].action.kind == TRANSFORM
+    assert equivalent(strip_pragmas(p), res.program, trials=3, seed=1)
+
+
 def test_conservative_distribute_part_rule():
     _, res = run_pipeline(open("tests/corpus/15_distribute_valid.loop").read(),
                           max_enum=1)
@@ -367,8 +389,12 @@ def test_conservative_judges_match_their_old_scans(records, level, order, depth,
     depset.deps = records
     for dep in records:
         assert (leading_sign(dep.distance) != -1) == lex_nonneg(dep.distance)
+    # the one difference: a target that is not among a record's common loops
+    # reorders none of its pairs, where the old scan played an unknown outer
+    # entry safe
     assert _same_verdict(judge_level_conservative(depset, level),
-                         _judge_deps(depset, lambda dep: violates_at_level(dep, level)))
+                         _judge_deps(depset, lambda dep: (level in dep.loops
+                                                          and violates_at_level(dep, level))))
     new_order = list(order[:depth])
     assert _same_verdict(judge_permutation_conservative(depset, new_order),
                          _judge_deps(depset, lambda dep: violates_permutation(dep, new_order)))
