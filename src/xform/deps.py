@@ -44,7 +44,8 @@ may-alias arrays stay bipartite (every access of one against every access
 of the other), capped at 4M pairs.
 
 Distance vectors are in logical iterations (trip counts), source before sink,
-so they are lexicographically non-negative for the original program.
+so their `leading_sign` (the one reading of a vector's first decisive entry)
+is not -1 for the original program.  Both routes de-duplicate with `_unique`.
 
 The oracles the tests check this module against are in `tests/reference_deps.py`:
 the tree walker the enumerator replaced, a brute-force analysis that runs
@@ -366,15 +367,11 @@ def _pair_kind(first_is_write: bool, second_is_write: bool) -> str:
 
 
 def _summarize(instances: list[Instance], pairs, alias_pairs) -> list[Dependence]:
-    def keys():
-        for i, j, kind in pairs:
-            a, b = instances[i], instances[j]
-            yield (a.stmt, b.stmt, kind, *distance(a, b), None)
-        for i, j, kind, pair in alias_pairs:
-            a, b = instances[i], instances[j]
-            common = common_loops(a.loops, b.loops)
-            yield (a.stmt, b.stmt, kind, common, (None,) * len(common), pair)
-    return _unique(keys())
+    def key(i, j, kind, alias=None):  # a may-alias pair's distance is unknown
+        a, b = instances[i], instances[j]
+        common, dist = distance(a, b)
+        return a.stmt, b.stmt, kind, common, dist if alias is None else (None,) * len(common), alias
+    return _unique(key(*p) for p in (*pairs, *alias_pairs))
 
 
 def _accesses_by_address(instances: list[Instance]) -> dict:
@@ -480,12 +477,9 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
         return simplify(subst(e, {k: IntLit(v) for k, (v, _) in params.items()}))
 
     def trips_of(loop: ForLoop) -> object:
-        """The trip count when both bounds are constant, else None.  Not the
-        count of a loop whose bounds move with an outer loop, which
-        `lang.loop_range` also gives: the strong SIV test measures its
-        distance in values of the loop variable, which are trips only from a
-        fixed lower bound, and `|d| >= trips` would then prove away a
-        dependence that the loop carries."""
+        """The trip count when both bounds are constant, else None: not
+        `lang.loop_range`'s, which also counts a loop whose bounds move with
+        an outer loop, where strong SIV's distance is in values, not trips."""
         lb, ub = interval(loop.lower, params), interval(loop.upper, params)
         return None if lb is None or ub is None else trip_count(lb[0], ub[0], loop.step)
 
@@ -616,8 +610,7 @@ def _conservative_pair(r1: _Ref, r2: _Ref):
             constraints[k] = logical
             continue
         unknown = True  # coupled subscripts (MIV): assume dependent
-    distance = tuple(constraints.get(k) for k in range(len(common)))
-    return common_names, distance, unknown
+    return common_names, tuple(constraints.get(k) for k in range(len(common))), unknown
 
 
 def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -> DependenceSet:
@@ -631,15 +624,14 @@ def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -
     def keys():
         for i1, r1 in enumerate(refs):
             for r2 in refs[i1:]:
+                arrays = (r1.array, r2.array)
                 same = r1.array == r2.array
-                if not same and (r1.array, r2.array) not in alias_decl:
-                    continue
-                if not (r1.write or r2.write):
+                if (not same and arrays not in alias_decl) or not (r1.write or r2.write):
                     continue
                 if not same:
                     names = common_loops(r1.loops, r2.loops)
                     dist = (None,) * len(names)
-                    pair = (r1.array, r2.array) if (r1.array, r2.array) in declared else (r2.array, r1.array)
+                    pair = arrays if arrays in declared else arrays[::-1]
                     yield key(r1, r2, names, dist, pair)
                     yield key(r2, r1, names, dist, pair)
                     continue

@@ -25,7 +25,10 @@ it changes semantics, and no runtime check is inserted.
 The exact judge, `judge_exact`, reads the region's conflict graph: it
 compares each edge's two times in the candidate, which the kind's schedule
 map gives (`schedules`; a `parallel` mark is judged by reverse's).  The
-conservative judges read distance vectors.
+conservative judges read distance vectors, whose first decisive entry only
+`deps.leading_sign` finds; a level step (reverse, stripemine, parallel)
+reorders only the instances in one execution of its loop, so it judges no
+dependence outside that loop.
 """
 
 from __future__ import annotations
@@ -162,15 +165,13 @@ def _carried_outside(dep: Dependence, names: set[str]) -> bool:
 
 
 def _violates_at_level(dep: Dependence, loop_name: str) -> bool:
-    """Could this dependence be carried by `loop_name`?  Not where the loop
-    is not among its common loops (a level step reorders only the instances
-    in one execution of its loop), where it is certainly carried further
-    out, or where its entries down to this level are all 0; an unknown or
-    negative entry that leads is played safe."""
+    """Could this dependence be carried by `loop_name`?  Not outside the
+    loop, nor where it is carried further out or its entries down to this
+    level are 0; an unknown or negative entry that leads is played safe."""
     if loop_name not in dep.loops:
         return False
     k = dep.loops.index(loop_name)
-    return not _carried_outside(dep, {loop_name}) and leading_sign(dep.distance[:k + 1]) != 0
+    return leading_sign(dep.distance[:k]) != 1 and leading_sign(dep.distance[:k + 1]) != 0
 
 
 def _judge_deps(depset: DependenceSet, violates) -> Verdict:
