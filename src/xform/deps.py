@@ -173,7 +173,7 @@ def _unique(keys) -> list[Dependence]:
     """The dependences of `keys` (the `Dependence` fields in order), each
     once in first-seen order, without a statement's zero-distance pair with
     itself."""
-    kept = dict.fromkeys(k for k in keys if k[0] != k[1] or any(d != 0 for d in k[4]))
+    kept = dict.fromkeys(k for k in keys if k[0] != k[1] or leading_sign(k[4]) != 0)
     return [Dependence(*key) for key in kept]
 
 
