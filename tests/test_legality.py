@@ -381,9 +381,8 @@ def _same_verdict(got: Verdict, oracle: Verdict) -> bool:
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(dependences(), min_size=1, max_size=4), st.sampled_from(NAMES),
-       st.permutations(NAMES[:4]), st.integers(1, 4), st.lists(st.sampled_from(NAMES),
-                                                                 min_size=1, max_size=3,
-                                                                 unique=True))
+       st.permutations(NAMES[:4]), st.integers(1, 4),
+       st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
 def test_conservative_judges_match_their_old_scans(records, level, order, depth, band):
     depset = DependenceSet(exact=False)
     depset.deps = records
