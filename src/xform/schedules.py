@@ -1,40 +1,81 @@
 """Schedules: where an order-changing step sends each instance.
 
-A kind's `schedule` states, for an instance of the current region (its loop
-names, trip counts and statement), the instance's loop names and trip
-counts in the candidate and a key that orders it there (after Kelly & Pugh,
-"A framework for unifying reordering transformations", 1993).  The keys:
-`//` and `%` of a tile or stripe level, with the peel region of a tile
-first; a negated trip for reverse; the copy of an unroll-and-jam after the
-inner loops it is jammed into; the part of a distribution before its trip;
-the loop of a fusion after its trip.
+A kind's `schedule` states, for the instances of the current region, their
+loop names and trip counts in the candidate and a key that orders them
+there (after Kelly & Pugh, "A framework for unifying reordering
+transformations", 1993).  The keys: `//` and `%` of a tile or stripe level,
+with the peel region of a tile first; a negated trip for reverse; the copy
+of an unroll-and-jam after the inner loops it is jammed into; the part of a
+distribution before its trip; the loop of a fusion after its trip.
 
-A placement gives each instance of a region, in the order of the region's
-enumeration, its (loop names, trips, time) in one schedule: sorted by time,
-the instances run in that schedule's order, and before any step the time is
-the position.  The instances of one execution of the target loops run
-without a gap in the current schedule, and the replacement runs them in the
-same place.  So the times of stacked steps nest: an instance's time in the
-candidate is (rep, key..., time), where `time` is its current time and `rep`
-the current time of any member of its execution (`place` takes the first it
-meets: no instance outside the execution runs between its members), and
-that of an instance outside the targets is (time,).  Instances with equal
-keys come from one iteration of the original body, which keeps their order.
+A placement holds the instances of a region in classes: the instances of one
+statement under the same loop names.  A class is `(positions, loops, stmt,
+columns, times)`: the positions of its instances in the region's
+enumeration, increasing; its loop names; its statement; one column of trips
+per loop level; and one time per instance.  Sorted by time, the instances
+run in that schedule's order, and before any step the time is the position
+(`classes`).  A schedule rewrites a class's columns as a whole, with
+C-level `map` and `zip`: within a class the statement, the loop names and
+so a distribution's part, a fusion's index and every rename are constants.
+Only a peeled tile splits a class, by the region each instance falls in.
+
+The instances of one execution of the target loops run without a gap in the
+current schedule, and the replacement runs them in the same place.  So the
+times of stacked steps nest: an instance's time in the candidate is
+`(rep, key..., time)`, built by one `zip` per class, where `time` is its
+current time and `rep` the current time of the member of its execution that
+comes first in the enumeration (any member would do: no instance outside
+the execution runs between its members), and that of an instance outside
+the targets is `(time,)`.  Instances with equal keys come from one
+iteration of the original body, which keeps their order.  `times` lists
+each instance's time in the order of enumeration, as `legality.judge_exact`
+reads them.
 
 Each order-changing `Kind` names its schedule in `kinds.KINDS` (a mark is
 judged by reverse's, as a check, and leaves the placement as it is).  A
 schedule takes the step's meta (what its builder recorded), the depth of
 the target loops and a function giving the values of the loops around them
 at given trips, and returns the names of the outermost target loops and
-`rewrite`, which gives an instance's loop names, trips and key in the
-candidate from its current ones and its statement; `placer` applies it.
+`rewrite`.  Given a class's loop names, statement, columns and its
+instances' outer trips, `rewrite` returns, per region of the candidate the
+class reaches, the instances it keeps (None for all, else a selector), their
+loop names, their columns and the columns of their key; `placer` applies it.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter, floordiv, itemgetter, mod
+from collections import deque
+from itertools import compress, groupby, repeat
+from operator import attrgetter, floordiv, ge, lshift, mod, neg, or_, sub
 
 from .lang import Expr, ForLoop, interval, trip_count
+
+
+def classes(instances) -> list[tuple]:
+    """The placement of a region's instances, in the order of their
+    enumeration, before any step."""
+    keys = list(map(_class_of, instances))
+    trips = list(map(_trips_of, instances))
+    out = []
+    # a stable sort: the positions of a class stay increasing
+    for (loops, stmt), run in groupby(sorted(range(len(keys)), key=keys.__getitem__),
+                                      keys.__getitem__):
+        pos = list(run)
+        out.append((pos, loops, stmt, [list(col) for col in zip(*map(trips.__getitem__, pos))],
+                    pos))
+    return out
+
+
+_class_of, _trips_of = attrgetter("loops", "stmt"), attrgetter("logical")
+
+
+def times(placement: list[tuple], n: int) -> list:
+    """The times of a placement of `n` instances, in the order of their
+    enumeration."""
+    out = [None] * n
+    for pos, _, _, _, t in placement:
+        deque(map(out.__setitem__, pos, t), 0)
+    return out
 
 
 def placer(schedule, meta: dict, outer: list[ForLoop], params: dict):
@@ -47,20 +88,37 @@ def placer(schedule, meta: dict, outer: list[ForLoop], params: dict):
     heads, rewrite = schedule(meta, depth, _outer_values(outer, params))
 
     def place(instances, placement=None) -> list[tuple]:
-        first: dict = {}  # outer trips -> the current time of a member of that execution
-        out = []
-        for inst, (loops, logical, time) in zip(instances, placement or map(_where, instances)):
+        current = placement or classes(instances)
+        first: dict = {}  # outer trips -> (position, current time) of its execution's first member
+        targets = []
+        for cls in current:
+            pos, loops, _, cols, now = cls
             if len(loops) > depth and loops[depth] in heads:
-                rep = first.setdefault(logical[:depth], time)
-                new_loops, new_logical, key = rewrite(loops, logical, inst.stmt)
-                out.append((new_loops, new_logical, (rep, *key, time)))
-            else:
-                out.append((loops, logical, (time,)))
+                keys = list(zip(*cols[:depth])) if depth else [()] * len(pos)
+                for key, k in dict(zip(reversed(keys), range(len(pos) - 1, -1, -1))).items():
+                    if key not in first or pos[k] < first[key][0]:
+                        first[key] = pos[k], now[k]
+                targets.append((cls, keys))
+        rep = {key: time for key, (_, time) in first.items()}
+        out = [(pos, loops, stmt, cols, list(zip(now))) for pos, loops, stmt, cols, now in current
+               if not (len(loops) > depth and loops[depth] in heads)]
+        for (pos, loops, stmt, cols, now), keys in targets:
+            reps = list(map(rep.__getitem__, keys))
+            for sel, new_loops, new_cols, key_cols in rewrite(loops, stmt, cols, keys):
+                p, r, t = (pos, reps, now) if sel is None else _pick(sel, pos, reps, now)
+                out.append((p, new_loops, stmt, new_cols, list(zip(r, *key_cols, t))))
         return out
     return place
 
 
-_where = attrgetter("loops", "logical", "pos")  # an instance's placement before any step
+def _pick(sel: list, *cols) -> list[list]:
+    """The entries of each column where `sel` is true."""
+    return [list(compress(col, sel)) for col in cols]
+
+
+def _by(op, col, c) -> list:
+    """`op(x, c)` for each entry `x` of a column."""
+    return list(map(op, col, repeat(c)))
 
 
 def _outer_values(outer: list[ForLoop], params: dict):
@@ -86,113 +144,125 @@ def _trips(lower: Expr, upper: Expr, step: int, env: dict) -> int:
     return trip_count(interval(lower, env)[0], interval(upper, env)[0], step)
 
 
-def _renamer(depth: int, width: int, names):
-    """Loop names with the `width` names at `depth` replaced by `names`."""
-    memo: dict = {}
-    names = tuple(names)
-
-    def rename(loops: tuple) -> tuple:
-        out = memo.get(loops)
-        if out is None:
-            out = memo[loops] = loops[:depth] + names + loops[depth + width:]
-        return out
-    return rename
+def _per_outer(fn, keys: list) -> list:
+    """`fn(key)` for each instance's outer trips `key`, one call per key."""
+    table = {key: fn(key) for key in dict.fromkeys(keys)}
+    return list(map(table.__getitem__, keys))
 
 
 def tile_schedule(meta, depth, values):
     sizes, regions, cuts = meta["sizes"], meta["regions"], meta["cuts"]
     k = len(sizes)
-    renames = {mask: _renamer(depth, k, f + p) for mask, (f, p) in regions.items()}
-    rename = renames[0]
     peeled = [(d, c) for d, c in enumerate(cuts) if c is not None]
     memo: dict = {}
 
-    def starts(outer: tuple) -> dict:
-        """Per peeled dimension, the trip at which its remainder starts."""
-        out = memo.get(outer)
-        if out is None:
-            env = values(outer)
-            out = memo[outer] = {d: c if type(c) is int else _trips(*c, env)
-                                 for d, c in peeled}
-        return out
+    def start(d: int, c):
+        """A column's function of the outer trips: where the remainder of
+        peeled dimension `d` starts, whose cut `c` is a loop's bounds."""
+        def at(outer: tuple) -> int:
+            key = d, outer
+            if key not in memo:
+                memo[key] = _trips(*c, values(outer))
+            return memo[key]
+        return at
 
-    def rewrite(loops, logical, stmt):
-        band = logical[depth:depth + k]
-        if not peeled:
-            floors, points = tuple(map(floordiv, band, sizes)), tuple(map(mod, band, sizes))
-            return (rename(loops), logical[:depth] + floors + points + logical[depth + k:],
-                    (0, *floors, *points))
-        w = starts(logical[:depth])
-        mask = sum(1 << d for d in w if band[d] >= w[d])
-        floors = tuple([t // z for d, (t, z) in enumerate(zip(band, sizes))
-                        if not mask >> d & 1])
-        points = tuple([t - w[d] if mask >> d & 1 else t % z
-                        for d, (t, z) in enumerate(zip(band, sizes))])
-        return (renames[mask](loops),
-                logical[:depth] + floors + points + logical[depth + k:], (mask, *floors, *points))
+    def rewrite(loops, stmt, cols, keys):
+        band = cols[depth:depth + k]
+        # per peeled dimension, where its remainder starts: a constant or a column
+        starts = {d: c if type(c) is int else _per_outer(start(d, c), keys) for d, c in peeled}
+        mask = repeat(0)
+        for d, w in starts.items():
+            mask = map(or_, mask, map(lshift, map(ge, band[d], _column(w)), repeat(d)))
+        mask = list(mask) if peeled else [0]
+        regions_reached = sorted(set(mask))
+        out = []
+        for m in regions_reached:
+            here, w = cols, starts
+            if len(regions_reached) > 1:
+                sel = list(map(m.__eq__, mask))
+                here = _pick(sel, *cols)
+                w = {d: x if type(x) is int else _pick(sel, x)[0] for d, x in starts.items()}
+            else:
+                sel = None
+            part = here[depth:depth + k]
+            floors = [_by(floordiv, t, z) for d, (t, z) in enumerate(zip(part, sizes))
+                      if not m >> d & 1]
+            points = [list(map(sub, t, _column(w[d]))) if m >> d & 1 else _by(mod, t, z)
+                      for d, (t, z) in enumerate(zip(part, sizes))]
+            f, p = regions[m]
+            out.append((sel, loops[:depth] + f + p + loops[depth + k:],
+                        [*here[:depth], *floors, *points, *here[depth + k:]],
+                        [repeat(m), *floors, *points]))
+        return out
     return meta["band"][:1], rewrite
 
 
-def stripe_schedule(meta, depth, values):
-    stride, rename = meta["stride"], _renamer(depth, 1, meta["ids"])
+def _column(w):
+    """A column of start trips, or a constant start repeated."""
+    return repeat(w) if type(w) is int else w
 
-    def rewrite(loops, logical, stmt):
-        here = (logical[depth] % stride, logical[depth] // stride)
-        return rename(loops), logical[:depth] + here + logical[depth + 1:], here
+
+def stripe_schedule(meta, depth, values):
+    stride, ids = meta["stride"], tuple(meta["ids"])
+
+    def rewrite(loops, stmt, cols, keys):
+        here = [_by(mod, cols[depth], stride), _by(floordiv, cols[depth], stride)]
+        return [(None, loops[:depth] + ids + loops[depth + 1:],
+                 [*cols[:depth], *here, *cols[depth + 1:]], here)]
     return (meta["level"],), rewrite
 
 
 def jam_schedule(meta, depth, values):
     factor, inner = meta["factor"], depth + len(meta["jam_order"])
 
-    def rewrite(loops, logical, stmt):
-        q, copy = divmod(logical[depth], factor)
-        return (loops, logical[:depth] + (q,) + logical[depth + 1:],
-                (q, *logical[depth + 1:inner], copy))
+    def rewrite(loops, stmt, cols, keys):
+        q = _by(floordiv, cols[depth], factor)
+        return [(None, loops, [*cols[:depth], q, *cols[depth + 1:]],
+                 [q, *cols[depth + 1:inner], _by(mod, cols[depth], factor)])]
     return meta["jam_order"][-1:], rewrite
 
 
 def interchange_schedule(meta, depth, values):
-    band, order = meta["band"], meta["order"]
-    k, rename = len(band), _renamer(depth, len(band), order)
-    pick = itemgetter(*[depth + band.index(name) for name in order])  # k > 1: a tuple
+    band, order = meta["band"], tuple(meta["order"])
+    k = len(band)
+    picks = [depth + band.index(name) for name in order]
 
-    def rewrite(loops, logical, stmt):
-        moved = pick(logical)
-        return rename(loops), logical[:depth] + moved + logical[depth + k:], moved
+    def rewrite(loops, stmt, cols, keys):
+        moved = [cols[x] for x in picks]
+        return [(None, loops[:depth] + order + loops[depth + k:],
+                 [*cols[:depth], *moved, *cols[depth + k:]], moved)]
     return band[:1], rewrite
 
 
 def distribute_schedule(meta, depth, values):
-    part_of = meta["part_of"]
-    renames = [_renamer(depth, 1, (name,)) for name in meta["names"]]
+    part_of, names = meta["part_of"], meta["names"]
 
-    def rewrite(loops, logical, stmt):
+    def rewrite(loops, stmt, cols, keys):
         part = part_of[stmt]
-        return renames[part](loops), logical, (part, logical[depth])
+        return [(None, loops[:depth] + (names[part],) + loops[depth + 1:], cols,
+                 [repeat(part), cols[depth]])]
     return (meta["level"],), rewrite
 
 
 def fuse_schedule(meta, depth, values):
     index = {name: i for i, name in enumerate(meta["names"])}
-    rename = _renamer(depth, 1, (meta["fused_id"],))
+    fused = (meta["fused_id"],)
 
-    def rewrite(loops, logical, stmt):
-        return rename(loops), logical, (logical[depth], index[loops[depth]])
+    def rewrite(loops, stmt, cols, keys):
+        return [(None, loops[:depth] + fused + loops[depth + 1:], cols,
+                 [cols[depth], repeat(index[loops[depth]])])]
     return tuple(meta["names"]), rewrite
 
 
 def reverse_schedule(meta, depth, values):
     trips, (lower, upper, step) = meta["trips"], meta["bounds"]
-    memo: dict = {}
 
-    def rewrite(loops, logical, stmt):
-        t = logical[depth]
-        n = trips
-        if n is None:
-            outer = logical[:depth]
-            n = memo.get(outer)
-            if n is None:
-                n = memo[outer] = _trips(lower, upper, step, values(outer))
-        return loops, logical[:depth] + (n - 1 - t,) + logical[depth + 1:], (-t,)
+    def last(outer: tuple) -> int:
+        return _trips(lower, upper, step, values(outer)) - 1
+
+    def rewrite(loops, stmt, cols, keys):
+        t = cols[depth]
+        ends = repeat(trips - 1) if trips is not None else _per_outer(last, keys)
+        return [(None, loops, [*cols[:depth], list(map(sub, ends, t)), *cols[depth + 1:]],
+                 [map(neg, t)])]
     return (meta["level"],), rewrite

@@ -6,16 +6,17 @@ kind lives in `kinds`.  A rewrite that keeps the execution order by
 construction is always valid.  Everything else is checked against the
 dependence analysis.  In exact mode every conflicting instance pair must
 keep its execution order in the candidate (a mark, in its loop reversed):
-the kind's schedule gives each instance of the region its time there, and
-the candidate is never walked, only counted and proved once by
-`lang.step_counts`.  In conservative mode the kind's distance-vector rule
-applies, and so it does for an exact region whose candidate a walk could
-not value (arithmetic that `lang.interval` cannot prove) or whose target
-loop names are not unique in the region.  The exact conflict graph is built
-once per region and carried from step to step unchanged, with its
-instances' placement in the current schedule (`schedules`), while each step
-is exact and always valid; a verdict that reads the current schedule's
-instances analyzes the region afresh.  A pipeline pauses the cyclic collector.
+the kind's schedule places the region's instances there, a class of them
+at a time, and the candidate is never walked, only counted and proved once
+by `lang.step_counts`.  In conservative mode the kind's distance-vector
+rule applies, and so it does for an exact region whose candidate a walk
+could not value (arithmetic that `lang.interval` cannot prove) or whose
+target loop names are not unique in the region.  The exact conflict graph
+is built once per region and carried from step to step unchanged, with the
+placement of its instances' classes in the current schedule (`schedules`),
+while each step is exact and always valid; a verdict that reads the current
+schedule's instances analyzes the region afresh.  A pipeline pauses the
+cyclic collector.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .legality import (
     HARD_ERROR, IMPOSSIBLE, KEEP_ORIGINAL, TRANSFORM_WITH_RTC, Action, Verdict,
     warning_text,
 )
-from .schedules import placer
+from .schedules import placer, times
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +126,8 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
 
     `graphs` carries exact conflict graphs from one step of a pipeline to the
     next, keyed by top-level span (start, stop): the region's first
-    `DependenceSet`, in enumeration order, and its instances' placement in
-    the current schedule.  On entry it may hold the graph of a region of
+    `DependenceSet`, in enumeration order, and the placement of its instances'
+    classes in the current schedule (`schedules`).  On entry it may hold the graph of a region of
     `program`; classify empties it.  After an exact always-valid verdict it
     stores the graph and the candidate's placement under the candidate's
     span where a fresh analysis of the candidate would be exact (a mark's
@@ -163,16 +164,18 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
         _, bound, proved = step_counts(cscope, candidate.param_ranges(include_opaque=False))
         place = exact_schedule(program, pd, info, proved)
         if place is not None:
+            n = len(depset.instances)
             placed = place(depset.instances, placement)
-            verdict = legality.judge_exact(depset, [p[2] for p in placed])
+            verdict = legality.judge_exact(depset, times(placed, n))
             if verdict.kind == legality.INVALID and placement is not None:
                 # the witness is the first violated pair in the current order
                 fresh = current()
-                verdict = legality.judge_exact(fresh, [p[2] for p in place(fresh.instances)])
+                verdict = legality.judge_exact(
+                    fresh, times(place(fresh.instances), len(fresh.instances)))
             # carried only where the next step would analyze the candidate
             # exactly: its instances are the region's, its steps bounded
             if (verdict.kind == legality.ALWAYS_VALID and bound
-                    and depmod.fits(len(placed), bound[2], max_enum)):
+                    and depmod.fits(n, bound[2], max_enum)):
                 graphs[(start, cstop)] = depset, placement if "mark" in info.meta else placed
             return verdict
 

@@ -29,12 +29,21 @@ are the oracle of the conservative judges.
 `keyed` and `placed_deps` compare a graph carried across a pipeline with a
 fresh analysis of the current program: by instance key, which is the same
 in every schedule, and by the distance vectors the carried placement gives.
+`rows` is the one per-instance view of a placement: `(loop names, trips,
+time)` per instance, in the order of enumeration.
+
+`reference_placer` is the placer as it was before `schedules` rewrote a
+class of instances by columns: one call of the kind's per-instance
+`rewrite` per instance, with its placement in `rows` form.  It is the
+oracle of the columnar placer, which must give the same rows at every step.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter, floordiv, itemgetter, mod
 
+from xform import schedules
 from xform.deps import (
     Dependence, DependenceSet, DepsError, Enumeration, Instance, _CapExceeded, _exact_set,
     _reads, _step_budget, _summarize, enumerate_instances,
@@ -172,11 +181,21 @@ def keyed(ds: DependenceSet):
             {(key[i], key[j], kind, pair) for i, j, kind, pair in ds.alias_pairs})
 
 
-def placed_deps(ds: DependenceSet, placement: list[tuple]) -> set:
+def rows(placement: list[tuple], n: int) -> list[tuple]:
+    """A placement of `n` instances per instance: (loop names, trips, time)
+    in the order of their enumeration."""
+    out = [None] * n
+    for pos, loops, _, cols, times in placement:
+        for k, (p, time) in enumerate(zip(pos, times)):
+            out[p] = loops, tuple(col[k] for col in cols), time
+    return out
+
+
+def placed_deps(ds: DependenceSet, placed: list[tuple]) -> set:
     """The distance vectors of an exact set with each instance's loops and
-    trips where `placement` (loop names, trips, time) puts it."""
+    trips where `placed` (per instance, as `rows` gives) puts it."""
     insts = [dataclasses.replace(inst, loops=loops, logical=logical)
-             for inst, (loops, logical, _) in zip(ds.instances, placement)]
+             for inst, (loops, logical, _) in zip(ds.instances, placed)]
     return set(_summarize(insts, ds.full_pairs, ds.alias_pairs))
 
 
@@ -311,3 +330,131 @@ def violates_band(dep: Dependence, band: list[str]) -> bool:
         return False
     comp = dict(zip(dep.loops, dep.distance))
     return any(comp.get(l, 0) is None or comp.get(l, 0) < 0 for l in band)
+
+
+# the per-instance placer ----------------------------------------------------
+
+
+def reference_placer(schedule, meta: dict, outer: list, params: dict):
+    """The columnar `schedule` of `schedules` as one per-instance rewrite
+    per instance: a function of the instances and their current placement
+    in `rows` form (None before any step), giving their rows in the
+    candidate."""
+    depth = len(outer)
+    heads, rewrite = PER_INSTANCE[schedule](meta, depth, schedules._outer_values(outer, params))
+
+    def place(instances, placement=None) -> list[tuple]:
+        first: dict = {}  # outer trips -> the current time of a member of that execution
+        out = []
+        for inst, (loops, logical, time) in zip(instances, placement or map(_where, instances)):
+            if len(loops) > depth and loops[depth] in heads:
+                rep = first.setdefault(logical[:depth], time)
+                new_loops, new_logical, key = rewrite(loops, logical, inst.stmt)
+                out.append((new_loops, new_logical, (rep, *key, time)))
+            else:
+                out.append((loops, logical, (time,)))
+        return out
+    return place
+
+
+_where = attrgetter("loops", "logical", "pos")  # an instance's placement before any step
+_trips = schedules._trips
+
+
+def _renamer(depth: int, width: int, names):
+    """Loop names with the `width` names at `depth` replaced by `names`."""
+    names = tuple(names)
+    return lambda loops: loops[:depth] + names + loops[depth + width:]
+
+
+def _tile(meta, depth, values):
+    sizes, regions, cuts = meta["sizes"], meta["regions"], meta["cuts"]
+    k = len(sizes)
+    renames = {mask: _renamer(depth, k, f + p) for mask, (f, p) in regions.items()}
+    peeled = [(d, c) for d, c in enumerate(cuts) if c is not None]
+
+    def rewrite(loops, logical, stmt):
+        band = logical[depth:depth + k]
+        if not peeled:
+            floors, points = tuple(map(floordiv, band, sizes)), tuple(map(mod, band, sizes))
+            return (renames[0](loops), logical[:depth] + floors + points + logical[depth + k:],
+                    (0, *floors, *points))
+        env = values(logical[:depth])
+        w = {d: c if type(c) is int else _trips(*c, env) for d, c in peeled}
+        mask = sum(1 << d for d in w if band[d] >= w[d])
+        floors = tuple([t // z for d, (t, z) in enumerate(zip(band, sizes))
+                        if not mask >> d & 1])
+        points = tuple([t - w[d] if mask >> d & 1 else t % z
+                        for d, (t, z) in enumerate(zip(band, sizes))])
+        return (renames[mask](loops),
+                logical[:depth] + floors + points + logical[depth + k:], (mask, *floors, *points))
+    return meta["band"][:1], rewrite
+
+
+def _stripe(meta, depth, values):
+    stride, rename = meta["stride"], _renamer(depth, 1, meta["ids"])
+
+    def rewrite(loops, logical, stmt):
+        here = (logical[depth] % stride, logical[depth] // stride)
+        return rename(loops), logical[:depth] + here + logical[depth + 1:], here
+    return (meta["level"],), rewrite
+
+
+def _jam(meta, depth, values):
+    factor, inner = meta["factor"], depth + len(meta["jam_order"])
+
+    def rewrite(loops, logical, stmt):
+        q, copy = divmod(logical[depth], factor)
+        return (loops, logical[:depth] + (q,) + logical[depth + 1:],
+                (q, *logical[depth + 1:inner], copy))
+    return meta["jam_order"][-1:], rewrite
+
+
+def _interchange(meta, depth, values):
+    band, order = meta["band"], meta["order"]
+    k, rename = len(band), _renamer(depth, len(band), order)
+    pick = itemgetter(*[depth + band.index(name) for name in order])  # k > 1: a tuple
+
+    def rewrite(loops, logical, stmt):
+        moved = pick(logical)
+        return rename(loops), logical[:depth] + moved + logical[depth + k:], moved
+    return band[:1], rewrite
+
+
+def _distribute(meta, depth, values):
+    part_of = meta["part_of"]
+    renames = [_renamer(depth, 1, (name,)) for name in meta["names"]]
+
+    def rewrite(loops, logical, stmt):
+        part = part_of[stmt]
+        return renames[part](loops), logical, (part, logical[depth])
+    return (meta["level"],), rewrite
+
+
+def _fuse(meta, depth, values):
+    index = {name: i for i, name in enumerate(meta["names"])}
+    rename = _renamer(depth, 1, (meta["fused_id"],))
+
+    def rewrite(loops, logical, stmt):
+        return rename(loops), logical, (logical[depth], index[loops[depth]])
+    return tuple(meta["names"]), rewrite
+
+
+def _reverse(meta, depth, values):
+    trips, (lower, upper, step) = meta["trips"], meta["bounds"]
+
+    def rewrite(loops, logical, stmt):
+        t = logical[depth]
+        n = trips
+        if n is None:
+            n = _trips(lower, upper, step, values(logical[:depth]))
+        return loops, logical[:depth] + (n - 1 - t,) + logical[depth + 1:], (-t,)
+    return (meta["level"],), rewrite
+
+
+PER_INSTANCE = {
+    schedules.tile_schedule: _tile, schedules.stripe_schedule: _stripe,
+    schedules.jam_schedule: _jam, schedules.interchange_schedule: _interchange,
+    schedules.distribute_schedule: _distribute, schedules.fuse_schedule: _fuse,
+    schedules.reverse_schedule: _reverse,
+}

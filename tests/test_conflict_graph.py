@@ -18,7 +18,7 @@ from xform.legality import _judge_order, judge_exact
 from xform.lang import strip_pragmas
 from xform.transforms import TransformError, apply_pipeline, build_candidate, classify
 
-from reference_deps import brute_force_dependences, judge_walked, keyed, placed_deps
+from reference_deps import brute_force_dependences, judge_walked, keyed, placed_deps, rows
 from conftest import corpus_names, load_corpus, parse_named, run_pipeline
 
 HEADER = "array A[16,16] init random;\narray B[16,16] init random;\n"
@@ -403,12 +403,13 @@ def test_valid_step_carries_the_candidates_graph():
     assert region.instances == compute_dependences(cur, cur.body).instances
     cscope = cand.body[span[0]:span[1]]
     walked = enumerate_instances(cand, cscope)
-    assert [(region.instances[k].key, *placement[k][:2])
-            for k in sorted(range(len(placement)), key=lambda k: placement[k][2])] == \
+    placed = rows(placement, len(region.instances))
+    assert [(region.instances[k].key, *placed[k][:2])
+            for k in sorted(range(len(placed)), key=lambda k: placed[k][2])] == \
         [(c.key, c.loops, c.logical) for c in walked]
     fresh = compute_dependences(cand, cscope)
     assert keyed(region) == keyed(fresh)
-    assert placed_deps(region, placement) == set(fresh.deps)
+    assert placed_deps(region, placed) == set(fresh.deps)
 
 
 def test_dgemm_pipeline_builds_one_graph(monkeypatch):

@@ -24,7 +24,9 @@ from xform.kinds import KINDS
 from xform.lang import iter_loops, step_counts
 
 from conftest import corpus_names, load_corpus, parse_named
-from reference_deps import judge_marked, judge_walked, keyed, placed_deps, walk_candidate
+from reference_deps import (
+    judge_marked, judge_walked, keyed, placed_deps, reference_placer, rows, walk_candidate,
+)
 from test_properties import nest_programs
 
 
@@ -33,11 +35,12 @@ def assert_same_graph(depset, placement, fresh):
     a fresh analysis builds: instances in order with their loops and trips,
     linear, full and alias pairs by key, and distance vectors."""
     assert fresh.exact
-    order = sorted(range(len(placement)), key=lambda k: placement[k][2])
-    assert [(depset.instances[k].key, *placement[k][:2]) for k in order] == \
+    placed = rows(placement, len(depset.instances))
+    order = sorted(range(len(placed)), key=lambda k: placed[k][2])
+    assert [(depset.instances[k].key, *placed[k][:2]) for k in order] == \
         [(i.key, i.loops, i.logical) for i in fresh.instances]
     assert keyed(depset) == keyed(fresh)
-    assert placed_deps(depset, placement) == set(fresh.deps)
+    assert placed_deps(depset, placed) == set(fresh.deps)
 
 
 def check_step(program, pd, cand, info, max_enum, graphs):
@@ -79,8 +82,9 @@ def check_step(program, pd, cand, info, max_enum, graphs):
     if "mark" in info.meta:  # the candidate runs in the current order
         return "mark", judge_marked(current, pd.targets[0]), placement
     placed = place(depset.instances, placement)
-    order = sorted(range(len(placed)), key=lambda k: placed[k][2])
-    assert [(depset.instances[k].key, placed[k][0], placed[k][1]) for k in order] == \
+    view = rows(placed, len(depset.instances))
+    order = sorted(range(len(view)), key=lambda k: view[k][2])
+    assert [(depset.instances[k].key, view[k][0], view[k][1]) for k in order] == \
         [(c.key, c.loops, c.logical) for c in walked]
     verdict = judge_walked(current, walked)
     if verdict.kind == "always_valid" and deps.fits(len(walked), walked.steps, max_enum):
@@ -140,6 +144,59 @@ def test_dgemm_schedules_match_the_walked_candidates(m, monkeypatch):
 ])
 def test_each_gate_before_a_schedule_is_reached(src, max_enum, status, monkeypatch):
     assert checked_pipeline(src, monkeypatch, max_enum=max_enum)[-1] == status
+
+
+# the columnar placer against the per-instance one ---------------------------
+
+
+def placed_like_the_oracle(src: str, monkeypatch, **kw) -> list[int]:
+    """Apply a program's pipeline, checking that every placement the steps
+    make gives the rows of the per-instance placer
+    (`reference_deps.reference_placer`) from the same current placement;
+    returns the number of classes of each placement checked."""
+    seen = []
+    real = transforms.exact_schedule
+
+    def exact_schedule(program, pd, info, proved):
+        place = real(program, pd, info, proved)
+        if place is None:
+            return None
+        oracle = reference_placer(KINDS[pd.directive.kind].schedule, info.meta, info.outer,
+                                  program.param_ranges(include_opaque=False))
+
+        def checked(instances, placement=None):
+            placed = place(instances, placement)
+            n = len(instances)
+            assert rows(placed, n) == oracle(instances, placement and rows(placement, n))
+            seen.append(len(placed))
+            return placed
+        return checked
+
+    p = parse_named(src)
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "exact_schedule", exact_schedule)
+        transforms.apply_pipeline(p, plan_pipeline(p), **kw)
+    return seen
+
+
+PERFBENCH_SETTINGS = [("default", 4096), ("fallback", 4096), ("force", 4096), ("fallback", 1)]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_placements_match_the_per_instance_placer(name, monkeypatch):
+    for mode, max_enum in PERFBENCH_SETTINGS:
+        placed_like_the_oracle(load_corpus(name), monkeypatch, safety_override=mode,
+                               max_enum=max_enum)
+
+
+@pytest.mark.parametrize("m", [8, 9, 10, 12, 16])
+def test_dgemm_placements_match_the_per_instance_placer(m, monkeypatch):
+    src = load_corpus("05_dgemm.loop").replace("16", str(m))
+    seen = placed_like_the_oracle(src, monkeypatch, safety_override="fallback")
+    assert len(seen) == 4
+    # M = 9 and 10 peel a remainder of one and two trips (cuts [8, 8, 8]):
+    # the tile splits the one class into the 8 regions it reaches
+    assert seen[0] == (8 if m in (9, 10) else 1)
 
 
 # stacked pipelines on generated nests ---------------------------------------
