@@ -667,7 +667,7 @@ def compute_dependences(program: Program, scope, max_enum: int = 4096) -> Depend
     would take past the cap or the step budget goes conservative without
     walking."""
     stmts = scope if isinstance(scope, list) else [scope]
-    counts = step_counts(stmts, program.param_ranges(include_opaque=False))[0]
+    counts = step_counts(stmts, program.param_ranges(include_opaque=False), exact_only=True)[0]
     # the walk stops at the first instance past the cap, the first one if the cap is below 1
     if counts is not None and not fits(counts[1], counts[2], max_enum):
         return conservative_dependences(program, stmts, "enumeration cap exceeded")

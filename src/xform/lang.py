@@ -222,7 +222,7 @@ def loop_range(loop: "ForLoop", env: dict) -> tuple[int | None, Interval | None]
     return trips, (lo[0], last) if lo[0] <= last else None
 
 
-def step_counts(stmts: list["Stmt"], env: dict):
+def step_counts(stmts: list["Stmt"], env: dict, exact_only: bool = False):
     """The one static walk of a region: (exact, bound, proved) for `stmts`
     under `env`.
 
@@ -237,9 +237,13 @@ def step_counts(stmts: list["Stmt"], env: dict):
     `interval` proves that a walk values every loop bound, condition,
     subscript and original coordinate inside int64 and without a zero
     divisor.  Subscript bounds are not checked, a `while` is taken as never
-    reached, and the body of a loop that never runs is counted, not proved."""
+    reached, and the body of a loop that never runs is counted, not proved.
+    For a caller that reads `exact` alone, `exact_only` stops the walk where
+    `exact` fails and neither bounds nor proves: `bound` is None and
+    `proved` False."""
     total = [0, 0, 0]
-    exact = bound = proved = True
+    exact = proved = True
+    bound = not exact_only
 
     def known(exprs, env) -> bool:
         return all(interval(e, env) is not None for e in exprs)
@@ -248,7 +252,7 @@ def step_counts(stmts: list["Stmt"], env: dict):
         nonlocal exact, bound, proved
         for s in stmts:
             prove = prove and proved
-            if not (bound or prove):  # both counts gone, nothing to prove here
+            if not (exact if exact_only else bound or prove):  # nothing left to value here
                 return
             total[0] += times
             t = type(s)
@@ -282,9 +286,9 @@ def step_counts(stmts: list["Stmt"], env: dict):
             else:  # a while: values decide its count
                 exact = bound = False
 
-    walk(stmts, env, 1, True)
+    walk(stmts, env, 1, not exact_only)
     counts = tuple(total)
-    return counts if exact else None, counts if bound else None, proved
+    return counts if exact else None, counts if bound else None, proved and not exact_only
 
 
 @contextmanager

@@ -164,7 +164,7 @@ class _Gen:
         self.arrays = [f"{c}_{a}" for a in self.dims for c in "cb"]
         self.funcs: list = []
         self.reads: list | None = None  # the traced assignment's (array, flat) reads
-        counts = step_counts(program.body, program.param_ranges())[0]
+        counts = step_counts(program.body, program.param_ranges(), exact_only=True)[0]
         self.steps = None if counts is None else counts[0] + counts[2]
         self.ticks = ticked or counts is None
         self.ranges: dict = {}  # interval of each loop variable and temporary

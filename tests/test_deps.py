@@ -229,6 +229,6 @@ def test_an_over_cap_dgemm_goes_conservative_without_a_walk(monkeypatch, m):
 def test_counting_a_region_decides_as_walking_it(monkeypatch, src, caps):
     p = parse_named("param N = 8 opaque;\narray A[8] init random;\n" + src + "\n")
     counted = [compute_dependences(p, p.body[0], cap) for cap in caps]
-    monkeypatch.setattr(deps, "step_counts", lambda *args: (None, None, False))
+    monkeypatch.setattr(deps, "step_counts", lambda *args, **kw: (None, None, False))
     walked = [compute_dependences(p, p.body[0], cap) for cap in caps]
     assert [(d.exact, d.pretty()) for d in counted] == [(d.exact, d.pretty()) for d in walked]

@@ -4,7 +4,7 @@ the static walk."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from xform import plan_pipeline
+from xform import lang, plan_pipeline
 from xform.kinds import TransformError
 from xform.lang import (
     INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Call, EvalError, ForLoop, IfStmt, IntLit,
@@ -265,9 +265,25 @@ def test_the_static_walk_bounds_counts_and_proves_a_run(src):
             pass
     for q in programs:
         counts, bound, proved = step_counts(q.body, q.param_ranges(include_opaque=False))
+        assert step_counts(q.body, q.param_ranges(include_opaque=False), exact_only=True)[0] \
+            == counts, src
         walked, faulted = reference_walk(q.body, q.param_values(include_opaque=False))
         if bound is not None:
             assert all(b >= w for b, w in zip(bound, walked)), (src, bound, walked)
         if counts is not None:
             assert counts == bound and (faulted or list(counts) == walked), (src, counts, walked)
         assert not (proved and faulted), src
+
+
+def test_a_walk_for_exact_counts_stops_where_they_fail(monkeypatch):
+    p = parse_named("array A[8] init random;\nfor (i = 0; i < 8; i += 1) if (i < 2) A[i] = 1;\n"
+                    "for (i = 0; i < 8; i += 1)\n  for (j = 0; j < 8; j += 1) A[j] = i;\n")
+    env = p.param_ranges(include_opaque=False)
+    seen = []
+    real = lang.loop_range
+    monkeypatch.setattr(lang, "loop_range", lambda loop, env: seen.append(loop) or real(loop, env))
+    assert step_counts(p.body, env, exact_only=True) == (None, None, False)
+    assert len(seen) == 1  # the first loop: the walk stops at its `if`
+    seen.clear()
+    assert step_counts(p.body, env) == (None, (90, 72, 80), True)
+    assert len(seen) == 3
