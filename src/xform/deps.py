@@ -32,8 +32,9 @@ summarized on first use from all conflicting pairs (`full_pairs`), so
 built.  Instance keys and accessed addresses do not change under a
 transformation, so once a candidate has kept every edge in order, the graph
 is the candidate's too: a pipeline carries it unchanged, in the order of its
-first enumeration, with the placement (loop names, trips and time) of each
-instance that the steps' schedule maps give (`schedules`).
+first enumeration, with the placement that the steps' schedule maps give:
+its instances in classes of one statement under the same loop names, with a
+column of trips per loop and a time per instance (`schedules`).
 `compute_dependences` is the only source of a graph: a verdict that reads
 the instances in the current schedule analyzes the current region afresh.
 The candidate is never walked.  Where a walk of it would fault, the step is
@@ -62,7 +63,7 @@ from functools import cached_property
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
     ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
-    flat_index, fold, gc_paused, int64, interval, simplify, step_counts, subst,
+    flat_index, fold, free_vars, gc_paused, int64, interval, simplify, step_counts, subst,
     trip_count,
 )
 
@@ -467,6 +468,7 @@ class _Ref:
     loop_vars: tuple[str, ...]
     steps: tuple[int, ...]
     trips: tuple[object, ...]      # int or None
+    moving: tuple[bool, ...]       # the lower bound reads an enclosing loop's variable
 
 
 def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
@@ -479,7 +481,8 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
     def trips_of(loop: ForLoop) -> object:
         """The trip count when both bounds are constant, else None: not
         `lang.loop_range`'s, which also counts a loop whose bounds move with
-        an outer loop, where strong SIV's distance is in values, not trips."""
+        an outer loop, where strong SIV's distance is in values, not trips
+        (`_conservative_pair`)."""
         lb, ub = interval(loop.lower, params), interval(loop.upper, params)
         return None if lb is None or ub is None else trip_count(lb[0], ub[0], loop.step)
 
@@ -492,13 +495,15 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
                 lvars = tuple(l.var for l in loops)
                 steps = tuple(l.step for l in loops)
                 trips = tuple(trips_of(l) for l in loops)
+                moving = tuple(bool(free_vars(l.lower) & set(lvars[:k]))
+                               for k, l in enumerate(loops))
                 accesses = [(r.array, r.index, False) for r in _reads(s)]
                 if s.op == "+=":
                     accesses.append((s.array, s.index, False))
                 accesses.append((s.array, s.index, True))
                 for array, index, write in accesses:
                     refs.append(_Ref(s.stmt_id, array, tuple(resolve(x) for x in index),
-                                     write, names, lvars, steps, trips))
+                                     write, names, lvars, steps, trips, moving))
             for body in child_bodies(s):
                 walk(body, loops + (s,) if isinstance(s, ForLoop) else loops)
 
@@ -543,8 +548,15 @@ def _linearize(e: Expr, loop_vars: set[str]):
 
 
 def _conservative_pair(r1: _Ref, r2: _Ref):
-    """Analyze one reference pair; returns None if proven independent, else a
-    distance constraint {var: int} with an `unknown_vars` set."""
+    """Analyze one reference pair: None where it is proven independent, else
+    its common loops, a distance entry per common loop (None where unknown)
+    and whether an unknown subscript makes every entry unknown.
+
+    Strong SIV gives a distance in values of the loop variable, which is
+    one in trips only where both instances start the loop at the same
+    value.  For a loop whose lower bound reads an enclosing loop's variable
+    that holds where every outer entry is a known 0; otherwise the entry
+    is unknown."""
     common_names = common_loops(r1.loops, r2.loops)
     # (name, var1, var2, step, trips)
     common = [(n, r1.loop_vars[k], r2.loop_vars[k], r1.steps[k], r1.trips[k])
@@ -596,21 +608,23 @@ def _conservative_pair(r1: _Ref, r2: _Ref):
             if delta_num % a1 != 0:
                 return None
             phys = delta_num // a1
-            step = common[k][3]
-            if phys % step != 0:
+            if k in constraints and constraints[k] != phys:
                 return None
-            logical = phys // step
-            trips = common[k][4]
-            if trips is not None and abs(logical) >= trips > 0:
-                return None
-            if trips == 0:
-                return None
-            if k in constraints and constraints[k] != logical:
-                return None
-            constraints[k] = logical
+            constraints[k] = phys
             continue
         unknown = True  # coupled subscripts (MIV): assume dependent
-    return common_names, tuple(constraints.get(k) for k in range(len(common))), unknown
+    dist: list = []
+    for k, (_, _, _, step, trips) in enumerate(common):
+        phys = constraints.get(k)
+        if phys is not None and r1.moving[k] and any(d != 0 for d in dist):
+            phys = None  # the instances may start this loop at different values
+        if phys is not None:
+            if phys % step != 0 or trips == 0:
+                return None
+            if trips is not None and abs(phys // step) >= trips:
+                return None
+        dist.append(None if phys is None else phys // step)
+    return common_names, tuple(dist), unknown
 
 
 def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -> DependenceSet:

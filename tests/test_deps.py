@@ -94,6 +94,28 @@ def test_opaque_param_forces_conservative():
     assert is_superset(ds, oracle)
 
 
+@pytest.mark.parametrize("nest", [
+    # the inner loop starts at the outer loop's value: its distance in
+    # values (4) is none in trips, and the outer loop carries the flow
+    "for (i = 0; i < 8; i += 4)\n  for (j = i; j < i + 4; j += 1) A[j + 4] = A[j];\n",
+    # starts of either parity under a step of 2: an odd distance in values
+    "for (i = 0; i < 2; i += 1)\n  for (j = i; j < i + 4; j += 2) A[j + 1] = A[j];\n",
+])
+def test_strong_siv_under_a_lower_bound_that_moves_covers_the_oracle(nest):
+    p = parse_named("array A[12] init random;\n" + nest)
+    cons = compute_dependences(p, p.body[0], max_enum=1)
+    assert not cons.exact
+    assert is_superset(cons, brute_force_dependences(p, p.body[0]))
+
+
+def test_strong_siv_under_a_lower_bound_that_moves_keeps_a_distance_in_one_start():
+    p = parse_named("array A[4,12] init random;\nfor (i = 0; i < 4; i += 1)\n"
+                    "  for (j = i; j < i + 4; j += 1) A[i, j + 1] = A[i, j];\n")
+    cons = compute_dependences(p, p.body[0], max_enum=1)
+    assert [d.pretty() for d in cons.deps] == ["flow s2->s2 (0,1)"]
+    assert is_superset(cons, brute_force_dependences(p, p.body[0]))
+
+
 def test_nonaffine_subscript_assumed_dependent():
     src = ("array A[8] init random;\narray X[8] init random;\n"
            "for (i = 0; i < 8; i += 1) A[X[i]%8] = i;\n")
