@@ -79,3 +79,18 @@ def test_cli_digest_of_a_subset_matches_itself(tmp_path):
     assert sum(d["trace"] is not None for d in lines) == 8
     r = run_script("cli_digest.py", "--compare", *digests)
     assert r.returncode == 0 and r.stdout == "0 of 16 commands differ\n", r.stdout
+
+
+def test_bench_ab_counts_the_pairs_the_change_won():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("bench_ab", os.path.join(SCRIPTS, "bench_ab.py"))
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+    parent, change = [1.0, 1.1, 1.2, 1.0, 1.3], [0.5, 1.1, 0.6, 0.7, 0.6]
+    lower = bench_ab.compare(parent, change, "lower")
+    assert (lower["change_won"], lower["pairs"]) == (4, 5)  # a tie counts for neither side
+    assert lower["parent"]["median"] == 1.1 and lower["change"]["median"] == 0.6
+    assert not lower["gain_rule_met"]  # 4 of 5 pairs
+    higher = bench_ab.compare(parent, change, "higher")
+    assert higher["change_won"] == 0 and not higher["gain_rule_met"]
+    assert bench_ab.compare(parent, [0.5] * 5, "lower")["gain_rule_met"]
