@@ -3,13 +3,14 @@
 pairs, and write one record of both sides.
 
     python3 scripts/bench_ab.py ../parent --out ab.json
-    python3 scripts/bench_ab.py ../parent --out ab.json --pairs 10 --seconds 8 --seed 100
+    python3 scripts/bench_ab.py ../parent --out ab.json --seed 500
 
 Each run is a checkout's own `perfbench/run.py`, started from that
-checkout's root, so each side imports `xform` from its own `src/`.  Per
-workload, pair k runs both sides with seed `--seed + k`, the parent first
-in even pairs and the change first in odd ones, untraced (`--trace 0`).
-Then each side runs once traced (`--trace 1`) at the first seed.
+checkout's root, so each side imports `xform` from its own `src/`, for the
+`run_seconds` of this checkout's `BENCHMARK.json`.  Per workload, pair k of
+10 runs both sides with seed `--seed + k`, the parent first in even pairs
+and the change first in odd ones, untraced (`--trace 0`).  Then each side
+runs once traced (`--trace 1`) at the first seed.
 
 The record holds, per workload and end-to-end metric (as `BENCHMARK.json`
 of this checkout declares them), each side's runs, median and quartiles,
@@ -34,6 +35,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -78,34 +80,29 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
     ap.add_argument("--out", type=Path, required=True, help="the record to write")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=8.0, help="perfbench --seconds")
     ap.add_argument("--seed", type=int, default=100, help="the seed of the first pair")
-    ap.add_argument("--workload", action="append", help="default: every workload")
     args = ap.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     record = {
         "python": platform.python_version(), "cores": os.cpu_count(),
-        "pairs": args.pairs, "seconds": args.seconds,
-        "seeds": [args.seed + k for k in range(args.pairs)],
+        "pairs": PAIRS, "seconds": seconds, "seeds": [args.seed + k for k in range(PAIRS)],
         "commits": {side: commit(path) for side, path in sides.items()},
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in [w["name"] for w in bench["workloads"]]:
         runs: dict = {"parent": [], "change": []}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(perfbench(sides[side], workload, args.seed + k,
-                                            args.seconds, 0))
+                runs[side].append(perfbench(sides[side], workload, args.seed + k, seconds, 0))
                 print(f"{workload} pair {k} {side}: "
                       + " ".join(f"{n}={v['value']:.4g}"
                                  for n, v in runs[side][-1]["metrics"].items()), flush=True)
-        traced = {side: perfbench(path, workload, args.seed, args.seconds, 1)
+        traced = {side: perfbench(path, workload, args.seed, seconds, 1)
                   for side, path in sides.items()}
         record["workloads"][workload] = {
             "metrics": {

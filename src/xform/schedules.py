@@ -88,20 +88,19 @@ def placer(schedule, meta: dict, outer: list[ForLoop], params: dict):
     heads, rewrite = schedule(meta, depth, _outer_values(outer, params))
 
     def place(instances, placement=None) -> list[tuple]:
-        current = placement or classes(instances)
         first: dict = {}  # outer trips -> (position, current time) of its execution's first member
-        targets = []
-        for cls in current:
-            pos, loops, _, cols, now = cls
+        out, targets = [], []
+        for cls in placement or classes(instances):
+            pos, loops, stmt, cols, now = cls
             if len(loops) > depth and loops[depth] in heads:
                 keys = list(zip(*cols[:depth])) if depth else [()] * len(pos)
                 for key, k in dict(zip(reversed(keys), range(len(pos) - 1, -1, -1))).items():
                     if key not in first or pos[k] < first[key][0]:
                         first[key] = pos[k], now[k]
                 targets.append((cls, keys))
+            else:
+                out.append((pos, loops, stmt, cols, list(zip(now))))
         rep = {key: time for key, (_, time) in first.items()}
-        out = [(pos, loops, stmt, cols, list(zip(now))) for pos, loops, stmt, cols, now in current
-               if not (len(loops) > depth and loops[depth] in heads)]
         for (pos, loops, stmt, cols, now), keys in targets:
             reps = list(map(rep.__getitem__, keys))
             for sel, new_loops, new_cols, key_cols in rewrite(loops, stmt, cols, keys):
@@ -154,52 +153,34 @@ def tile_schedule(meta, depth, values):
     sizes, regions, cuts = meta["sizes"], meta["regions"], meta["cuts"]
     k = len(sizes)
     peeled = [(d, c) for d, c in enumerate(cuts) if c is not None]
-    memo: dict = {}
-
-    def start(d: int, c):
-        """A column's function of the outer trips: where the remainder of
-        peeled dimension `d` starts, whose cut `c` is a loop's bounds."""
-        def at(outer: tuple) -> int:
-            key = d, outer
-            if key not in memo:
-                memo[key] = _trips(*c, values(outer))
-            return memo[key]
-        return at
 
     def rewrite(loops, stmt, cols, keys):
-        band = cols[depth:depth + k]
-        # per peeled dimension, where its remainder starts: a constant or a column
-        starts = {d: c if type(c) is int else _per_outer(start(d, c), keys) for d, c in peeled}
-        mask = repeat(0)
-        for d, w in starts.items():
-            mask = map(or_, mask, map(lshift, map(ge, band[d], _column(w)), repeat(d)))
-        mask = list(mask) if peeled else [0]
-        regions_reached = sorted(set(mask))
+        n = len(keys)
+        starts, mask = {}, [0] * n  # per peeled dimension, the trip its remainder starts at
+        for d, c in peeled:
+            if type(c) is int:
+                starts[d] = [c] * n
+            else:  # the loops' bounds at the split
+                starts[d] = _per_outer(lambda outer: _trips(*c, values(outer)), keys)
+            mask = list(map(or_, mask, map(lshift, map(ge, cols[depth + d], starts[d]),
+                                           repeat(d))))
+        reached = sorted(set(mask))  # the regions of the class's instances
         out = []
-        for m in regions_reached:
-            here, w = cols, starts
-            if len(regions_reached) > 1:
-                sel = list(map(m.__eq__, mask))
-                here = _pick(sel, *cols)
-                w = {d: x if type(x) is int else _pick(sel, x)[0] for d, x in starts.items()}
-            else:
-                sel = None
-            part = here[depth:depth + k]
-            floors = [_by(floordiv, t, z) for d, (t, z) in enumerate(zip(part, sizes))
+        for m in reached:
+            sel = None if len(reached) == 1 else list(map(m.__eq__, mask))
+            here = cols if sel is None else _pick(sel, *cols)
+            w = starts if sel is None else {d: _pick(sel, x)[0] for d, x in starts.items()}
+            band = here[depth:depth + k]
+            floors = [_by(floordiv, t, z) for d, (t, z) in enumerate(zip(band, sizes))
                       if not m >> d & 1]
-            points = [list(map(sub, t, _column(w[d]))) if m >> d & 1 else _by(mod, t, z)
-                      for d, (t, z) in enumerate(zip(part, sizes))]
+            points = [list(map(sub, t, w[d])) if m >> d & 1 else _by(mod, t, z)
+                      for d, (t, z) in enumerate(zip(band, sizes))]
             f, p = regions[m]
             out.append((sel, loops[:depth] + f + p + loops[depth + k:],
                         [*here[:depth], *floors, *points, *here[depth + k:]],
                         [repeat(m), *floors, *points]))
         return out
     return meta["band"][:1], rewrite
-
-
-def _column(w):
-    """A column of start trips, or a constant start repeated."""
-    return repeat(w) if type(w) is int else w
 
 
 def stripe_schedule(meta, depth, values):

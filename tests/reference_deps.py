@@ -358,7 +358,7 @@ def reference_placer(schedule, meta: dict, outer: list, params: dict):
 
 
 _where = attrgetter("loops", "logical", "pos")  # an instance's placement before any step
-_trips = schedules._trips
+_trips = schedules._trips  # the trip count of a loop over an environment of points
 
 
 def _renamer(depth: int, width: int, names):
