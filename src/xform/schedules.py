@@ -88,7 +88,7 @@ def placer(schedule, meta: dict, outer: list[ForLoop], params: dict):
     heads, rewrite = schedule(meta, depth, _outer_values(outer, params))
 
     def place(instances, placement=None) -> list[tuple]:
-        first: dict = {}  # outer trips -> (position, current time) of its execution's first member
+        first: dict = {}  # outer trips -> (position, time) of the execution's first member
         out, targets = [], []
         for cls in placement or classes(instances):
             pos, loops, stmt, cols, now = cls
@@ -156,7 +156,7 @@ def tile_schedule(meta, depth, values):
 
     def rewrite(loops, stmt, cols, keys):
         n = len(keys)
-        starts, mask = {}, [0] * n  # per peeled dimension, the trip its remainder starts at
+        starts, mask = {}, [0] * n  # where each peeled remainder starts; each instance's region
         for d, c in peeled:
             if type(c) is int:
                 starts[d] = [c] * n
