@@ -358,7 +358,6 @@ def reference_placer(schedule, meta: dict, outer: list, params: dict):
 
 
 _where = attrgetter("loops", "logical", "pos")  # an instance's placement before any step
-_trips = schedules._trips  # the trip count of a loop over an environment of points
 
 
 def _renamer(depth: int, width: int, names):
@@ -380,7 +379,7 @@ def _tile(meta, depth, values):
             return (renames[0](loops), logical[:depth] + floors + points + logical[depth + k:],
                     (0, *floors, *points))
         env = values(logical[:depth])
-        w = {d: c if type(c) is int else _trips(*c, env) for d, c in peeled}
+        w = {d: c if type(c) is int else schedules._trips(*c, env) for d, c in peeled}
         mask = sum(1 << d for d in w if band[d] >= w[d])
         floors = tuple([t // z for d, (t, z) in enumerate(zip(band, sizes))
                         if not mask >> d & 1])
@@ -447,7 +446,7 @@ def _reverse(meta, depth, values):
         t = logical[depth]
         n = trips
         if n is None:
-            n = _trips(lower, upper, step, values(logical[:depth]))
+            n = schedules._trips(lower, upper, step, values(logical[:depth]))
         return loops, logical[:depth] + (n - 1 - t,) + logical[depth + 1:], (-t,)
     return (meta["level"],), rewrite
 
