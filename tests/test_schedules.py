@@ -12,7 +12,9 @@ reverse's schedule as a check only: its verdict must be the one
 `reference_deps.judge_marked` gives on a fresh analysis of the current
 region, and it carries the current placement unchanged.  Every step also
 checks that the arithmetic gate is sound: a step it lets through walks
-without a fault.
+without a fault.  And every placement, made a class of instances at a time,
+must give the rows of the per-instance placer
+(`reference_deps.reference_placer`) from the same current placement.
 """
 
 import pytest
