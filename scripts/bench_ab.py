@@ -10,7 +10,8 @@ checkout's root, so each side imports `xform` from its own `src/`, for the
 `run_seconds` of this checkout's `BENCHMARK.json`.  Per workload, pair k of
 10 runs both sides with seed `--seed + k`, the parent first in even pairs
 and the change first in odd ones, untraced (`--trace 0`).  Then each side
-runs once traced (`--trace 1`) at the first seed.
+runs 3 times traced (`--trace 1`) at the first seed, in the same alternating
+order.
 
 The record holds, per workload and end-to-end metric (as `BENCHMARK.json`
 of this checkout declares them), each side's runs, median and quartiles,
@@ -18,8 +19,9 @@ the pairs the change won (ties count for neither side) and whether the
 benchmark's rule for a claimed gain holds: the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more than
 the distance between the parent's quartiles.  It also holds each side's
-traced per-layer metrics, `src_lines` and commit, and the Python version
-and core count.
+traced per-layer metrics (the median of each time over the traced runs;
+the script fails where a count or share differs between them), `src_lines`
+and commit, and the Python version and core count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACED = 3
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -76,6 +79,21 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
             "gain_rule_met": won >= 0.9 * len(parent) and margin > a["q3"] - a["q1"]}
 
 
+def traced_medians(runs: list[dict]) -> dict:
+    """One side's per-layer metrics over its traced runs: the median of each
+    time (`_ms`, `_s`); a count or share must be the same in every run."""
+    out = {}
+    for name in runs[0]:
+        values = [r[name] for r in runs]
+        if name.endswith(("_ms", "_s")):
+            out[name] = statistics.median(values)
+        elif len(set(values)) > 1:
+            raise RuntimeError(f"{name} differs between traced runs: {values}")
+        else:
+            out[name] = values[0]
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -102,8 +120,11 @@ def main() -> int:
                 print(f"{workload} pair {k} {side}: "
                       + " ".join(f"{n}={v['value']:.4g}"
                                  for n, v in runs[side][-1]["metrics"].items()), flush=True)
-        traced = {side: perfbench(path, workload, args.seed, seconds, 1)
-                  for side, path in sides.items()}
+        traced: dict = {"parent": [], "change": []}
+        for k in range(TRACED):
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                result = perfbench(sides[side], workload, args.seed, seconds, 1)
+                traced[side].append({n: v["value"] for n, v in result["metrics"].items()})
         record["workloads"][workload] = {
             "metrics": {
                 name: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
@@ -113,8 +134,8 @@ def main() -> int:
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
             "src_lines": {side: runs[side][0]["src_lines"] for side in runs},
-            "traced": {side: {n: v["value"] for n, v in traced[side]["metrics"].items()}
-                       for side in traced},
+            "traced_runs": TRACED,
+            "traced": {side: traced_medians(traced[side]) for side in traced},
         }
         for name, m in record["workloads"][workload]["metrics"].items():
             print(f"{workload} {name}: parent {m['parent']['median']:.4g} "

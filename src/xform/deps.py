@@ -8,7 +8,15 @@ Two routes, matching how much the program lets us see:
   abstractly and build the region's conflict graph.  The enumerator
   translates the region once into nested closures that fold constants with
   `lang.fold` and keep its checks, with no memory; an `EvalError` message
-  becomes the `reason`.
+  becomes the `reason`.  A loop whose body is assignments of distinct
+  statements runs each execution at once, its variable a column (a list
+  over the trips), through C-level `map`; `+ - * /` and subscripts check a
+  column by `min` and `max`.  Any event in it (a failed check, an
+  `EvalError`, the cap, the step budget) drops the columns and replays the
+  execution a trip at a time with the same closures, as every other loop
+  runs, so outcomes and messages are a walk's one trip at a time.  The
+  output (`Enumeration`) is by class, the placement before any step, with
+  a table of the accesses to arrays written or named by a may-alias pair.
   A region is counted before it is walked: when its instance and iteration
   counts are fixed before it runs (no `while` or `if`, every trip count
   known: the exact counts of `lang.step_counts`) and pass the cap or the
@@ -21,20 +29,20 @@ Two routes, matching how much the program lets us see:
   separate rtc-eligible bucket rather than folded into the static set.
 
 The exact conflict graph (`DependenceSet.pairs`) is linear in the number of
-accesses: per address, walked in execution order, each write is joined to
-the reads since the previous write (anti), each of those reads to the write
-before it (flow), and consecutive writes to each other (output).  Every
-conflicting pair is joined by a chain of these edges, so a schedule that runs
-each instance once keeps all conflicting pairs in order exactly when it keeps
+accesses: one sort of each array's table orders its accesses by address,
+then in execution order (a read before its instance's write, a second read
+in one instance dropped), and per address each write is joined to the reads
+since the previous write (anti), each of those reads to the write before it
+(flow), and consecutive writes to each other (output).  Every conflicting
+pair is joined by a chain of these edges, so a schedule that runs each
+instance once keeps all conflicting pairs in order exactly when it keeps
 the edges in order.  The distance vectors (`DependenceSet.deps`) are
 summarized on first use from all conflicting pairs (`full_pairs`), so
 `--deps` and the conservative rules read the same data however the set was
 built.  Instance keys and accessed addresses do not change under a
 transformation, so once a candidate has kept every edge in order, the graph
 is the candidate's too: a pipeline carries it unchanged, in the order of its
-first enumeration, with the placement that the steps' schedule maps give:
-its instances in classes of one statement under the same loop names, with a
-column of trips per loop and a time per instance (`schedules`).
+first enumeration, with the placement that the steps' schedule maps give.
 `compute_dependences` is the only source of a graph: a verdict that reads
 the instances in the current schedule analyzes the current region afresh.
 The candidate is never walked.  Where a walk of it would fault, the step is
@@ -49,22 +57,27 @@ so their `leading_sign` (the one reading of a vector's first decisive entry)
 is not -1 for the original program.  Both routes de-duplicate with `_unique`.
 
 The oracles the tests check this module against are in `tests/reference_deps.py`:
-the tree walker the enumerator replaced, a brute-force analysis that runs
-the reference tree-walking interpreter (`tests/reference_interp.py`) and
-compares the addresses in its trace records pairwise, and the judge of a
-walked candidate that the schedule maps replaced.
+the tree walker the enumerator replaced, the graph built per instance, a
+brute-force analysis that runs the reference tree-walking interpreter
+(`tests/reference_interp.py`) and compares the addresses in its trace
+records pairwise, and the judge of a walked candidate that the schedule
+maps replaced.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, groupby, repeat
+from operator import add, itemgetter, mul
 
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
     ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
-    flat_index, fold, free_vars, gc_paused, int64, interval, simplify, step_counts, subst,
-    trip_count,
+    flat_index, fold, free_vars, gc_paused, int64, interval, iter_stmts, simplify, step_counts,
+    subst, trip_count,
 )
 
 
@@ -95,23 +108,6 @@ class Dependence:
         return f"{self.kind} {self.src}->{self.snk} ({vec}){tag}"
 
 
-@dataclass
-class Instance:
-    pos: int
-    stmt: str
-    orig: tuple[tuple[str, int], ...]
-    loops: tuple[str, ...]
-    logical: tuple[int, ...]
-    reads: frozenset
-    writes: frozenset
-    key: tuple                       # (stmt, orig): the same in every schedule
-
-
-class Enumeration(list):
-    """Instances in execution order; `steps` counts the loop iterations walked."""
-    steps = 0
-
-
 def _step_budget(max_instances: int) -> int:
     """Loop iterations an enumeration capped at `max_instances` may walk."""
     return 100 * max_instances + 10000
@@ -120,7 +116,7 @@ def _step_budget(max_instances: int) -> int:
 @dataclass
 class DependenceSet:
     exact: bool
-    instances: list[Instance] | None = None
+    instances: Enumeration | None = None
     pairs: list[tuple[int, int, str]] = field(default_factory=list)  # linear edges
     alias_pairs: list[tuple[int, int, str, tuple[str, str]]] = field(default_factory=list)
     reason: str = ""
@@ -182,6 +178,43 @@ def _unique(keys) -> list[Dependence]:
 # Abstract enumeration (memory-free)
 
 
+@dataclass
+class Instance:
+    pos: int
+    stmt: str
+    orig: tuple[tuple[str, int], ...]
+    loops: tuple[str, ...]
+    logical: tuple[int, ...]
+    key: tuple                       # (stmt, orig): the same in every schedule
+
+
+class Enumeration(Sequence):
+    """A region's instances in execution order, each built where it is read;
+    `steps` loop iterations walked.  `classes`: (loops, statement) -> (
+    coordinate names, [positions (increasing), trips per loop, values per
+    coordinate]).  `accesses`: array -> (element numbers, `2 * position +
+    is_write`), in no order."""
+
+    def __init__(self, classes: dict, accesses: dict, n: int, steps: int):
+        self.classes, self.accesses, self.n, self.steps = classes, accesses, n, steps
+
+    def __len__(self) -> int:
+        return self.n
+
+    @cached_property
+    def _where(self) -> list:  # position -> (class, index in the class)
+        where = [None] * self.n
+        for cls in self.classes.items():
+            deque(map(where.__setitem__, cls[1][1][0], zip(repeat(cls), count())), 0)
+        return where
+
+    def __getitem__(self, k: int) -> Instance:
+        ((loops, stmt), (names, cols)), i = self._where[k]
+        orig = tuple(zip(names, [col[i] for col in cols[1 + len(loops):]]))
+        return Instance(cols[0][i], stmt, orig, loops,
+                        tuple([col[i] for col in cols[1:1 + len(loops)]]), (stmt, orig))
+
+
 def _reads(s: Assign) -> list:
     """The array reads in an assignment's subscripts and value."""
     return [r for e in (*s.index, s.value) for r in array_reads(e)]
@@ -197,7 +230,7 @@ def enumerate_instances(program: Program, scope: list[Stmt],
     iterations.  Nothing built here is cyclic, so the cyclic GC is paused.
     """
     with gc_paused():
-        return _Closures(program, max_instances).run(scope)
+        return _Closures(program, scope, max_instances).run(scope)
 
 
 class _Closures:
@@ -208,33 +241,28 @@ class _Closures:
     counter in `trips[d]`; a non-opaque param is a constant.  An operation
     on two constants is folded unless it faults (`lang.fold`); every other
     check runs, in the order of evaluation, only when the closures run.
+    An innermost loop of assignments runs as columns (module docstring).
     """
 
-    def __init__(self, program: Program, max_instances: int):
+    def __init__(self, program: Program, scope: list[Stmt], max_instances: int):
         self.params = program.param_values(include_opaque=False)
         self.dims = {a.name: a.dims for a in program.arrays}
         self.cap, self.budget = max_instances, _step_budget(max_instances)
-        self.vals: list[int] = []
-        self.trips: list[int] = []
-        self.steps = [0]
-        self.out = Enumeration()
+        self.vals, self.trips, self.steps, self.made, self.classes = [], [], [0], [0], {}
+        recorded = {s.array for s in iter_stmts(scope) if type(s) is Assign}
+        recorded.update(a for al in program.aliases for a in (al.first, al.second))
+        self.accesses = {a: ([], []) for a in sorted(recorded)}
 
     def run(self, scope: list[Stmt]) -> Enumeration:
         self.body(scope, {}, ())()
-        self.out.steps = self.steps[0]
-        return self.out
+        return Enumeration({key: cls for key, cls in self.classes.items() if cls[1][0]},
+                           self.accesses, self.made[0], self.steps[0])
 
     def body(self, stmts: list[Stmt], scope: dict, loops: tuple):
         fns = []  # a loop, not a comprehension: one frame less per nesting level
         for s in stmts:
             fns.append(getattr(self, type(s).__name__)(s, scope, loops))
-        if len(fns) == 1:
-            return fns[0]
-
-        def seq():
-            for f in fns:
-                f()
-        return seq
+        return _sequence(fns)
 
     def expr(self, e: Expr, scope: dict):
         """`e` as (source, slot, closure): its value is `source[slot]` when it
@@ -258,57 +286,67 @@ class _Closures:
             v = fold(op, sa[0], sb[0])
             if v is not None:
                 return (v,), 0, None
-        if op not in ("+", "-", "*", "/"):
-            return None, 0, lambda: f(sa[ka] if fa is None else fa(),
-                                      sb[kb] if fb is None else fb())
 
-        def checked():
-            v = f(sa[ka] if fa is None else fa(), sb[kb] if fb is None else fb())
+        def value():  # only + - * / can leave int64, from operands inside it
+            a = sa[ka] if fa is None else fa()
+            b = sb[kb] if fb is None else fb()
+            if type(a) is list or type(b) is list:
+                return _column(f, a, b)
+            v = f(a, b)
             return v if INT64_MIN <= v <= INT64_MAX else int64(v)
-        return None, 0, checked
+        return None, 0, value
 
     def access(self, array: str, index, scope: dict):
-        """A closure giving `(array, flat element number)`: every subscript
-        is valued before `flat_index`'s checks, one dimension at a time."""
-        dims = self.dims[array]
-        leaves = [self.expr(i, scope) for i in index]
-        # 2-D addresses are unrolled: all of dgemm's, and dgemm-exact's
-        # transform pass takes 1.4x as long through flat_index.
-        if len(dims) == len(leaves) == 2:
-            ((s0, k0, f0), (s1, k1, f1)), (d0, d1) = leaves, dims
+        """A closure giving the element number of `array[index]`, an int or
+        a column: every subscript is valued before the bounds checks."""
+        dims, recorded = self.dims[array], array in self.accesses
+        subs = [self.expr(i, scope) for i in index]
+        return lambda: _address(array, dims, [s[k] if f is None else f() for s, k, f in subs],
+                                recorded)
 
-            def address():
-                x0 = s0[k0] if f0 is None else f0()
-                x1 = s1[k1] if f1 is None else f1()
-                if 0 <= x0 < d0 and 0 <= x1 < d1:
-                    return (array, x0 * d1 + x1)
-                return (array, flat_index(array, dims, (x0, x1)))
-            return address
-        return lambda: (array, flat_index(array, dims, [s[k] if f is None else f()
-                                                        for s, k, f in leaves]))
+    def instance(self, s: Assign, scope: dict, loops: tuple):
+        """`value()` gives an assignment's element numbers (reads, then the
+        write) and original coordinates, each an int or a column, checking
+        the cap after the accesses; `record(first, n, stride, flats, orig)`
+        adds an execution's `n` trips at positions `first + stride * trip`;
+        `one()` values and records one instance."""
+        refs = [*_reads(s), s]
+        addrs = [self.access(r.array, r.index, scope) for r in refs]
+        # (flats, codes, access, is_write) per recorded access; `+=` reads its target
+        entries = [(*self.accesses[r.array], k, w) for k, r in enumerate(refs)
+                   if r.array in self.accesses
+                   for w in ((0,) if r is not s else (0, 1) if s.op == "+=" else (1,))]
+        names = tuple([n for n, _ in s.orig_coords])
+        coords = [self.expr(e, scope) for _, e in s.orig_coords]
+        _, cols = self.classes.setdefault(
+            (loops, s.stmt_id), (names, [[] for _ in range(1 + len(loops) + len(names))]))
+        depth, made, cap, trips = len(loops), self.made, self.cap, self.trips
+
+        def value():
+            flats = []
+            for f in addrs:
+                flats.append(f())
+            if made[0] >= cap:
+                raise _CapExceeded()
+            return flats, [src[k] if f is None else f() for src, k, f in coords]
+
+        def record(first: int, n: int, stride: int, flats: list, orig: list):
+            for fl, codes, k, w in entries:
+                fl.extend(repeat(flats[k], n) if type(flats[k]) is int else flats[k])
+                codes.extend(range(2 * first + w, 2 * (first + n * stride), 2 * stride))
+            deque(map(list.extend, cols, (range(first, first + n * stride, stride), *[
+                repeat(x, n) if type(x) is int else x for x in (*trips[:depth], *orig)])), 0)
+
+        def one():
+            flats, orig = value()
+            record(made[0], 1, 1, flats, orig)
+            made[0] += 1
+        return value, record, one
 
     # -- statements: each becomes a closure of no arguments
 
     def Assign(self, s: Assign, scope: dict, loops: tuple):
-        addrs = [self.access(r.array, r.index, scope) for r in (*_reads(s), s)]
-        coords = [(n, *self.expr(e, scope)) for n, e in s.orig_coords]
-        reads_target, sid, depth = s.op == "+=", s.stmt_id, len(loops)
-        out, cap, trips = self.out, self.cap, self.trips
-
-        def assign():
-            acc = []  # the reads, then the write
-            for f in addrs:
-                acc.append(f())
-            waddr = acc[-1] if reads_target else acc.pop()
-            if len(out) >= cap:
-                raise _CapExceeded()
-            orig = []
-            for n, src, k, f in coords:
-                orig.append((n, src[k] if f is None else f()))
-            orig = tuple(orig)
-            out.append(Instance(len(out), sid, orig, loops, tuple(trips[:depth]),
-                                frozenset(acc), frozenset((waddr,)), (sid, orig)))
-        return assign
+        return self.instance(s, scope, loops)[2]
 
     def ForLoop(self, s: ForLoop, scope: dict, loops: tuple):
         lo, hi = _closure(*self.expr(s.lower, scope)), _closure(*self.expr(s.upper, scope))
@@ -316,11 +354,31 @@ class _Closures:
         if depth == len(self.vals):
             self.vals.append(0)
             self.trips.append(0)
-        vals, trips = self.vals, self.trips
-        body = self.body(s.body, {**scope, s.var: depth}, loops + (s.name,))
+        vals, trips, made, cap = self.vals, self.trips, self.made, self.cap
+        inner = {**scope, s.var: depth}, loops + (s.name,)
+        # distinct statements, so that the positions of a class increase
+        if all(type(x) is Assign for x in s.body) and len({x.stmt_id for x in s.body}) == \
+                len(s.body):
+            stmts = [self.instance(x, *inner) for x in s.body]
+            body = _sequence([one for _, _, one in stmts])
+        else:
+            stmts, body = [], self.body(s.body, *inner)
 
         def loop():
             lb, ub = lo(), hi()
+            n, first, k = trip_count(lb, ub, step), made[0], len(stmts)
+            if k and n and steps[0] + n <= budget and first + n * k <= cap:
+                vals[depth], trips[depth] = list(range(lb, ub, step)), range(n)
+                try:
+                    done = [value() for value, _, _ in stmts]
+                except EvalError:
+                    done = None  # replayed below, for the message
+                if done:
+                    steps[0] += n
+                    made[0] += n * k
+                    for x, ((_, record, _), (flats, orig)) in enumerate(zip(stmts, done)):
+                        record(first + x, n, k, flats, orig)
+                    return
             for trip, v in enumerate(range(lb, ub, step) if ub > lb else ()):
                 steps[0] += 1
                 if steps[0] > budget:
@@ -344,6 +402,16 @@ class _Closures:
         return self.body(s.body, scope, loops)
 
 
+def _sequence(fns: list):
+    if len(fns) == 1:
+        return fns[0]
+
+    def seq():
+        for f in fns:
+            f()
+    return seq
+
+
 def _closure(src, k, f):
     """A compiled expression as a closure of no arguments."""
     return (lambda: src[k]) if f is None else f
@@ -353,6 +421,27 @@ def _fault(message: str):
     def fault():
         raise EvalError(message)
     return None, 0, fault
+
+
+def _column(f, a, b) -> list:
+    """`f` per trip of a column and a column or an int, checked in int64."""
+    col = list(map(f, a if type(a) is list else repeat(a), b if type(b) is list else repeat(b)))
+    if not (INT64_MIN <= min(col) and max(col) <= INT64_MAX):
+        raise EvalError("int64 overflow")
+    return col
+
+
+def _address(array: str, dims: tuple, xs: list, recorded: bool):
+    """The element number of subscripts `xs`, or with a column among them
+    the column of numbers (None for an array not recorded)."""
+    if list not in map(type, xs):
+        return flat_index(array, dims, xs)
+    flat = repeat(0)
+    for x, d in zip(xs, dims):
+        if (min(x) < 0 or max(x) >= d) if type(x) is list else not 0 <= x < d:
+            raise EvalError("index out of bounds")
+        flat = map(add, map(mul, flat, repeat(d)), x if type(x) is list else repeat(x))
+    return list(flat) if recorded else None
 
 
 def fits(instances: int, steps: int, max_instances: int) -> bool:
@@ -367,7 +456,7 @@ def _pair_kind(first_is_write: bool, second_is_write: bool) -> str:
     return "flow" if first_is_write else "anti"
 
 
-def _summarize(instances: list[Instance], pairs, alias_pairs) -> list[Dependence]:
+def _summarize(instances: Enumeration, pairs, alias_pairs) -> list[Dependence]:
     def key(i, j, kind, alias=None):  # a may-alias pair's distance is unknown
         a, b = instances[i], instances[j]
         common, dist = distance(a, b)
@@ -375,83 +464,70 @@ def _summarize(instances: list[Instance], pairs, alias_pairs) -> list[Dependence
     return _unique(key(*p) for p in (*pairs, *alias_pairs))
 
 
-def _accesses_by_address(instances: list[Instance]) -> dict:
-    """Per address, its accesses (pos, is_write) in execution order; an
-    instance reads an address before it writes it."""
-    buckets: dict = {}
-    for inst in instances:
-        for addr in inst.reads:
-            buckets.setdefault(addr, []).append((inst.pos, False))
-        for addr in inst.writes:
-            buckets.setdefault(addr, []).append((inst.pos, True))
-    return buckets
+def _by_address(enum: Enumeration):
+    """Per recorded array, its accesses `(flat, code)` in one sort: by
+    address, then in execution order (a read before the write of its
+    instance), a second read in an instance dropped."""
+    w = 2 * len(enum)
+    for flats, codes in enum.accesses.values():
+        yield map(divmod, sorted(set(map(add, map(mul, flats, repeat(w)), codes))), repeat(w))
 
 
-def _all_pairs(instances: list[Instance]) -> list[tuple[int, int, str]]:
+def _all_pairs(enum: Enumeration) -> list[tuple[int, int, str]]:
     """Every pair of instances that touch one address, at least one writing."""
     pairs = set()
-    for accesses in _accesses_by_address(instances).values():
-        if not any(w for _, w in accesses):
-            continue
-        for (p1, w1) in accesses:
-            for (p2, w2) in accesses:
-                if p1 < p2 and (w1 or w2):
-                    pairs.add((p1, p2, _pair_kind(w1, w2)))
+    for accesses in _by_address(enum):
+        for _, group in groupby(accesses, itemgetter(0)):
+            touch = [(code >> 1, code & 1) for _, code in group]
+            pairs.update((p1, p2, _pair_kind(w1, w2)) for k, (p1, w1) in enumerate(touch)
+                         for p2, w2 in touch[k + 1:] if p1 < p2 and (w1 or w2))
     return sorted(pairs)
 
 
-def _linear_pairs(instances: list[Instance]) -> list[tuple[int, int, str]]:
+def _linear_pairs(enum: Enumeration) -> list[tuple[int, int, str]]:
     """The write-separated adjacent pairs: a chain of them joins every pair
     `_all_pairs` lists, and there are at most two per access."""
     pairs = []
-    for accesses in _accesses_by_address(instances).values():
-        last_write = None
-        reads: list[int] = []  # since last_write
-        for pos, is_write in accesses:
-            if is_write:
-                pairs.extend((r, pos, "anti") for r in reads if r != pos)
-                if last_write is not None:
-                    pairs.append((last_write, pos, "output"))
-                last_write, reads = pos, []
-            else:
-                if last_write is not None:
-                    pairs.append((last_write, pos, "flow"))
+    for accesses in _by_address(enum):
+        at = last_write = None
+        for flat, code in accesses:
+            pos = code >> 1
+            if flat != at:
+                at, last_write, reads = flat, None, []  # reads since last_write
+            elif last_write is not None:
+                pairs.append((last_write, pos, "output" if code & 1 else "flow"))
+            if not code & 1:
                 reads.append(pos)
+                continue
+            for r in reads:
+                if r != pos:
+                    pairs.append((r, pos, "anti"))
+            last_write, reads = pos, []
     return pairs
 
 
-def _alias_pairs(program: Program, instances: list[Instance]):
+def _alias_pairs(program: Program, enum: Enumeration):
     """Every may-alias pair: each access to one declared array against each
     access to the other, at least one writing."""
     def touches(array):  # (pos, writes it) of each instance accessing `array`
-        out = []
-        for inst in instances:
-            written = any(arr == array for arr, _ in inst.writes)
-            if written or any(arr == array for arr, _ in inst.reads):
-                out.append((inst.pos, written))
-        return out
+        written: dict = {}
+        for code in enum.accesses[array][1]:
+            written[code >> 1] = written.get(code >> 1, 0) | code & 1
+        return written.items()
 
     alias_pairs = set()
     for al in program.aliases:
-        a, b = al.first, al.second
-        touch_a, touch_b = touches(a), touches(b)
+        touch_a, touch_b = touches(al.first), touches(al.second)
         if len(touch_a) * len(touch_b) > 4_000_000:
             raise _CapExceeded()
-        for (pa, wa) in touch_a:
-            for (pb, wb) in touch_b:
-                if pa == pb:
-                    continue
-                if not (wa or wb):
-                    continue
-                i, j = (pa, pb) if pa < pb else (pb, pa)
-                wi, wj = (wa, wb) if pa < pb else (wb, wa)
-                alias_pairs.add((i, j, _pair_kind(wi, wj), (a, b)))
+        alias_pairs.update((*sorted((pa, pb)), _pair_kind(*((wa, wb) if pa < pb else (wb, wa))),
+                            (al.first, al.second))
+                           for pa, wa in touch_a for pb, wb in touch_b if pa != pb and (wa or wb))
     return sorted(alias_pairs)
 
 
-def _exact_set(program: Program, instances: list[Instance]) -> DependenceSet:
-    return DependenceSet(True, instances, _linear_pairs(instances),
-                         _alias_pairs(program, instances))
+def _exact_set(program: Program, enum: Enumeration) -> DependenceSet:
+    return DependenceSet(True, enum, _linear_pairs(enum), _alias_pairs(program, enum))
 
 
 # ---------------------------------------------------------------------------

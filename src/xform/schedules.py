@@ -45,28 +45,17 @@ loop names, their columns and the columns of their key; `placer` applies it.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, groupby, repeat
-from operator import attrgetter, floordiv, ge, lshift, mod, neg, or_, sub
+from itertools import compress, repeat
+from operator import floordiv, ge, lshift, mod, neg, or_, sub
 
 from .lang import Expr, ForLoop, interval, trip_count
 
 
-def classes(instances) -> list[tuple]:
-    """The placement of a region's instances, in the order of their
-    enumeration, before any step."""
-    keys = list(map(_class_of, instances))
-    trips = list(map(_trips_of, instances))
-    out = []
-    # a stable sort: the positions of a class stay increasing
-    for (loops, stmt), run in groupby(sorted(range(len(keys)), key=keys.__getitem__),
-                                      keys.__getitem__):
-        pos = list(run)
-        out.append((pos, loops, stmt, [list(col) for col in zip(*map(trips.__getitem__, pos))],
-                    pos))
-    return out
-
-
-_class_of, _trips_of = attrgetter("loops", "stmt"), attrgetter("logical")
+def classes(enumeration) -> list[tuple]:
+    """The placement of a region's instances before any step: the classes
+    of their enumeration, each instance's time its position."""
+    return [(cols[0], loops, stmt, cols[1:1 + len(loops)], cols[0])
+            for (loops, stmt), (_, cols) in enumeration.classes.items()]
 
 
 def times(placement: list[tuple], n: int) -> list:

@@ -1,16 +1,23 @@
 """The dependence oracles the tests check `xform.deps` against.
 
 `reference_enumerate_instances` is the tree walker that `deps`'s closure
-compiler replaced: it walks the region's statements and values every
-expression with `reference_lang.evaluate` over a dict environment.  It is the
-differential reference for `deps.enumerate_instances`, which must give the
-same `Enumeration` (`steps` included) or raise the same exception with the
-same message.
+compiler replaced: it walks the region's statements one instance at a time
+and values every expression with `reference_lang.evaluate` over a dict
+environment, keeping each instance's reads and writes (`Walked`).  It is
+the differential reference for `deps.enumerate_instances`, which must give
+the same instances, `steps` and access table (`table`, the view both share)
+or raise the same exception with the same message.
 
-`brute_force_dependences` is independent of both: it runs the reference
-tree walker (`reference_interp`) over the region and compares touched
-addresses pairwise over its trace records.  `is_superset`, `covers` and
-`dep_signature` compare dependence sets.
+`reference_graph` is the graph builder that `deps` replaced by one sort of
+each array's access table: per address, every instance's accesses in
+execution order (`_accesses_by_address`), then the linear, full and
+may-alias pairs built from those per-instance sets.  It is the oracle of
+the pairs `deps` builds from the table.
+
+`brute_force_dependences` is independent of both enumerators: it runs the
+reference tree walker (`reference_interp`) over the region and compares
+touched addresses pairwise over its trace records, with `reference_graph`.
+`is_superset`, `covers` and `dep_signature` compare dependence sets.
 
 `judge_walked` is the exact judge as it was before the kinds stated their
 schedules: it reads each instance's place from the candidate's enumerated
@@ -45,7 +52,7 @@ from operator import attrgetter, floordiv, itemgetter, mod
 
 from xform import schedules
 from xform.deps import (
-    Dependence, DependenceSet, DepsError, Enumeration, Instance, _CapExceeded, _exact_set,
+    Dependence, DependenceSet, DepsError, Enumeration, Instance, _CapExceeded, _pair_kind,
     _reads, _step_budget, _summarize, enumerate_instances,
 )
 from xform.lang import (
@@ -59,8 +66,18 @@ import reference_interp
 from reference_lang import evaluate
 
 
+class Walked(list):
+    """Instances in execution order, with each one's (reads, writes) in
+    `accesses`, as sets of (array, element number), and `steps`."""
+    steps = 0
+
+    def __init__(self):
+        super().__init__()
+        self.accesses: list[tuple[frozenset, frozenset]] = []
+
+
 def reference_enumerate_instances(program: Program, scope: list[Stmt],
-                                  max_instances: int = 4096) -> Enumeration:
+                                  max_instances: int = 4096) -> Walked:
     """Walk the region's full iteration space without touching memory.
 
     Raises DepsError on while-loops, EvalError when anything depends on
@@ -70,7 +87,7 @@ def reference_enumerate_instances(program: Program, scope: list[Stmt],
     env = program.param_values(include_opaque=False)
     dims = {a.name: a.dims for a in program.arrays}
     reads = {id(s): _reads(s) for s in iter_stmts(scope) if isinstance(s, Assign)}
-    out = Enumeration()
+    out = Walked()
     stack: list[tuple[str, int, int]] = []
     steps = [0]
     budget = _step_budget(max_instances)
@@ -91,8 +108,8 @@ def reference_enumerate_instances(program: Program, scope: list[Stmt],
                 out.append(Instance(
                     len(out), s.stmt_id, orig,
                     tuple(n for n, _, _ in stack),
-                    tuple(t for _, _, t in stack),
-                    frozenset(acc), frozenset((waddr,)), (s.stmt_id, orig)))
+                    tuple(t for _, _, t in stack), (s.stmt_id, orig)))
+                out.accesses.append((frozenset(acc), frozenset((waddr,))))
             elif isinstance(s, ForLoop):
                 lb = evaluate(s.lower, env)
                 ub = evaluate(s.upper, env)
@@ -126,6 +143,24 @@ def reference_enumerate_instances(program: Program, scope: list[Stmt],
     return out
 
 
+def table(program: Program, scope: list[Stmt], out) -> dict:
+    """The access table of an enumeration, or of a reference walk's
+    per-instance accesses: per array that `scope` writes or a may-alias pair
+    names, its accesses as a sorted list of (element number,
+    `2 * position + is_write`) without repeats."""
+    if isinstance(out, Enumeration):
+        return {a: sorted(set(zip(*fc))) for a, fc in out.accesses.items()}
+    recorded = {s.array for s in iter_stmts(scope) if isinstance(s, Assign)}
+    recorded.update(a for al in program.aliases for a in (al.first, al.second))
+    entries: dict = {a: set() for a in recorded}
+    for inst, (reads, writes) in zip(out, out.accesses):
+        for is_write, addrs in ((0, reads), (1, writes)):
+            for array, flat in addrs:
+                if array in entries:
+                    entries[array].add((flat, 2 * inst.pos + is_write))
+    return {a: sorted(entries[a]) for a in sorted(entries)}
+
+
 def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> DependenceSet:
     """Oracle: run the reference interpreter over the region and compare
     every pair of trace records.  Exact by construction; capped at `cap`
@@ -138,11 +173,96 @@ def brute_force_dependences(program: Program, scope, cap: int = 10**5) -> Depend
     _, trace = reference_interp.run(sub, seed=0, step_budget=10 * cap + 1000)
     if len(trace) > cap:
         raise DepsError(f"region exceeds the oracle cap of {cap} instances")
-    instances = []
+    walked = Walked()
     for k, r in enumerate(trace):
-        instances.append(Instance(k, r.stmt, r.ivec, r.cur_loops, r.cur_logical,
-                                  frozenset(r.reads), frozenset(r.writes), (r.stmt, r.ivec)))
-    return _exact_set(program, instances)
+        walked.append(Instance(k, r.stmt, r.ivec, r.cur_loops, r.cur_logical, (r.stmt, r.ivec)))
+        walked.accesses.append((frozenset(r.reads), frozenset(r.writes)))
+    return reference_graph(program, walked)
+
+
+# the per-instance graph builder ---------------------------------------------
+
+
+def reference_graph(program: Program, walked: Walked) -> DependenceSet:
+    """The exact set of a walk, built per instance as before `deps` built it
+    from one sort of each array's accesses."""
+    ds = DependenceSet(True, walked, _linear_pairs(walked), _alias_pairs(program, walked))
+    ds.full_pairs = _all_pairs(walked)
+    return ds
+
+
+def _accesses_by_address(walked: Walked) -> dict:
+    """Per address, its accesses (pos, is_write) in execution order; an
+    instance reads an address before it writes it."""
+    buckets: dict = {}
+    for inst, (reads, writes) in zip(walked, walked.accesses):
+        for addr in reads:
+            buckets.setdefault(addr, []).append((inst.pos, False))
+        for addr in writes:
+            buckets.setdefault(addr, []).append((inst.pos, True))
+    return buckets
+
+
+def _all_pairs(walked: Walked) -> list[tuple[int, int, str]]:
+    """Every pair of instances that touch one address, at least one writing."""
+    pairs = set()
+    for accesses in _accesses_by_address(walked).values():
+        if not any(w for _, w in accesses):
+            continue
+        for (p1, w1) in accesses:
+            for (p2, w2) in accesses:
+                if p1 < p2 and (w1 or w2):
+                    pairs.add((p1, p2, _pair_kind(w1, w2)))
+    return sorted(pairs)
+
+
+def _linear_pairs(walked: Walked) -> list[tuple[int, int, str]]:
+    """The write-separated adjacent pairs: a chain of them joins every pair
+    `_all_pairs` lists, and there are at most two per access."""
+    pairs = []
+    for accesses in _accesses_by_address(walked).values():
+        last_write = None
+        reads: list[int] = []  # since last_write
+        for pos, is_write in accesses:
+            if is_write:
+                pairs.extend((r, pos, "anti") for r in reads if r != pos)
+                if last_write is not None:
+                    pairs.append((last_write, pos, "output"))
+                last_write, reads = pos, []
+            else:
+                if last_write is not None:
+                    pairs.append((last_write, pos, "flow"))
+                reads.append(pos)
+    return pairs
+
+
+def _alias_pairs(program: Program, walked: Walked):
+    """Every may-alias pair: each access to one declared array against each
+    access to the other, at least one writing."""
+    def touches(array):  # (pos, writes it) of each instance accessing `array`
+        out = []
+        for inst, (reads, writes) in zip(walked, walked.accesses):
+            written = any(arr == array for arr, _ in writes)
+            if written or any(arr == array for arr, _ in reads):
+                out.append((inst.pos, written))
+        return out
+
+    alias_pairs = set()
+    for al in program.aliases:
+        a, b = al.first, al.second
+        touch_a, touch_b = touches(a), touches(b)
+        if len(touch_a) * len(touch_b) > 4_000_000:
+            raise _CapExceeded()
+        for (pa, wa) in touch_a:
+            for (pb, wb) in touch_b:
+                if pa == pb:
+                    continue
+                if not (wa or wb):
+                    continue
+                i, j = (pa, pb) if pa < pb else (pb, pa)
+                wi, wj = (wa, wb) if pa < pb else (wb, wa)
+                alias_pairs.add((i, j, _pair_kind(wi, wj), (a, b)))
+    return sorted(alias_pairs)
 
 
 def covers(general: Dependence, specific: Dependence) -> bool:

@@ -89,7 +89,7 @@ def test_linear_edges_decide_like_all_pairs(src):
     depset = compute_dependences(cur, cur.body)
     assert depset.exact
     # at most two edges per access, and a chain of edges joins every pair
-    accesses = sum(len(i.reads) + len(i.writes) for i in depset.instances)
+    accesses = sum(len(set(zip(*fc))) for fc in depset.instances.accesses.values())
     assert len(depset.pairs) <= 2 * accesses
     reach = _reaches(depset.pairs, len(depset.instances))
     assert all(j in reach[i] for i, j, _ in depset.full_pairs)
@@ -178,7 +178,7 @@ def test_every_instance_must_run_exactly_once():
     assert judge_walked(ds, _schedule(insts, [0, 1, 1, 2])).describe() == \
         "invalid: instance of s1 runs more than once"
     longer = _region(CONFLICT_FREE.replace("i < 3", "i < 4")).instances
-    extra = _schedule(insts + longer[3:], [0, 1, 2, 3])
+    extra = _schedule([*insts, longer[3]], [0, 1, 2, 3])
     assert judge_walked(ds, extra).describe() == \
         "invalid: instance of s1 is not in the original schedule"
 
@@ -400,7 +400,7 @@ def test_valid_step_carries_the_candidates_graph():
     assert list(graphs) == [span]
     region, placement = graphs[span]
     # the region's own graph, unchanged, and the candidate's placement
-    assert region.instances == compute_dependences(cur, cur.body).instances
+    assert list(region.instances) == list(compute_dependences(cur, cur.body).instances)
     cscope = cand.body[span[0]:span[1]]
     walked = enumerate_instances(cand, cscope)
     placed = rows(placement, len(region.instances))
@@ -410,6 +410,17 @@ def test_valid_step_carries_the_candidates_graph():
     fresh = compute_dependences(cand, cscope)
     assert keyed(region) == keyed(fresh)
     assert placed_deps(region, placed) == set(fresh.deps)
+
+
+@pytest.mark.parametrize("m, instances, edges", [(8, 512, 896), (12, 1_728, 3_168),
+                                                  (16, 4_096, 7_680)])
+def test_dgemm_graph_sizes(m, instances, edges):
+    # per address C[i,j], the k loop's read/write chain: a flow and an output
+    # edge per instance after the first
+    p = strip_pragmas(parse_named(DGEMM16.replace("16", str(m))))
+    ds = compute_dependences(p, p.body)
+    assert ds.exact
+    assert (len(ds.instances), len(ds.pairs), len(ds.alias_pairs)) == (instances, edges, 0)
 
 
 def test_dgemm_pipeline_builds_one_graph(monkeypatch):

@@ -1,6 +1,7 @@
 """The closure-compiled enumerator against the tree-walking reference: the
-same `Enumeration` (`steps` included) or the same exception and message on
-every region, and no code compiled on the transform path."""
+same instances, `steps` and access table, or the same exception and message,
+on every region; the conflict graph built from the table against the one
+built per instance; and no code compiled on the transform path."""
 
 import builtins
 import itertools
@@ -9,16 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xform import deps, plan_pipeline
-from xform.deps import _CapExceeded, enumerate_instances
+from xform.deps import DepsError, _CapExceeded, _exact_set, enumerate_instances
 from xform.lang import (
     INT64_MAX, INT64_MIN, AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Block, Call,
-    ForLoop, IfStmt, IntLit, ParamDecl, Program, VarRef, WhileLoop,
+    EvalError, ForLoop, IfStmt, IntLit, ParamDecl, Program, VarRef, WhileLoop, strip_pragmas,
 )
-from xform.transforms import apply_pipeline
+from xform.transforms import apply_pipeline, build_candidate
 
 from conftest import parse_named
-from reference_deps import reference_enumerate_instances
-from test_conflict_graph import DGEMM16
+from reference_deps import reference_enumerate_instances, reference_graph, table
+from test_conflict_graph import DGEMM16, nests
 
 # N is a param, P an opaque one, q is bound nowhere; the loops bind i, j and
 # N, so N is also a param shadowed by a loop variable
@@ -115,12 +116,13 @@ def regions(draw):
 
 
 def outcome(enumerate_, program, scope, cap):
-    """The enumeration and its step count, or the exception and its message."""
+    """The enumeration, its step count and its access table, or the
+    exception and its message."""
     try:
         out = enumerate_(program, scope, cap)
     except Exception as e:  # every exception type the enumerator raises is compared
         return type(e), str(e)
-    return list(out), out.steps
+    return list(out), out.steps, table(program, scope, out)
 
 
 @settings(max_examples=400, deadline=None)
@@ -180,6 +182,105 @@ def test_original_coordinates_are_valued_after_the_cap():
         assert outcome(enumerate_instances, p, p.body, cap) == \
             outcome(reference_enumerate_instances, p, p.body, cap)
     assert outcome(enumerate_instances, p, p.body, 1)[0] is _CapExceeded
+
+
+# The column path: an innermost loop of assignments runs an execution as
+# columns, and any event in it replays the execution one trip at a time
+
+HEADER = "array A[4] init zero;\narray B[4,4] init zero;\n"
+# 10,698 loop iterations and no instance: the step budget of cap 7 (10,700)
+# runs out at the third trip of the loop after it
+STEPS = "for (o = 0; o < 10698; o += 1)\n  if (o < 0) A[0] = 1;\n"
+
+COLUMNS = [
+    # statement 2 faults at trip 0, statement 1 (valued first as a column) at trip 3
+    ("for (i = 0; i < 4; i += 1) { A[i + 1] = 1; B[4 - i, 0] = 2; }", (4096,)),
+    # cap 7 reached inside 3 statements x 4 trips, and caps around 12
+    ("for (i = 0; i < 4; i += 1) { A[i] = 1; B[i, 0] = A[i]; B[0, i] += 1; }",
+     (7, 11, 12, 4096)),
+    # the step budget passed inside a column: with no fault, before the
+    # fault of the third trip, and after the fault of the second
+    (STEPS + "for (i = 0; i < 4; i += 1) A[i] = 1;", (7, 4096)),
+    (STEPS + "for (i = 0; i < 4; i += 1) A[i * 2] = 1;", (7, 4096)),
+    (STEPS + "for (i = 0; i < 4; i += 1) A[i * 4] = 1;", (7, 4096)),
+    # an overflow at the last trip of a column
+    ("for (i = 9223372036854775803; i < 9223372036854775807; i += 1) A[i + 2 - i] = 1;",
+     (4096,)),
+    # one address read twice in one instance, and written by other instances
+    ("for (i = 0; i < 4; i += 1)\n  for (j = 0; j < 4; j += 1) B[i, j] = B[i, j] + B[i, j];",
+     (4096,)),
+    ("for (i = 0; i < 4; i += 1)\n  for (j = 0; j < 4; j += 1) A[j] = A[i] + A[i];", (4096,)),
+]
+
+
+@pytest.mark.parametrize("src, caps", COLUMNS)
+def test_column_regions_match_the_reference(src, caps):
+    p = parse_named(HEADER + src + "\n")
+    for cap in caps:
+        out = outcome(enumerate_instances, p, p.body, cap)
+        assert out == outcome(reference_enumerate_instances, p, p.body, cap), cap
+        if type(out[0]) is list:
+            assert graphs(p, p.body, cap) == graphs(p, p.body, cap, reference=True)
+
+
+def test_an_original_coordinate_faults_after_the_cap_check_in_a_column():
+    """The second statement's original coordinate faults at trip 2 (the
+    sixth instance): a cap of 5 stops the walk first, a cap of 6 meets the
+    fault."""
+    p = parse_named(HEADER + "for (i = 0; i < 4; i += 1) { A[i] = 1; B[i, 0] = 2; }\n")
+    p.body[0].body[1].orig_coords = (
+        ("i", BinOp("/", IntLit(1), BinOp("-", VarRef("i"), IntLit(2)))),)
+    outcomes = {cap: outcome(enumerate_instances, p, p.body, cap) for cap in range(1, 10)}
+    for cap, out in outcomes.items():
+        assert out == outcome(reference_enumerate_instances, p, p.body, cap), cap
+    assert outcomes[5][0] is _CapExceeded
+    assert outcomes[6] == (EvalError, "division by zero")
+
+
+def test_copies_of_one_statement_keep_their_class_increasing():
+    """After an unroll, two copies of one statement run under the same loop
+    names: one class, its positions in the order of execution."""
+    p = parse_named(HEADER + "#pragma xform loop(j) unroll factor(2)\n"
+                    "for (i = 0; i < 3; i += 1)\n  for (j = 0; j < 4; j += 1)\n"
+                    "    B[i, j] = B[i, j] + 1;\n")
+    cand, _ = build_candidate(strip_pragmas(p), plan_pipeline(p).steps[0])
+    out = enumerate_instances(cand, cand.body)
+    [((loops, _), (_, cols))] = out.classes.items()
+    assert loops == ("i", "j") and cols[0] == list(range(12))
+    assert [inst.orig for inst in out][:3] == [(("i", 0), ("j", 0)), (("i", 0), ("j", 1)),
+                                               (("i", 0), ("j", 2))]
+    assert outcome(enumerate_instances, cand, cand.body, 4096) == \
+        outcome(reference_enumerate_instances, cand, cand.body, 4096)
+    assert graphs(cand, cand.body) == graphs(cand, cand.body, reference=True)
+
+
+# The conflict graph from the access table against the per-instance oracle
+
+
+def graphs(program, scope, cap=4096, reference=False):
+    """The linear, full and may-alias pairs of an exact set: built from the
+    enumeration's access table, or per instance from the reference walk."""
+    if reference:
+        ds = reference_graph(program, reference_enumerate_instances(program, scope, cap))
+    else:
+        ds = _exact_set(program, enumerate_instances(program, scope, cap))
+    return sorted(ds.pairs), ds.full_pairs, ds.alias_pairs
+
+
+def _stripped(src):
+    p = strip_pragmas(parse_named(src))
+    return p, p.body
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(regions(), nests().map(_stripped)))
+def test_the_graph_from_the_table_matches_the_per_instance_oracle(region):
+    program, scope = region
+    try:
+        built = graphs(program, scope)
+    except (DepsError, EvalError, _CapExceeded):
+        return
+    assert built == graphs(program, scope, reference=True)
 
 
 def test_transform_path_compiles_no_code(monkeypatch):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -81,11 +83,16 @@ def test_cli_digest_of_a_subset_matches_itself(tmp_path):
     assert r.returncode == 0 and r.stdout == "0 of 16 commands differ\n", r.stdout
 
 
-def test_bench_ab_counts_the_pairs_the_change_won():
+def load_bench_ab():
     import importlib.util
     spec = importlib.util.spec_from_file_location("bench_ab", os.path.join(SCRIPTS, "bench_ab.py"))
     bench_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_ab)
+    return bench_ab
+
+
+def test_bench_ab_counts_the_pairs_the_change_won():
+    bench_ab = load_bench_ab()
     parent, change = [1.0, 1.1, 1.2, 1.0, 1.3], [0.5, 1.1, 0.6, 0.7, 0.6]
     lower = bench_ab.compare(parent, change, "lower")
     assert (lower["change_won"], lower["pairs"]) == (4, 5)  # a tie counts for neither side
@@ -94,3 +101,14 @@ def test_bench_ab_counts_the_pairs_the_change_won():
     higher = bench_ab.compare(parent, change, "higher")
     assert higher["change_won"] == 0 and not higher["gain_rule_met"]
     assert bench_ab.compare(parent, [0.5] * 5, "lower")["gain_rule_met"]
+
+
+def test_bench_ab_takes_the_median_time_and_the_one_count_of_the_traced_runs():
+    bench_ab = load_bench_ab()
+    runs = [{"deps.compute_ms": t, "cli.trace_overhead_s": s, "deps.pairs": 23_488,
+             "deps.exact_share": 1.0} for t, s in ((9.0, 0.3), (4.0, 0.1), (5.0, 0.2))]
+    assert bench_ab.traced_medians(runs) == {"deps.compute_ms": 5.0, "cli.trace_overhead_s": 0.2,
+                                             "deps.pairs": 23_488, "deps.exact_share": 1.0}
+    runs[2]["deps.pairs"] = 23_487
+    with pytest.raises(RuntimeError, match="deps.pairs differs between traced runs"):
+        bench_ab.traced_medians(runs)
