@@ -10,11 +10,13 @@ Two routes, matching how much the program lets us see:
   `lang.fold` and keep its checks, with no memory; an `EvalError` message
   becomes the `reason`.  A loop whose body is assignments of distinct
   statements runs each execution at once, its variable a column (a list
-  over the trips), through C-level `map`; `+ - * /` and subscripts check a
-  column by `min` and `max`.  Any event in it (a failed check, an
-  `EvalError`, the cap, the step budget) drops the columns and replays the
-  execution a trip at a time with the same closures, as every other loop
-  runs, so outcomes and messages are a walk's one trip at a time.  The
+  over the trips), through C-level `map`, and so does a perfect nest of
+  loops around it whose bounds read no variable of the nest, all its trips
+  in one column; `+ - * /` and subscripts check a column by `min` and
+  `max`.  Any event in it (a failed check, an `EvalError`, the cap, the
+  step budget) drops the columns and replays the execution a trip at a
+  time with the same closures, as every other loop runs, so outcomes and
+  messages are a walk's one trip at a time.  The
   output (`Enumeration`) is by class, the placement before any step, with
   a table of the accesses to arrays written or named by a may-alias pair.
   A region is counted before it is walked: when its instance and iteration
@@ -70,7 +72,8 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, groupby, repeat
+from itertools import chain, count, groupby, repeat
+from math import prod
 from operator import add, itemgetter, mul
 
 from .lang import (
@@ -241,7 +244,8 @@ class _Closures:
     counter in `trips[d]`; a non-opaque param is a constant.  An operation
     on two constants is folded unless it faults (`lang.fold`); every other
     check runs, in the order of evaluation, only when the closures run.
-    An innermost loop of assignments runs as columns (module docstring).
+    Innermost loops of assignments, and perfect nests of them, run as
+    columns (module docstring).
     """
 
     def __init__(self, program: Program, scope: list[Stmt], max_instances: int):
@@ -356,35 +360,61 @@ class _Closures:
             self.trips.append(0)
         vals, trips, made, cap = self.vals, self.trips, self.made, self.cap
         inner = {**scope, s.var: depth}, loops + (s.name,)
-        # distinct statements, so that the positions of a class increase
+        # the loops run as one column, outermost first, the depths their bounds
+        # read, and the statements of the innermost: distinct, so that the
+        # positions of a class increase
+        nest = None
+        reads = {scope[v] for v in free_vars(s.lower) | free_vars(s.upper) if v in scope}
         if all(type(x) is Assign for x in s.body) and len({x.stmt_id for x in s.body}) == \
                 len(s.body):
             stmts = [self.instance(x, *inner) for x in s.body]
-            body = _sequence([one for _, _, one in stmts])
+            body, nest = _sequence([one for _, _, one in stmts]), ([(lo, hi, step)], reads, stmts)
         else:
-            stmts, body = [], self.body(s.body, *inner)
+            body = self.body(s.body, *inner)
+            child = getattr(body, "nest", None)  # a rectangular perfect nest
+            if len(s.body) == 1 and child and depth not in child[1]:
+                nest = [(lo, hi, step), *child[0]], reads | child[1], child[2]
+
+        def columns(lb: int, ub: int) -> bool:
+            """Run one execution of the nest as columns; False where it must
+            be replayed a trip at a time."""
+            levels, _, stmts = nest
+            first, k = made[0], len(stmts)
+            try:
+                bounds = [(lb, ub, step), *[(l(), h(), st) for l, h, st in levels[1:]]]
+            except EvalError:
+                return False
+            counts = [trip_count(*b) for b in bounds]
+            n, need = 1, 0
+            for c in counts:
+                n *= c
+                need += n  # a step per trip of each loop
+            if not n or steps[0] + need > budget or first + n * k > cap:
+                return False
+            for d, v, t in zip(count(depth), _grid([range(*b) for b in bounds]),
+                               _grid(list(map(range, counts)))):
+                vals[d], trips[d] = v, t
+            try:
+                done = [value() for value, _, _ in stmts]
+            except EvalError:
+                return False
+            steps[0] += need
+            made[0] += n * k
+            for x, ((_, record, _), (flats, orig)) in enumerate(zip(stmts, done)):
+                record(first + x, n, k, flats, orig)
+            return True
 
         def loop():
             lb, ub = lo(), hi()
-            n, first, k = trip_count(lb, ub, step), made[0], len(stmts)
-            if k and n and steps[0] + n <= budget and first + n * k <= cap:
-                vals[depth], trips[depth] = list(range(lb, ub, step)), range(n)
-                try:
-                    done = [value() for value, _, _ in stmts]
-                except EvalError:
-                    done = None  # replayed below, for the message
-                if done:
-                    steps[0] += n
-                    made[0] += n * k
-                    for x, ((_, record, _), (flats, orig)) in enumerate(zip(stmts, done)):
-                        record(first + x, n, k, flats, orig)
-                    return
+            if nest and columns(lb, ub):
+                return
             for trip, v in enumerate(range(lb, ub, step) if ub > lb else ()):
                 steps[0] += 1
                 if steps[0] > budget:
                     raise _CapExceeded()
                 vals[depth], trips[depth] = v, trip
                 body()
+        loop.nest = nest
         return loop
 
     def WhileLoop(self, s: WhileLoop, scope: dict, loops: tuple):
@@ -421,6 +451,16 @@ def _fault(message: str):
     def fault():
         raise EvalError(message)
     return None, 0, fault
+
+
+def _grid(ranges: list) -> list[list]:
+    """Per loop of a nest, its column over the trips of the nest in order."""
+    inner, outer, out = prod(map(len, ranges)), 1, []
+    for r in ranges:
+        inner //= len(r)
+        out.append(list(chain.from_iterable(map(repeat, r, repeat(inner)))) * outer)
+        outer *= len(r)
+    return out
 
 
 def _column(f, a, b) -> list:

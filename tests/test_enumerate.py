@@ -203,6 +203,13 @@ COLUMNS = [
     (STEPS + "for (i = 0; i < 4; i += 1) A[i] = 1;", (7, 4096)),
     (STEPS + "for (i = 0; i < 4; i += 1) A[i * 2] = 1;", (7, 4096)),
     (STEPS + "for (i = 0; i < 4; i += 1) A[i * 4] = 1;", (7, 4096)),
+    # a rectangular perfect nest runs as one column: a fault at its second
+    # outer trip, the step budget passed inside it, and an inner loop whose
+    # bounds read the outer variable, which runs as a column per outer trip
+    ("for (i = 0; i < 3; i += 1)\n  for (j = 0; j < 4; j += 1) B[0, i + j] = 1;", (7, 4096)),
+    (STEPS + "for (i = 0; i < 2; i += 1)\n  for (j = 0; j < 2; j += 1) A[j] = 1;", (7, 4096)),
+    ("for (i = 0; i < 3; i += 1)\n  for (j = i; j < 4; j += 1) B[i, j] = B[j, i] + 1;",
+     (7, 4096)),
     # an overflow at the last trip of a column
     ("for (i = 9223372036854775803; i < 9223372036854775807; i += 1) A[i + 2 - i] = 1;",
      (4096,)),
