@@ -27,7 +27,8 @@ them is the same from run to run:
   directive and the gates before them, graphs carried into the steps that
   read them, parallel marks and reversals inside an outer loop, after and
   before a carried step and over arithmetic that faults or that `interval`
-  cannot bound, strong SIV under a lower bound that moves,
+  cannot bound, strong SIV under a lower bound that moves, sibling loops
+  that share a variable's name,
   directives the builders refuse or copy past a known trip count)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
@@ -356,6 +357,19 @@ for (o = 0; o < 4; o += 1) {
 for (i = 0; i < 8; i += 4)
   for (j = i; j < i + 4; j += 1)
     A[j + 4] = A[j];
+""",
+    # two sibling loops that share a variable's name: their `j`s are
+    # different loops, so `j + 1` and `j` in them prove nothing apart
+    "siblings_share_a_variable": """array A[4,10] init random;
+array B[4,10];
+
+#pragma xform reverse
+for (i = 0; i < 3; i += 1) {
+  for (j = 0; j < 8; j += 1)
+    A[i, j + 1] = i + 1;
+  for (j = 0; j < 8; j += 1)
+    B[i, j] = A[i + 1, j];
+}
 """,
     # marks over values that fault or overflow int64, with and without a
     # may-alias pair, and over a condition that `interval` cannot bound

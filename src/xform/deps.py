@@ -25,10 +25,13 @@ Two routes, matching how much the program lets us see:
   step budget, it goes conservative at once, with the reason "enumeration
   cap exceeded" even where the walk would have stopped at a fault first.
 
-* conservative: otherwise fall back to ZIV and strong-SIV subscript tests per
-  dimension; anything those cannot analyze is assumed dependent with unknown
-  (`*`) distance entries.  Accesses to declared may-alias pairs are kept in a
-  separate rtc-eligible bucket rather than folded into the static set.
+* conservative: otherwise turn each subscript once into an affine form over
+  the levels of its enclosing loops and the opaque params (`_affine`), and
+  test each dimension of a reference pair by ZIV and strong SIV over a loop
+  the two share; a dimension those cannot analyze constrains nothing, so the
+  entries no test fixes are unknown (`*`).  Accesses to declared may-alias
+  pairs are kept in a separate rtc-eligible bucket rather than folded into
+  the static set.
 
 The exact conflict graph (`DependenceSet.pairs`) is linear in the number of
 accesses: one sort of each array's table orders its accesses by address,
@@ -578,10 +581,9 @@ def _exact_set(program: Program, enum: Enumeration) -> DependenceSet:
 class _Ref:
     stmt: str
     array: str
-    index: tuple[Expr, ...]
+    forms: tuple[dict | None, ...]  # per subscript, its `_affine` form
     write: bool
     loops: tuple[str, ...]         # enclosing for-loop names
-    loop_vars: tuple[str, ...]
     steps: tuple[int, ...]
     trips: tuple[object, ...]      # int or None
     moving: tuple[bool, ...]       # the lower bound reads an enclosing loop's variable
@@ -609,6 +611,7 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
             if isinstance(s, Assign):
                 names = tuple(l.name for l in loops)
                 lvars = tuple(l.var for l in loops)
+                levels = {v: k for k, v in enumerate(lvars)}
                 steps = tuple(l.step for l in loops)
                 trips = tuple(trips_of(l) for l in loops)
                 moving = tuple(bool(free_vars(l.lower) & set(lvars[:k]))
@@ -618,8 +621,8 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
                     accesses.append((s.array, s.index, False))
                 accesses.append((s.array, s.index, True))
                 for array, index, write in accesses:
-                    refs.append(_Ref(s.stmt_id, array, tuple(resolve(x) for x in index),
-                                     write, names, lvars, steps, trips, moving))
+                    forms = tuple(_affine(resolve(x), levels) for x in index)
+                    refs.append(_Ref(s.stmt_id, array, forms, write, names, steps, trips, moving))
             for body in child_bodies(s):
                 walk(body, loops + (s,) if isinstance(s, ForLoop) else loops)
 
@@ -627,120 +630,73 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
     return refs
 
 
-def _linearize(e: Expr, loop_vars: set[str]):
-    """expr -> (coeffs over loop vars, symbolic rest) or None if non-affine."""
-    if isinstance(e, IntLit):
-        return {}, e
-    if isinstance(e, VarRef):
-        if e.name in loop_vars:
-            return {e.name: 1}, IntLit(0)
-        return {}, e
-    if isinstance(e, BinOp):
-        if e.op in ("+", "-"):
-            l = _linearize(e.lhs, loop_vars)
-            r = _linearize(e.rhs, loop_vars)
-            if l is None or r is None:
-                return None
-            lc, lrest = l
-            rc, rrest = r
-            sign = 1 if e.op == "+" else -1
-            coeffs = dict(lc)
-            for v, c in rc.items():
-                coeffs[v] = coeffs.get(v, 0) + sign * c
-            return coeffs, simplify(BinOp(e.op, lrest, rrest))
-        if e.op == "*":
-            for a, b in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-                sa = simplify(a)
-                if isinstance(sa, IntLit):
-                    lb = _linearize(b, loop_vars)
-                    if lb is None:
-                        return None
-                    bc, brest = lb
-                    return ({v: c * sa.value for v, c in bc.items()},
-                            simplify(BinOp("*", IntLit(sa.value), brest)))
-            return None
+def _affine(e: Expr, levels: dict[str, int]) -> dict | None:
+    """A subscript as `{term: coefficient}`, a term the level of an enclosing
+    loop (its variable in `levels`), an opaque param's name, or None for the
+    constant; None where the subscript is not affine."""
+    t = type(e)
+    if t is IntLit:
+        return {None: e.value}
+    if t is VarRef:
+        return {levels.get(e.name, e.name): 1}
+    if t is not BinOp or e.op not in ("+", "-", "*"):
         return None
-    return None
+    l, r = _affine(e.lhs, levels), _affine(e.rhs, levels)
+    if l is None or r is None:
+        return None
+    if e.op == "*":
+        if l.keys() - {None}:
+            l, r = r, l  # the constant factor first
+        return None if l.keys() - {None} else {k: l[None] * c for k, c in r.items()}
+    sign = 1 if e.op == "+" else -1
+    return {k: l.get(k, 0) + sign * r.get(k, 0) for k in l.keys() | r.keys()}
 
 
 def _conservative_pair(r1: _Ref, r2: _Ref):
     """Analyze one reference pair: None where it is proven independent, else
-    its common loops, a distance entry per common loop (None where unknown)
-    and whether an unknown subscript makes every entry unknown.
+    its common loops and a distance entry per common loop (None where
+    unknown).
+
+    Only ZIV and strong SIV over a loop both references share constrain the
+    pair: a dimension whose forms differ only in the constant, and read at
+    most one level, a common one.  Every other dimension constrains nothing:
+    one not affine, one reading a loop the two do not share (sibling loops
+    may use one variable's name), weak or coupled SIV, or opaque params that
+    do not cancel.
 
     Strong SIV gives a distance in values of the loop variable, which is
     one in trips only where both instances start the loop at the same
     value.  For a loop whose lower bound reads an enclosing loop's variable
     that holds where every outer entry is a known 0; otherwise the entry
     is unknown."""
-    common_names = common_loops(r1.loops, r2.loops)
-    # (name, var1, var2, step, trips)
-    common = [(n, r1.loop_vars[k], r2.loop_vars[k], r1.steps[k], r1.trips[k])
-              for k, n in enumerate(common_names)]
-    # the common-loop level of each variable, in either reference
-    var_pos = ({c[1]: k for k, c in enumerate(common)},
-               {c[2]: k for k, c in enumerate(common)})
+    common = common_loops(r1.loops, r2.loops)
     constraints: dict[int, int] = {}
-    unknown = False
-    for f1, f2 in zip(r1.index, r2.index):
-        lv = set(v for _, v, _, _, _ in common) | set(v2 for _, _, v2, _, _ in common)
-        l1 = _linearize(f1, lv)
-        l2 = _linearize(f2, lv)
-        if l1 is None or l2 is None:
-            unknown = True
+    for f1, f2 in zip(r1.forms, r2.forms):
+        if f1 is None or f2 is None or any(
+                f1.get(k, 0) != f2.get(k, 0) for k in f1.keys() | f2.keys() if k is not None):
             continue
-        c1, rest1 = l1
-        c2, rest2 = l2
-        diff_rest = simplify(BinOp("-", rest1, rest2))
-        # collect net coefficients per common-loop position (vars may differ
-        # textually between the two refs but denote the same loop level)
-        net: dict[int | None, list[int]] = {}
-        for side, coeffs in enumerate((c1, c2)):
-            for v, c in coeffs.items():
-                net.setdefault(var_pos[side].get(v), [0, 0])[side] += c
-        if None in net:  # a variable of no common loop
-            unknown = True
-            continue
-        involved = [k for k, (a, b) in net.items() if a != 0 or b != 0]
-        if not involved:
-            # ZIV: constant difference
-            if isinstance(diff_rest, IntLit):
-                if diff_rest.value != 0:
-                    return None  # proven independent
-            else:
-                unknown = True
-            continue
-        if len(involved) == 1:
-            k = involved[0]
-            a1, a2 = net[k]
-            if a1 != a2 or a1 == 0:
-                unknown = True  # weak SIV; assume dependent
-                continue
-            if not isinstance(diff_rest, IntLit):
-                unknown = True
-                continue
-            # a*v1 + rest1 = a*v2 + rest2  =>  v2 - v1 = (rest1-rest2)/a
-            delta_num = diff_rest.value
-            if delta_num % a1 != 0:
+        siv = [k for k, c in f1.items() if type(k) is int and c]
+        delta = f1.get(None, 0) - f2.get(None, 0)
+        if not siv:  # ZIV
+            if delta:
                 return None
-            phys = delta_num // a1
-            if k in constraints and constraints[k] != phys:
+        elif len(siv) == 1 and siv[0] < len(common):
+            # a*v1 + c1 = a*v2 + c2  =>  v2 - v1 = (c1 - c2) / a
+            k, a = siv[0], f1[siv[0]]
+            if delta % a or constraints.setdefault(k, delta // a) != delta // a:
                 return None
-            constraints[k] = phys
-            continue
-        unknown = True  # coupled subscripts (MIV): assume dependent
     dist: list = []
-    for k, (_, _, _, step, trips) in enumerate(common):
+    for k in range(len(common)):
         phys = constraints.get(k)
         if phys is not None and r1.moving[k] and any(d != 0 for d in dist):
             phys = None  # the instances may start this loop at different values
         if phys is not None:
-            if phys % step != 0 or trips == 0:
+            step, trips = r1.steps[k], r1.trips[k]
+            if phys % step or trips == 0 or trips is not None and abs(phys // step) >= trips:
                 return None
-            if trips is not None and abs(phys // step) >= trips:
-                return None
-        dist.append(None if phys is None else phys // step)
-    return common_names, tuple(dist), unknown
+            phys //= step
+        dist.append(phys)
+    return common, tuple(dist)
 
 
 def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -> DependenceSet:
@@ -768,9 +724,7 @@ def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -
                 res = _conservative_pair(r1, r2)
                 if res is None:
                     continue
-                names, dist, unknown = res
-                if unknown:
-                    dist = tuple(None for _ in dist)
+                names, dist = res
                 # source before sink, both ways while an unknown entry leads;
                 # in one iteration r1 runs first, as `refs` is in textual order
                 sign = leading_sign(dist)

@@ -2,16 +2,17 @@
 soundness and lexicographic-order properties over random programs."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from xform import apply_pipeline, compute_dependences, deps, parse_program, plan_pipeline
+from xform import apply_pipeline, cli, compute_dependences, deps, parse_program, plan_pipeline
 from xform.deps import (
     DepsError, _CapExceeded, conservative_dependences, enumerate_instances, leading_sign,
 )
 from xform.ir import name_loops
+from xform.legality import ALWAYS_VALID
 
 from reference_deps import brute_force_dependences, dep_signature, is_superset
-from conftest import load_corpus, parse_named
+from conftest import load_corpus, parse_named, run_pipeline
 
 
 def deps_of(src, conservative=False):
@@ -116,6 +117,39 @@ def test_strong_siv_under_a_lower_bound_that_moves_keeps_a_distance_in_one_start
     assert is_superset(cons, brute_force_dependences(p, p.body[0]))
 
 
+# two sibling loops of one variable name: the exact route finds `anti s4->s2 (1)`
+REPRO_SIBLINGS = """array A[4,10] init random;
+array B[4,10];
+#pragma xform reverse
+for (i = 0; i < 3; i += 1) {
+  for (j = 0; j < 8; j += 1)
+    A[i, j + 1] = i + 1;
+  for (j = 0; j < 8; j += 1)
+    B[i, j] = A[i + 1, j];
+}
+"""
+
+
+def test_sibling_loops_of_one_variable_name_keep_a_reversal_out(tmp_path):
+    path = tmp_path / "siblings.loop"
+    path.write_text(REPRO_SIBLINGS)
+    assert cli.main([str(path), "--safety", "fallback", "--max-enum", "1", "--verify", "3"]) == 0
+    _, res = run_pipeline(REPRO_SIBLINGS, safety_override="fallback", max_enum=1)
+    assert res.reports[0].verdict.kind != ALWAYS_VALID
+
+
+@pytest.mark.parametrize("body, dep", [
+    ("A[i + N] = A[i + N + 1] + 1;", "anti s1->s1 (1)"),
+    ("A[i + N + 1] = A[i + N] + 1;", "flow s1->s1 (1)"),
+])
+def test_opaque_params_cancel_in_either_order(body, dep):
+    p = parse_named("param N = 2 opaque;\narray A[16] init random;\n"
+                    f"for (i = 0; i < 8; i += 1) {body}\n")
+    ds = compute_dependences(p, p.body[0])
+    assert not ds.exact and [d.pretty() for d in ds.deps] == [dep]
+    assert is_superset(ds, brute_force_dependences(p, p.body[0]))
+
+
 def test_nonaffine_subscript_assumed_dependent():
     src = ("array A[8] init random;\narray X[8] init random;\n"
            "for (i = 0; i < 8; i += 1) A[X[i]%8] = i;\n")
@@ -196,8 +230,35 @@ def test_exact_matches_oracle_2d(src):
     assert dep_signature(ds) == dep_signature(brute_force_dependences(p, p.body[0]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_1d_program())
+# sibling loops of one name are different loops: `j` in one says nothing of
+# `j` in the other; `N` is opaque, so it cancels only against itself
+SUBSCRIPTS = ("i", "i + 1", "j", "j + 1", "2 * j", "i + j", "7 - j", "j + N",
+              "(i * j) % 5", "j / 2", "0", "3")
+
+
+@st.composite
+def random_sibling_program(draw):
+    """An outer loop `i` around two sibling loops whose variables are the
+    same or different, each with one statement on `A`."""
+    rank = draw(st.integers(min_value=1, max_value=2))
+    lines = ["param N = 2 opaque;", f"array A[{','.join(['9'] * rank)}] init random;",
+             f"for (i = 0; i < {draw(st.integers(min_value=2, max_value=3))}; i += 1) {{"]
+    for var in ("j", draw(st.sampled_from(["j", "k"]))):
+        subs = [", ".join(draw(st.sampled_from(SUBSCRIPTS)).replace("j", var)
+                          for _ in range(rank)) for _ in range(2)]
+        ub = draw(st.integers(min_value=1, max_value=4))
+        op = draw(st.sampled_from(["=", "+="]))
+        lines += [f"  for ({var} = 0; {var} < {ub}; {var} += 1)",
+                  f"    A[{subs[0]}] {op} A[{subs[1]}] + 1;"]
+    return "\n".join(lines) + "\n}\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(random_1d_program(), random_sibling_program()))
+@example(REPRO_SIBLINGS.replace("#pragma xform reverse\n", ""))
+@example("array A[9] init random;\narray B[3,3];\nfor (i = 0; i < 3; i += 1) {\n"
+         "  for (j = 0; j < 3; j += 1)\n    A[i + j] = i;\n"
+         "  for (j = 0; j < 3; j += 1)\n    B[i, j] = A[i + j] + 1;\n}\n")
 def test_conservative_covers_oracle(src):
     p = parse_named(src)
     cons = compute_dependences(p, p.body[0], max_enum=1)
