@@ -29,7 +29,9 @@ them is the same from run to run:
   before a carried step and over arithmetic that faults or that `interval`
   cannot bound, strong SIV under a lower bound that moves, sibling loops
   that share a variable's name,
-  directives the builders refuse or copy past a known trip count)
+  directives the builders refuse or copy past a known trip count, loop
+  bounds whose faults a rewrite of `lang.simplify` used to drop, sibling
+  loops whose bounds are equal only as affine forms)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -409,7 +411,33 @@ for (i = 0; i < 8; i += 2)
 for (i = 0; i < 8; i += 2)
   A[i] = A[i] + i;
 """,
+    # sibling loops fused on lower bounds that are one affine form, `t` and
+    # `t + 1 - 1`, though `lang.simplify` keeps them apart
+    "siblings_one_affine_bound": """param N = 6;
+array A[4,8] init random;
+array B[4,8] init random;
+
+#pragma xform loop(i,j) fuse fused_id(f)
+for (t = 0; t < 3; t += 1) {
+  for (i = t; i < N; i += 1)
+    A[t,i] = t + i;
+  for (j = t + 1 - 1; j < N; j += 1)
+    B[t,j] = A[t,j] + 1;
 }
+""",
+}
+# a reversal over a bound whose fault one rule of `lang.simplify` used to
+# drop: x - x, (a + b) - a, (a + b) - b, constants moving x both ways,
+# x * 0 and x % 1
+EDGES.update((f"simplify_{name}", "param N = 3;\narray A[8] init random;\n\n"
+               f"#pragma xform reverse\nfor (i = 0; i < {bound}; i += 1)\n  A[i] = i;\n")
+              for name, bound in (
+                  ("difference", "(N / 0) - (N / 0) + 4"),
+                  ("sum_minus_first", "(9223372036854775807 + N) - 9223372036854775807 + 4"),
+                  ("sum_minus_second", "(N + 9223372036854775807) - 9223372036854775807 + 4"),
+                  ("opposite_constants", "(N + 9223372036854775807) - 9223372036854775800"),
+                  ("times_zero", "(N * 9223372036854775807) * 0 + 4"),
+                  ("mod_one", "(N / 0) % 1 + 4")))
 
 SETTINGS = (("--safety", "default"), ("--safety", "fallback"), ("--safety", "force"),
             ("--safety", "fallback", "--max-enum", "1"))

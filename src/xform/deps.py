@@ -26,12 +26,12 @@ Two routes, matching how much the program lets us see:
   cap exceeded" even where the walk would have stopped at a fault first.
 
 * conservative: otherwise turn each subscript once into an affine form over
-  the levels of its enclosing loops and the opaque params (`_affine`), and
-  test each dimension of a reference pair by ZIV and strong SIV over a loop
-  the two share; a dimension those cannot analyze constrains nothing, so the
-  entries no test fixes are unknown (`*`).  Accesses to declared may-alias
-  pairs are kept in a separate rtc-eligible bucket rather than folded into
-  the static set.
+  the levels of its enclosing loops and the opaque params, the other params
+  read as values (`lang.affine`), and test each dimension of a reference
+  pair by ZIV and strong SIV over a loop the two share; a dimension those
+  cannot analyze constrains nothing, so the entries no test fixes are
+  unknown (`*`).  Accesses to declared may-alias pairs are kept in a
+  separate rtc-eligible bucket rather than folded into the static set.
 
 The exact conflict graph (`DependenceSet.pairs`) is linear in the number of
 accesses: one sort of each array's table orders its accesses by address,
@@ -82,8 +82,8 @@ from operator import add, itemgetter, mul
 from .lang import (
     INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
     ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
-    flat_index, fold, free_vars, gc_paused, int64, interval, iter_stmts, simplify, step_counts,
-    subst, trip_count,
+    affine, flat_index, fold, free_vars, gc_paused, int64, interval, iter_stmts, step_counts,
+    trip_count,
 )
 
 
@@ -581,7 +581,7 @@ def _exact_set(program: Program, enum: Enumeration) -> DependenceSet:
 class _Ref:
     stmt: str
     array: str
-    forms: tuple[dict | None, ...]  # per subscript, its `_affine` form
+    forms: tuple[dict | None, ...]  # per subscript, its `lang.affine` form
     write: bool
     loops: tuple[str, ...]         # enclosing for-loop names
     steps: tuple[int, ...]
@@ -592,9 +592,7 @@ class _Ref:
 def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
     refs: list[_Ref] = []
     params = program.param_ranges(include_opaque=False)
-
-    def resolve(e: Expr) -> Expr:
-        return simplify(subst(e, {k: IntLit(v) for k, (v, _) in params.items()}))
+    consts = program.param_values(include_opaque=False)
 
     def trips_of(loop: ForLoop) -> object:
         """The trip count when both bounds are constant, else None: not
@@ -621,35 +619,13 @@ def _collect_refs(program: Program, scope: list[Stmt]) -> list[_Ref]:
                     accesses.append((s.array, s.index, False))
                 accesses.append((s.array, s.index, True))
                 for array, index, write in accesses:
-                    forms = tuple(_affine(resolve(x), levels) for x in index)
+                    forms = tuple(affine(x, levels, consts) for x in index)
                     refs.append(_Ref(s.stmt_id, array, forms, write, names, steps, trips, moving))
             for body in child_bodies(s):
                 walk(body, loops + (s,) if isinstance(s, ForLoop) else loops)
 
     walk(scope, ())
     return refs
-
-
-def _affine(e: Expr, levels: dict[str, int]) -> dict | None:
-    """A subscript as `{term: coefficient}`, a term the level of an enclosing
-    loop (its variable in `levels`), an opaque param's name, or None for the
-    constant; None where the subscript is not affine."""
-    t = type(e)
-    if t is IntLit:
-        return {None: e.value}
-    if t is VarRef:
-        return {levels.get(e.name, e.name): 1}
-    if t is not BinOp or e.op not in ("+", "-", "*"):
-        return None
-    l, r = _affine(e.lhs, levels), _affine(e.rhs, levels)
-    if l is None or r is None:
-        return None
-    if e.op == "*":
-        if l.keys() - {None}:
-            l, r = r, l  # the constant factor first
-        return None if l.keys() - {None} else {k: l[None] * c for k, c in r.items()}
-    sign = 1 if e.op == "+" else -1
-    return {k: l.get(k, 0) + sign * r.get(k, 0) for k in l.keys() | r.keys()}
 
 
 def _conservative_pair(r1: _Ref, r2: _Ref):

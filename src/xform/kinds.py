@@ -38,8 +38,8 @@ from .schedules import (
     stripe_schedule, tile_schedule,
 )
 from .lang import (
-    Assign, BinOp, Call, Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef,
-    WhileLoop, find_loop, free_vars, iter_stmts, locate, loop_range, simplify, subst_body,
+    Assign, BinOp, Call, Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop,
+    affine, find_loop, free_vars, iter_stmts, locate, loop_range, simplify, subst_body,
     subst_stmt,
 )
 
@@ -446,9 +446,9 @@ def distribute(loop: ForLoop, groups, ids: tuple[str, ...], uid: int,
 def fuse(loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
     """Concatenate adjacent sibling loops with identical domains into one."""
     first = loops[0]
-    lo, up, st = simplify(first.lower), simplify(first.upper), first.step
+    lo, up, st = first.lower, first.upper, first.step
     for l in loops[1:]:
-        if simplify(l.lower) != lo or simplify(l.upper) != up or l.step != st:
+        if not (_same(l.lower, lo) and _same(l.upper, up)) or l.step != st:
             raise TransformError(f"fuse requires identical loop domains; "
                                  f"'{l.name}' differs from '{first.name}'")
     body: list[Stmt] = []
@@ -461,6 +461,12 @@ def fuse(loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
     out = _make_loop(fused_id, lo, up, st, body, fused_id, _gen("fuse", uid))
     return TransformResult([out], {"loop_of": loop_of, "names": [l.name for l in loops],
                                    "fused_id": fused_id})
+
+
+def _same(a: Expr, b: Expr) -> bool:
+    """Whether two bounds are equal as affine forms or, not affine, simplified."""
+    d = affine(BinOp("-", a, b), {}, {})
+    return d == {} if d is not None else simplify(a) == simplify(b)
 
 
 def _level_meta(program: Program, loop: ForLoop) -> dict:

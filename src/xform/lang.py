@@ -11,13 +11,16 @@ original-loop coordinates no matter how mangled the tree is.
 
 Each rule is stated once here: `fold` gives a constant operation its int64
 value, `trip_count` a loop's iterations, `interval` an expression's static
-bounds (on an environment of points, its value), `step_counts` is the one
-static walk of a region, `locate` finds a node in the tree, `PRECEDENCE`
-orders the operators for the parser and the printer, and `subexprs` walks an
-expression.  The dependence enumerator's closures (`xform.deps`) and the
-interpreter's lowering (`xform.lower`) fold through `fold` and keep its
-checks, in the order of evaluation of the tests' reference evaluator
-(`tests/reference_lang.py`).
+bounds (on an environment of points, its value), `affine` its affine form
+(for `loop_range`, `kinds.fuse` and the conservative dependence tests),
+`step_counts` is the one static walk of a region, `locate` finds a node in
+the tree, `PRECEDENCE` orders the operators for the parser and the printer,
+and `subexprs` walks an expression.  The dependence enumerator's closures
+(`xform.deps`) and the interpreter's lowering (`xform.lower`) fold through
+`fold` and keep its checks, in the order of evaluation of the tests'
+reference evaluator (`tests/reference_lang.py`).  `simplify` never changes
+an expression's value or fault; only the builders call it, on the code
+they write, and no analysis reads its rules.
 """
 
 from __future__ import annotations
@@ -209,13 +212,16 @@ def interval(e: Expr, env: dict) -> Interval | None:
 def loop_range(loop: "ForLoop", env: dict) -> tuple[int | None, Interval | None]:
     """`loop`'s trip count and its variable's interval under `env`, each None
     when the bounds do not fix it.  The trip count comes from two constant
-    bounds, else from a constant extent `upper - lower` (`i < i0 + 4`)."""
+    bounds, else from `upper - lower` whose `affine` form is a constant
+    (`i < i0 + 4`), a name that `env` holds at one point read as its value."""
     lo, hi, step = interval(loop.lower, env), interval(loop.upper, env), loop.step
     if lo is not None and hi is not None and lo[0] == lo[1] and hi[0] == hi[1]:
         trips = trip_count(lo[0], hi[0], step)
     else:
-        extent = simplify(BinOp("-", loop.upper, loop.lower))
-        trips = trip_count(0, extent.value, step) if isinstance(extent, IntLit) else None
+        consts = {n: v[0] for n, v in env.items() if v is not None and v[0] == v[1]}
+        extent = affine(BinOp("-", loop.upper, loop.lower), {}, consts)
+        trips = None if extent is None or extent.keys() - {None} else \
+            trip_count(0, extent.get(None, 0), step)
     if lo is None or hi is None:
         return trips, None
     last = hi[1] - 1 if trips is None else min(hi[1] - 1, lo[1] + (trips - 1) * step)
@@ -348,66 +354,78 @@ def subst(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Light constant folding and algebraic cleanup.
-
-    Constants are folded only by `fold`, so an operation that would
-    overflow or divide by zero is left in the tree.
-    """
-    if isinstance(e, (IntLit, VarRef)):
-        return e
-    if isinstance(e, ArrayRead):
+    """Light constant folding and cleanup that keeps every value and fault:
+    constants fold only by `fold`, an operand is dropped only where it
+    changes nothing (`x + 0`, `x * 1`, `x / 1`, `min(a, a)`), and `(x +- c1)
+    +- c2` becomes `x + c` only where c1 and c2 move x one way, so that both
+    overflow together."""
+    t = type(e)
+    if t is ArrayRead:
         return ArrayRead(e.array, tuple(simplify(i) for i in e.index))
-    if isinstance(e, Call):
-        args = tuple(simplify(a) for a in e.args)
-        if e.func in ("min", "max"):
-            if all(isinstance(a, IntLit) for a in args):
-                return IntLit(fold(e.func, args[0].value, args[1].value))
-            if len(args) == 2 and args[0] == args[1]:
-                return args[0]
-        return Call(e.func, args)
-    if isinstance(e, BinOp):
-        l, r = simplify(e.lhs), simplify(e.rhs)
-        op = e.op
-        if isinstance(l, IntLit) and isinstance(r, IntLit):
-            v = fold(op, l.value, r.value)
-            if v is not None:
-                return IntLit(v)
-        if op == "-":
-            if l == r:
-                return IntLit(0)
-            if isinstance(l, BinOp) and l.op == "+":
-                if l.lhs == r:
-                    return l.rhs
-                if l.rhs == r:
-                    return l.lhs
-        if op in ("+", "-") and isinstance(r, IntLit):
-            if r.value == 0:
-                return l
-            if r.value < 0:  # x + -c -> x - c, x - -c -> x + c
-                flipped = fold("-", 0, r.value)
-                if flipped is not None:
-                    return simplify(BinOp("-" if op == "+" else "+", l, IntLit(flipped)))
-            elif isinstance(l, BinOp) and l.op in ("+", "-") and isinstance(l.rhs, IntLit):
-                # ((x +- c1) +- c2) -> x + c
-                c1 = fold(l.op, 0, l.rhs.value)
-                c = None if c1 is None else fold(op, c1, r.value)
-                if c is not None:
-                    return simplify(BinOp("+", l.lhs, IntLit(c)))
-        if op == "+" and isinstance(l, IntLit) and l.value == 0:
-            return r
-        if op == "/" and isinstance(r, IntLit) and r.value == 1:
+    if t is not BinOp and (t is not Call or e.func == "disjoint"):
+        return e
+    op, (l, r) = (e.op, (e.lhs, e.rhs)) if t is BinOp else (e.func, e.args)
+    l, r = simplify(l), simplify(r)
+    if isinstance(l, IntLit) and isinstance(r, IntLit):
+        v = fold(op, l.value, r.value)
+        if v is not None:
+            return IntLit(v)
+    if t is Call:  # min or max
+        return l if l == r else Call(op, (l, r))
+    if op in ("+", "-") and isinstance(r, IntLit):
+        if r.value == 0:
             return l
-        if op == "%" and isinstance(r, IntLit) and r.value == 1:
-            return IntLit(0)
-        if op == "*":
-            for a, b in ((l, r), (r, l)):
-                if isinstance(a, IntLit):
-                    if a.value == 0:
-                        return IntLit(0)
-                    if a.value == 1:
-                        return b
-        return BinOp(op, l, r)
-    raise TypeError(f"not an expression: {e!r}")
+        if r.value < 0:  # x + -c -> x - c, x - -c -> x + c
+            flipped = fold("-", 0, r.value)
+            if flipped is not None:
+                return simplify(BinOp("-" if op == "+" else "+", l, IntLit(flipped)))
+        elif isinstance(l, BinOp) and l.op in ("+", "-") and isinstance(l.rhs, IntLit):
+            # ((x +- c1) +- c2) -> x + c where c1 and c2 move x one way
+            c1 = fold(l.op, 0, l.rhs.value)
+            c = None if c1 is None or (c1 > 0) != (op == "+") else fold(op, c1, r.value)
+            if c is not None:
+                return simplify(BinOp("+", l.lhs, IntLit(c)))
+    if op == "+" and isinstance(l, IntLit) and l.value == 0:
+        return r
+    if op in ("*", "/") and isinstance(r, IntLit) and r.value == 1:
+        return l
+    if op == "*" and isinstance(l, IntLit) and l.value == 1:
+        return r
+    return BinOp(op, l, r)
+
+
+def affine(e: Expr, levels: dict[str, int], consts: dict[str, int]) -> dict | None:
+    """`e` as an affine form `{term: coefficient}`, no coefficient 0: a term
+    is the level of an enclosing loop (its variable in `levels`), another
+    name not in `consts` (an opaque param), or None for the constant.  A
+    name in `consts` is its value, and an operation on two constants folds
+    by `fold`.  None where `e` is not affine or such an operation faults.
+    Wherever `e` has a value, the form gives it."""
+    t = type(e)
+    if t is IntLit:
+        return {None: e.value} if e.value else {}
+    if t is VarRef:
+        if e.name in levels or e.name not in consts:
+            return {levels.get(e.name, e.name): 1}
+        return affine(IntLit(consts[e.name]), levels, consts)
+    if t is not BinOp and (t is not Call or e.func == "disjoint"):
+        return None
+    op, (a, b) = (e.op, (e.lhs, e.rhs)) if t is BinOp else (e.func, e.args)
+    l, r = affine(a, levels, consts), affine(b, levels, consts)
+    if l is None or r is None:
+        return None
+    if l.keys() <= {None} >= r.keys():  # a constant operation
+        v = fold(op, l.get(None, 0), r.get(None, 0))
+        return None if v is None else affine(IntLit(v), levels, consts)
+    if op == "*" and r.keys() <= {None}:
+        l, r = r, l  # the constant factor first
+    if op == "*" and l.keys() <= {None}:
+        return {k: l[None] * c for k, c in r.items()} if l else {}
+    if op not in ("+", "-"):
+        return None
+    sign = 1 if op == "+" else -1
+    out = {k: l.get(k, 0) + sign * r.get(k, 0) for k in l.keys() | r.keys()}
+    return {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -118,12 +118,12 @@ def judge_exact(depset: DependenceSet, times: list) -> Verdict:
 
     Every edge of `depset.pairs` must keep its order: those are the linear
     write-separated adjacent pairs, and they are kept in order exactly when
-    every conflicting pair is.  A failed check is repeated on all conflicting
-    pairs (`depset.full_pairs`), so the witness is the first violated pair in
-    execution order whichever edges found the violation.
+    every conflicting pair is.  An invalid verdict is repeated on all
+    conflicting pairs (`depset.full_pairs`), so that its witness is the first
+    violated pair in execution order; an rtc verdict reads only `alias_pairs`.
     """
     verdict = _judge_order(depset, depset.pairs, times)
-    if verdict.kind != ALWAYS_VALID:
+    if verdict.kind == INVALID:
         verdict = _judge_order(depset, depset.full_pairs, times)
     return verdict
 

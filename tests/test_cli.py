@@ -348,3 +348,38 @@ def test_parallel_inside_an_outer_loop_is_judged_per_execution(tmp_path):
     assert r.returncode == 0, r.stderr
     assert r.stderr == "verified: 2 trials, memory identical\n"
     assert "  #pragma xform parallel\n  for (i = 0; i < 3; i += 1) {\n" in r.stdout
+
+
+@pytest.mark.parametrize("bound", [
+    "(N / 0) - (N / 0) + 4",                                 # x - x
+    "(9223372036854775807 + N) - 9223372036854775807 + 4",   # (a + b) - a
+    "(N + 9223372036854775807) - 9223372036854775807 + 4",   # (a + b) - b
+    "(N + 9223372036854775807) - 9223372036854775800",       # constants moving x both ways
+    "(N * 9223372036854775807) * 0 + 4",                     # x * 0
+    "(N / 0) % 1 + 4",                                       # x % 1
+])
+def test_a_rewritten_bound_keeps_its_fault(tmp_path, bound):
+    # the bound faults; the builder's `simplify` must not rewrite that away
+    path = tmp_path / "in.loop"
+    path.write_text("param N = 3;\narray A[8] init random;\n\n#pragma xform reverse\n"
+                    f"for (i = 0; i < {bound}; i += 1)\n  A[i] = i;\n")
+    r = run_cli(str(path), "--safety", "fallback", "--verify", "2")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "verified: 2 trials, memory identical; 2 faulted identically\n"
+
+
+@pytest.mark.parametrize("lowers, fused", [
+    (("t + 1 - 1", "t"), "for (f = t + 1 - 1; f < N; f += 1) {"),
+    (("t", "t + 1 - 1"), "for (f = t; f < N; f += 1) {"),
+])
+def test_fuse_matches_bounds_that_are_one_affine_form(tmp_path, lowers, fused):
+    path = tmp_path / "in.loop"
+    path.write_text("param N = 6;\narray A[4,8] init random;\narray B[4,8] init random;\n\n"
+                    "#pragma xform loop(i,j) fuse fused_id(f)\n"
+                    "for (t = 0; t < 3; t += 1) {\n"
+                    f"  for (i = {lowers[0]}; i < N; i += 1)\n    A[t,i] = t + i;\n"
+                    f"  for (j = {lowers[1]}; j < N; j += 1)\n    B[t,j] = A[t,j] + 1;\n}}\n")
+    r = run_cli(str(path), "--safety", "fallback", "--verify", "2", "--emit", "-")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "verified: 2 trials, memory identical\n"
+    assert f"  {fused}\n    A[t, f] = t + f;\n    B[t, f] = A[t, f] + 1;\n" in r.stdout, r.stdout

@@ -519,3 +519,13 @@ def test_the_callers_collector_state_comes_back(enabled, tmp_path, monkeypatch, 
         assert gc.isenabled() == enabled
     assert escaped == [enabled]
     assert capsys.readouterr().err == "error: program nests too deeply to process\n"
+
+
+def test_an_rtc_verdict_builds_no_conflicting_pairs():
+    # an rtc verdict reads only the may-alias pairs, so it needs no second pass
+    p = parse_named("array A[8] init random;\narray B[8] init random;\nmaybe_alias(A, B);\n"
+                    "for (i = 0; i < 4; i += 1)\n  A[i] = A[i] + B[3 - i];\n")
+    ds = compute_dependences(p, p.body[0])
+    assert ds.exact and ds.alias_pairs
+    assert judge_exact(ds, _times([3, 2, 1, 0])).kind == "valid_with_rtc"
+    assert "full_pairs" not in ds.__dict__

@@ -110,18 +110,55 @@ def _node(children):
 exprs = st.recursive(leaves, _node, max_leaves=8)
 
 
+def outcome(e, env):
+    """`e`'s value under `env`, or its fault's message."""
+    try:
+        return evaluate(e, env)
+    except EvalError as err:
+        return str(err)
+
+
+envs = st.fixed_dictionaries({v: st.one_of(EDGE, st.integers(MIN, MAX)) for v in VARS})
+
+
 @settings(max_examples=400, deadline=None)
-@given(exprs, st.fixed_dictionaries({v: st.one_of(EDGE, st.integers(MIN, MAX)) for v in VARS}))
-def test_simplify_keeps_the_value_and_int64_literals(e, env):
+@given(exprs, envs)
+# each fault one deleted rule dropped: (a + b) - a, (a + b) - b, x - x, x * 0, x % 1,
+# and constants that move x both ways (`(-1 + MIN) + 1` was folded to MIN)
+@example(op("-", op("+", MAX, VarRef("x")), MAX), {"x": 1, "y": 0})
+@example(op("-", op("+", VarRef("x"), MAX), MAX), {"x": 1, "y": 0})
+@example(op("-", op("/", VarRef("x"), 0), op("/", VarRef("x"), 0)), {"x": 1, "y": 0})
+@example(op("*", op("*", VarRef("x"), MAX), 0), {"x": 2, "y": 0})
+@example(op("%", op("/", VarRef("x"), 0), 1), {"x": 1, "y": 0})
+@example(op("+", op("+", -1, MIN), 1), {"x": 0, "y": 0})
+def test_simplify_keeps_the_outcome_and_int64_literals(e, env):
     s = simplify(e)
     for x in subexprs(s):
         if isinstance(x, IntLit):
             assert MIN <= x.value <= MAX, s
-    try:
-        value = evaluate(e, env)
-    except EvalError:
-        return
-    assert evaluate(s, env) == value, s
+    assert outcome(s, env) == outcome(e, env), s
+
+
+@pytest.mark.parametrize("e, form", [
+    (op("/", VarRef("N"), 2), {None: 8}),                           # a param is folded
+    (op("-", op("*", 3, VarRef("i")), VarRef("M")), {0: 3, "M": -1}),  # an opaque one is a term
+    (op("-", op("+", VarRef("i"), op("%", VarRef("N"), 5)), VarRef("i")), {None: 1}),
+    (op("*", VarRef("i"), VarRef("j")), None),
+    (ArrayRead("A", (VarRef("i"),)), None),
+    (Call("disjoint", (VarRef("A"), VarRef("B"))), None),
+    (op("/", VarRef("N"), 0), None),                                # a constant fault
+])
+def test_affine_forms(e, form):
+    assert lang.affine(e, {"i": 0, "j": 1}, {"N": 16}) == form
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs, envs)
+def test_an_affine_form_gives_the_value(e, env):
+    form = lang.affine(e, {"x": 0}, {"y": env["y"]})
+    value = outcome(e, env)
+    if form is not None and not isinstance(value, str):
+        assert sum(c * (env["x"] if k == 0 else 1) for k, c in form.items()) == value, form
 
 
 # ---------------------------------------------------------------------------
