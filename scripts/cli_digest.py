@@ -31,7 +31,9 @@ them is the same from run to run:
   that share a variable's name,
   directives the builders refuse or copy past a known trip count, loop
   bounds whose faults a rewrite of `lang.simplify` used to drop, sibling
-  loops whose bounds are equal only as affine forms)
+  loops whose bounds are equal only as affine forms or whose dropped bound
+  faults or reads an array, a kept step over a program that faults on some
+  trials)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -424,6 +426,37 @@ for (t = 0; t < 3; t += 1) {
   for (j = t + 1 - 1; j < N; j += 1)
     B[t,j] = A[t,j] + 1;
 }
+""",
+    # ... and one whose dropped bound overflows from t = 1 where the kept
+    # one does not, or reads what the first loop writes
+    "siblings_dropped_bound_faults": """param N = 6;
+array A[4,8] init random;
+array B[4,8] init random;
+
+#pragma xform loop(i,j) fuse fused_id(f)
+for (t = 0; t < 3; t += 1) {
+  for (i = t; i < N; i += 1)
+    A[t,i] = t + i;
+  for (j = t + 9223372036854775807 - 9223372036854775807; j < N; j += 1)
+    B[t,j] = j;
+}
+""",
+    "siblings_bound_reads_array": """array A[4] init zero;
+array B[8] init random;
+
+#pragma xform loop(i,j) fuse fused_id(f)
+for (i = 0; i < A[0] + 3; i += 1)
+  A[0] = 2;
+for (j = 0; j < A[0] + 3; j += 1)
+  B[j] = j;
+""",
+    # an invalid reversal that `fallback` keeps, over a division by a drawn
+    # cell: the output is the input, and some trials fault
+    "kept_step_faults_on_some_trials": """array A[8] init random;
+
+#pragma xform reverse
+for (i = 1; i < 8; i += 1)
+  A[i] = A[i - 1] + 100 / (A[6] % 3);
 """,
 }
 # a reversal over a bound whose fault one rule of `lang.simplify` used to

@@ -18,6 +18,11 @@ Arrays declared `maybe_alias` can be run under different bindings: fully
 separate storage, or overlapping storage at a given element offset.  The
 `disjoint(A, B)` builtin reports the binding, which is what runtime-checked
 transformation guards test.
+
+`equivalent` lays out each binding's memory once and draws only the cells
+per trial.  Two equal programs (an output that no directive changed) run
+once per trial and binding, and that run is both sides' outcome: the run is
+deterministic, so the report is the one two runs would give.
 """
 
 from __future__ import annotations
@@ -34,13 +39,15 @@ class Memory:
     """Array storage with optional overlapping bindings for may-alias pairs.
 
     binding maps an (a, b) alias pair to None (distinct) or an integer
-    element offset: b's element 0 is a's element `offset`.
+    element offset: b's element 0 is a's element `offset`.  The layout (each
+    array's segment, base and extent: `views`, and each segment's `sizes`)
+    depends only on the program and the binding; `draw` reuses it for
+    another seed's cells.
     """
 
     def __init__(self, program: Program, binding: dict | None = None, seed: int = 0):
         self.program = program
         self.binding = dict(binding or {})
-        self.seed = seed
         norm = {}
         for (a, b), off in self.binding.items():
             norm[(a, b)] = off
@@ -70,19 +77,34 @@ class Memory:
         for arr in program.arrays:
             s = seg_of[arr.name]
             shift[s] = min(shift.get(s, 0), base[arr.name])
-        sizes: dict[int, int] = {}
+        self.sizes: dict[int, int] = {}
         self.views: dict[str, tuple[int, int, tuple[int, ...], int]] = {}
         for arr in program.arrays:
             s = seg_of[arr.name]
             b = base[arr.name] - shift[s]
             self.views[arr.name] = (s, b, arr.dims, arr.total)
-            sizes[s] = max(sizes.get(s, 0), b + arr.total)
-        self.segments: dict[int, list[int]] = {s: [0] * n for s, n in sizes.items()}
+            self.sizes[s] = max(self.sizes.get(s, 0), b + arr.total)
+        self.seed = seed
+        self.segments = self._cells(seed)
+
+    def _cells(self, seed: int) -> dict[int, list[int]]:
+        """Each segment's cells as `seed` draws them: the arrays in
+        declaration order, a random one from one `random.Random(seed)`."""
+        segments = {s: [0] * n for s, n in self.sizes.items()}
         rng = random.Random(seed)
-        for arr in program.arrays:
+        for arr in self.program.arrays:
             s, b, _, total = self.views[arr.name]
-            self.segments[s][b:b + total] = (_random_cells(rng, total)
-                                             if arr.init == "random" else [0] * total)
+            segments[s][b:b + total] = (_random_cells(rng, total)
+                                        if arr.init == "random" else [0] * total)
+        return segments
+
+    def draw(self, seed: int) -> "Memory":
+        """The memory that `Memory(program, binding, seed)` builds, drawing
+        only its cells: the same layout, in storage of its own."""
+        new = copy.copy(self)
+        new.seed = seed
+        new.segments = self._cells(seed)
+        return new
 
     def copy(self) -> "Memory":
         """The same binding and values, in storage of its own."""
@@ -178,28 +200,42 @@ def _where(trial: int, seed: int, binding: dict) -> str:
 def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> EquivalenceReport:
     """Compare outcomes over seeded random inputs and all alias bindings: the
     final memories, or the fault messages without their lines.  The two
-    sides declare the same arrays, so each trial draws its memory once."""
+    sides declare the same arrays, so each trial draws its memory once, and
+    each binding is laid out once.  Equal programs (`==`, `parallel` marks
+    included) have one outcome per input: each trial runs it once and counts
+    it for both sides, which gives the report that two runs give.  A nest
+    too deep for `==` to compare runs on both sides."""
     decls1 = [(a.name, a.dims, a.init) for a in p1.arrays]
     decls2 = [(a.name, a.dims, a.init) for a in p2.arrays]
     if decls1 != decls2:
         return EquivalenceReport(False, 0, "declaration mismatch")
     master = random.Random(seed)
     trial_seeds = [master.randrange(2**31) for _ in range(max(trials, 1))]
-    bindings = alias_bindings(p1)
-    low1, low2 = lower(p1, False), lower(p2, False)
+    # the first trial's memories are the layouts that later trials draw into
+    layouts = [Memory(p1, binding, trial_seeds[0]) for binding in alias_bindings(p1)]
+    try:
+        one = p1 == p2
+    except RecursionError:  # `==` recurses per nesting level: run a deep nest on both sides
+        one = False
+    low1 = lower(p1, False)
+    low2 = low1 if one else lower(p2, False)
     faulted = 0
     for t, s in enumerate(trial_seeds):
         both_faulted = False
-        for binding in bindings:
-            start = Memory(p1, binding, s)
-            m1, m2 = _outcome(low1, start.copy()), _outcome(low2, start)
+        for layout in layouts:
+            start = layout.draw(s) if t else layout
+            m1 = _outcome(low1, start if one else start.copy())
+            m2 = m1 if one else _outcome(low2, start)
             if isinstance(m1, str) or isinstance(m2, str):
                 if (isinstance(m1, str) and isinstance(m2, str)
                         and m1.rsplit(" (line ", 1)[0] == m2.rsplit(" (line ", 1)[0]):
                     both_faulted = True
                     continue
                 f1, f2 = (f"fault '{m}'" if isinstance(m, str) else "no fault" for m in (m1, m2))
-                return EquivalenceReport(False, t + 1, _where(t, s, binding) + f"{f1} vs {f2}")
+                return EquivalenceReport(False, t + 1,
+                                         _where(t, s, layout.binding) + f"{f1} vs {f2}")
+            if one:
+                continue
             for arr in p1.arrays:
                 v1 = m1.array_values(arr.name)
                 v2 = m2.array_values(arr.name)
@@ -207,7 +243,6 @@ def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> Eq
                     i = next(k for k in range(len(v1)) if v1[k] != v2[k])
                     return EquivalenceReport(
                         False, t + 1,
-                        _where(t, s, binding) + f"{arr.name}[{i}] = {v1[i]} vs {v2[i]}")
+                        _where(t, s, layout.binding) + f"{arr.name}[{i}] = {v1[i]} vs {v2[i]}")
         faulted += both_faulted
     return EquivalenceReport(True, len(trial_seeds), faulted=faulted)
-

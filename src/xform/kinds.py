@@ -39,8 +39,8 @@ from .schedules import (
 )
 from .lang import (
     Assign, BinOp, Call, Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop,
-    affine, find_loop, free_vars, iter_stmts, locate, loop_range, simplify, subst_body,
-    subst_stmt,
+    affine, array_reads, find_loop, free_vars, interval, iter_stmts, locate, loop_range,
+    simplify, subst_body, subst_stmt,
 )
 
 
@@ -443,12 +443,15 @@ def distribute(loop: ForLoop, groups, ids: tuple[str, ...], uid: int,
                                        "names": tuple(l.name for l in out_loops)})
 
 
-def fuse(loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
+def fuse(program: Program, loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
     """Concatenate adjacent sibling loops with identical domains into one."""
     first = loops[0]
     lo, up, st = first.lower, first.upper, first.step
+    env = program.param_ranges(include_opaque=False)
+    for outer in locate(program.body, first)[3]:
+        env = {**env, outer.var: loop_range(outer, env)[1]}
     for l in loops[1:]:
-        if not (_same(l.lower, lo) and _same(l.upper, up)) or l.step != st:
+        if not (_same(lo, l.lower, env) and _same(up, l.upper, env)) or l.step != st:
             raise TransformError(f"fuse requires identical loop domains; "
                                  f"'{l.name}' differs from '{first.name}'")
     body: list[Stmt] = []
@@ -463,10 +466,17 @@ def fuse(loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
                                    "fused_id": fused_id})
 
 
-def _same(a: Expr, b: Expr) -> bool:
-    """Whether two bounds are equal as affine forms or, not affine, simplified."""
-    d = affine(BinOp("-", a, b), {}, {})
-    return d == {} if d is not None else simplify(a) == simplify(b)
+def _same(kept: Expr, dropped: Expr, env: dict) -> bool:
+    """Whether the fused loop's bound `kept` gives `dropped`'s value and
+    fault.  `dropped` was valued after the loops before it ran, so it may
+    read no array; then both simplify to one expression, or they are one
+    affine form and `interval` under `env` (the params and the enclosing
+    loops' variables) proves that `dropped` cannot fault."""
+    if array_reads(dropped):
+        return False
+    if simplify(kept) == simplify(dropped):
+        return True
+    return affine(BinOp("-", kept, dropped), {}, {}) == {} and interval(dropped, env) is not None
 
 
 def _level_meta(program: Program, loop: ForLoop) -> dict:
@@ -759,7 +769,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          schedule=distribute_schedule,
          conservative=lambda ds, m: legality.judge_parts_conservative(ds, m["part_of"])),
     Kind("fuse", "fuse", {"fused_id": "id"},
-         lambda p, loops, a, uid, taken: fuse(loops, a["fused_id"], uid),
+         lambda p, loops, a, uid, taken: fuse(p, loops, a["fused_id"], uid),
          shape=SIBLINGS, ids={"fused_id": "_fused"}, schedule=fuse_schedule,
          conservative=lambda ds, m: legality.judge_fused_conservative(ds, m["loop_of"])),
     Kind("reverse", "reverse", {},

@@ -31,7 +31,9 @@ finished CSV row (see `CSV_HEADER`) to the trace list before it stores its
 value, an f-string of the statement id, its original-loop coordinates and
 the elements it reads and writes.
 
-Expressions become three-address code, one operation per line.  A
+Expressions become three-address code, one operation per line.  Within a
+statement, an operation whose generated text an earlier one already had
+reuses that one's temporary, which was checked there.  A
 parameter becomes its value, a loop variable a local named `v_<name>`, and an
 array `c_<name>` (cells) and `b_<name>` (base offset), so no program name can
 shadow a generated name or a builtin.  Bodies more than `MAX_DEPTH` levels
@@ -169,6 +171,7 @@ class _Gen:
         self.ticks = ticked or counts is None
         self.ranges: dict = {}  # interval of each loop variable and temporary
         self.seen: set = set()  # the statement's subscript checks so far
+        self.values: dict = {}  # the statement's temporaries, by the value they hold
         self.checks = self.proved = 0
         scope = {p.name: p.value for p in program.params}
         self.function("f0", ["mem", "bud", "trace"])
@@ -208,8 +211,11 @@ class _Gen:
             v = fold(op, a, b)
             if v is not None:
                 return v
+        text = _FORMS[op].format(a, b)
+        if text in self.values:  # an equal operation earlier in the statement, checked there
+            return self.values[text]
         known = op_interval(op, self.span(a), self.span(b))
-        r = self.let(_FORMS[op].format(a, b), known)
+        r = self.let(text, known)
         if op in ("+", "-", "*", "/"):
             self.check(known is None, _CHECKED.format(r))
         return r
@@ -219,10 +225,14 @@ class _Gen:
         return (x, x) if type(x) is int else self.ranges.get(x)
 
     def let(self, value: str, known=None) -> str:
-        self.tmp += 1
-        self.ranges[f"t{self.tmp}"] = known
-        self.emit(f"t{self.tmp} = {value}")
-        return f"t{self.tmp}"
+        """The statement's temporary holding `value`, emitted on first use:
+        nothing the statement values before its store changes memory."""
+        if value not in self.values:
+            self.tmp += 1
+            name = self.values[value] = f"t{self.tmp}"
+            self.ranges[name] = known
+            self.emit(f"{name} = {value}")
+        return self.values[value]
 
     def check(self, needed: bool, line: str):
         """Emit a run-time check unless the ranges prove it cannot fire."""
@@ -274,6 +284,7 @@ class _Gen:
         for s in stmts:
             self.line, self.tmp = s.line, 0
             self.seen.clear()
+            self.values.clear()
             self.tick()
             getattr(self, type(s).__name__)(s, scope, loops)
 

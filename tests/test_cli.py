@@ -383,3 +383,22 @@ def test_fuse_matches_bounds_that_are_one_affine_form(tmp_path, lowers, fused):
     assert r.returncode == 0, r.stderr
     assert r.stderr == "verified: 2 trials, memory identical\n"
     assert f"  {fused}\n    A[t, f] = t + f;\n    B[t, f] = A[t, f] + 1;\n" in r.stdout, r.stdout
+
+
+@pytest.mark.parametrize("lowers, warned", [
+    # `j`'s bound overflows from t = 1 and `i`'s does not: fusing would drop the fault
+    (("t", "t + 9223372036854775807 - 9223372036854775807"), True),
+    # the kept bound faults first in both programs, and `t` cannot fault
+    (("t + 9223372036854775807 - 9223372036854775807", "t"), False),
+])
+def test_fuse_drops_only_a_bound_that_cannot_fault(tmp_path, lowers, warned):
+    path = tmp_path / "in.loop"
+    path.write_text("param N = 6;\narray A[4,8] init random;\narray B[4,8] init random;\n\n"
+                    "#pragma xform loop(i,j) fuse fused_id(f)\n"
+                    "for (t = 0; t < 3; t += 1) {\n"
+                    f"  for (i = {lowers[0]}; i < N; i += 1)\n    A[t,i] = t + i;\n"
+                    f"  for (j = {lowers[1]}; j < N; j += 1)\n    B[t,j] = j;\n}}\n")
+    r = run_cli(str(path), "--safety", "fallback", "--verify", "2")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.endswith("verified: 2 trials, memory identical; 2 faulted identically\n")
+    assert ("impossible: fuse requires identical loop domains" in r.stderr) == warned

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xform import equivalent, run
-from xform.interp import Memory, RunFault, _random_cells, alias_bindings
+from xform.interp import EquivalenceReport, Memory, RunFault, _random_cells, alias_bindings
+from xform.lang import clone_program
+from xform.lower import lower
 
-from conftest import parse_named, run_pipeline
+from conftest import load_corpus, parse_named, run_pipeline
 from reference_interp import order_preserved, parallel_consistent, trace_csv
 from reference_interp import run as reference_run
 
@@ -122,14 +124,78 @@ def test_equivalence_detects_divergence():
 def test_equivalent_draws_one_memory_per_trial_and_binding(monkeypatch):
     src = ("array A[4] init random;\narray B[4] init random;\nmaybe_alias(A, B);\n"
            "for (i = 0; i < 4; i += 1)\n  A[i] = B[i] + 1;\n")
-    drawn, real = [], Memory.__init__
+    laid, drawn = [], []
+    real_init, real_cells = Memory.__init__, Memory._cells
 
-    def counting(self, *args, **kw):
-        drawn.append(args)
-        real(self, *args, **kw)
-    monkeypatch.setattr(Memory, "__init__", counting)
+    def laying(self, *args, **kw):
+        laid.append(args)
+        real_init(self, *args, **kw)
+
+    def drawing(self, seed):
+        drawn.append(seed)
+        return real_cells(self, seed)
+    monkeypatch.setattr(Memory, "__init__", laying)
+    monkeypatch.setattr(Memory, "_cells", drawing)
     assert equivalent(parse_named(src), parse_named(src), trials=20)
     assert len(drawn) == 20 * 2  # trials x bindings
+    assert len(laid) == 2  # one layout per binding
+
+
+# the alias chains and overlaps that a layout places: A~B and B~C put three
+# arrays in one segment, and a zero array drawn after a random one clears the
+# cells they share
+ALIAS_CHAIN = ("array A[6] init random;\narray B[2,3] init zero;\narray C[5] init random;\n"
+               "array D[3] init random;\nmaybe_alias(A, B);\nmaybe_alias(B, C);\n"
+               "for (i = 0; i < 5; i += 1)\n  C[i] = A[i] + D[i % 3];\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([load_corpus("23_rtc_alias.loop"), ALIAS_CHAIN]),
+       st.integers(0, 2**31), st.integers(0, 2**31))
+def test_drawn_memory_is_the_memory_its_seed_builds(src, first, seed):
+    p = parse_named(src)
+    for binding in alias_bindings(p, offsets=(0, 2)):
+        layout = Memory(p, binding, first)
+        run(p, record_trace=False, memory=layout)  # a run changes the cells, not the layout
+        drawn, fresh = layout.draw(seed), Memory(p, binding, seed)
+        assert drawn.snapshot() == fresh.snapshot()
+        assert drawn.segments == fresh.segments
+        assert (drawn.views, drawn.seed, drawn.binding) == (fresh.views, fresh.seed, fresh.binding)
+
+
+def _two_sided(p1, p2, trials: int, seed: int) -> EquivalenceReport:
+    """`equivalent` as two runs of a fresh memory per trial and binding."""
+    master = random.Random(seed)
+    seeds = [master.randrange(2**31) for _ in range(max(trials, 1))]
+    low1, low2 = lower(p1, False), lower(p2, False)
+    faulted = 0
+    for t, s in enumerate(seeds):
+        both = False
+        for binding in alias_bindings(p1):
+            outcomes = []
+            for low in (low1, low2):
+                try:
+                    outcomes.append(run(low, s, binding, record_trace=False)[0].snapshot())
+                except RunFault as e:
+                    outcomes.append(str(e).rsplit(" (line ", 1)[0])
+            if outcomes[0] != outcomes[1]:
+                return EquivalenceReport(False, t + 1, "differ")
+            both |= isinstance(outcomes[0], str)
+        faulted += both
+    return EquivalenceReport(True, len(seeds), faulted=faulted)
+
+
+@pytest.mark.parametrize("src", [
+    load_corpus("23_rtc_alias.loop"), load_corpus("24_while_reverse.loop"), ALIAS_CHAIN,
+    # faults where the drawn A[0] is a multiple of 3
+    "array A[4] init random;\nfor (i = 0; i < 4; i += 1)\n  A[i] = 10 / (A[0] % 3) + i;\n",
+])
+def test_equal_programs_report_what_two_runs_report(src):
+    p = parse_named(src)
+    report = equivalent(p, clone_program(p), trials=12, seed=3)
+    assert report == _two_sided(p, clone_program(p), trials=12, seed=3)
+    if "10 /" in src:
+        assert 0 < report.faulted < report.trials
 
 
 def test_alias_bindings_enumeration():

@@ -280,11 +280,13 @@ def test_original_coordinates_are_valued_after_the_value(value, fault):
         interp.run(p)
 
 
-def test_equivalent_lowers_each_program_once_and_runs_every_trial(monkeypatch):
+@pytest.mark.parametrize("value, sides", [("1 + B[i]", 2), ("B[i] + 1", 1)])
+def test_equivalent_lowers_each_program_once_and_runs_every_trial(monkeypatch, value, sides):
+    # equal programs have one outcome: one lowering and one run per trial and binding
     src = ("array A[4] init random;\narray B[4] init random;\nmaybe_alias(A, B);\n"
-           "for (i = 0; i < 4; i += 1)\n  A[i] = B[i] + 1;\n")
-    p1, p2 = parse_named(src), parse_named(src)
-    assert len(alias_bindings(p1)) == 2
+           "for (i = 0; i < 4; i += 1)\n  A[i] = {};\n")
+    p1, p2 = parse_named(src.format("B[i] + 1")), parse_named(src.format(value))
+    assert len(alias_bindings(p1)) == 2 and (p1 == p2) == (sides == 1)
     lowered, runs = [], Counter()
     real_lower, real_run = interp.lower, interp.run
 
@@ -299,8 +301,8 @@ def test_equivalent_lowers_each_program_once_and_runs_every_trial(monkeypatch):
     monkeypatch.setattr(interp, "lower", counting_lower)
     monkeypatch.setattr(interp, "run", counting_run)
     assert interp.equivalent(p1, p2, trials=20)
-    assert len(lowered) == 2 and lowered[0] is p1 and lowered[1] is p2
-    assert sorted(runs.values()) == [20 * 2, 20 * 2]  # 2 x 20 x 2 = 80 runs
+    assert [id(p) for p in lowered] == [id(p1), id(p2)][:sides]
+    assert sorted(runs.values()) == [20 * 2] * sides  # sides x 20 trials x 2 bindings
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +350,39 @@ def test_a_statement_checks_each_unproved_subscript_once():
     assert_same_runs(p)
     with pytest.raises(RunFault, match=r"^index 6 out of bounds for A\[6\] \(line 3\)$"):
         interp.run(p)
+
+
+def statement_temporaries(text: str) -> list[list[str]]:
+    """The values of each statement's temporaries, which restart at t1."""
+    out: list[list[str]] = []
+    for line in text.splitlines():
+        name, _, value = line.strip().partition(" = ")
+        if name == "t1":
+            out.append([])
+        if name.startswith("t") and name[1:].isdigit():
+            out[-1].append(value)
+    return out
+
+
+def test_a_statement_computes_each_operation_once():
+    # the unrolled dgemm indexes C[i2 + 1, j2 + 2] and A[i2 + 1, k2] in one
+    # statement: one `v_i2 + 1`, proved once
+    p = parse_named(load_corpus("05_dgemm.loop"))
+    final = apply_pipeline(p, plan_pipeline(p), safety_override="fallback").program
+    for traced in (False, True):
+        src = source(final, traced)
+        values = statement_temporaries(src.text)
+        assert ["v_i2 + 1", "v_j2 + 2"] in [v[:2] for v in values]
+        assert all(len(set(v)) == len(v) for v in values), values
+    assert (src.checks, src.proved) == (16, 61)  # 71 proved before: 10 repeats
+    assert_same_runs(final, seed=5)
+
+
+@pytest.mark.parametrize("value", [
+    "(A[i] + 9223372036854775707) * (A[i] + 9223372036854775707) + i",  # faults from A[i] > 100
+    "A[i + 1] + A[i + 1] * (i + 1) + min(i + 1, 3) / (i - 2)",
+])
+def test_a_repeated_operation_faults_and_traces_as_written(value):
+    p = parse_named(f"array A[6] init random;\nfor (i = 0; i < 5; i += 1)\n  A[i] = {value};\n")
+    assert all(len(set(v)) == len(v) for v in statement_temporaries(source(p, False).text))
+    assert_same_runs(p, seed=5)

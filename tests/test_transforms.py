@@ -483,6 +483,22 @@ for (j = 0; j < 7; j += 1)
     assert res.reports[0].verdict.kind == IMPOSSIBLE
 
 
+def test_fuse_refuses_a_bound_that_reads_what_an_earlier_loop_writes():
+    # `j`'s bound is valued after `i`'s loop set A[0]; the fused loop would
+    # run `i`'s three trips where `j` ran five
+    _, res = run_pipeline("""
+array A[4] init zero;
+array B[8] init random;
+
+#pragma xform loop(i,j) fuse fused_id(f) fallback
+for (i = 0; i < A[0] + 3; i += 1)
+  A[0] = 2;
+for (j = 0; j < A[0] + 3; j += 1)
+  B[j] = j;
+""")
+    assert res.reports[0].verdict.kind == IMPOSSIBLE
+
+
 # ---------------------------------------------------------------------------
 # reverse / parallel
 
