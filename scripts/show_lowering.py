@@ -16,7 +16,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from xform import name_loops, parse_program
 from xform.frontend import ParseError
-from xform.lower import source
+from xform.lower import STEP_BUDGET, source
 
 
 def main():
@@ -31,8 +31,13 @@ def main():
     except ParseError as e:
         sys.exit(f"error: {e}")
     src = source(program, args.traced)
-    steps = ("not static: a budget step per statement and loop iteration" if src.steps is None
-             else f"{src.steps}, paid once before the run")
+    ticks = "a budget step per statement and loop iteration"
+    if src.steps is None:
+        steps = f"not static: {ticks}"
+    elif src.steps > STEP_BUDGET:
+        steps = f"{src.steps}, over the budget of {STEP_BUDGET}: {ticks}"
+    else:
+        steps = f"{src.steps}, paid once before the run"
     try:
         print(src.text)
         print(f"# checks: {src.checks} emitted, {src.proved} proved away; steps: {steps}")

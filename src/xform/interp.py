@@ -3,16 +3,16 @@ semantic-equivalence oracle.
 
 All arithmetic is int64 with faults on overflow and division by zero, so
 program equivalence is exact — no tolerance questions.  `run` executes a
-program's lowered form (`xform.lower`): generated Python that keeps the
-checks and the order of evaluation of the reference evaluator in
+program's lowered form (`xform.lower`), one per program and trace mode,
+within a budget of `lower.STEP_BUDGET` steps: generated Python that keeps
+the checks and the order of evaluation of the reference evaluator in
 `tests/reference_lang.py`, and raises a `RunFault` naming the line of the
-statement whose expression faulted.  A traced run
-(`record_trace`) returns one finished CSV row per statement instance, the
-rows of `--trace` (the header is `CSV_HEADER`).  Random array initialization
-draws from [-100, 100] with a recorded seed.  The tree walker that the
-lowering replaced is the differential reference in
-`tests/reference_interp.py`, which also holds the order oracles over its
-per-instance trace records.
+statement whose expression faulted.  A traced run (`record_trace`) returns
+one finished CSV row per statement instance, the rows of `--trace` (the
+header is `CSV_HEADER`).  Random array initialization draws from [-100, 100]
+with a recorded seed.  The tree walker that the lowering replaced is the
+differential reference in `tests/reference_interp.py`, which also holds the
+order oracles over its per-instance trace records.
 
 Arrays declared `maybe_alias` can be run under different bindings: fully
 separate storage, or overlapping storage at a given element offset.  The
@@ -27,9 +27,9 @@ deterministic, so the report is the one two runs would give.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .lang import Program
 from .lower import CSV_HEADER, BudgetExceeded, Lowered, RunFault, lower  # noqa: F401
@@ -101,15 +101,16 @@ class Memory:
     def draw(self, seed: int) -> "Memory":
         """The memory that `Memory(program, binding, seed)` builds, drawing
         only its cells: the same layout, in storage of its own."""
-        new = copy.copy(self)
-        new.seed = seed
-        new.segments = self._cells(seed)
-        return new
+        return self._with(seed=seed, segments=self._cells(seed))
 
     def copy(self) -> "Memory":
         """The same binding and values, in storage of its own."""
-        new = copy.copy(self)
-        new.segments = {s: list(cells) for s, cells in self.segments.items()}
+        return self._with(segments={s: list(cells) for s, cells in self.segments.items()})
+
+    def _with(self, **fields) -> "Memory":
+        """This memory with `fields` replaced; the layout is shared."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **fields)
         return new
 
     def disjoint(self, a: str, b: str) -> bool:
@@ -142,33 +143,24 @@ def _random_cells(rng: random.Random, total: int) -> list[int]:
 
 
 def run(program: Program | Lowered, seed: int = 0, alias_binding: dict | None = None,
-        record_trace: bool = True, step_budget: int = 10**7,
-        memory: Memory | None = None) -> tuple[Memory, list[str]]:
-    """Execute a program or its lowering; returns final memory and the CSV
-    rows of its trace (none when `record_trace` is False).  The run starts
-    from `memory` when given, which it changes, else from the memory that
-    `seed` and `alias_binding` draw."""
+        record_trace: bool = True, memory: Memory | None = None) -> tuple[Memory, list[str]]:
+    """Execute a program or its lowering within `lower.STEP_BUDGET` steps;
+    returns final memory and the CSV rows of its trace (none when
+    `record_trace` is False).  The run starts from `memory` when given,
+    which it changes, else from the memory that `seed` and `alias_binding`
+    draw."""
     if not (isinstance(program, Lowered) and program.traced == record_trace):
         program = lower(getattr(program, "program", program), record_trace)
     mem = memory if memory is not None else Memory(program.program, alias_binding, seed)
     trace = [] if record_trace else None
-    program(mem, step_budget, trace)
+    program(mem, trace)
     return mem, trace if trace is not None else []
 
 
 def alias_bindings(program: Program, offsets=(0,)) -> list[dict]:
     """Every combination of distinct/overlapping for the declared alias pairs."""
     pairs = [(a.first, a.second) for a in program.aliases]
-    bindings = [{}]
-    for pair in pairs:
-        new = []
-        for b in bindings:
-            for choice in (None,) + tuple(offsets):
-                nb = dict(b)
-                nb[pair] = choice
-                new.append(nb)
-        bindings = new
-    return bindings
+    return [dict(zip(pairs, c)) for c in product((None, *offsets), repeat=len(pairs))]
 
 
 @dataclass

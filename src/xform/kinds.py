@@ -8,9 +8,11 @@ that rewrite is valid without looking at dependences, where an
 order-changing rewrite sends each instance (its schedule map, in
 `schedules`, which the exact judge reads instead of walking the
 candidate; a mark reads reverse's), and the distance-vector rule that
-judges it when the exact route is unavailable.  The parser, the emitter, the planner, `transforms.build_candidate` and
-`transforms.classify` look a directive up in `KINDS` instead of branching
-on its kind, so a new directive is added here and nowhere else.
+judges it when the exact route is unavailable.  The parser, the emitter,
+the planner, `transforms.build_candidate` and `transforms.classify` look a
+directive up in `KINDS` instead of branching on its kind.  A new directive
+is a record here; an order-changing one also needs its schedule map in
+`schedules`, and may need a conservative judge in `legality`.
 
 Every transformation is a replacement: it removes the loops it applies to
 and returns a `TransformResult`, the rewritten subtree to splice in their

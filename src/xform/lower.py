@@ -19,12 +19,12 @@ than 0 and -1).  Anything under `/` or `%` by another divisor, an array read
 or `disjoint` keeps its checks, and a statement checks each unproved
 subscript once.
 
-Every statement and loop iteration takes one step of the budget.  A counted
-program (no `while` or `if`, every trip count known: the exact counts of
-`lang.step_counts`)
-takes a known number T of steps, so it is compiled without them; a run with
-a budget below T runs the per-step-checked form instead, which is compiled
-on its first use and faults at the same step with the same message.
+A run has a budget of `STEP_BUDGET` steps; each statement and loop iteration
+takes one.  A counted program (no `while` or `if`, every trip count known:
+the exact counts of `lang.step_counts`) takes a known number T of steps, so
+its one lowered form leaves the steps out when T is within the budget.
+Otherwise, or without a static T, each step is taken and checked, and the
+run faults at the step that exceeds the budget.
 
 A lowering is untraced, or traced: then each assignment appends one
 finished CSV row (see `CSV_HEADER`) to the trace list before it stores its
@@ -45,7 +45,6 @@ budget: CPython compiles at most 20 nested blocks and 100 indentation levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .lang import (
     INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Block, Call, EvalError, ForLoop, IfStmt,
@@ -54,6 +53,7 @@ from .lang import (
 )
 
 MAX_DEPTH = 12
+STEP_BUDGET = 10**7
 FILENAME = "<lowered program>"
 
 
@@ -85,7 +85,7 @@ _CHECKED = f"if not {INT64_MIN} <= {{0}} <= {INT64_MAX}: raise EvalError('int64 
 
 @dataclass
 class Source:
-    """One form of a program's generated run function."""
+    """A program's generated run function."""
     text: str
     lines: list[int]    # program line of each generated line
     steps: int | None   # the static step count T, when the program has one
@@ -93,60 +93,38 @@ class Source:
     proved: int         # run-time checks the ranges proved cannot fire
 
 
-def source(program: Program, traced: bool, ticked: bool = False) -> Source:
+def source(program: Program, traced: bool) -> Source:
     """The generated source of `program`'s run function, traced or not.  It
-    takes a step of the budget per statement and per loop iteration only when
-    `ticked`, or when the program has no static step count T."""
-    gen = _Gen(program, traced, ticked)
+    takes a step of the budget per statement and per loop iteration when the
+    program has no static step count T, or when T exceeds `STEP_BUDGET`."""
+    gen = _Gen(program, traced)
     rows = [row for code in gen.funcs for row in code]
     return Source("\n".join("    " * depth + text for depth, text, _ in rows),
                   [line for _, _, line in rows], gen.steps, gen.checks, gen.proved)
 
 
-def _compile(src: Source) -> tuple[object, list[int]]:
-    namespace = dict(_GLOBALS)
-    exec(compile(src.text, FILENAME, "exec"), namespace)
-    return namespace["f0"], src.lines
-
-
 @dataclass
 class Lowered:
-    """A program's compiled form; call it with a `Memory`, a step budget and
-    a trace list (None when untraced).
-
-    A program with a static step count T is compiled without budget steps;
-    a call with a budget below T runs the per-step-checked form instead,
-    compiled on its first use."""
+    """A program's one compiled form, which every run of it executes; call
+    it with a `Memory` and a trace list (None when untraced).  It runs with
+    a budget of `STEP_BUDGET` steps, read when the call starts."""
     program: Program
     traced: bool
-    steps: int | None   # T, or None: then `fn` takes the steps itself
     fn: object          # the generated `f0`
     lines: list[int]    # program line of each generated line
 
-    @cached_property
-    def ticked(self) -> tuple[object, list[int]]:
-        """The `f0` that takes a budget step per statement and per loop
-        iteration and returns the budget left, with its line map."""
-        if self.steps is None:
-            return self.fn, self.lines
-        return _compile(source(self.program, self.traced, ticked=True))
-
-    def __call__(self, mem, budget: int, trace: list | None):
-        if self.steps is None or budget >= self.steps:
-            fn, lines = self.fn, self.lines
-        else:
-            fn, lines = self.ticked
+    def __call__(self, mem, trace: list | None):
         try:
             if trace is None:
-                fn(mem, budget, trace)
+                self.fn(mem, STEP_BUDGET, trace)
             else:
                 with gc_paused():  # a trace is many objects, and none is cyclic
-                    fn(mem, budget, trace)
+                    self.fn(mem, STEP_BUDGET, trace)
         except EvalError as e:
             tb, line = e.__traceback__, 0
             while tb is not None:  # the innermost generated frame faulted
                 if tb.tb_frame.f_code.co_filename == FILENAME:
-                    line = lines[tb.tb_lineno - 1]
+                    line = self.lines[tb.tb_lineno - 1]
                 tb = tb.tb_next
             raise RunFault(f"{e} (line {line})") from None
 
@@ -154,11 +132,13 @@ class Lowered:
 def lower(program: Program, traced: bool) -> Lowered:
     """Generate and compile `program`'s run function, traced or not."""
     src = source(program, traced)
-    return Lowered(program, traced, src.steps, *_compile(src))
+    namespace = dict(_GLOBALS)
+    exec(compile(src.text, FILENAME, "exec"), namespace)
+    return Lowered(program, traced, namespace["f0"], src.lines)
 
 
 class _Gen:
-    def __init__(self, program: Program, traced: bool, ticked: bool):
+    def __init__(self, program: Program, traced: bool):
         self.traced = traced
         self.dims = {a.name: a.dims for a in program.arrays}
         aliased = {n for al in program.aliases for n in (al.first, al.second)}
@@ -168,7 +148,7 @@ class _Gen:
         self.reads: list | None = None  # the traced assignment's (array, flat) reads
         counts = step_counts(program.body, program.param_ranges(), exact_only=True)[0]
         self.steps = None if counts is None else counts[0] + counts[2]
-        self.ticks = ticked or counts is None
+        self.ticks = self.steps is None or self.steps > STEP_BUDGET
         self.ranges: dict = {}  # interval of each loop variable and temporary
         self.seen: set = set()  # the statement's subscript checks so far
         self.values: dict = {}  # the statement's temporaries, by the value they hold

@@ -13,6 +13,7 @@ from xform.lower import lower
 from conftest import load_corpus, parse_named, run_pipeline
 from reference_interp import order_preserved, parallel_consistent, trace_csv
 from reference_interp import run as reference_run
+from test_lower import step_budget
 
 
 def test_simple_loop_memory_and_trace():
@@ -44,8 +45,8 @@ def test_while_loop_and_step_budget():
     mem, _ = run(p)
     assert mem.array_values("A") == (5,)
     p2 = parse_named("array A[1] init zero;\nwhile (1) A[0] = 0;\n")
-    with pytest.raises(RunFault, match="budget"):
-        run(p2, step_budget=1000)
+    with step_budget(1000), pytest.raises(RunFault, match="budget"):
+        run(p2)
 
 
 def test_arithmetic_faults():
@@ -163,6 +164,21 @@ def test_drawn_memory_is_the_memory_its_seed_builds(src, first, seed):
         assert (drawn.views, drawn.seed, drawn.binding) == (fresh.views, fresh.seed, fresh.binding)
 
 
+def test_copies_and_draws_share_no_cells_with_their_memory():
+    p = parse_named(ALIAS_CHAIN)
+    for binding in alias_bindings(p, offsets=(0, 2)):
+        mem = Memory(p, binding, 5)
+        before = {s: list(cells) for s, cells in mem.segments.items()}
+        for new, seed in ((mem.copy(), 5), (mem.draw(9), 9)):
+            assert new.seed == seed and new.views is mem.views
+            shared = set(map(id, new.segments.values())) & set(map(id, mem.segments.values()))
+            assert not shared
+            for cells in new.segments.values():
+                cells[:] = [1000] * len(cells)
+            assert mem.segments == before and mem.seed == 5
+        assert mem.copy().segments == before
+
+
 def _two_sided(p1, p2, trials: int, seed: int) -> EquivalenceReport:
     """`equivalent` as two runs of a fresh memory per trial and binding."""
     master = random.Random(seed)
@@ -202,6 +218,32 @@ def test_alias_bindings_enumeration():
     p = parse_named("array A[4] init zero;\narray B[4] init zero;\narray C[4] init zero;\n"
                     "maybe_alias(A, B);\nmaybe_alias(A, C);\n")
     assert len(alias_bindings(p)) == 4  # 2^2
+
+
+def nested_bindings(program, offsets):
+    """The nested loop that `alias_bindings` replaced."""
+    pairs = [(a.first, a.second) for a in program.aliases]
+    bindings = [{}]
+    for pair in pairs:
+        new = []
+        for b in bindings:
+            for choice in (None,) + tuple(offsets):
+                nb = dict(b)
+                nb[pair] = choice
+                new.append(nb)
+        bindings = new
+    return bindings
+
+
+@pytest.mark.parametrize("offsets", [(0,), (0, 2)])
+@pytest.mark.parametrize("pairs", range(4))
+def test_alias_bindings_keep_the_order_of_the_nested_loop(pairs, offsets):
+    aliases = ["maybe_alias(A, B);", "maybe_alias(A, C);", "maybe_alias(B, D);"][:pairs]
+    p = parse_named("".join(f"array {a}[4] init zero;\n" for a in "ABCD")
+                    + "".join(f"{al}\n" for al in aliases))
+    got = [list(b.items()) for b in alias_bindings(p, offsets)]
+    assert got == [list(b.items()) for b in nested_bindings(p, offsets)]
+    assert len(got) == (1 + len(offsets)) ** pairs
 
 
 def test_overlapping_binding_shares_storage():

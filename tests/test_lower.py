@@ -2,6 +2,7 @@
 memory, the same CSV rows and the same fault text on every program."""
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,11 +13,18 @@ from xform.lang import (
     INT64_MAX, INT64_MIN, Assign, BinOp, ForLoop, IntLit, Program, VarRef, strip_pragmas,
 )
 from xform.ir import name_loops
-from xform.lower import MAX_DEPTH, lower, source
+import xform.lower
+from xform.lower import MAX_DEPTH, STEP_BUDGET, lower, source
 
 import reference_interp
 from conftest import corpus_names, load_corpus, parse_named
 from test_properties import nest_programs
+
+def step_budget(steps: int):
+    """`lower.STEP_BUDGET` set to `steps` while a program is lowered and run:
+    lowering reads it to decide where to take steps, and a run starts from it."""
+    return mock.patch.object(xform.lower, "STEP_BUDGET", steps)
+
 
 def outcome(run, program, **kw):
     """(snapshot, trace) of a run, or its fault text."""
@@ -31,9 +39,11 @@ def assert_same_runs(program: Program, budgets=(10**7,), seed=3, offsets=(0,)):
     """Both interpreters under every alias binding, untraced and traced."""
     for binding in alias_bindings(program, offsets):
         for budget in budgets:
-            kw = dict(seed=seed, alias_binding=binding, step_budget=budget)
-            want = outcome(reference_interp.run, program, record_trace=False, **kw)
-            got = outcome(interp.run, program, record_trace=False, **kw)
+            kw = dict(seed=seed, alias_binding=binding)
+            want = outcome(reference_interp.run, program, record_trace=False,
+                           step_budget=budget, **kw)
+            with step_budget(budget):
+                got = outcome(interp.run, program, record_trace=False, **kw)
             assert got == want, (binding, budget)
     assert_same_rows(program, budgets, seed, offsets)
 
@@ -58,12 +68,13 @@ def reference_csv_outcome(program, **kw):
 
 def assert_same_rows(program: Program, budgets=(10**7,), seed=3, offsets=(0, 2)):
     """The csv lowering against the reference formatter, under every binding."""
-    lowered = lower(program, True)
-    for binding in alias_bindings(program, offsets):
-        for budget in budgets:
-            kw = dict(seed=seed, alias_binding=binding, step_budget=budget)
-            assert csv_outcome(lowered, **kw) == reference_csv_outcome(program, **kw), \
-                (binding, budget)
+    for budget in budgets:
+        with step_budget(budget):
+            lowered = lower(program, True)
+            for binding in alias_bindings(program, offsets):
+                kw = dict(seed=seed, alias_binding=binding)
+                want = reference_csv_outcome(program, step_budget=budget, **kw)
+                assert csv_outcome(lowered, **kw) == want, (binding, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +189,7 @@ def test_budgets_around_the_static_step_count_match_the_reference(src, data, see
     # a counted program runs without budget steps when the budget covers its
     # T steps, and per-step-checked below that: the two meet at T
     program = parse_named(src)
-    steps = lower(program, False).steps
+    steps = source(program, False).steps
     assume(steps is not None)
     budget = data.draw(st.integers(0, steps + 1), label="budget")
     assert_same_runs(program, budgets=sorted({budget, max(steps - 1, 0), steps, steps + 1}),
@@ -315,11 +326,12 @@ def dgemm_nest(m: int):
 
 def test_the_checked_form_returns_the_budget_minus_the_step_count():
     p = dgemm_nest(8)
-    lowered = lower(p, False)
-    assert lowered.steps == 1 + 8 + 8 * (1 + 8) + 64 * (1 + 8) + 512
-    checked, _ = lowered.ticked
-    assert checked(interp.Memory(p), 10**9, None) == 10**9 - lowered.steps
-    assert lowered.fn is not checked
+    steps = source(p, False).steps
+    assert steps == 1 + 8 + 8 * (1 + 8) + 64 * (1 + 8) + 512
+    assert lower(p, False).fn(interp.Memory(p), 10**9, None) == 10**9  # no budget step
+    with step_budget(steps - 1):
+        checked = lower(p, False).fn
+    assert checked(interp.Memory(p), 10**9, None) == 10**9 - steps
 
 
 def test_dgemm_runs_with_no_bounds_check_and_no_budget_step():
@@ -338,8 +350,48 @@ def test_an_off_by_one_subscript_still_faults_at_the_last_iteration(budget):
     assert_same_runs(p, budgets=(budget,))
     message = r"^index 8 out of bounds for A\[8\] \(line 3\)$" if budget >= 17 \
         else r"^step budget exceeded \(line 3\)$"
-    with pytest.raises(RunFault, match=message):
-        interp.run(p, step_budget=budget)
+    with step_budget(budget), pytest.raises(RunFault, match=message):
+        interp.run(p)
+
+
+def counted(trips: int, before: str = "") -> Program:
+    """A counted program of T = 1 + 3 * trips steps, plus one per line of
+    `before`; its last step is `A[1] = i` (line 4 without `before`) at the
+    last trip."""
+    return parse_named(f"array A[2] init random;\n{before}for (i = 0; i < {trips}; i += 1) {{\n"
+                       "  A[0] = i;\n  A[1] = i;\n}\n")
+
+
+@pytest.mark.parametrize("program, over", [
+    (counted(3333333), False),  # T = 10**7 = STEP_BUDGET
+    (counted(3333333, "A[0] = 0;\n"), True),  # T = STEP_BUDGET + 1
+])
+def test_a_counted_program_takes_budget_steps_only_past_the_budget(program, over):
+    src = source(program, False)
+    assert src.steps == STEP_BUDGET + over
+    assert ("bud -= 1" in src.text) == over
+
+
+def test_one_step_past_the_budget_compiles_once_and_faults_at_the_last_step(monkeypatch):
+    p = counted(13)  # T = 40
+    compiles = Counter()
+
+    def counting_compile(*args):
+        compiles["calls"] += 1
+        return compile(*args)
+
+    monkeypatch.setattr(xform.lower, "compile", counting_compile, raising=False)
+    with step_budget(39):
+        lowered = lower(p, False)
+        assert source(p, False).steps == 40 and "bud -= 1" in source(p, False).text
+        mem = interp.Memory(p, seed=4)
+        with pytest.raises(RunFault, match=r"^step budget exceeded \(line 4\)$"):
+            interp.run(lowered, record_trace=False, memory=mem)
+    assert compiles["calls"] == 1
+    walk = reference_interp._Run(p, None, 4, None, 39, {})
+    with pytest.raises(RunFault, match=r"^step budget exceeded \(line 4\)$"):
+        walk.exec_body(p.body)
+    assert mem.snapshot() == walk.snapshot() and mem.array_values("A") == (12, 11)
 
 
 def test_a_statement_checks_each_unproved_subscript_once():

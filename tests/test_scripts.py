@@ -45,6 +45,18 @@ def test_show_lowering_prints_the_source_and_its_check_counts():
                                       "and loop iteration")
 
 
+def test_show_lowering_reports_a_static_count_over_the_budget(tmp_path):
+    # the loop of cli_digest's steps_over_budget edge: T = 10**7 + 1
+    path = tmp_path / "over.loop"
+    path.write_text("array A[2] init random;\n\nfor (i = 0; i < 5000000; i += 1)\n  A[0] = i;\n")
+    r = run_script("show_lowering.py", str(path))
+    assert r.returncode == 0, r.stderr
+    assert "bud -= 1" in r.stdout
+    assert r.stdout.splitlines()[-1] == (
+        "# checks: 0 emitted, 0 proved away; steps: 10000001, over the budget of 10000000: "
+        "a budget step per statement and loop iteration")
+
+
 def test_show_lowering_into_a_closed_pipe_prints_no_traceback():
     path = os.path.join(CORPUS, "05_dgemm.loop")
     p = subprocess.Popen([sys.executable, os.path.join(SCRIPTS, "show_lowering.py"), path],
