@@ -374,20 +374,21 @@ def test_a_counted_program_takes_budget_steps_only_past_the_budget(program, over
 
 def test_one_step_past_the_budget_compiles_once_and_faults_at_the_last_step(monkeypatch):
     p = counted(13)  # T = 40
-    compiles = Counter()
+    compiled = []
 
     def counting_compile(*args):
-        compiles["calls"] += 1
+        compiled.append(args)
         return compile(*args)
 
     monkeypatch.setattr(xform.lower, "compile", counting_compile, raising=False)
     with step_budget(39):
+        src = source(p, False)
+        assert src.steps == 40 and "bud -= 1" in src.text
         lowered = lower(p, False)
-        assert source(p, False).steps == 40 and "bud -= 1" in source(p, False).text
         mem = interp.Memory(p, seed=4)
         with pytest.raises(RunFault, match=r"^step budget exceeded \(line 4\)$"):
             interp.run(lowered, record_trace=False, memory=mem)
-    assert compiles["calls"] == 1
+    assert len(compiled) == 1
     walk = reference_interp._Run(p, None, 4, None, 39, {})
     with pytest.raises(RunFault, match=r"^step budget exceeded \(line 4\)$"):
         walk.exec_body(p.body)
