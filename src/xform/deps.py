@@ -80,10 +80,9 @@ from math import prod
 from operator import add, itemgetter, mul
 
 from .lang import (
-    INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, EvalError, Expr,
-    ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies,
-    affine, flat_index, fold, free_vars, gc_paused, int64, interval, iter_stmts, step_counts,
-    trip_count,
+    INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Call, EvalError, Expr, ForLoop,
+    IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, array_reads, child_bodies, affine,
+    flat_index, fold, free_vars, gc_paused, int64, interval, iter_stmts, step_counts, trip_count,
 )
 
 
@@ -430,9 +429,6 @@ class _Closures:
         then = self.body(s.then_body, scope, loops)
         other = self.body(s.else_body or [], scope, loops)
         return lambda: (then if cond() != 0 else other)()
-
-    def Block(self, s: Block, scope: dict, loops: tuple):
-        return self.body(s.body, scope, loops)
 
 
 def _sequence(fns: list):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .kinds import KINDS
 from .lang import (
-    PRECEDENCE, ArrayRead, Assign, BinOp, Block, Call, Directive, Expr, ForLoop, IfStmt,
+    PRECEDENCE, ArrayRead, Assign, BinOp, Call, Directive, Expr, ForLoop, IfStmt,
     IntLit, Program, Stmt, VarRef, WhileLoop,
 )
 
@@ -99,10 +99,6 @@ class _Emitter:
             if s.else_body is not None:
                 self.line(depth, "} else {")
                 self.emit_body(s.else_body, depth + 1)
-            self.line(depth, "}")
-        elif isinstance(s, Block):
-            self.line(depth, "{")
-            self.emit_body(s.body, depth + 1)
             self.line(depth, "}")
         else:
             raise TypeError(f"not a statement: {s!r}")

@@ -21,8 +21,12 @@ positive constant `+=` step; anything else is a syntax error, not a legality
 verdict.  `//` comments run to end of line.  Names and integer literals are
 ASCII: any other letter or digit is an unrecognized character.
 
-Every statement receives an `s<k>` id in source preorder.  Pragma stacks are
-attached to the loop that lexically follows them, bottom-most pragma first.
+Every statement receives an `s<k>` id in source preorder.  A bare
+`{ stmt* }` means nothing of its own, as the language has no local
+declarations: its statements join the list around it (a body or the
+program), and it still takes an id, so that every other statement keeps the
+id its position gives it.  Pragma stacks are attached to the loop that
+lexically follows them, bottom-most pragma first.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import re
 
 from .kinds import BY_SURFACE
 from .lang import (
-    INT64_MAX, INT64_MIN, PRECEDENCE, AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Block,
-    Call, Directive, Expr, ForLoop, IfStmt, IntLit, ParamDecl, Program, VarRef, WhileLoop,
+    INT64_MAX, INT64_MIN, PRECEDENCE, AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Call,
+    Directive, Expr, ForLoop, IfStmt, IntLit, ParamDecl, Program, VarRef, WhileLoop,
     array_reads, child_bodies, free_vars, subexprs,
 )
 
@@ -184,8 +188,7 @@ class _Parser:
                 self.parse_decl(prog)
             else:
                 break
-        while not self.at("EOF"):
-            prog.body.append(self.parse_stmt())
+        prog.body = self.parse_body(top=True)
         self.validate(prog)
         return prog
 
@@ -241,8 +244,6 @@ class _Parser:
             loop = self.parse_while()
         elif t.kind == "KW" and t.text == "if":
             return self.parse_if()
-        elif t.kind == "{":
-            return self.parse_block()
         elif t.kind == "ID":
             return self.parse_assign()
         else:
@@ -304,23 +305,24 @@ class _Parser:
             else_body = self.parse_body()
         return IfStmt(cond, then_body, else_body, sid, kw.line)
 
-    def parse_body(self) -> list:
-        """A loop/if body: a braced statement list, or one statement."""
-        if self.at("{"):
-            self.next()
-            stmts = []
-            while not self.at("}"):
-                if self.at("EOF"):
-                    self.fail("unterminated '{'")
+    def parse_body(self, top: bool = False) -> list:
+        """A loop or if body, one statement or a braced list; with `top`, the
+        program's statements.  A bare block's braces are counted here, not
+        parsed by a call, so that they cost no Python frame per level."""
+        if not (top or self.accept("{")):
+            return [self.parse_stmt()]
+        stmts, depth = [], 0 if top else 1  # the braces open in this list
+        while depth or top and not self.at("EOF"):
+            if self.accept("{"):  # a bare block: its statements join the list
+                self.fresh_sid()
+                depth += 1
+            elif depth and self.accept("}"):
+                depth -= 1
+            elif self.at("EOF"):
+                self.fail("unterminated '{'")
+            else:
                 stmts.append(self.parse_stmt())
-            self.next()
-            return stmts
-        return [self.parse_stmt()]
-
-    def parse_block(self) -> Block:
-        t = self.peek()  # "{"
-        sid = self.fresh_sid()
-        return Block(self.parse_body(), sid, t.line)
+        return stmts
 
     def parse_assign(self) -> Assign:
         t = self.peek()

@@ -3,8 +3,10 @@ stage shares.
 
 Expressions are frozen dataclasses and safe to share between trees; statements
 are plain mutable dataclasses that the transformation catalog clones before
-rewriting.  Each assignment carries ``orig_coords``: for every source loop it
-was originally nested in, an expression that recovers that loop's iteration
+rewriting.  There are four statement kinds: a bare `{ ... }` in the source
+is no statement, as the parser puts its statements in the list around it.
+Each assignment carries ``orig_coords``: for every source loop it was
+originally nested in, an expression that recovers that loop's iteration
 value from the *current* variables.  Transformations rewrite those expressions
 along with the code, which is what lets the interpreter report traces in
 original-loop coordinates no matter how mangled the tree is.
@@ -287,8 +289,6 @@ def step_counts(stmts: list["Stmt"], env: dict, exact_only: bool = False):
                     proved = prove = False
                 for body in child_bodies(s):
                     walk(body, env, times, prove)
-            elif t is Block:
-                walk(s.body, env, times, prove)
             else:  # a while: values decide its count
                 exact = bound = False
 
@@ -500,14 +500,7 @@ class IfStmt:
     line: int = 0
 
 
-@dataclass
-class Block:
-    body: list["Stmt"] = field(default_factory=list)
-    stmt_id: str = ""
-    line: int = 0
-
-
-Stmt = Assign | ForLoop | WhileLoop | IfStmt | Block
+Stmt = Assign | ForLoop | WhileLoop | IfStmt
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +560,7 @@ class Program:
 
 
 def child_bodies(s: Stmt) -> list[list[Stmt]]:
-    if isinstance(s, (ForLoop, WhileLoop, Block)):
+    if isinstance(s, (ForLoop, WhileLoop)):
         return [s.body]
     if isinstance(s, IfStmt):
         return [s.then_body] + ([s.else_body] if s.else_body is not None else [])
@@ -638,8 +631,6 @@ def subst_stmt(s: Stmt, mapping: dict[str, Expr]) -> Stmt:
         return IfStmt(subst(s.cond, mapping), subst_body(s.then_body, mapping),
                       subst_body(s.else_body, mapping) if s.else_body is not None else None,
                       s.stmt_id, s.line)
-    if isinstance(s, Block):
-        return Block(subst_body(s.body, mapping), s.stmt_id, s.line)
     raise TypeError(f"not a statement: {s!r}")
 
 

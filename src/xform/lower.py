@@ -47,9 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lang import (
-    INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Block, Call, EvalError, ForLoop, IfStmt,
-    IntLit, Program, VarRef, WhileLoop, fold, gc_paused, idiv, imod, loop_range, op_interval,
-    step_counts,
+    INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Call, EvalError, ForLoop, IfStmt, IntLit,
+    Program, VarRef, WhileLoop, fold, gc_paused, idiv, imod, loop_range, op_interval, step_counts,
 )
 
 MAX_DEPTH = 12
@@ -338,6 +337,3 @@ class _Gen:
         if s.else_body is not None:
             self.emit("else:")
             self.block(s.else_body, scope, loops)
-
-    def Block(self, s: Block, scope: dict, loops: list):
-        self.body(s.body, scope, loops)

@@ -56,7 +56,7 @@ from xform.deps import (
     _reads, _step_budget, _summarize, enumerate_instances,
 )
 from xform.lang import (
-    Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, flat_index, iter_stmts,
+    Assign, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, flat_index, iter_stmts,
 )
 from xform.legality import (
     ALWAYS_VALID, INVALID, Verdict, _pair_to_dep, _permute_loops, _rtc_verdict,
@@ -135,8 +135,6 @@ def reference_enumerate_instances(program: Program, scope: list[Stmt],
                     walk(s.then_body)
                 elif s.else_body is not None:
                     walk(s.else_body)
-            elif isinstance(s, Block):
-                walk(s.body)
 
     walk(scope)
     out.steps = steps[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from xform.interp import Memory, RunFault
 from xform.lang import (
-    Assign, Block, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, flat_index, int64,
+    Assign, EvalError, ForLoop, IfStmt, Program, Stmt, WhileLoop, flat_index, int64,
 )
 
 from reference_lang import evaluate
@@ -126,8 +126,6 @@ class _Run(Memory):
                     self.exec_body(s.then_body)
                 elif s.else_body is not None:
                     self.exec_body(s.else_body)
-            elif isinstance(s, Block):
-                self.exec_body(s.body)
             else:
                 raise TypeError(f"not a statement: {s!r}")
         except EvalError as e:

@@ -13,7 +13,7 @@ the names a transformation chose for its generated loops.
 from __future__ import annotations
 
 from xform.lang import (
-    INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Block, Call, Directive, EvalError,
+    INT64_MAX, INT64_MIN, OPS, ArrayRead, Assign, BinOp, Call, Directive, EvalError,
     Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop, int64, subst, subst_stmt,
 )
 
@@ -96,8 +96,6 @@ def _stmt_equal(a, b, cp):
         if (a.else_body is None) != (b.else_body is None):
             return False
         return a.else_body is None or _body_equal(a.else_body, b.else_body, cp)
-    if isinstance(a, Block):
-        return _body_equal(a.body, b.body, cp)
     raise TypeError(f"not a statement: {a!r}")
 
 
@@ -130,8 +128,6 @@ def alpha_normalize(stmts: list[Stmt]) -> list[Stmt]:
             elif isinstance(s, IfStmt):
                 out.append(IfStmt(subst(s.cond, mapping), go(s.then_body, mapping),
                                   go(s.else_body, mapping) if s.else_body is not None else None))
-            elif isinstance(s, Block):
-                out.append(Block(go(s.body, mapping)))
             else:
                 out.append(subst_stmt(s, mapping))
         return out

@@ -214,11 +214,15 @@ def test_closed_stdout_is_an_error_line_not_a_traceback(flags):
     assert r.stderr.startswith("error: cannot write stdout:"), r.stderr
 
 
-@pytest.mark.parametrize("depth", [19, 20, 21, 100, 300])
-def test_deeply_nested_loops_verify(tmp_path, depth):
-    loops = "".join(f"for (i{k} = 0; i{k} < 1; i{k} += 1)\n" for k in range(depth))
+@pytest.mark.parametrize("depth, braced", [
+    *(pytest.param(depth, False, id=str(depth)) for depth in (19, 20, 21, 100, 300)),
+    pytest.param(300, True, id="300-braced"),
+])
+def test_deeply_nested_loops_verify(tmp_path, depth, braced):
+    loops = "".join(f"for (i{k} = 0; i{k} < 1; i{k} += 1){' {' * braced}\n"
+                    for k in range(depth))
     path = tmp_path / "in.loop"
-    path.write_text("array A[4] init zero;\n" + loops + "A[0] = 1;\n")
+    path.write_text("array A[4] init zero;\n" + loops + "A[0] = 1;\n" + "}" * depth * braced)
     r = run_cli(str(path), "--verify", "2")
     assert r.returncode == 0, r.stderr
     assert r.stderr == "verified: 2 trials, memory identical\n"

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from xform import deps, plan_pipeline
 from xform.deps import DepsError, _CapExceeded, _exact_set, enumerate_instances
 from xform.lang import (
-    INT64_MAX, INT64_MIN, AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Block, Call,
+    INT64_MAX, INT64_MIN, AliasDecl, ArrayDecl, ArrayRead, Assign, BinOp, Call,
     EvalError, ForLoop, IfStmt, IntLit, ParamDecl, Program, VarRef, WhileLoop, strip_pragmas,
 )
 from xform.transforms import apply_pipeline, build_candidate
@@ -88,7 +88,7 @@ def regions(draw):
 
     def stmt(depth, bound):
         kind = draw(st.sampled_from(("assign",) * 4 + ("for",) * (3 + 9 * (depth == 0))
-                                    + ("if", "if", "block") + ("while",) * (depth == 1)
+                                    + ("if", "if") + ("while",) * (depth == 1)
                                     if depth < 3 else ("assign",)))
         sid = f"s{next(ids)}"
         if kind == "assign":
@@ -106,8 +106,6 @@ def regions(draw):
         if kind == "if":
             other = body(depth + 1, bound) if draw(st.booleans()) else None
             return IfStmt(cond(bound), body(depth + 1, bound), other, sid)
-        if kind == "block":
-            return Block(body(depth + 1, bound), sid)
         return WhileLoop(cond(bound), body(depth + 1, bound), stmt_id=sid, name=f"L{sid}")
 
     program = Program([ArrayDecl(a, d) for a, d in DIMS.items()], [AliasDecl("A", "B")],

@@ -3,8 +3,11 @@
 import pytest
 
 from xform import parse_directive, parse_program
+from xform.emit import emit_program
 from xform.frontend import ParseError
 from xform.lang import Assign, ForLoop, IntLit, VarRef, WhileLoop, iter_stmts
+
+from reference_lang import structurally_equal
 
 
 def test_minimal_program():
@@ -36,6 +39,46 @@ A[0] = 9;
 """)
     ids = [s.stmt_id for s in iter_stmts(p.body)]
     assert ids == ["s0", "s1", "s2", "s3", "s4"]
+
+
+def test_bare_blocks_join_the_list_around_them_and_keep_their_ids():
+    # ids: s0 block, s1, s2 for, s3 block, s4 block, s5, s6, s7 empty block,
+    # s8 if, s9 empty block, s10, s11 empty block at the end of the program
+    braced = parse_program("""
+array A[4] init zero;
+{ A[0] = 1; }
+for (i = 0; i < 4; i += 1) {
+  { { A[i] = 2; } A[i] += 1; }
+  {}
+  if (i < 2) { {} A[i] = 3; }
+}
+{}
+""")
+    written_out = parse_program("""
+array A[4] init zero;
+A[0] = 1;
+for (i = 0; i < 4; i += 1) {
+  A[i] = 2;
+  A[i] += 1;
+  if (i < 2) A[i] = 3;
+}
+""")
+    assert structurally_equal(braced, written_out)
+    assert [s.stmt_id for s in iter_stmts(braced.body)] == ["s1", "s2", "s5", "s6", "s8", "s10"]
+    text = emit_program(braced)
+    assert "{}" not in text and "{ " not in text
+    assert text == emit_program(written_out) == emit_program(parse_program(text))
+
+
+@pytest.mark.parametrize("src, msg", [
+    ("{ A[0] = 1;", "unterminated '{'"),
+    ("for (i = 0; i < 4; i += 1) { { A[i] = 1; }", "unterminated '{'"),
+    ("{ A[0] = 1; } }", "expected a statement, found '}'"),
+    ("#pragma xform reverse\n{ for (i = 0; i < 4; i += 1) A[i] = 1; }", "followed by a loop"),
+])
+def test_bare_block_errors(src, msg):
+    with pytest.raises(ParseError, match=msg):
+        parse_program("array A[4] init zero;\n" + src + "\n")
 
 
 def test_tile_pragma_over_three_deep_nest():

@@ -372,24 +372,27 @@ def test_distribute_forward_dependence_valid_backward_invalid():
     assert res_bad.reports[0].verdict.kind == INVALID
 
 
-def test_distribute_treats_blocks_and_ifs_as_single_statements():
-    p, res = run_pipeline("""
+@pytest.mark.parametrize("parts, groups", [
+    ("", [["s2"], ["s3"], ["s4"]]),  # the bare block's statements are the loop's own
+    (" parts(s2, s3; s4)", [["s2", "s3"], ["s4"]]),
+])
+def test_distribute_splits_a_bare_blocks_statements_and_keeps_an_if_whole(parts, groups):
+    p, res = run_pipeline(f"""
 param M = 6;
 array A[9] init random;
 array B[9] init random;
 array C[9] init random;
 
-#pragma xform distribute
-for (i = 1; i < 9; i += 1) {
-  { A[i] = i; B[i] = A[i] * 2; }
-  if (i < M) {
+#pragma xform distribute{parts}
+for (i = 1; i < 9; i += 1) {{
+  {{ A[i] = i; B[i] = A[i] * 2; }}
+  if (i < M) {{
     C[i] = B[i] + 1;
-  }
-}
+  }}
+}}
 """)
     out = applied(res)
-    loops = [s for s in out.body if isinstance(s, ForLoop)]
-    assert len(loops) == 2  # block and if are one statement each
+    assert [[s.stmt_id for s in l.body] for l in out.body] == groups  # the if is one statement
     assert equivalent(strip_pragmas(p), out, trials=15, seed=3)
 
 
