@@ -33,7 +33,8 @@ them is the same from run to run:
   bounds whose faults a rewrite of `lang.simplify` used to drop, sibling
   loops whose bounds are equal only as affine forms or whose dropped bound
   faults or reads an array, a kept step over a program that faults on some
-  trials)
+  trials, collapses of loops that never run, generated loop names that a
+  param, an array or another loop's variable already has)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -457,6 +458,50 @@ for (j = 0; j < A[0] + 3; j += 1)
 #pragma xform reverse
 for (i = 1; i < 8; i += 1)
   A[i] = A[i - 1] + 100 / (A[6] % 3);
+""",
+    # collapses of loops that never run: two negative trip counts used to
+    # multiply to a positive count
+    "collapse_empty_levels": """array A[10,10] init zero;
+
+#pragma xform collapse levels(2)
+for (i = 5; i < 0; i += 1)
+  for (j = 5; j < 0; j += 1)
+    A[i,j] = 7;
+""",
+    "collapse_empty_levels_param": """param N = 0;
+array A[10,10] init zero;
+
+#pragma xform collapse levels(2)
+for (i = 5; i < N; i += 1)
+  for (j = 4; j < N; j += 1)
+    A[i,j] = 7;
+""",
+    # generated loop names, and so variables, that a param, an array or the
+    # variable of another loop already has
+    "generated_name_is_param": """param N = 8;
+array A[8] init zero;
+
+#pragma xform stripmine size(2) floor_id(N)
+for (i = 0; i < 8; i += 1)
+  A[i] = N;
+""",
+    "generated_name_is_array": """array A[8] init zero;
+
+#pragma xform stripmine size(2) floor_id(A)
+for (i = 0; i < 8; i += 1)
+  A[i] = i;
+""",
+    "generated_name_is_loop_variable": """array A[8] init zero;
+array B[8,8] init zero;
+
+#pragma xform stripmine size(2)
+for (i = 0; i < 8; i += 1)
+  A[i] = i;
+for (i = 0; i < 8; i += 1) {
+  #pragma xform stripmine size(2) floor_id(i)
+  for (j = 0; j < 8; j += 1)
+    B[i,j] = i;
+}
 """,
 }
 # a reversal over a bound whose fault one rule of `lang.simplify` used to

@@ -37,7 +37,7 @@ def main():
     elif src.steps > STEP_BUDGET:
         steps = f"{src.steps}, over the budget of {STEP_BUDGET}: {ticks}"
     else:
-        steps = f"{src.steps}, paid once before the run"
+        steps = f"{src.steps}, within the budget of {STEP_BUDGET}: no budget step"
     try:
         print(src.text)
         print(f"# checks: {src.checks} emitted, {src.proved} proved away; steps: {steps}")

@@ -44,7 +44,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="print the named loop tree after transformation")
     p.add_argument("--deps", action="store_true",
                    help="print the dependence sets of the input program")
-    p.add_argument("--max-enum", type=int, default=4096, metavar="K",
+    p.add_argument("--max-enum", type=int, default=depmod.MAX_ENUM, metavar="K",
                    help="instance cap for exact dependence enumeration")
     return p
 

@@ -86,6 +86,10 @@ from .lang import (
 )
 
 
+# The default instance cap of exact enumeration per region (`--max-enum`).
+MAX_ENUM = 4096
+
+
 class DepsError(Exception):
     """Analysis cannot proceed at all (e.g. a while-loop in the region)."""
 
@@ -226,7 +230,7 @@ def _reads(s: Assign) -> list:
 
 
 def enumerate_instances(program: Program, scope: list[Stmt],
-                        max_instances: int = 4096) -> Enumeration:
+                        max_instances: int = MAX_ENUM) -> Enumeration:
     """Run the region's full iteration space without touching memory.
 
     Raises DepsError on a while-loop it reaches, EvalError when anything
@@ -714,7 +718,7 @@ def conservative_dependences(program: Program, scope: list[Stmt], reason: str) -
 # Public entry points
 
 
-def compute_dependences(program: Program, scope, max_enum: int = 4096) -> DependenceSet:
+def compute_dependences(program: Program, scope, max_enum: int = MAX_ENUM) -> DependenceSet:
     """Dependences of a region: exact by enumeration when possible, else a
     conservative superset.  `scope` is a loop node or a statement list.
 

@@ -130,7 +130,9 @@ def plan_pipeline(p: Program) -> PlannedPipeline:
     Raises PlanError on unresolvable names, on references to already
     consumed loops, and on generated-name collisions.
     """
-    live: dict[str, str] = {l.name: "source" for l in iter_loops(p.body)}
+    # every loop not yet consumed, by name: its variable (None for a while)
+    live = {l.name: getattr(l, "var", None) for l in iter_loops(p.body)}
+    declared = {a.name: "an array" for a in p.arrays} | {q.name: "a param" for q in p.params}
     consumed: dict[str, Directive] = {}
     plan = PlannedPipeline()
 
@@ -145,18 +147,27 @@ def plan_pipeline(p: Program) -> PlannedPipeline:
                             f"{consumed[t].kind} (line {consumed[t].line})", d.line)
                     raise PlanError(f"unknown loop '{t}' in {d.kind} directive", d.line)
             cons, intro = KINDS[d.kind].effects(d.clauses, targets)
+            kept = {v: n for n, v in live.items() if n not in cons}  # variable -> loop
             for k, name in enumerate(intro):
+                # a generated loop's name is also its variable
                 if name in intro[:k]:
                     raise PlanError(
                         f"generated loop name '{name}' is introduced twice", d.line)
                 if name in live and name not in cons:
                     raise PlanError(
                         f"generated loop name '{name}' collides with an existing loop", d.line)
+                if name in kept or name in declared:
+                    what = f"the variable of loop '{kept[name]}'" if name in kept \
+                        else declared[name]
+                    raise PlanError(f"generated loop name '{name}' is {what}", d.line)
+                if not name.isidentifier():
+                    raise PlanError(f"generated loop name '{name}' is not an identifier; "
+                                    f"name the loop with the directive's id clauses", d.line)
             for name in cons:
                 del live[name]
                 consumed[name] = d
             for name in intro:
-                live[name] = "generated"
+                live[name] = name
                 consumed.pop(name, None)
             plan.steps.append(PlannedDirective(d, targets, loop.name, cons, intro))
     return plan

@@ -378,9 +378,9 @@ def collapse(chain: list[ForLoop], collapsed_id: str, uid: int) -> TransformResu
     _require_rectangular(chain, "collapse")
     k = len(chain)
     trips = [_trips_expr(l) for l in chain]
-    total: Expr = trips[0]
-    for t in trips[1:]:
-        total = BinOp("*", total, t)
+    total: Expr = IntLit(1)
+    for t in trips:  # a loop that never runs has no trips, whatever its bounds
+        total = BinOp("*", total, Call("max", (t, IntLit(0))))
     c = VarRef(collapsed_id)
     vmap: dict[str, Expr] = {}
     for d in range(k):
@@ -438,7 +438,7 @@ def distribute(loop: ForLoop, groups, ids: tuple[str, ...], uid: int,
         return TransformResult([loop], {"part_of": part_of})
     out_loops: list[Stmt] = []
     for pi, part in enumerate(parts):
-        nm = ids[pi] if ids else _fresh(f"{loop.name}_d{pi + 1}", taken)
+        nm = ids[pi] if ids else _fresh(f"{loop.var}_d{pi + 1}", taken)
         out_loops.append(_renamed(loop, nm, loop.lower, loop.upper, origin, loop.parallel,
                                   part))
     return TransformResult(out_loops, {"part_of": part_of, "level": loop.name,

@@ -69,7 +69,9 @@ def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, Ap
     cand = clone_program(program)
     d = pd.directive
     kind = KINDS[d.kind]
-    taken = {l.name for l in iter_loops(cand.body)}
+    # the names a generated loop, and so its variable, may not take
+    taken = {x for l in iter_loops(cand.body) for x in (l.name, getattr(l, "var", l.name))}
+    taken |= {a.name for a in cand.arrays} | {q.name for q in cand.params}
     nodes = []
     for t in pd.targets:
         n = find_loop(cand.body, t)
@@ -121,7 +123,7 @@ class PipelineResult:
 
 def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
              info: ApplyInfo | None, impossible_reason: str = "",
-             max_enum: int = 4096, *, graphs: dict) -> Verdict:
+             max_enum: int = depmod.MAX_ENUM, *, graphs: dict) -> Verdict:
     """Classify one planned directive against the current tree.
 
     `graphs` carries exact conflict graphs from one step of a pipeline to the
@@ -199,7 +201,7 @@ def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, prov
 @gc_paused()
 def apply_pipeline(program: Program, plan: PlannedPipeline,
                    safety_override: str | None = None, required_all: bool = False,
-                   max_enum: int = 4096) -> PipelineResult:
+                   max_enum: int = depmod.MAX_ENUM) -> PipelineResult:
     """Fold classify -> resolve -> apply over the planned pipeline.
 
     Keep-original outcomes leave their ids unbound (later references get a

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from xform import cli
+from xform import cli, emit_program, parse_program
 
 from conftest import CORPUS_DIR
 
@@ -406,3 +406,49 @@ def test_fuse_drops_only_a_bound_that_cannot_fault(tmp_path, lowers, warned):
     assert r.returncode == 0, r.stderr
     assert r.stderr.endswith("verified: 2 trials, memory identical; 2 faulted identically\n")
     assert ("impossible: fuse requires identical loop domains" in r.stderr) == warned
+
+
+COLLAPSE_EMPTY = ("#pragma xform collapse levels(2)\n"
+                  "for (i = {0}; i < {1}; i += 1)\n  for (j = {2}; j < {1}; j += 1)\n"
+                  "    A[i,j] = 7;\n")
+
+
+@pytest.mark.parametrize("safety", ["default", "fallback", "force"])
+@pytest.mark.parametrize("head, bounds, total", [
+    ("", ("5", "0", "5"), "i_c < 0;"),
+    ("param N = 0;\n", ("5", "N", "4"), "i_c < max(N - 5, 0) * max(N - 4, 0);"),
+])
+def test_a_collapse_of_loops_that_never_run_runs_nothing(tmp_path, safety, head, bounds, total):
+    # each level's trip count is negative: their product used to be positive
+    path, out = tmp_path / "in.loop", tmp_path / "out.loop"
+    path.write_text(head + "array A[10,10] init zero;\n\n" + COLLAPSE_EMPTY.format(*bounds))
+    r = run_cli(str(path), "--safety", safety, "--verify", "3", "--emit", str(out))
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "verified: 3 trials, memory identical\n"
+    text = out.read_text()
+    assert total in text
+    assert emit_program(parse_program(text)) == text
+
+
+@pytest.mark.parametrize("safety", ["default", "fallback", "force"])
+@pytest.mark.parametrize("src, message", [
+    ("param N = 8;\narray A[8] init zero;\n#pragma xform stripmine size(2) floor_id(N)\n"
+     "for (i = 0; i < 8; i += 1)\n  A[i] = N;\n", "'N' is a param (line 3)"),
+    ("array A[8] init zero;\n#pragma xform stripmine size(2) floor_id(A)\n"
+     "for (i = 0; i < 8; i += 1)\n  A[i] = i;\n", "'A' is an array (line 2)"),
+    # the second `i` loop is named `i#2`, and its variable is still `i`
+    ("array A[8] init zero;\narray B[8,8] init zero;\n#pragma xform stripmine size(2)\n"
+     "for (i = 0; i < 8; i += 1)\n  A[i] = i;\nfor (i = 0; i < 8; i += 1)\n"
+     "  #pragma xform stripmine size(2) floor_id(i)\n  for (j = 0; j < 8; j += 1)\n"
+     "    B[i,j] = i;\n", "'i' is the variable of loop 'i#2' (line 7)"),
+    # the default ids derive from the name `i#2`
+    ("array A[8] init zero;\nfor (i = 0; i < 8; i += 1)\n  A[i] = i;\n"
+     "#pragma xform stripmine size(2)\nfor (i = 0; i < 8; i += 1)\n  A[i] += 1;\n",
+     "'i#2_f' is not an identifier; name the loop with the directive's id clauses (line 4)"),
+])
+def test_a_generated_name_that_is_taken_is_a_plan_error(tmp_path, safety, src, message):
+    path = tmp_path / "in.loop"
+    path.write_text(src)
+    r = run_cli(str(path), "--safety", safety, "--verify", "3", "--emit", "-")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == f"error: generated loop name {message}\n"

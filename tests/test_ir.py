@@ -109,6 +109,13 @@ for (i = 0; i < 8; i += 1)
         plan_pipeline(p)
 
 
+def test_plan_lets_a_step_reuse_the_names_of_the_loop_it_consumes():
+    p = parse_named("array A[8] init zero;\n"
+                    "#pragma xform stripmine size(2) floor_id(i)\n"
+                    "for (i = 0; i < 8; i += 1) A[i] = i;\n")
+    assert plan_pipeline(p).steps[0].introduced == ("i", "i_t")
+
+
 def test_empty_target_means_following_loop():
     p = parse_named("array A[4] init zero;\n"
                     "#pragma xform unroll factor(2)\n"

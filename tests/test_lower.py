@@ -317,7 +317,7 @@ def test_equivalent_lowers_each_program_once_and_runs_every_trial(monkeypatch, v
 
 
 # ---------------------------------------------------------------------------
-# Checks the loop ranges prove away, and the step budget paid once
+# Checks the loop ranges prove away, and budget steps taken only past the budget
 
 
 def dgemm_nest(m: int):

@@ -3,7 +3,7 @@ pipeline applies under fallback mode must preserve semantics; order-preserving
 transforms must preserve traces exactly; everything applied must preserve the
 instance multiset."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xform import apply_pipeline, emit_program, equivalent, parse_program, plan_pipeline
 from xform.ir import name_loops
@@ -15,24 +15,28 @@ from reference_interp import instance_multiset, order_preserved, run
 
 @st.composite
 def nest_programs(draw):
-    """1- or 2-deep nests with affine accesses, possibly loop-carried."""
+    """1- or 2-deep nests with affine accesses, possibly loop-carried.  A loop
+    may start at the param `L`, and never run where `L` is above its upper
+    bound."""
     depth = draw(st.integers(min_value=1, max_value=2))
     n1 = draw(st.integers(min_value=2, max_value=9))
-    decls = ["array A[16,16] init random;", "array B[16,16] init random;"]
+    decls = [f"param L = {draw(st.integers(min_value=0, max_value=12))};",
+             "array A[16,16] init random;", "array B[16,16] init random;"]
+    lower = st.sampled_from(["0", "0", "L"])
     if depth == 1:
         o1 = draw(st.integers(min_value=-2, max_value=2))
         o2 = draw(st.integers(min_value=-2, max_value=2))
         arr = draw(st.sampled_from(["A", "B"]))
         op = draw(st.sampled_from(["=", "+="]))
         body = f"A[i+{o1+2}, 0] {op} {arr}[i+{o2+2}, 1] + i;"
-        loop = f"for (i = 0; i < {n1}; i += 1) {{ {body} }}"
+        loop = f"for (i = {draw(lower)}; i < {n1}; i += 1) {{ {body} }}"
     else:
         n2 = draw(st.integers(min_value=2, max_value=6))
         o = [draw(st.integers(min_value=-1, max_value=1)) for _ in range(4)]
         op = draw(st.sampled_from(["=", "+="]))
         body = f"A[i+{o[0]+1}, j+{o[1]+1}] {op} A[i+{o[2]+1}, j+{o[3]+1}] + B[i, j];"
-        loop = (f"for (i = 0; i < {n1}; i += 1) {{ "
-                f"for (j = 0; j < {n2}; j += 1) {{ {body} }} }}")
+        loop = (f"for (i = {draw(lower)}; i < {n1}; i += 1) {{ "
+                f"for (j = {draw(lower)}; j < {n2}; j += 1) {{ {body} }} }}")
     return "\n".join(decls) + "\n" + loop + "\n"
 
 
@@ -45,6 +49,7 @@ ORDER_PRESERVING_SPECS = [
     ("peel", {"last": 2}),
     ("peel", {"multiple": 3}),
     ("collapse", {"levels": 1}),
+    ("collapse", {"levels": 2}),
 ]
 
 ORDER_CHANGING_SPECS = [
@@ -62,13 +67,12 @@ def _attach(src, kind, clauses):
     loop = first_top_for(p)
     targets = ()
     cl = dict(clauses)
-    if kind == "tile":
+    if kind in ("tile", "interchange") or clauses.get("levels") == 2:
         if not (len(loop.body) == 1 and isinstance(loop.body[0], ForLoop)):
-            return None
+            return None  # they need a 2-deep nest
+    if kind == "tile":
         targets = (loop.name, loop.body[0].name)
     if kind == "interchange":
-        if not (len(loop.body) == 1 and isinstance(loop.body[0], ForLoop)):
-            return None
         cl["permutation"] = (loop.body[0].name, loop.name)
     loop.pragmas = [Directive(kind, targets, cl, "default", False, False,
                               loop.line, 0)]
@@ -77,9 +81,14 @@ def _attach(src, kind, clauses):
 
 @settings(max_examples=50, deadline=None)
 @given(nest_programs(), st.sampled_from(ORDER_PRESERVING_SPECS))
+@example("array A[10,10] init zero;\n"  # two negative trip counts
+         "for (i = 5; i < 0; i += 1) for (j = 5; j < 0; j += 1) A[i,j] = 7;\n",
+         ("collapse", {"levels": 2}))
 def test_order_preserving_transforms_keep_traces(src, spec):
     kind, clauses = spec
     p = _attach(src, kind, clauses)
+    if p is None:
+        return
     res = apply_pipeline(p, plan_pipeline(p))
     assert res.error is None
     assert res.reports[0].verdict.kind == "always_valid"

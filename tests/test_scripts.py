@@ -37,7 +37,8 @@ def test_show_lowering_prints_the_source_and_its_check_counts():
     assert r.stdout.startswith("def f0(mem, bud, trace):\n")
     assert "out of bounds" not in r.stdout and "bud -= 1" not in r.stdout
     assert r.stdout.splitlines()[-1] == ("# checks: 2 emitted, 6 proved away; "
-                                         "steps: 8737, paid once before the run")
+                                         "steps: 8737, within the budget of 10000000: "
+                                         "no budget step")
     r = run_script("show_lowering.py", os.path.join(CORPUS, "24_while_reverse.loop"), "--traced")
     assert r.returncode == 0, r.stderr
     assert "trace.append(" in r.stdout and "bud -= 1" in r.stdout

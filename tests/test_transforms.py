@@ -396,6 +396,28 @@ for (i = 1; i < 9; i += 1) {{
     assert equivalent(strip_pragmas(p), out, trials=15, seed=3)
 
 
+def test_distribute_names_its_loops_after_the_variable_past_every_taken_name():
+    # the second `i` loop is named `i#2`; a param already has the name `i_d1`
+    p, res = run_pipeline("""
+param i_d1 = 3;
+array A[8] init random;
+array B[8] init random;
+
+for (i = 0; i < 8; i += 1)
+  A[i] = i;
+#pragma xform distribute
+for (i = 0; i < 8; i += 1) {
+  B[i] = A[i] + i_d1;
+  A[i] += 1;
+}
+""")
+    out = applied(res)
+    assert [l.var for l in out.body] == ["i", "i_d1_2", "i_d2"]
+    text = emit_program(out)
+    assert emit_program(parse_program(text)) == text
+    assert equivalent(strip_pragmas(p), out, trials=5, seed=1)
+
+
 def test_distribute_explicit_parts_regroup():
     p, res = run_pipeline("""
 array A[9] init random;
