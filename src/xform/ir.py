@@ -147,19 +147,18 @@ def plan_pipeline(p: Program) -> PlannedPipeline:
                             f"{consumed[t].kind} (line {consumed[t].line})", d.line)
                     raise PlanError(f"unknown loop '{t}' in {d.kind} directive", d.line)
             cons, intro = KINDS[d.kind].effects(d.clauses, targets)
-            kept = {v: n for n, v in live.items() if n not in cons}  # variable -> loop
+            # a generated loop's name is also its variable
+            taken = declared | {v: f"the variable of loop '{n}'"
+                                for n, v in live.items() if n not in cons}
             for k, name in enumerate(intro):
-                # a generated loop's name is also its variable
                 if name in intro[:k]:
                     raise PlanError(
                         f"generated loop name '{name}' is introduced twice", d.line)
                 if name in live and name not in cons:
                     raise PlanError(
                         f"generated loop name '{name}' collides with an existing loop", d.line)
-                if name in kept or name in declared:
-                    what = f"the variable of loop '{kept[name]}'" if name in kept \
-                        else declared[name]
-                    raise PlanError(f"generated loop name '{name}' is {what}", d.line)
+                if name in taken:
+                    raise PlanError(f"generated loop name '{name}' is {taken[name]}", d.line)
                 if not name.isidentifier():
                     raise PlanError(f"generated loop name '{name}' is not an identifier; "
                                     f"name the loop with the directive's id clauses", d.line)
