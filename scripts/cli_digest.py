@@ -34,7 +34,8 @@ them is the same from run to run:
   loops whose bounds are equal only as affine forms or whose dropped bound
   faults or reads an array, a kept step over a program that faults on some
   trials, collapses of loops that never run, generated loop names that a
-  param, an array or another loop's variable already has)
+  param, an array or another loop's variable already has, steps on a later
+  loop over a variable that keep its name)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -501,6 +502,34 @@ for (i = 0; i < 8; i += 1) {
   #pragma xform stripmine size(2) floor_id(i)
   for (j = 0; j < 8; j += 1)
     B[i,j] = i;
+}
+""",
+    # later loops over `i` are named `i#2`, `i#3`: a step that keeps such a
+    # name keeps the variable `i`, and a sibling's `i` is in another scope
+    "kept_names_of_later_loops": """array A[8] init random;
+array B[8] init random;
+
+#pragma xform stripmine size(2) floor_id(i)
+for (i = 0; i < 8; i += 1)
+  A[i] = i;
+#pragma xform reverse
+for (i = 0; i < 8; i += 1)
+  B[i] += A[i];
+#pragma xform peel first(1) prologue_id(p)
+for (i = 0; i < 8; i += 1)
+  A[i] += B[i];
+""",
+    "kept_name_keeps_its_variable": """array A[8] init zero;
+array B[8,8] init zero;
+
+#pragma xform stripmine size(2)
+for (i = 0; i < 8; i += 1)
+  A[i] = i;
+#pragma xform reverse
+for (i = 0; i < 8; i += 1) {
+  #pragma xform stripmine size(2) floor_id(i)
+  for (j = 0; j < 8; j += 1)
+    B[i,j] += i;
 }
 """,
 }

@@ -124,15 +124,32 @@ def resolve_targets(d: Directive, attached) -> tuple[str, ...]:
     return (attached.name,)
 
 
+def taken_names(p: Program, loops: dict[str, str | None]) -> dict[str, str]:
+    """The names a generated loop, and so its variable, may not take, each
+    with what it already names: the arrays, the params and the variables of
+    `loops` (loop name -> variable, None for a while)."""
+    return ({a.name: "an array" for a in p.arrays} | {q.name: "a param" for q in p.params}
+            | {v: f"the variable of loop '{n}'" for n, v in loops.items() if v})
+
+
 def plan_pipeline(p: Program) -> PlannedPipeline:
     """Order all directive stacks and simulate name consumption/introduction.
 
     Raises PlanError on unresolvable names, on references to already
     consumed loops, and on generated-name collisions.
     """
+    # each source loop's name -> the loops from the top down to it, itself included
+    path: dict[str, frozenset[str]] = {}
     # every loop not yet consumed, by name: its variable (None for a while)
-    live = {l.name: getattr(l, "var", None) for l in iter_loops(p.body)}
-    declared = {a.name: "an array" for a in p.arrays} | {q.name: "a param" for q in p.params}
+    # and the source loops whose place it holds
+    live: dict[str, tuple[str | None, frozenset[str]]] = {}
+    todo = [(s, frozenset()) for s in p.body]
+    while todo:
+        s, above = todo.pop()
+        if isinstance(s, (ForLoop, WhileLoop)):
+            above = path[s.name] = above | {s.name}
+            live[s.name] = (getattr(s, "var", None), frozenset({s.name}))
+        todo.extend((c, above) for body in child_bodies(s) for c in body)
     consumed: dict[str, Directive] = {}
     plan = PlannedPipeline()
 
@@ -147,14 +164,18 @@ def plan_pipeline(p: Program) -> PlannedPipeline:
                             f"{consumed[t].kind} (line {consumed[t].line})", d.line)
                     raise PlanError(f"unknown loop '{t}' in {d.kind} directive", d.line)
             cons, intro = KINDS[d.kind].effects(d.clauses, targets)
-            # a generated loop's name is also its variable
-            taken = declared | {v: f"the variable of loop '{n}'"
-                                for n, v in live.items() if n not in cons}
+            place = frozenset().union(*(live[n][1] for n in cons))
+            # the loops around the generated ones or inside them, over a new name
+            near = {n: v for n, (v, at) in live.items() if v in intro and n not in cons
+                    and any(a in path[b] or b in path[a] for a in at for b in place)}
+            taken = taken_names(p, near)
             for k, name in enumerate(intro):
                 if name in intro[:k]:
                     raise PlanError(
                         f"generated loop name '{name}' is introduced twice", d.line)
-                if name in live and name not in cons:
+                if name in cons:
+                    continue  # a loop that keeps its name keeps its variable
+                if name in live:
                     raise PlanError(
                         f"generated loop name '{name}' collides with an existing loop", d.line)
                 if name in taken:
@@ -162,11 +183,11 @@ def plan_pipeline(p: Program) -> PlannedPipeline:
                 if not name.isidentifier():
                     raise PlanError(f"generated loop name '{name}' is not an identifier; "
                                     f"name the loop with the directive's id clauses", d.line)
+            kept = {name: live.pop(name)[0] for name in cons}
             for name in cons:
-                del live[name]
                 consumed[name] = d
             for name in intro:
-                live[name] = name
+                live[name] = (kept.get(name, name), place)
                 consumed.pop(name, None)
             plan.steps.append(PlannedDirective(d, targets, loop.name, cons, intro))
     return plan

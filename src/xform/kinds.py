@@ -133,10 +133,11 @@ def _make_loop(var: str, lower: Expr, upper: Expr, step: int, body: list[Stmt],
 
 def _renamed(loop: ForLoop, name: str, lower: Expr, upper: Expr, origin: str,
              parallel: bool = False, body: list[Stmt] | None = None) -> ForLoop:
-    """`loop` (or `body` under its header) over [lower, upper), its variable
-    renamed to `name`."""
-    body = subst_body(loop.body if body is None else body, {loop.var: VarRef(name)})
-    return _make_loop(name, lower, upper, loop.step, body, name, origin, parallel)
+    """`loop` (or `body` under its header) over [lower, upper), named `name`
+    and its variable with it; a loop that keeps its name keeps its variable."""
+    var = loop.var if name == loop.name else name
+    body = subst_body(loop.body if body is None else body, {loop.var: VarRef(var)})
+    return _make_loop(var, lower, upper, loop.step, body, name, origin, parallel)
 
 
 # ---------------------------------------------------------------------------

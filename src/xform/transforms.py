@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import deps as depmod
 from . import legality
 from .deps import DepsError
-from .ir import PlannedDirective, PlannedPipeline
+from .ir import PlannedDirective, PlannedPipeline, taken_names
 from .kinds import KINDS, SIBLINGS, TransformError
 from .lang import (
     INT64_MAX, INT64_MIN, Assign, Directive, ForLoop, IfStmt, IntLit, Program, Stmt,
@@ -69,9 +69,10 @@ def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, Ap
     cand = clone_program(program)
     d = pd.directive
     kind = KINDS[d.kind]
-    # the names a generated loop, and so its variable, may not take
-    taken = {x for l in iter_loops(cand.body) for x in (l.name, getattr(l, "var", l.name))}
-    taken |= {a.name for a in cand.arrays} | {q.name for q in cand.params}
+    # the names `_fresh` avoids: every loop's name and, in any scope, every
+    # name the planner keeps from generated loops
+    loops = {l.name: getattr(l, "var", None) for l in iter_loops(cand.body)}
+    taken = set(loops) | set(taken_names(cand, loops))
     nodes = []
     for t in pd.targets:
         n = find_loop(cand.body, t)

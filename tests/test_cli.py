@@ -441,6 +441,12 @@ def test_a_collapse_of_loops_that_never_run_runs_nothing(tmp_path, safety, head,
      "for (i = 0; i < 8; i += 1)\n  A[i] = i;\nfor (i = 0; i < 8; i += 1)\n"
      "  #pragma xform stripmine size(2) floor_id(i)\n  for (j = 0; j < 8; j += 1)\n"
      "    B[i,j] = i;\n", "'i' is the variable of loop 'i#2' (line 7)"),
+    # reversed, the loop `i#2` keeps its name and its variable `i`
+    ("array A[8] init zero;\narray B[8,8] init zero;\n#pragma xform stripmine size(2)\n"
+     "for (i = 0; i < 8; i += 1)\n  A[i] = i;\n#pragma xform reverse\n"
+     "for (i = 0; i < 8; i += 1)\n  #pragma xform stripmine size(2) floor_id(i)\n"
+     "  for (j = 0; j < 8; j += 1)\n    B[i,j] += i;\n",
+     "'i' is the variable of loop 'i#2' (line 8)"),
     # the default ids derive from the name `i#2`
     ("array A[8] init zero;\nfor (i = 0; i < 8; i += 1)\n  A[i] = i;\n"
      "#pragma xform stripmine size(2)\nfor (i = 0; i < 8; i += 1)\n  A[i] += 1;\n",
@@ -452,3 +458,24 @@ def test_a_generated_name_that_is_taken_is_a_plan_error(tmp_path, safety, src, m
     r = run_cli(str(path), "--safety", safety, "--verify", "3", "--emit", "-")
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr == f"error: generated loop name {message}\n"
+
+
+@pytest.mark.parametrize("first, second", [
+    ("", "reverse"), ("", "parallel"), ("", "unroll factor(2)"),
+    ("", "peel first(1) prologue_id(p)"), ("", "peel last(1) epilogue_id(e)"),
+    # a sibling loop's variable is in another scope
+    ("stripmine size(2) floor_id(i)", ""),
+])
+def test_steps_on_a_second_loop_over_the_same_variable_verify(tmp_path, first, second):
+    # the second loop is named `i#2`; a step that keeps that name keeps the variable `i`
+    path, out = tmp_path / "in.loop", tmp_path / "out.loop"
+    path.write_text("array A[8] init random;\narray B[8] init random;\n\n" +
+                    f"#pragma xform {first}\n" * bool(first) +
+                    "for (i = 0; i < 8; i += 1)\n  A[i] = i;\n" +
+                    f"#pragma xform {second}\n" * bool(second) +
+                    "for (i = 0; i < 8; i += 1)\n  B[i] += A[i];\n")
+    r = run_cli(str(path), "--safety", "fallback", "--verify", "3", "--emit", str(out))
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "verified: 3 trials, memory identical\n"
+    text = out.read_text()
+    assert emit_program(parse_program(text)) == text

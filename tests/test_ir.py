@@ -109,10 +109,15 @@ for (i = 0; i < 8; i += 1)
         plan_pipeline(p)
 
 
-def test_plan_lets_a_step_reuse_the_names_of_the_loop_it_consumes():
+@pytest.mark.parametrize("sibling", [
+    "",
+    # the sibling loop `i#2` also runs over `i`, but in another scope
+    "for (i = 0; i < 8; i += 1) A[i] += 1;\n",
+])
+def test_plan_lets_a_step_reuse_the_names_of_the_loop_it_consumes(sibling):
     p = parse_named("array A[8] init zero;\n"
                     "#pragma xform stripmine size(2) floor_id(i)\n"
-                    "for (i = 0; i < 8; i += 1) A[i] = i;\n")
+                    "for (i = 0; i < 8; i += 1) A[i] = i;\n" + sibling)
     assert plan_pipeline(p).steps[0].introduced == ("i", "i_t")
 
 
