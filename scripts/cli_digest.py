@@ -35,7 +35,10 @@ them is the same from run to run:
   faults or reads an array, a kept step over a program that faults on some
   trials, collapses of loops that never run, generated loop names that a
   param, an array or another loop's variable already has, steps on a later
-  loop over a variable that keep its name)
+  loop over a variable that keep its name, a value that overflows only
+  inside a loop of no trips, which the lowering must not hoist, and a traced
+  nest deeper than the lowering's function split whose innermost statement
+  reads the outer variables)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -75,6 +78,13 @@ for (i = 0; i < M; i += 1)
 def _nested_loops(depth: int) -> str:
     head = "".join(f"for (v{d} = 0; v{d} < 2; v{d} += 1)\n" for d in range(depth))
     return "array A[4] init random;\n\n#pragma xform reverse\n" + head + "  A[v0 + v1] += 1;\n"
+
+
+def _deep_traced_nest(depth: int) -> str:
+    head = "".join(f"for (i{d} = 0; i{d} < {2 if d in (0, 1, depth - 1) else 1}; i{d} += 1)\n"
+                   for d in range(depth))
+    return (f"array A[4,4] init random;\n\n#pragma xform loop(i{depth - 1}) reverse\n" + head
+            + f"  A[i0 + i1, i{depth - 1}] += i0 * 2 + i1;\n")
 
 
 def _nested_ifs(depth: int) -> str:
@@ -268,6 +278,17 @@ for (i = 1; i < 8; i += 1)
 #pragma xform loop(i) reverse
 #pragma xform loop(i,j) interchange permutation(j,i)
 for (i = 9223372036854775801; i < 9223372036854775807; i += 1)
+  for (j = 0; j < 8; j += 1)
+    A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
+""",
+    # the same over a param lower bound: `reverse` reflects between two
+    # constant bounds within the loop's values, but not from `L + L + 5`
+    "carried_then_unproved_param": """param L = 9223372036854775801;
+array A[8,8] init random;
+
+#pragma xform loop(i) reverse
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = L; i < 9223372036854775807; i += 1)
   for (j = 0; j < 8; j += 1)
     A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
 """,
@@ -532,6 +553,17 @@ for (i = 0; i < 8; i += 1) {
     B[i,j] += i;
 }
 """,
+    # what the lowering hoists to a loop's head cannot fault: `i + 5`
+    # overflows for the last i's, inside a loop that never runs
+    "hoist_overflow_in_no_trips": """array A[4] init random;
+
+#pragma xform reverse
+for (i = 9223372036854775800; i < 9223372036854775807; i += 1)
+  for (j = 0; j < 0; j += 1)
+    A[0] = i + 5;
+""",
+    # 16 levels, past the lowering's split into a second function at 12
+    "hoist_deep_traced_nest": _deep_traced_nest(16),
 }
 # a reversal over a bound whose fault one rule of `lang.simplify` used to
 # drop: x - x, (a + b) - a, (a + b) - b, constants moving x both ways,

@@ -497,7 +497,11 @@ def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
     else:
         last = BinOp("*", BinOp("-", _trips_expr(loop), IntLit(1)), IntLit(loop.step))
     top = simplify(BinOp("+", BinOp("+", loop.lower, loop.lower), last))
-    reflect = simplify(BinOp("-", top, VarRef(loop.var)))
+    final = simplify(BinOp("+", loop.lower, last))
+    if type(top) is not IntLit and type(final) is IntLit:  # `top` overflows: stay within the loop's values
+        reflect = BinOp("+", loop.lower, BinOp("-", final, VarRef(loop.var)))
+    else:
+        reflect = simplify(BinOp("-", top, VarRef(loop.var)))
     body = subst_body(loop.body, {loop.var: reflect})
     out = _make_loop(loop.var, loop.lower, loop.upper, loop.step, body,
                      loop.name, _gen("reverse", uid), loop.parallel)

@@ -33,7 +33,26 @@ the elements it reads and writes.
 
 Expressions become three-address code, one operation per line.  Within a
 statement, an operation whose generated text an earlier one already had
-reuses that one's temporary, which was checked there.  A
+reuses that one's temporary, which was checked there.
+
+Work that the trips of a loop share is hoisted to the head of its body
+(loop-invariant code motion).  An operation moves when `op_interval` gives
+it an interval, so it cannot fault, and its operands are literals, loop
+variables and hoisted values, never an array read or `disjoint`.  It is
+computed once, as `h<k>`, at the head of the innermost for-loop body whose
+variable it reads, and every later statement in that body reuses it.  So
+do a subscript's element-number terms over loop variables and hoisted
+values (Python ints, which cannot fault; the checks that guard them stay in
+the statement) and each maximal run of a traced row's f-string that the
+innermost loop around the statement does not change.  A hoisted line cannot
+raise, reads no memory and takes no step, and the values it reads hold
+wherever the body runs, so computing it once changes no outcome, fault
+message or line, budget or trace byte, even where the statement that needs
+it never runs.  The rule reads the lowering's own intervals, never a
+dependence verdict.  A function split (below) opens its own head, and
+nothing is hoisted across the call.
+
+A
 parameter becomes its value, a loop variable a local named `v_<name>`, and an
 array `c_<name>` (cells) and `b_<name>` (base offset), so no program name can
 shadow a generated name or a builtin.  Bodies more than `MAX_DEPTH` levels
@@ -44,7 +63,7 @@ budget: CPython compiles at most 20 nested blocks and 100 indentation levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .lang import (
     INT64_MAX, INT64_MIN, ArrayRead, Assign, BinOp, Call, EvalError, ForLoop, IfStmt, IntLit,
@@ -103,6 +122,17 @@ def source(program: Program, traced: bool) -> Source:
 
 
 @dataclass
+class _Frame:
+    """The head of a loop's body, or of a split function's: where the
+    values hoisted to it are computed, once per entry."""
+    code: list          # the generated function's lines
+    at: int             # where in `code` the hoisted lines go
+    depth: int
+    lines: list = field(default_factory=list)
+    names: dict = field(default_factory=dict)  # the name of each hoisted value
+
+
+@dataclass
 class Lowered:
     """A program's one compiled form, which every run of it executes; call
     it with a `Memory` and a trace list (None when untraced).  It runs with
@@ -148,10 +178,13 @@ class _Gen:
         counts = step_counts(program.body, program.param_ranges(), exact_only=True)[0]
         self.steps = None if counts is None else counts[0] + counts[2]
         self.ticks = self.steps is None or self.steps > STEP_BUDGET
-        self.ranges: dict = {}  # interval of each loop variable and temporary
+        self.ranges: dict = {}  # interval of each loop variable and hoisted value
         self.seen: set = set()  # the statement's subscript checks so far
         self.values: dict = {}  # the statement's temporaries, by the value they hold
         self.checks = self.proved = 0
+        self.frames: list[_Frame] = []  # the loop bodies (and split functions) around
+        self.homes: dict = {}  # the frame of each loop variable and hoisted value
+        self.first = self.hoisted = 0  # the current function's first frame; names given
         scope = {p.name: p.value for p in program.params}
         self.function("f0", ["mem", "bud", "trace"])
         for a in self.dims:
@@ -194,22 +227,49 @@ class _Gen:
         if text in self.values:  # an equal operation earlier in the statement, checked there
             return self.values[text]
         known = op_interval(op, self.span(a), self.span(b))
-        r = self.let(text, known)
+        if known is not None:  # it cannot fault (so its operands have ranges): hoisted
+            return self.hoist(text, self.place(a, b), known, op in ("+", "-", "*", "/"))
+        r = self.let(text)
         if op in ("+", "-", "*", "/"):
-            self.check(known is None, _CHECKED.format(r))
+            self.check(True, _CHECKED.format(r))
         return r
 
     def span(self, x):
         """The interval of an operand: a literal, or a name holding a value."""
         return (x, x) if type(x) is int else self.ranges.get(x)
 
-    def let(self, value: str, known=None) -> str:
+    def place(self, *xs) -> int | None:
+        """The innermost frame of the loop variables and hoisted values among
+        `xs`, not outside the current function; None where one is a
+        statement's temporary, -1 where all are literals."""
+        at = -1
+        for x in xs:
+            if type(x) is not int:
+                if x not in self.homes:
+                    return None
+                at = max(at, self.homes[x], self.first)
+        return at
+
+    def hoist(self, value: str, at: int, known=None, proves: bool = False) -> str:
+        """The name of `value`, computed at the head of frame `at` on first
+        use: it cannot fault and reads nothing but literals, the loop
+        variables of frames up to `at` and values hoisted there.  `proves`:
+        an overflow check the ranges proved away."""
+        frame = self.frames[at]
+        if value not in frame.names:
+            self.hoisted += 1
+            name = frame.names[value] = f"h{self.hoisted}"
+            self.homes[name], self.ranges[name] = at, known
+            frame.lines.append((frame.depth, f"{name} = {value}", self.line))
+            self.proved += proves
+        return frame.names[value]
+
+    def let(self, value: str) -> str:
         """The statement's temporary holding `value`, emitted on first use:
         nothing the statement values before its store changes memory."""
         if value not in self.values:
             self.tmp += 1
             name = self.values[value] = f"t{self.tmp}"
-            self.ranges[name] = known
             self.emit(f"{name} = {value}")
         return self.values[value]
 
@@ -240,13 +300,23 @@ class _Gen:
                     self.check(not (known and 0 <= known[0] and known[1] < d), line)
             elif not 0 <= x < d:
                 self.fault(f"index {x} out of bounds for {array}[{d}]")
-        const, terms, stride = 0, [], 1
+        # Python ints, which cannot fault: the terms of loop variables and
+        # hoisted values sum to one hoisted value, `moved`
+        const, terms, moved, stride = 0, [], None, 1
         for d, x in reversed(list(zip(dims, idx))):
+            at = self.place(x)
             if type(x) is int:
                 const += x * stride
-            else:
+            elif at is None:
                 terms.insert(0, x if stride == 1 else f"{x} * {stride}")
+            else:
+                term = x if stride == 1 else self.hoist(f"{x} * {stride}", at)
+                moved = term if moved is None else \
+                    self.hoist(f"{term} + {moved}", self.place(term, moved))
             stride *= d
+        if moved is not None and const != 0:
+            moved, const = self.hoist(f"{moved} + {const}", self.place(moved)), 0
+        terms = [moved] * (moved is not None) + terms
         if not terms:
             return const
         flat = " + ".join(terms + [str(const)] * (const != 0))
@@ -267,24 +337,29 @@ class _Gen:
             self.tick()
             getattr(self, type(s).__name__)(s, scope, loops)
 
-    def block(self, stmts: list, scope: dict, loops: list, head=None):
-        """A body one level deeper, after `head`; past MAX_DEPTH, a new function."""
+    def block(self, stmts: list, scope: dict, loops: list, head=None, loop=False):
+        """A body one level deeper, after `head`; past MAX_DEPTH, a new
+        function.  A loop's body, or a new function's, opens a frame."""
         self.depth += 1
         line = self.line
         if head is not None:
             head()
-        if self.depth <= MAX_DEPTH:
-            self.body(stmts, scope, loops)
-            self.emit("pass")
-        else:
+        saved, split = (self.code, self.depth, self.first), self.depth > MAX_DEPTH
+        if split:
             live = ["mem", "bud", "trace", *self.arrays, *loops]
             name = f"f{len(self.funcs)}"
             self.emit(f"bud = {name}({', '.join(live)})")
-            saved = self.code, self.depth
             self.function(name, live)
-            self.body(stmts, scope, loops)
-            self.emit("return bud")
-            self.code, self.depth = saved
+            self.first = len(self.frames)  # no hoist crosses into the caller
+        opens = loop or split
+        if opens:
+            self.frames.append(_Frame(self.code, len(self.code), self.depth))
+        self.body(stmts, scope, loops)
+        if opens:
+            frame = self.frames.pop()
+            frame.code[frame.at:frame.at] = frame.lines
+        self.emit("return bud" if split else "pass")
+        self.code, self.depth, self.first = saved
         self.depth -= 1
         self.line = line
 
@@ -305,15 +380,34 @@ class _Gen:
         self.emit(f"{cell} = {value}")
 
     def row(self, s: Assign, ivec: list, reads: list, flat) -> str:
-        """The source of the CSV row, from values and the names holding them."""
+        """The source of the CSV row, from values and the names holding them.
+        Each maximal run of text and fields that the innermost loop does not
+        change is hoisted, as one f-string, to the innermost frame it reads."""
         by_array: dict[str, dict] = {}
         for a, x in reads:  # one name holds one value within a statement
             by_array.setdefault(a, {})[x] = None
-        entries = [f"{a}[{{{next(iter(xs))}}}]" if len(xs) == 1  # else sorted at run time
-                   else f"{{cells({a!r}, ({', '.join(map(str, xs))}))}}"
-                   for a, xs in sorted(by_array.items())]
-        coords = ";".join(f"{n}={{{v}}}" for n, v in ivec)
-        return f'f"{s.stmt_id},{coords},{" ".join(entries)},{s.array}[{{{flat}}}]"'
+        pieces = [(f"{s.stmt_id},", ())]  # (text, the values its field reads)
+        for k, (n, v) in enumerate(ivec):
+            pieces += [(f"{';' * (k > 0)}{n}=", ()), (f"{{{v}}}", (v,))]
+        pieces.append((",", ()))
+        for k, (a, xs) in enumerate(sorted(by_array.items())):
+            pieces.append((" " * (k > 0), ()))
+            pieces += ([(f"{a}[", ()), (f"{{{next(iter(xs))}}}", tuple(xs)), ("]", ())]
+                       if len(xs) == 1 else  # else sorted at run time
+                       [(f"{{cells({a!r}, ({', '.join(map(str, xs))}))}}", tuple(xs))])
+        pieces += [(f",{s.array}[", ()), (f"{{{flat}}}", (flat,)), ("]", ())]
+        inner, out, run, at = len(self.frames) - 1, [], [], -1
+        for text, values in pieces + [("", None)]:
+            where = None if values is None else self.place(*values)
+            if where is not None and where < inner:
+                run.append(text)
+                at = max(at, where)
+                continue
+            if at >= 0:
+                run = ["{" + self.hoist('f"' + "".join(run) + '"', at) + "}"]
+            out += run + [text]
+            run, at = [], -1
+        return 'f"' + "".join(out) + '"'
 
     def ForLoop(self, s: ForLoop, scope: dict, loops: list):
         lo, hi = self.expr(s.lower, scope), self.expr(s.upper, scope)
@@ -321,8 +415,9 @@ class _Gen:
         if var in scope.values():  # an enclosing loop of the same name
             var = f"v{len(loops)}_{s.var}"
         self.ranges[var] = loop_range(s, {n: self.span(x) for n, x in scope.items()})[1]
+        self.homes[var] = len(self.frames)
         self.emit(f"for {var} in range({lo}, {hi}, {s.step}):")
-        self.block(s.body, {**scope, s.var: var}, loops + [var], self.tick)
+        self.block(s.body, {**scope, s.var: var}, loops + [var], self.tick, loop=True)
 
     def WhileLoop(self, s: WhileLoop, scope: dict, loops: list):
         def head():

@@ -266,11 +266,6 @@ def test_fault_on_both_sides_is_a_match(tmp_path):
     ("array A[8] init zero;\n#pragma xform tile sizes(4)\n"
      "for (i = 9223372036854775800; i < 9223372036854775806; i += 1)\n"
      "  A[i - 9223372036854775800] = 1;\n", "'int64 overflow (line 2)'"),
-    # the reflected subscript adds the two bounds near 2^62
-    ("array A[8] init zero;\n#pragma xform reverse\n"
-     "for (i = 4611686018427387904; i < 4611686018427387910; i += 1)\n"
-     "  A[i - 4611686018427387904] = i - 4611686018427387904;\n",
-     "'int64 overflow (line 4)'"),
 ])
 def test_fault_only_in_the_output_is_a_mismatch(tmp_path, src, fault):
     path = tmp_path / "in.loop"
@@ -279,6 +274,18 @@ def test_fault_only_in_the_output_is_a_mismatch(tmp_path, src, fault):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("verification mismatch: trial 0 (seed "), r.stderr
     assert r.stderr.endswith(f"binding distinct): no fault vs fault {fault}\n"), r.stderr
+
+
+def test_reverse_near_two_to_the_62_reflects_within_the_loop_values(tmp_path):
+    # lower + lower + last overflows; lower + (lower + last - i) does not
+    path = tmp_path / "in.loop"
+    path.write_text("array A[8] init zero;\n#pragma xform reverse\n"
+                    "for (i = 4611686018427387904; i < 4611686018427387910; i += 1)\n"
+                    "  A[i - 4611686018427387904] = i - 4611686018427387904;\n")
+    r = run_cli(str(path), "--safety", "fallback", "--verify", "3", "--emit", "-")
+    assert r.returncode == 0, r.stderr
+    assert "A[4611686018427387904 + (4611686018427387909 - i) - 4611686018427387904]" in r.stdout
+    assert r.stderr == "verified: 3 trials, memory identical\n"
 
 
 def test_running_out_of_steps_is_an_error_not_a_mismatch(tmp_path):

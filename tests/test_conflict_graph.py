@@ -246,12 +246,15 @@ for (i = 1; i < 8; i += 1)
     A[i,j] = A[i-1,j] + 1;
 """,
     # ... and a reverse whose generated arithmetic is not proved inside
-    # int64, so the schedule gate fails and the conservative rule runs
-    "carried_then_unproved": """array A[8,8] init random;
+    # int64, so the schedule gate fails and the conservative rule runs (over
+    # a param bound, since `reverse` reflects between two constant bounds
+    # within the loop's own values)
+    "carried_then_unproved": """param L = 9223372036854775801;
+array A[8,8] init random;
 
 #pragma xform loop(i) reverse
 #pragma xform loop(i,j) interchange permutation(j,i)
-for (i = 9223372036854775801; i < 9223372036854775807; i += 1)
+for (i = L; i < 9223372036854775807; i += 1)
   for (j = 0; j < 8; j += 1)
     A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
 """,

@@ -1,6 +1,7 @@
 """The lowered interpreter against the tree-walking reference: the same final
 memory, the same CSV rows and the same fault text on every program."""
 
+import re
 from collections import Counter
 from unittest import mock
 
@@ -417,17 +418,27 @@ def statement_temporaries(text: str) -> list[list[str]]:
     return out
 
 
+def hoisted_values(text: str) -> list[str]:
+    """The values of the hoisted lines, `h<k> = value`, in text order."""
+    return [line.strip().partition(" = ")[2] for line in text.splitlines()
+            if re.fullmatch(r"h\d+", line.strip().partition(" = ")[0])]
+
+
 def test_a_statement_computes_each_operation_once():
     # the unrolled dgemm indexes C[i2 + 1, j2 + 2] and A[i2 + 1, k2] in one
-    # statement: one `v_i2 + 1`, proved once
+    # statement, and its other statements use `v_i2 + 1` and `v_j2 + 2` too:
+    # each is hoisted, computed once per trip of its loop and proved once
     p = parse_named(load_corpus("05_dgemm.loop"))
     final = apply_pipeline(p, plan_pipeline(p), safety_override="fallback").program
     for traced in (False, True):
         src = source(final, traced)
+        hoisted = hoisted_values(src.text)
+        assert {"v_i2 + 1", "v_j2 + 2"} <= set(hoisted)
+        assert len(set(hoisted)) == len(hoisted), hoisted
         values = statement_temporaries(src.text)
-        assert ["v_i2 + 1", "v_j2 + 2"] in [v[:2] for v in values]
         assert all(len(set(v)) == len(v) for v in values), values
-    assert (src.checks, src.proved) == (16, 61)  # 71 proved before: 10 repeats
+    # 71 proved before the statement's CSE, 61 before hoisting: 6 more repeats
+    assert (src.checks, src.proved) == (16, 55)
     assert_same_runs(final, seed=5)
 
 
@@ -439,3 +450,55 @@ def test_a_repeated_operation_faults_and_traces_as_written(value):
     p = parse_named(f"array A[6] init random;\nfor (i = 0; i < 5; i += 1)\n  A[i] = {value};\n")
     assert all(len(set(v)) == len(v) for v in statement_temporaries(source(p, False).text))
     assert_same_runs(p, seed=5)
+
+
+# ---------------------------------------------------------------------------
+# Hoisting: what moves to a loop's head cannot fault and reads no memory
+
+
+def test_an_overflowing_value_in_a_loop_of_no_trips_does_not_move():
+    # i + 5 overflows for the last i's, so it stays in the inner loop, which never runs
+    p = parse_named("array A[4] init random;\n"
+                    "for (i = 9223372036854775800; i < 9223372036854775807; i += 1)\n"
+                    "  for (j = 0; j < 0; j += 1)\n    A[0] = i + 5;\n")
+    text = source(p, False).text
+    assert "v_i + 5" in text and hoisted_values(text) == []
+    assert_same_runs(p)
+    interp.run(p)  # no fault
+
+
+def test_a_guarded_division_stays_under_its_guard():
+    p = parse_named("array A[4] init random;\nfor (i = 0; i < 4; i += 1)\n"
+                    "  if (i != 0) A[i] = 10 / i;\n")
+    text = source(p, False).text
+    assert hoisted_values(text) == ["1 if v_i != 0 else 0"]  # the condition cannot fault
+    guard, divide = text.index("if h1 != 0:"), text.index("idiv(10, v_i)")
+    assert guard < divide
+    assert_same_runs(p)
+
+
+def test_a_traced_nest_past_the_depth_limit_hoists_within_each_function():
+    # the innermost statement reads variables of loops outside its function:
+    # their values move to that function's head, never across the call
+    depth = MAX_DEPTH + 4
+    loops = "".join(f"for (i{k} = 0; i{k} < {2 if k in (0, 1, depth - 1) else 1}; i{k} += 1)\n"
+                    for k in range(depth))
+    p = parse_named("array A[4,4] init random;\n" + loops
+                    + f"  A[i0 + i1, i{depth - 1}] += i0 * 2 + i1;\n")
+    for traced in (False, True):
+        text = source(p, traced).text
+        functions = text.split("\ndef ")
+        assert len(functions) == 2
+        for f in functions:  # each function assigns every hoisted name it reads
+            assert set(re.findall(r"\bh\d+\b", f)) == set(re.findall(r"^ *(h\d+) = ", f, re.M))
+        # the row's run up to the innermost coordinate moves too
+        assert any(v.startswith('f"s') for v in hoisted_values(functions[1])) == traced
+    assert_same_runs(p)
+
+
+@pytest.mark.parametrize("program", [pytest.param(p, id=f"{name}-{mode}")
+                                     for name, mode, p in originals_and_results((8, 32))])
+def test_no_hoisted_line_checks_reads_memory_or_takes_a_step(program):
+    for traced in (False, True):
+        for value in hoisted_values(source(program, traced).text):
+            assert not re.search(r"raise|EvalError|\bc_|\bb_|mem\.|disjoint|bud|trace", value), value
