@@ -498,7 +498,8 @@ def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
         last = BinOp("*", BinOp("-", _trips_expr(loop), IntLit(1)), IntLit(loop.step))
     top = simplify(BinOp("+", BinOp("+", loop.lower, loop.lower), last))
     final = simplify(BinOp("+", loop.lower, last))
-    if type(top) is not IntLit and type(final) is IntLit:  # `top` overflows: stay within the loop's values
+    # where `top` overflows and the last value folds, reflect within the loop's values
+    if type(top) is not IntLit and type(final) is IntLit:
         reflect = BinOp("+", loop.lower, BinOp("-", final, VarRef(loop.var)))
     else:
         reflect = simplify(BinOp("-", top, VarRef(loop.var)))

@@ -481,8 +481,8 @@ def test_a_traced_nest_past_the_depth_limit_hoists_within_each_function():
     # the innermost statement reads variables of loops outside its function:
     # their values move to that function's head, never across the call
     depth = MAX_DEPTH + 4
-    loops = "".join(f"for (i{k} = 0; i{k} < {2 if k in (0, 1, depth - 1) else 1}; i{k} += 1)\n"
-                    for k in range(depth))
+    trips = [2 if k in (0, 1, depth - 1) else 1 for k in range(depth)]
+    loops = "".join(f"for (i{k} = 0; i{k} < {t}; i{k} += 1)\n" for k, t in enumerate(trips))
     p = parse_named("array A[4,4] init random;\n" + loops
                     + f"  A[i0 + i1, i{depth - 1}] += i0 * 2 + i1;\n")
     for traced in (False, True):
