@@ -3,27 +3,28 @@
 A `Kind` holds everything the engine knows about one directive: its pragma
 spelling, its clauses in print order, the rules a well-formed pragma obeys,
 the loop names it consumes and introduces (with the defaults of its id
-clauses), what its targets are, the rewrite that builds its candidate, when
-that rewrite is valid without looking at dependences, where an
-order-changing rewrite sends each instance (its schedule map, in
-`schedules`, which the exact judge reads instead of walking the
-candidate; a mark reads reverse's), and the distance-vector rule that
-judges it when the exact route is unavailable.  The parser, the emitter,
-the planner, `transforms.build_candidate` and `transforms.classify` look a
-directive up in `KINDS` instead of branching on its kind.  A new directive
-is a record here; an order-changing one also needs its schedule map in
-`schedules`, and may need a conservative judge in `legality`.
+clauses), what its targets are, the rewrite that builds its candidate, and
+the distance-vector rule that judges it when the exact route is
+unavailable.  The parser, the emitter, the planner,
+`transforms.build_candidate` and `transforms.classify` look a directive up
+in `KINDS` instead of branching on its kind.  A new directive is a record
+here; an order-changing one also needs its schedule map in `schedules`,
+and may need a conservative judge in `legality`.
 
 Every transformation is a replacement: it removes the loops it applies to
-and returns a `TransformResult`, the rewritten subtree to splice in their
-place and the meta its legality rules and schedule read (the band, the new
-loop order, the statement groups, the names of the loops it generated), so
-follow-up directives see the result as if it had been written in the
-source.  A builder works on the candidate, a copy of
-the input program: it may move the candidate's statements into the
-replacement, and makes each further copy by one substitution
-(`lang.subst_body`).  Generated loops take their names (and variables) from
-the id clauses.
+and returns a `TransformResult`: the rewritten subtree to splice in their
+place, so follow-up directives see the result as if it had been written in
+the source; the meta its legality rules and schedule read (the band, the
+new loop order, the statement groups, the names of the loops it
+generated); and the step's schedule map (a mark returns reverse's), or
+None where the builder's own values show that the step keeps the order and
+so is always valid: every strip-mine, unroll, peel and collapse, a tile of
+one level or of tiles that each cover their loop, an identity interchange,
+a distribution whose assignments fall in one part.  A builder works on
+the candidate, a copy of the input program: it may move the candidate's
+statements into the replacement, and makes each further copy by one
+substitution (`lang.subst_body`).  Generated loops take their names (and
+variables) from the id clauses.
 
 Records call the legality judges through the `legality` module at call time,
 so a judge rebound on that module (by a tracer, say) is the one that runs.
@@ -41,8 +42,8 @@ from .schedules import (
 )
 from .lang import (
     Assign, BinOp, Call, Expr, ForLoop, IfStmt, IntLit, Program, Stmt, VarRef, WhileLoop,
-    affine, array_reads, find_loop, free_vars, interval, iter_stmts, locate, loop_range,
-    simplify, subst_body, subst_stmt,
+    affine, array_reads, free_vars, interval, iter_stmts, locate, loop_range, simplify,
+    subst_body, subst_stmt,
 )
 
 
@@ -58,6 +59,7 @@ MAX_COPIES = 1024
 class TransformResult:
     replacement: list[Stmt]
     meta: dict = field(default_factory=dict)
+    schedule: Callable | None = None  # the step's map in `schedules`, None: order kept
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +184,10 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
     rema: list[bool] = []
     full: list[bool] = []
     cuts: list = []
+    whole_loops = True  # every tile covers its whole loop: the order is kept
     for d in range(k):
         trips = _const_trips(program, chain[d])
+        whole_loops = whole_loops and trips is not None and sizes[d] >= trips
         if peel != "rectangular":
             splits.append(uppers[d])
             rema.append(False)
@@ -240,7 +244,8 @@ def tile(program: Program, chain: list[ForLoop], sizes: tuple[int, ...],
             nest = [_make_loop(var, lo, up, st, nest, var, origin, par)]
         regions.extend(nest)
     return TransformResult(regions, {"band": [l.name for l in chain], "sizes": tuple(sizes),
-                                     "regions": names, "cuts": cuts})
+                                     "regions": names, "cuts": cuts},
+                           None if k == 1 or whole_loops else tile_schedule)
 
 
 def stripe_mine(program: Program, loop: ForLoop, count: int, outer_id: str,
@@ -262,7 +267,7 @@ def stripe_mine(program: Program, loop: ForLoop, count: int, outer_id: str,
                        BinOp("+", loop.lower, IntLit(stride * loop.step)),
                        loop.step, [inner], outer_id, origin, loop.parallel)
     return TransformResult([outer], {"level": loop.name, "ids": (outer_id, inner_id),
-                                     "stride": stride})
+                                     "stride": stride}, stripe_schedule)
 
 
 def unroll_full(program: Program, loop: ForLoop) -> TransformResult:
@@ -295,7 +300,7 @@ def unroll_and_jam(program: Program, loop: ForLoop, factor: int, uid: int) -> Tr
                                  f"not depend on '{loop.name}'")
     out = _jam(program, loop, chain, factor, _gen("unroll_and_jam", uid), uid)
     return TransformResult([out], {"jam_order": [l.name for l in chain] + [loop.name],
-                                   "factor": factor})
+                                   "factor": factor}, jam_schedule)
 
 
 def _jam(program: Program, loop: ForLoop, chain: list[ForLoop], factor: int,
@@ -344,7 +349,8 @@ def interchange(chain: list[ForLoop], permutation: tuple[str, ...], uid: int) ->
         l = by_name[name]
         nest = [_make_loop(l.var, l.lower, l.upper, l.step, nest, l.name,
                            l.origin if identity else origin, l.parallel)]
-    return TransformResult(nest, {"band": [l.name for l in chain], "order": list(permutation)})
+    return TransformResult(nest, {"band": [l.name for l in chain], "order": list(permutation)},
+                           None if identity else interchange_schedule)
 
 
 def peel(program: Program, loop: ForLoop, spec: tuple[str, int],
@@ -443,7 +449,8 @@ def distribute(loop: ForLoop, groups, ids: tuple[str, ...], uid: int,
         out_loops.append(_renamed(loop, nm, loop.lower, loop.upper, origin, loop.parallel,
                                   part))
     return TransformResult(out_loops, {"part_of": part_of, "level": loop.name,
-                                       "names": tuple(l.name for l in out_loops)})
+                                       "names": tuple(l.name for l in out_loops)},
+                           distribute_schedule if len(set(part_of.values())) > 1 else None)
 
 
 def fuse(program: Program, loops: list[ForLoop], fused_id: str, uid: int) -> TransformResult:
@@ -466,7 +473,7 @@ def fuse(program: Program, loops: list[ForLoop], fused_id: str, uid: int) -> Tra
         body.extend(subst_body(l.body, {l.var: VarRef(fused_id)}))
     out = _make_loop(fused_id, lo, up, st, body, fused_id, _gen("fuse", uid))
     return TransformResult([out], {"loop_of": loop_of, "names": [l.name for l in loops],
-                                   "fused_id": fused_id})
+                                   "fused_id": fused_id}, fuse_schedule)
 
 
 def _same(kept: Expr, dropped: Expr, env: dict) -> bool:
@@ -506,7 +513,7 @@ def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
     body = subst_body(loop.body, {loop.var: reflect})
     out = _make_loop(loop.var, loop.lower, loop.upper, loop.step, body,
                      loop.name, _gen("reverse", uid), loop.parallel)
-    return TransformResult([out], meta)
+    return TransformResult([out], meta, reverse_schedule)
 
 
 def parallel_mark(program: Program, loop: ForLoop) -> TransformResult:
@@ -515,7 +522,8 @@ def parallel_mark(program: Program, loop: ForLoop) -> TransformResult:
     marked loop in source order only, so it cannot catch a wrong mark (ROADMAP item 2)."""
     out = subst_stmt(loop, {})
     out.parallel = True
-    return TransformResult([out], {**_level_meta(program, loop), "mark": True})
+    return TransformResult([out], {**_level_meta(program, loop), "mark": True},
+                           reverse_schedule)
 
 
 def _nest_chain(nodes: list, what: str, ordered_names: tuple[str, ...] | None = None) -> list[ForLoop]:
@@ -579,13 +587,6 @@ class Kind:
     # (clauses, targets, clauses with ids) -> (consumed, introduced), where
     # it is not "the targets, replaced by the id clauses' loops"
     renames: Callable | None = None
-    # (program, targets, clauses, candidate meta) -> valid whatever the
-    # dependences are
-    always_valid: Callable[..., bool] | None = None
-    # where an order-changing rewrite (or a mark, as a check) sends each
-    # instance; a kind without one keeps the order by construction and is
-    # always valid
-    schedule: Callable | None = None
     # (dependence set, meta) -> Verdict, from the distance vectors
     conservative: Callable | None = None
 
@@ -707,17 +708,6 @@ def _check_collapse(c, targets):
         return "collapse target count must match levels(...)"
 
 
-def _tile_keeps_order(program, targets, clauses, meta) -> bool:
-    """One level, or tiles that each cover their whole loop."""
-    if len(targets) == 1:
-        return True
-    for t, size in zip(targets, clauses["sizes"]):
-        trips = _const_trips(program, find_loop(program.body, t))
-        if trips is None or size < trips:
-            return False
-    return True
-
-
 def _level_rule(depset, meta):
     return legality.judge_level_conservative(depset, meta["level"])
 
@@ -730,8 +720,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
              p, loops, a["sizes"], a["floor_ids"], a["tile_ids"],
              a.get("peel", "none"), uid, taken),
          shape=NEST, band=lambda c: len(c["sizes"]), check=_check_tile,
-         ids={"floor_ids": "_f", "tile_ids": "_t"}, always_valid=_tile_keeps_order,
-         schedule=tile_schedule,
+         ids={"floor_ids": "_f", "tile_ids": "_t"},
          conservative=lambda ds, m: legality.judge_band_nonneg_conservative(ds, m["band"])),
     Kind("strip_mine", "stripmine", {"size": "int", "floor_id": "id", "tile_id": "id"},
          lambda p, loops, a, uid, taken: strip_mine(
@@ -741,7 +730,7 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          lambda p, loops, a, uid, taken: stripe_mine(
              p, loops[0], a["count"], a["outer_id"], a["inner_id"], uid),
          check=_requires("stripemine", "count", 1), ids={"outer_id": "_o", "inner_id": "_i"},
-         schedule=stripe_schedule, conservative=_level_rule),
+         conservative=_level_rule),
     Kind("unroll", "unroll", {"factor": "int", "full": "flag"},
          lambda p, loops, a, uid, taken: (
              unroll_full(p, loops[0]) if "full" in a
@@ -749,13 +738,11 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          check=_check_unroll, renames=lambda c, t, a: (t, () if "full" in c else t)),
     Kind("unroll_and_jam", "unrollingandjam", {"factor": "int"},
          lambda p, loops, a, uid, taken: unroll_and_jam(p, loops[0], a["factor"], uid),
-         check=_requires("unrollingandjam", "factor", 2), schedule=jam_schedule,
+         check=_requires("unrollingandjam", "factor", 2),
          conservative=lambda ds, m: legality.judge_permutation_conservative(ds, m["jam_order"])),
     Kind("interchange", "interchange", {"permutation": "ids"},
          lambda p, loops, a, uid, taken: interchange(loops, a["permutation"], uid),
          shape=BAND, band=lambda c: tuple(c["permutation"]), check=_check_interchange,
-         always_valid=lambda p, t, c, m: m["band"] == m["order"],
-         schedule=interchange_schedule,
          conservative=lambda ds, m: legality.judge_permutation_conservative(ds, m["order"])),
     Kind("peel", "peel",
          {"first": "int", "last": "int", "multiple": "int",
@@ -773,19 +760,17 @@ KINDS: dict[str, Kind] = {k.name: k for k in (
          lambda p, loops, a, uid, taken: distribute(
              loops[0], a.get("parts"), a["ids"], uid, taken),
          ids={"ids": None},
-         always_valid=lambda p, t, c, m: len(set(m["part_of"].values())) <= 1,
-         schedule=distribute_schedule,
          conservative=lambda ds, m: legality.judge_parts_conservative(ds, m["part_of"])),
     Kind("fuse", "fuse", {"fused_id": "id"},
          lambda p, loops, a, uid, taken: fuse(p, loops, a["fused_id"], uid),
-         shape=SIBLINGS, ids={"fused_id": "_fused"}, schedule=fuse_schedule,
+         shape=SIBLINGS, ids={"fused_id": "_fused"},
          conservative=lambda ds, m: legality.judge_fused_conservative(ds, m["loop_of"])),
     Kind("reverse", "reverse", {},
          lambda p, loops, a, uid, taken: reverse(p, loops[0], uid),
-         schedule=reverse_schedule, conservative=_level_rule),
+         conservative=_level_rule),
     Kind("parallel", "parallel", {},
          lambda p, loops, a, uid, taken: parallel_mark(p, loops[0]),
-         schedule=reverse_schedule, conservative=_level_rule),
+         conservative=_level_rule),
 )}
 
 BY_SURFACE: dict[str, Kind] = {k.surface: k for k in KINDS.values()}

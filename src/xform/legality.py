@@ -2,7 +2,7 @@
 
 Every planned transformation lands in one of four verdicts:
 
-* always_valid   — cannot change semantics (structurally order-preserving,
+* always_valid   — cannot change semantics (a step without a schedule map,
                    or every dependence survives the new schedule)
 * valid_with_rtc — only declared may-alias pairs could break it; a runtime
                    disjointness check can guard the transformed version
@@ -23,7 +23,7 @@ Note the default column: by design the transformation is applied even when
 it changes semantics, and no runtime check is inserted.
 
 The exact judge, `judge_exact`, reads the region's conflict graph: it
-compares each edge's two times in the candidate, which the kind's schedule
+compares each edge's two times in the candidate, which the step's schedule
 map gives (`schedules`; a `parallel` mark is judged by reverse's).  The
 conservative judges read distance vectors, whose first decisive entry only
 `deps.leading_sign` finds; a level step (reverse, stripemine, parallel)

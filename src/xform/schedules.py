@@ -1,6 +1,6 @@
 """Schedules: where an order-changing step sends each instance.
 
-A kind's `schedule` states, for the instances of the current region, their
+A step's schedule states, for the instances of the current region, their
 loop names and trip counts in the candidate and a key that orders them
 there (after Kelly & Pugh, "A framework for unifying reordering
 transformations", 1993).  The keys: `//` and `%` of a tile or stripe level,
@@ -31,9 +31,9 @@ iteration of the original body, which keeps their order.  `times` lists
 each instance's time in the order of enumeration, as `legality.judge_exact`
 reads them.
 
-Each order-changing `Kind` names its schedule in `kinds.KINDS` (a mark is
-judged by reverse's, as a check, and leaves the placement as it is).  A
-schedule takes the step's meta (what its builder recorded), the depth of
+A builder in `kinds` returns its step's schedule, or None where the step
+keeps the order (a mark returns reverse's, as a check, and leaves the
+placement as it is).  A schedule takes the step's meta (what its builder recorded), the depth of
 the target loops and a function giving the values of the loops around them
 at given trips, and returns the names of the outermost target loops and
 `rewrite`.  Given a class's loop names, statement, columns and its

@@ -2,13 +2,13 @@
 resolve the safety mode, and apply.
 
 The catalog of rewrites and everything else particular to one directive
-kind lives in `kinds`.  A rewrite that keeps the execution order by
-construction is always valid.  Everything else is checked against the
-dependence analysis.  In exact mode every conflicting instance pair must
-keep its execution order in the candidate (a mark, in its loop reversed):
-the kind's schedule places the region's instances there, a class of them
-at a time, and the candidate is never walked, only counted and proved once
-by `lang.step_counts`.  In conservative mode the kind's distance-vector
+kind lives in `kinds`.  A step whose builder returns no schedule map keeps
+the execution order and is always valid.  Everything else is checked
+against the dependence analysis.  In exact mode every conflicting instance
+pair must keep its execution order in the candidate (a mark, in its loop
+reversed): the step's schedule map places the region's instances there, a
+class of them at a time, and the candidate is never walked, only counted
+and proved once by `lang.step_counts`.  In conservative mode the kind's distance-vector
 rule applies, and so it does for an exact region whose candidate a walk
 could not value (arithmetic that `lang.interval` cannot prove) or whose
 target loop names are not unique in the region.  The exact conflict graph
@@ -22,6 +22,7 @@ cyclic collector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import deps as depmod
 from . import legality
@@ -51,6 +52,7 @@ class ApplyInfo:
     span_new: int
     meta: dict
     outer: list[ForLoop]  # the for-loops around the targets, outermost first
+    schedule: Callable | None  # the builder's schedule map, None where it keeps the order
 
 
 def _constants(s: Stmt) -> list[int]:
@@ -94,8 +96,8 @@ def build_candidate(program: Program, pd: PlannedDirective) -> tuple[Program, Ap
     count = len(loops) if kind.shape == SIBLINGS else 1
     container[idx:idx + count] = res.replacement
     if container is cand.body:
-        return cand, ApplyInfo(top, count, len(res.replacement), res.meta, outer)
-    return cand, ApplyInfo(top, 1, 1, res.meta, outer)
+        return cand, ApplyInfo(top, count, len(res.replacement), res.meta, outer, res.schedule)
+    return cand, ApplyInfo(top, 1, 1, res.meta, outer, res.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +145,7 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
     graphs.clear()
     if candidate is None:
         return Verdict(IMPOSSIBLE, impossible_reason)
-    kind = KINDS[pd.directive.kind]
-    if kind.schedule is None or (kind.always_valid and kind.always_valid(
-            program, pd.targets, pd.directive.clauses, info.meta)):
+    if info.schedule is None:
         return Verdict(legality.ALWAYS_VALID)
 
     start, stop = info.span_start, info.span_start + info.span_old
@@ -182,11 +182,11 @@ def classify(program: Program, pd: PlannedDirective, candidate: Program | None,
                 graphs[(start, cstop)] = depset, placement if "mark" in info.meta else placed
             return verdict
 
-    return kind.conservative(current(), info.meta)
+    return KINDS[pd.directive.kind].conservative(current(), info.meta)
 
 
 def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, proved: bool):
-    """The kind's schedule of an exact region (`schedules.placer`), or None where
+    """The step's schedule of an exact region (`schedules.placer`), or None where
     the step goes to the kind's conservative rule: where a walk of the
     candidate could fault, as a mark's cannot and `lang.step_counts` has not
     `proved`, or where a target's name is not unique in the region, so its
@@ -195,7 +195,7 @@ def exact_schedule(program: Program, pd: PlannedDirective, info: ApplyInfo, prov
     region = [l.name for l in iter_loops(program.body[start:start + info.span_old])]
     if not ((proved or "mark" in info.meta) and all(region.count(t) == 1 for t in pd.targets)):
         return None
-    return placer(KINDS[pd.directive.kind].schedule, info.meta, info.outer,
+    return placer(info.schedule, info.meta, info.outer,
                   program.param_ranges(include_opaque=False))
 
 

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from xform import deps, plan_pipeline, transforms
 from xform.deps import DepsError, compute_dependences
-from xform.kinds import KINDS
 from xform.lang import iter_loops, step_counts
 
 from conftest import corpus_names, load_corpus, parse_named
@@ -50,9 +49,7 @@ def check_step(program, pd, cand, info, max_enum, graphs):
     the step is judged, by its "schedule", as a "mark" or why not, the
     verdict the walked candidate or the mark's oracle gives (None unless by
     a schedule) and the placement the step carries if valid."""
-    kind = KINDS[pd.directive.kind]
-    if kind.schedule is None or (kind.always_valid and kind.always_valid(
-            program, pd.targets, pd.directive.clauses, info.meta)):
+    if info.schedule is None:
         return "no schedule", None, None
     stop = info.span_start + info.span_old
     region = program.body[info.span_start:stop]
@@ -163,7 +160,7 @@ def placed_like_the_oracle(src: str, monkeypatch, **kw) -> list[int]:
         place = real(program, pd, info, proved)
         if place is None:
             return None
-        oracle = reference_placer(KINDS[pd.directive.kind].schedule, info.meta, info.outer,
+        oracle = reference_placer(info.schedule, info.meta, info.outer,
                                   program.param_ranges(include_opaque=False))
 
         def checked(instances, placement=None):
