@@ -36,9 +36,11 @@ them is the same from run to run:
   trials, collapses of loops that never run, generated loop names that a
   param, an array or another loop's variable already has, steps on a later
   loop over a variable that keep its name, a value that overflows only
-  inside a loop of no trips, which the lowering must not hoist, and a traced
+  inside a loop of no trips, which the lowering must not hoist, a traced
   nest deeper than the lowering's function split whose innermost statement
-  reads the outer variables)
+  reads the outer variables, a may-alias pair that differs only under a
+  partial overlap, a reversal over a param bound, and an unroll-and-jam
+  whose guard passes INT64_MAX after a carried step)
   under the corpus' four settings, in those two forms and
   `--verify 2 --seed 0 --trace trace.csv`.
 
@@ -281,8 +283,8 @@ for (i = 9223372036854775801; i < 9223372036854775807; i += 1)
   for (j = 0; j < 8; j += 1)
     A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
 """,
-    # the same over a param lower bound: `reverse` reflects between two
-    # constant bounds within the loop's values, but not from `L + L + 5`
+    # the same over a param lower bound, which `reverse` also reflects within
+    # the loop's values, since the param's value bounds `L + 5`
     "carried_then_unproved_param": """param L = 9223372036854775801;
 array A[8,8] init random;
 
@@ -564,6 +566,35 @@ for (i = 9223372036854775800; i < 9223372036854775807; i += 1)
 """,
     # 16 levels, past the lowering's split into a second function at 12
     "hoist_deep_traced_nest": _deep_traced_nest(16),
+    # a may-alias pair whose reversal differs only where the arrays overlap
+    # at an offset other than 0 (B[0] at A[1] in the second trial)
+    "alias_partial_overlap": """array A[9] init random;
+array B[9] init random;
+maybe_alias(A, B);
+
+#pragma xform reverse
+for (i = 0; i < 8; i += 1)
+  A[i] = B[i] + 1;
+""",
+    # `L + L + 5` overflows, `L + 5` does not: reflected within the loop's values
+    "reverse_param_bound": """param L = 4611686018427387904;
+array A[8] init zero;
+
+#pragma xform reverse
+for (i = L; i < L + 6; i += 1)
+  A[i - L] = i - L;
+""",
+    # a carried graph, then an unroll-and-jam whose guard `i + 3 < ...`
+    # passes INT64_MAX: unproved, so the conservative rule judges it
+    "carried_then_unproved_jam": """array A[6,8,8] init random;
+
+#pragma xform loop(i) unrollingandjam factor(4)
+#pragma xform loop(i,j) interchange permutation(j,i)
+for (i = 9223372036854775802; i < 9223372036854775807; i += 1)
+  for (j = 0; j < 8; j += 1)
+    for (k = 0; k < 7; k += 1)
+      A[i - 9223372036854775801, j, k] = A[i - 9223372036854775802, j, k + 1] + 1;
+""",
 }
 # a reversal over a bound whose fault one rule of `lang.simplify` used to
 # drop: x - x, (a + b) - a, (a + b) - b, constants moving x both ways,

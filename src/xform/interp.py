@@ -19,10 +19,11 @@ separate storage, or overlapping storage at a given element offset.  The
 `disjoint(A, B)` builtin reports the binding, which is what runtime-checked
 transformation guards test.
 
-`equivalent` lays out each binding's memory once and draws only the cells
-per trial.  Two equal programs (an output that no directive changed) run
-once per trial and binding, and that run is both sides' outcome: the run is
-deterministic, so the report is the one two runs would give.
+`equivalent` runs each pair distinct and overlapping at a new offset per
+trial (`overlap`), lays out each binding's memory once and draws only the
+cells per trial.  Two equal programs (an output that no directive changed)
+run once per trial and binding, and that run is both sides' outcome: the
+run is deterministic, so the report is the one two runs would give.
 """
 
 from __future__ import annotations
@@ -157,10 +158,23 @@ def run(program: Program | Lowered, seed: int = 0, alias_binding: dict | None = 
     return mem, trace if trace is not None else []
 
 
-def alias_bindings(program: Program, offsets=(0,)) -> list[dict]:
-    """Every combination of distinct/overlapping for the declared alias pairs."""
+def alias_bindings(program: Program, offsets=(0,), trial: int | None = None) -> list[dict]:
+    """Every combination of distinct/overlapping for the declared alias pairs:
+    overlapping at each of `offsets`, or, given a `trial`, at its offset."""
+    size = {a.name: a.total for a in program.arrays}
     pairs = [(a.first, a.second) for a in program.aliases]
-    return [dict(zip(pairs, c)) for c in product((None, *offsets), repeat=len(pairs))]
+    return [dict(zip(pairs, c)) for c in product(*(
+        (None, *offsets) if trial is None else (None, overlap(size[a], size[b], trial))
+        for a, b in pairs))]
+
+
+def overlap(a: int, b: int, trial: int) -> int:
+    """The `trial`-th, cycling, of the offsets 0, 1, -1, 2, ... (b's element 0
+    at a's element offset) at which arrays of `a` and `b` cells overlap."""
+    k, m = trial % (a + b - 1), min(a, b) - 1
+    if k <= 2 * m:
+        return (k + 1) // 2 if k % 2 else -(k // 2)
+    return k - m if a > b else m - k
 
 
 @dataclass
@@ -190,21 +204,20 @@ def _where(trial: int, seed: int, binding: dict) -> str:
 
 
 def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> EquivalenceReport:
-    """Compare outcomes over seeded random inputs and all alias bindings: the
-    final memories, or the fault messages without their lines.  The two
-    sides declare the same arrays, so each trial draws its memory once, and
-    each binding is laid out once.  Equal programs (`==`, `parallel` marks
-    included) have one outcome per input: each trial runs it once and counts
-    it for both sides, which gives the report that two runs give.  A nest
-    too deep for `==` to compare runs on both sides."""
+    """Compare outcomes over seeded random inputs, each trial under its alias
+    bindings (`overlap`): the final memories, or the fault messages without
+    their lines.  The two sides declare the same arrays, so each trial draws
+    its memory once, and each binding is laid out once.  Equal programs
+    (`==`, `parallel` marks included) have one outcome per input: each trial
+    runs it once and counts it for both sides, which gives the report that
+    two runs give.  A nest too deep for `==` to compare runs on both sides."""
     decls1 = [(a.name, a.dims, a.init) for a in p1.arrays]
     decls2 = [(a.name, a.dims, a.init) for a in p2.arrays]
     if decls1 != decls2:
         return EquivalenceReport(False, 0, "declaration mismatch")
     master = random.Random(seed)
     trial_seeds = [master.randrange(2**31) for _ in range(max(trials, 1))]
-    # the first trial's memories are the layouts that later trials draw into
-    layouts = [Memory(p1, binding, trial_seeds[0]) for binding in alias_bindings(p1)]
+    layouts: dict = {}  # the first memory of each binding: later trials draw into it
     try:
         one = p1 == p2
     except RecursionError:  # `==` recurses per nesting level: run a deep nest on both sides
@@ -214,8 +227,10 @@ def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> Eq
     faulted = 0
     for t, s in enumerate(trial_seeds):
         both_faulted = False
-        for layout in layouts:
-            start = layout.draw(s) if t else layout
+        for binding in alias_bindings(p1, trial=t):
+            key = tuple(binding.values())
+            start = layouts[key].draw(s) if key in layouts else Memory(p1, binding, s)
+            layouts.setdefault(key, start)
             m1 = _outcome(low1, start if one else start.copy())
             m2 = m1 if one else _outcome(low2, start)
             if isinstance(m1, str) or isinstance(m2, str):
@@ -224,8 +239,7 @@ def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> Eq
                     both_faulted = True
                     continue
                 f1, f2 = (f"fault '{m}'" if isinstance(m, str) else "no fault" for m in (m1, m2))
-                return EquivalenceReport(False, t + 1,
-                                         _where(t, s, layout.binding) + f"{f1} vs {f2}")
+                return EquivalenceReport(False, t + 1, _where(t, s, binding) + f"{f1} vs {f2}")
             if one:
                 continue
             for arr in p1.arrays:
@@ -233,8 +247,7 @@ def equivalent(p1: Program, p2: Program, trials: int = 100, seed: int = 0) -> Eq
                 v2 = m2.array_values(arr.name)
                 if v1 != v2:
                     i = next(k for k in range(len(v1)) if v1[k] != v2[k])
-                    return EquivalenceReport(
-                        False, t + 1,
-                        _where(t, s, layout.binding) + f"{arr.name}[{i}] = {v1[i]} vs {v2[i]}")
+                    return EquivalenceReport(False, t + 1, _where(t, s, binding)
+                                             + f"{arr.name}[{i}] = {v1[i]} vs {v2[i]}")
         faulted += both_faulted
     return EquivalenceReport(True, len(trial_seeds), faulted=faulted)

@@ -505,8 +505,9 @@ def reverse(program: Program, loop: ForLoop, uid: int) -> TransformResult:
         last = BinOp("*", BinOp("-", _trips_expr(loop), IntLit(1)), IntLit(loop.step))
     top = simplify(BinOp("+", BinOp("+", loop.lower, loop.lower), last))
     final = simplify(BinOp("+", loop.lower, last))
-    # where `top` overflows and the last value folds, reflect within the loop's values
-    if type(top) is not IntLit and type(final) is IntLit:
+    # where `top` may overflow and the last value cannot, reflect within the loop's values
+    env = program.param_ranges(include_opaque=False)
+    if interval(top, env) is None and interval(final, env) is not None:
         reflect = BinOp("+", loop.lower, BinOp("-", final, VarRef(loop.var)))
     else:
         reflect = simplify(BinOp("-", top, VarRef(loop.var)))

@@ -288,6 +288,37 @@ def test_reverse_near_two_to_the_62_reflects_within_the_loop_values(tmp_path):
     assert r.stderr == "verified: 3 trials, memory identical\n"
 
 
+def test_reverse_over_a_param_bound_reflects_within_the_loop_values(tmp_path):
+    # L + L + 5 overflows; L + 5, which the params' values bound, does not
+    path = tmp_path / "in.loop"
+    path.write_text("param L = 4611686018427387904;\narray A[8] init zero;\n"
+                    "#pragma xform reverse\nfor (i = L; i < L + 6; i += 1)\n"
+                    "  A[i - L] = i - L;\n")
+    r = run_cli(str(path), "--safety", "fallback", "--verify", "2", "--emit", "-")
+    assert r.returncode == 0, r.stderr
+    assert "A[L + (L + 5 - i) - L]" in r.stdout
+    assert r.stderr == "verified: 2 trials, memory identical\n"
+
+
+ALIAS_REVERSE = ("array A[9] init random;\narray B[9] init random;\nmaybe_alias(A, B);\n"
+                 "#pragma xform reverse\nfor (i = 0; i < 8; i += 1)\n  A[i] = B[i] + 1;\n")
+
+
+@pytest.mark.parametrize("mode, code", [("default", 2), ("fallback", 0), ("force", 0)])
+def test_verify_overlaps_a_may_alias_pair_at_a_new_offset_each_trial(tmp_path, mode, code):
+    # the step is valid with rtc: applied unguarded under default, it differs
+    # where B[0] is A[1], which the second trial runs
+    path = tmp_path / "in.loop"
+    path.write_text(ALIAS_REVERSE)
+    r = run_cli(str(path), "--safety", mode, "--verify", "2")
+    assert r.returncode == code, r.stderr
+    if code:
+        assert r.stderr.startswith("verification mismatch: trial 1 (seed "), r.stderr
+        assert "binding A~B@1): " in r.stderr
+    else:
+        assert r.stderr.endswith("verified: 2 trials, memory identical\n"), r.stderr
+
+
 def test_running_out_of_steps_is_an_error_not_a_mismatch(tmp_path):
     path = tmp_path / "in.loop"
     path.write_text("array A[1] init zero;\nwhile (1)\n  A[0] = 0;\n")

@@ -245,18 +245,17 @@ for (i = 1; i < 8; i += 1)
   for (j = 0; j < 8; j += 1)
     A[i,j] = A[i-1,j] + 1;
 """,
-    # ... and a reverse whose generated arithmetic is not proved inside
-    # int64, so the schedule gate fails and the conservative rule runs (over
-    # a param bound, since `reverse` reflects between two constant bounds
-    # within the loop's own values)
-    "carried_then_unproved": """param L = 9223372036854775801;
-array A[8,8] init random;
+    # ... and an unroll-and-jam whose generated arithmetic is not proved
+    # inside int64 (its guard `i + 3 < 9223372036854775807` passes INT64_MAX),
+    # so the schedule gate fails and the conservative rule runs
+    "carried_then_unproved": """array A[6,8,8] init random;
 
-#pragma xform loop(i) reverse
+#pragma xform loop(i) unrollingandjam factor(4)
 #pragma xform loop(i,j) interchange permutation(j,i)
-for (i = L; i < 9223372036854775807; i += 1)
+for (i = 9223372036854775802; i < 9223372036854775807; i += 1)
   for (j = 0; j < 8; j += 1)
-    A[i - 9223372036854775800, j] = A[i - 9223372036854775801, j] + 1;
+    for (k = 0; k < 7; k += 1)
+      A[i - 9223372036854775801, j, k] = A[i - 9223372036854775802, j, k + 1] + 1;
 """,
     # a valid mark reads the graph that an interchange carried, with no fresh
     # analysis ...
@@ -284,11 +283,12 @@ for (o = 0; o < 4; o += 1) {
 """,
 }
 
-# the second step of each: its kind, and whether a schedule judges it
+# the second step of each: its kind, whether a schedule judges it, and the
+# witness, in the interchanged nest's loops
 CARRIED_PATHS = {
-    "carried_then_invalid": ("reverse", True),
-    "carried_then_parallel": ("parallel", True),
-    "carried_then_unproved": ("reverse", False),
+    "carried_then_invalid": ("reverse", True, "s2->s2 (0,1)"),
+    "carried_then_parallel": ("parallel", True, "s2->s2 (0,1)"),
+    "carried_then_unproved": ("unroll_and_jam", False, "s3->s3 (0,1,-1)"),
 }
 
 
@@ -350,11 +350,11 @@ def _spied_steps(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CARRIED_PATHS))
 def test_each_rare_path_reads_a_carried_graph(name, monkeypatch):
     steps, scheduled = _spied_steps(name, monkeypatch)
-    kind, by_schedule = CARRIED_PATHS[name]
+    kind, by_schedule, witness = CARRIED_PATHS[name]
     # a carried step reads one fresh analysis, and it is exact; the witness
     # is in the interchanged nest's loops (j,i), not the source's
     assert steps == [("interchange", False, "always valid", [True]),
-                     (kind, True, "invalid: dependence flow s2->s2 (0,1) would be violated",
+                     (kind, True, f"invalid: dependence flow {witness} would be violated",
                       [True])]
     assert scheduled == [True, by_schedule]
 

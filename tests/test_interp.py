@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xform import equivalent, run
-from xform.interp import EquivalenceReport, Memory, RunFault, _random_cells, alias_bindings
+from xform.interp import (
+    EquivalenceReport, Memory, RunFault, _random_cells, alias_bindings, overlap,
+)
 from xform.lang import clone_program
 from xform.lower import lower
 
@@ -139,7 +141,8 @@ def test_equivalent_draws_one_memory_per_trial_and_binding(monkeypatch):
     monkeypatch.setattr(Memory, "_cells", drawing)
     assert equivalent(parse_named(src), parse_named(src), trials=20)
     assert len(drawn) == 20 * 2  # trials x bindings
-    assert len(laid) == 2  # one layout per binding
+    # one layout per binding used: distinct, and the 7 offsets -3 ... 3
+    assert len(laid) == 8
 
 
 # the alias chains and overlaps that a layout places: A~B and B~C put three
@@ -244,6 +247,16 @@ def test_alias_bindings_keep_the_order_of_the_nested_loop(pairs, offsets):
     got = [list(b.items()) for b in alias_bindings(p, offsets)]
     assert got == [list(b.items()) for b in nested_bindings(p, offsets)]
     assert len(got) == (1 + len(offsets)) ** pairs
+
+
+@pytest.mark.parametrize("a", [1, 2, 4, 9])
+@pytest.mark.parametrize("b", [1, 3, 4])
+def test_trials_cycle_through_every_overlap_nearest_first(a, b):
+    # b's element 0 at a's element o overlaps the arrays for -(b - 1) <= o <= a - 1
+    every = sorted(range(1 - b, a), key=lambda o: (abs(o), o < 0))
+    assert [overlap(a, b, t) for t in range(2 * len(every))] == every * 2
+    p = parse_named(f"array A[{a}] init zero;\narray B[{b}] init zero;\nmaybe_alias(A, B);\n")
+    assert alias_bindings(p, trial=5) == [{("A", "B"): None}, {("A", "B"): every[5 % len(every)]}]
 
 
 def test_overlapping_binding_shares_storage():

@@ -3,7 +3,7 @@ instance preservation, verdicts for the rejection cases."""
 
 import pytest
 
-from xform import equivalent, kinds, parse_program, plan_pipeline, transforms
+from xform import deps, equivalent, kinds, parse_program, plan_pipeline, schedules, transforms
 from xform.emit import emit_program
 from xform.kinds import MAX_COPIES, TransformError
 from xform.lang import INT64_MAX, Assign, ForLoop, IfStmt, iter_loops, iter_stmts, strip_pragmas
@@ -895,6 +895,49 @@ def test_a_candidate_shares_no_statement_with_its_input(monkeypatch, name):
     for mode in ("default", "fallback", "force"):
         transforms.apply_pipeline(p, plan_pipeline(p), safety_override=mode)
     assert calls
+
+
+# the one always-valid rule ---------------------------------------------------
+
+RULE_SRC = ("array A[8,9] init random;\narray B[8,9] init random;\n#pragma xform {}\n"
+            "for (i = 0; i < 8; i += 1)\n  for (j = 0; j < 9; j += 1) {{\n"
+            "    A[i,j] = A[i,j] + i;\n    B[i,j] = A[i,j];\n  }}\n")
+
+
+# each step that keeps the order, and one that changes it with its map
+@pytest.mark.parametrize("kept, changed, schedule", [
+    ("stripmine size(3)", "stripemine count(2)", schedules.stripe_schedule),
+    ("unroll factor(3)", "unrollingandjam factor(2)", schedules.jam_schedule),
+    ("unroll full", "unrollingandjam factor(4)", schedules.jam_schedule),
+    ("peel first(1)", "reverse", schedules.reverse_schedule),
+    ("peel last(3)", "parallel", schedules.reverse_schedule),
+    ("peel multiple(3)", "reverse", schedules.reverse_schedule),
+    ("loop(i,j) collapse", "loop(i,j) interchange permutation(j,i)",
+     schedules.interchange_schedule),
+    ("tile sizes(3)", "loop(i,j) tile sizes(3,3)", schedules.tile_schedule),
+    ("loop(i,j) tile sizes(8,9)", "loop(i,j) tile sizes(8,4)", schedules.tile_schedule),
+    ("loop(i,j) tile sizes(9,9) peel(rectangular)",
+     "loop(i,j) tile sizes(4,9) peel(rectangular)", schedules.tile_schedule),
+    ("loop(i,j) interchange permutation(i,j)", "loop(i,j) interchange permutation(j,i)",
+     schedules.interchange_schedule),
+    ("loop(j) distribute parts(s2,s3)", "loop(j) distribute", schedules.distribute_schedule),
+])
+def test_a_step_without_a_schedule_map_is_always_valid_unanalyzed(kept, changed, schedule,
+                                                                     monkeypatch):
+    def step(pragma):
+        p = parse_named(RULE_SRC.format(pragma))
+        plan = plan_pipeline(p)
+        return p, plan, transforms.build_candidate(strip_pragmas(p), plan.steps[0])[1]
+
+    assert step(changed)[2].schedule is schedule
+    p, plan, info = step(kept)
+    assert info.schedule is None
+
+    def unanalyzed(*a, **k):
+        raise AssertionError("a step that keeps the order needs no dependences")
+    monkeypatch.setattr(deps, "compute_dependences", unanalyzed)
+    res = transforms.apply_pipeline(p, plan, safety_override="fallback")
+    assert [r.verdict.kind for r in res.reports] == [ALWAYS_VALID]
 
 
 # helpers used above -------------------------------------------------------
