@@ -31,15 +31,15 @@ iteration of the original body, which keeps their order.  `times` lists
 each instance's time in the order of enumeration, as `legality.judge_exact`
 reads them.
 
-A builder in `kinds` returns its step's schedule, or None where the step
-keeps the order (a mark returns reverse's, as a check, and leaves the
-placement as it is).  A schedule takes the step's meta (what its builder recorded), the depth of
-the target loops and a function giving the values of the loops around them
-at given trips, and returns the names of the outermost target loops and
-`rewrite`.  Given a class's loop names, statement, columns and its
-instances' outer trips, `rewrite` returns, per region of the candidate the
-class reaches, the instances it keeps (None for all, else a selector), their
-loop names, their columns and the columns of their key; `placer` applies it.
+A builder in `kinds` returns its step's schedule, or None where the step keeps
+the order (a mark returns reverse's, as a check, and leaves the placement as
+it is).  A schedule takes the step's meta (what its builder recorded), the
+depth of the target loops and a function giving the values of the loops around
+them at given trips, and returns the names of the outermost target loops and
+`rewrite`.  Given a class's loop names, statement, columns and its instances'
+outer trips, `rewrite` returns, per region of the candidate the class reaches,
+the instances it keeps (None for all, else a selector), their loop names,
+their columns and the columns of their key; `placer` applies it.
 """
 
 from __future__ import annotations

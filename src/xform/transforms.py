@@ -8,15 +8,15 @@ against the dependence analysis.  In exact mode every conflicting instance
 pair must keep its execution order in the candidate (a mark, in its loop
 reversed): the step's schedule map places the region's instances there, a
 class of them at a time, and the candidate is never walked, only counted
-and proved once by `lang.step_counts`.  In conservative mode the kind's distance-vector
-rule applies, and so it does for an exact region whose candidate a walk
-could not value (arithmetic that `lang.interval` cannot prove) or whose
-target loop names are not unique in the region.  The exact conflict graph
-is built once per region and carried from step to step unchanged, with the
-placement of its instances' classes in the current schedule (`schedules`),
-while each step is exact and always valid; a verdict that reads the current
-schedule's instances analyzes the region afresh.  A pipeline pauses the
-cyclic collector.
+and proved once by `lang.step_counts`.  In conservative mode the kind's
+distance-vector rule applies, and so it does for an exact region whose
+candidate a walk could not value (arithmetic that `lang.interval` cannot
+prove) or whose target loop names are not unique in the region.  The exact
+conflict graph is built once per region and carried from step to step
+unchanged, with the placement of its instances' classes in the current
+schedule (`schedules`), while each step is exact and always valid; a
+verdict that reads the current schedule's instances analyzes the region
+afresh.  A pipeline pauses the cyclic collector.
 """
 
 from __future__ import annotations
